@@ -15,14 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .nn import (
-    ModelSpec,
-    ParameterSet,
-    init_parameters,
-    scale,
-    scale_add,
-    zeros_like,
-)
+from .nn import ModelSpec, ParameterSet, ShapeError, init_parameters
 from .weighting import FedAsyncParams, fedasync_poly_mix
 
 
@@ -50,6 +43,10 @@ class UpdateRequest:
     local_validation_cm: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, ParameterSet):
+            # The controller caches the model; a learner's training buffer
+            # would keep changing under the cache.
+            raise TypeError("an update must carry an immutable ParameterSet snapshot")
         if self.local_steps < 1:
             raise ValueError("an update must carry at least one local step")
         if self.local_train_size < 1:
@@ -85,13 +82,14 @@ class FederationController:
 
     def _setup(self, initial: ParameterSet) -> None:
         self._lock = threading.Lock()
-        self._w0 = initial
-        self._weighted_sum = zeros_like(self._w0)
+        self._layout = initial.layout
+        # Running sum of p * params over the cache, updated in place.
+        self._weighted_sum = np.zeros(self._layout.size)
         self._normalizer = 0.0
         self._cache: dict[int, _CacheEntry] = {}
         self._committed_steps = 0
         self._version = 0
-        self._community = self._w0
+        self._community = initial
 
     @property
     def version(self) -> int:
@@ -113,10 +111,6 @@ class FederationController:
         with self._lock:
             return CommunityModel(self._community, self._version, self._committed_steps)
 
-    def cached_contribution(self, learner_id: int) -> tuple[float, ParameterSet] | None:
-        entry = self._cache.get(learner_id)
-        return None if entry is None else (entry.p, entry.params)
-
     def handle_async_update(self, req: UpdateRequest, weight_fn: WeightFn) -> CommunityModel:
         """Commit one model: swap the learner's cached contribution in O(model).
 
@@ -126,6 +120,7 @@ class FederationController:
         p = float(weight_fn(req))
         if p < 0.0:
             raise ValueError("contribution values must be non-negative")
+        self._require_layout(req)
         with self._lock:
             prev = self._cache.get(req.learner_id)
             p_prev = prev.p if prev is not None else 0.0
@@ -135,16 +130,13 @@ class FederationController:
                     f"normalizer would drop to {new_normalizer} on commit from learner "
                     f"{req.learner_id} (p={p})"
                 )
-            updated = scale_add(self._weighted_sum, req.params, p)
+            self._weighted_sum += p * req.params.flat
             if prev is not None:
-                updated = scale_add(updated, prev.params, -p_prev)
-            self._weighted_sum = updated
+                self._weighted_sum += (-p_prev) * prev.params.flat
             self._normalizer = new_normalizer
             self._cache[req.learner_id] = _CacheEntry(p, req.params)
             self._committed_steps += req.local_steps
-            self._version += 1
-            self._community = scale(self._weighted_sum, 1.0 / self._normalizer)
-            return CommunityModel(self._community, self._version, self._committed_steps)
+            return self._publish()
 
     def handle_sync_round(
         self, requests: Sequence[UpdateRequest], weight_fn: WeightFn
@@ -166,19 +158,16 @@ class FederationController:
         round_normalizer = sum(weights)
         if round_normalizer <= 0.0:
             raise DegenerateFederationError("all contribution values are zero this round")
+        for req in requests:
+            self._require_layout(req)
         with self._lock:
-            weighted = zeros_like(self._w0)
-            cache: dict[int, _CacheEntry] = {}
-            for req, p in zip(requests, weights):
-                weighted = scale_add(weighted, req.params, p)
-                cache[req.learner_id] = _CacheEntry(p, req.params)
-            self._weighted_sum = weighted
+            self._cache = {
+                req.learner_id: _CacheEntry(p, req.params) for req, p in zip(requests, weights)
+            }
+            self._weighted_sum = self._sum_cache()
             self._normalizer = round_normalizer
-            self._cache = cache
             self._committed_steps += sum(r.local_steps for r in requests)
-            self._version += 1
-            self._community = scale(self._weighted_sum, 1.0 / self._normalizer)
-            return CommunityModel(self._community, self._version, self._committed_steps)
+            return self._publish()
 
     def audit_recompute(self) -> CommunityModel:
         """Full O(model x learners) pass over the cache; the test oracle for
@@ -186,14 +175,31 @@ class FederationController:
         with self._lock:
             if not self._cache:
                 raise DegenerateFederationError("cannot audit an empty cache")
-            total = 0.0
-            weighted = zeros_like(self._w0)
-            for entry in self._cache.values():
-                weighted = scale_add(weighted, entry.params, entry.p)
-                total += entry.p
+            total = sum(entry.p for entry in self._cache.values())
             if total <= 0.0:
                 raise DegenerateFederationError("cached contributions sum to zero")
-            return CommunityModel(scale(weighted, 1.0 / total), self._version, self._committed_steps)
+            params = ParameterSet((1.0 / total) * self._sum_cache(), self._layout)
+            return CommunityModel(params, self._version, self._committed_steps)
+
+    def _require_layout(self, req: UpdateRequest) -> None:
+        if req.params.layout != self._layout:
+            raise ShapeError(
+                f"learner {req.learner_id}: parameter layout {req.params.shapes()} "
+                f"differs from the federation's {self._layout.entries}"
+            )
+
+    def _sum_cache(self) -> np.ndarray:
+        """Fresh sum of p * params over the cache, in insertion order."""
+        weighted = np.zeros(self._layout.size)
+        for entry in self._cache.values():
+            weighted += entry.p * entry.params.flat
+        return weighted
+
+    def _publish(self) -> CommunityModel:
+        """Bump the version and rebuild the community model from the running sum."""
+        self._version += 1
+        self._community = ParameterSet((1.0 / self._normalizer) * self._weighted_sum, self._layout)
+        return CommunityModel(self._community, self._version, self._committed_steps)
 
 
 class FedAsyncController:

@@ -10,6 +10,7 @@ against a frozen median threshold (condition C3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -18,13 +19,14 @@ import numpy as np
 from .controller import CommunityModel
 from .data import Dataset
 from .nn import (
-    Batch,
-    MomentumState,
+    ParameterBuffer,
     ParameterSet,
-    backward,
-    forward_loss,
-    init_momentum,
-    sgd_momentum_step,
+    ShapeError,
+    Workspace,
+    backward,  # noqa: F401 - re-exported: benchmark tracing looks it up here
+    check_inputs,
+    momentum_update,
+    sgd_momentum_step,  # noqa: F401 - re-exported: benchmark tracing looks it up here
 )
 
 CAUSE_C1 = "C1"
@@ -102,9 +104,19 @@ class ValidationCycle:
 
 @dataclass
 class LearnerState:
+    """A learner's model and bookkeeping.
+
+    ``params`` and ``momentum`` are buffers the learner owns and trains in
+    place; they are copied out only at the exchange boundary
+    (``params.snapshot()`` for an update request) and overwritten only by
+    ``adopt_community``. ``anchor`` is the community model adopted at the
+    last fetch.
+    """
+
     id: int
-    params: ParameterSet
-    momentum: MomentumState
+    params: ParameterBuffer
+    momentum: ParameterBuffer
+    gamma: float
     policy: TriggerPolicy
     proximal_mu: float = 0.0
     data_seed: int = 0
@@ -126,55 +138,79 @@ def new_learner(
     data_seed: int = 0,
 ) -> LearnerState:
     """Create a learner that has just adopted the broadcast community model."""
-    return LearnerState(
+    if not (0.0 <= gamma < 1.0):
+        raise ValueError("momentum attenuation must lie in [0, 1)")
+    layout = community.params.layout
+    state = LearnerState(
         id=learner_id,
-        params=community.params,
-        momentum=init_momentum(community.params, gamma),
+        params=ParameterBuffer(layout),
+        momentum=ParameterBuffer(layout),
+        gamma=gamma,
         policy=policy,
         proximal_mu=proximal_mu,
         data_seed=data_seed,
-        S_c_at_fetch=community.committed_steps,
-        version_at_fetch=community.version,
-        anchor=community.params,
     )
+    adopt_community(state, community)
+    return state
 
 
-def run_epoch(state: LearnerState, train: Dataset, hp: Hyperparameters) -> int:
+def run_epoch(
+    state: LearnerState, train: Dataset, hp: Hyperparameters, workspace: Workspace | None = None
+) -> int:
     """Train one epoch in a seed-determined shuffle order; returns steps taken.
 
-    With a positive proximal coefficient the data gradient is augmented with
-    mu * (w - w_anchor), pulling the local model toward the community model
-    adopted at the last fetch.
+    Each step works in place on the learner's buffers: the data gradient,
+    plus mu * (w - w_anchor) with a positive proximal coefficient (a pull
+    toward the community model adopted at the last fetch), then
+    u <- gamma*u + g and w <- w - eta*u. ``workspace`` holds the batch and
+    gradient scratch; a federation passes one shared by all its learners.
+    Raises ``ShapeError`` at the first step that leaves a non-finite
+    parameter.
     """
     if train.n < 1:
         raise ValueError("cannot train on an empty dataset")
+    params = state.params
+    check_inputs(params, train.features, train.labels)
+    ws = workspace if workspace is not None else Workspace(params.layout)
+    ws.reserve(min(hp.batch_size, train.n))
+    w, u, g, tmp = params.flat, state.momentum.flat, ws.grad.flat, ws.tmp
+    mu = state.proximal_mu
+    anchor = state.anchor.flat if mu > 0.0 else None
     seq = np.random.SeedSequence([state.data_seed, 5, state.id, state.epochs_total])
     rng = np.random.Generator(np.random.Philox(seq))
     perm = rng.permutation(train.n)
     steps = 0
     for start in range(0, train.n, hp.batch_size):
         chunk = perm[start : start + hp.batch_size]
-        batch = Batch(train.features[chunk], train.labels[chunk])
-        grads = backward(state.params, batch)
-        if state.proximal_mu > 0.0 and state.anchor is not None:
-            mu = state.proximal_mu
-            grads = ParameterSet(
-                (name, g + mu * (w - a))
-                for (name, g), (_, w), (_, a) in zip(grads, state.params, state.anchor)
-            )
-        state.params, state.momentum = sgd_momentum_step(
-            state.params, state.momentum, grads, hp.eta
-        )
+        m = chunk.shape[0]
+        # mode="clip" skips the bounds pass that buffers the gather; a
+        # permutation is always in range.
+        x = np.take(train.features, chunk, axis=0, out=ws.x[:m], mode="clip")
+        y = np.take(train.labels, chunk, out=ws.y[:m], mode="clip")
+        ws.gradient(params, x, y)
+        if anchor is not None:
+            np.subtract(w, anchor, out=tmp)
+            tmp *= mu
+            g += tmp
+        momentum_update(w, u, g, state.gamma, hp.eta, tmp)
         steps += 1
+        if not np.isfinite(w).all():
+            raise ShapeError(
+                f"learner {state.id}: parameters became non-finite at step {steps} "
+                f"of epoch {state.epochs_total}"
+            )
     state.S_k_local += steps
     state.epochs_total += 1
     state.current.epochs += 1
     return steps
 
 
-def local_validation_loss(state: LearnerState, validation: Dataset) -> float:
-    loss, _ = forward_loss(state.params, Batch(validation.features, validation.labels))
-    return loss
+def local_validation_loss(
+    state: LearnerState, validation: Dataset, workspace: Workspace | None = None
+) -> float:
+    """Mean cross-entropy of the local model on ``validation``."""
+    ws = workspace if workspace is not None else Workspace(state.params.layout)
+    return ws.loss(state.params, validation.features, validation.labels)
 
 
 def record_validation_loss(state: LearnerState, loss: float) -> None:
@@ -182,9 +218,16 @@ def record_validation_loss(state: LearnerState, loss: float) -> None:
 
 
 def compute_vpct(vloss_now: float, vloss_prev: float) -> float:
-    """Percentage change of the validation loss between consecutive epochs."""
-    if vloss_prev <= 0.0:
-        raise ValueError("previous validation loss must be positive")
+    """Percentage change of the validation loss between consecutive epochs.
+
+    A learner that fits its validation slice exactly can reach a loss of
+    0.0. From there the change is 0.0 if the loss stays at zero and
+    ``math.inf`` otherwise; both count as a C1 "no improvement" failure.
+    """
+    if vloss_prev < 0.0:
+        raise ValueError("previous validation loss must be non-negative")
+    if vloss_prev == 0.0:
+        return 0.0 if vloss_now == 0.0 else math.inf
     return 100.0 * (vloss_now - vloss_prev) / vloss_prev
 
 
@@ -251,9 +294,9 @@ def frozen_staleness_threshold(state: LearnerState) -> float | None:
 def adopt_community(
     state: LearnerState, community: CommunityModel, cause: str | None = None
 ) -> None:
-    """Replace local parameters with the community model and start a new cycle.
+    """Copy the community model into the local parameters and start a new cycle.
 
-    The momentum buffer is reset (it was computed against a discarded
+    The momentum buffer is zeroed (it was computed against a discarded
     trajectory), the local step counter restarts, and the finished cycle is
     archived with its effective staleness. Adopting again without training in
     between archives nothing.
@@ -263,8 +306,8 @@ def adopt_community(
         state.current.staleness_at_commit = community.committed_steps - state.S_c_at_fetch
         state.cycles.append(state.current)
     state.current = ValidationCycle()
-    state.params = community.params
-    state.momentum = init_momentum(community.params, state.momentum.gamma)
+    state.params.load(community.params)
+    state.momentum.flat.fill(0.0)
     state.anchor = community.params
     state.S_k_local = 0
     state.S_c_at_fetch = community.committed_steps

@@ -4,14 +4,19 @@ Parameter containers, forward/backward passes for two small classifier
 architectures (softmax regression and a one-hidden-layer tanh MLP),
 cross-entropy loss, momentum SGD, and confusion-matrix evaluation.
 
-Everything is a pure function over value types, float64 throughout, so the
-federation layers above can replay and audit training deterministically.
+A model is one contiguous float64 vector with named 2-D views, laid out by a
+``Layout``. ``ParameterSet`` is the read-only unit of exchange;
+``ParameterBuffer`` is the writable vector a learner trains in place. The
+step kernels write into a reusable ``Workspace``, and the pure functions
+(``backward``, ``sgd_momentum_step``) wrap the same kernels, so every path
+performs the same floating-point operations in the same order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -19,6 +24,8 @@ import numpy as np
 SOFTMAX_REGRESSION = "softmax-regression"
 MLP_1HIDDEN = "mlp-1hidden"
 MODEL_KINDS = (SOFTMAX_REGRESSION, MLP_1HIDDEN)
+
+_KIND_BY_NAMES = {("W", "b"): SOFTMAX_REGRESSION, ("W1", "b1", "W2", "b2"): MLP_1HIDDEN}
 
 
 class ShapeError(ValueError):
@@ -49,76 +56,167 @@ class ModelSpec:
             raise ValueError("init_seed must be non-negative")
 
 
-class ParameterSet:
-    """Ordered list of named float64 matrices — the unit of model exchange.
+@dataclass(frozen=True)
+class Layout:
+    """Names and shapes of the matrices stored back to back in a flat vector."""
 
-    Arrays are copied on construction and marked read-only, so instances can
-    be shared freely between learners, the controller cache and the community
-    model without defensive copies.
-    """
+    entries: tuple[tuple[str, int, int], ...]
 
-    __slots__ = ("_names", "_arrays")
-
-    def __init__(self, entries: Iterable[tuple[str, np.ndarray]]) -> None:
-        names: list[str] = []
-        arrays: list[np.ndarray] = []
-        for name, values in entries:
-            arr = np.array(values, dtype=np.float64, copy=True)
-            if arr.ndim != 2:
-                raise ShapeError(f"entry {name!r}: expected a 2-D matrix, got ndim={arr.ndim}")
-            if not np.all(np.isfinite(arr)):
-                raise ShapeError(f"entry {name!r} contains non-finite values")
-            arr.setflags(write=False)
-            names.append(str(name))
-            arrays.append(arr)
+    def __post_init__(self) -> None:
+        names = [name for name, _, _ in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("parameter entry names must be unique")
-        self._names = tuple(names)
-        self._arrays = tuple(arrays)
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(name for name, _, _ in self.entries)
+
+    @cached_property
+    def size(self) -> int:
+        return sum(rows * cols for _, rows, cols in self.entries)
+
+    @cached_property
+    def kind(self) -> str | None:
+        """The model architecture these names describe, if any."""
+        return _KIND_BY_NAMES.get(self.names)
+
+    def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One 2-D view of ``flat`` per entry; writes go through to ``flat``."""
+        out, offset = [], 0
+        for _, rows, cols in self.entries:
+            out.append(flat[offset : offset + rows * cols].reshape(rows, cols))
+            offset += rows * cols
+        return tuple(out)
+
+
+def model_layout(spec: ModelSpec) -> Layout:
+    if spec.kind == SOFTMAX_REGRESSION:
+        return Layout((("W", spec.input_dim, spec.num_classes), ("b", 1, spec.num_classes)))
+    return Layout(
+        (
+            ("W1", spec.input_dim, spec.hidden_dim),
+            ("b1", 1, spec.hidden_dim),
+            ("W2", spec.hidden_dim, spec.num_classes),
+            ("b2", 1, spec.num_classes),
+        )
+    )
+
+
+class _FlatParameters:
+    """Read access shared by the immutable and the writable parameter vector."""
+
+    __slots__ = ("_layout", "_flat", "_arrays")
+
+    @property
+    def layout(self) -> Layout:
+        return self._layout
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self._flat
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return self._layout.names
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
         return self._arrays
 
-    def __len__(self) -> int:
-        return len(self._names)
-
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self._names, self._arrays))
+        return iter(zip(self.names, self._arrays))
 
     def array(self, name: str) -> np.ndarray:
         try:
-            return self._arrays[self._names.index(name)]
+            return self._arrays[self.names.index(name)]
         except ValueError:
             raise KeyError(name) from None
 
     def shapes(self) -> tuple[tuple[str, int, int], ...]:
-        return tuple((n, a.shape[0], a.shape[1]) for n, a in self)
+        return self._layout.entries
 
-    def same_layout(self, other: "ParameterSet") -> bool:
-        return self.shapes() == other.shapes()
-
-    def num_values(self) -> int:
-        return sum(a.size for a in self._arrays)
+    def same_layout(self, other: "_FlatParameters") -> bool:
+        return self._layout == other._layout
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}{a.shape}" for n, a in self)
-        return f"ParameterSet({inner})"
+        return f"{type(self).__name__}({inner})"
 
 
-# A gradient has the same structure as the parameters it differentiates.
-GradientSet = ParameterSet
+class ParameterSet(_FlatParameters):
+    """Ordered named float64 matrices in one read-only vector — the unit of
+    model exchange.
+
+    ``entries`` is an iterable of (name, matrix) pairs, copied into a fresh
+    vector. With ``layout``, ``entries`` is instead a flat float64 vector of
+    ``layout.size`` values that the set adopts without a copy; pass only a
+    vector nothing else will write to. Either way the values are checked
+    finite and frozen, so instances can be shared freely between learners,
+    the controller cache and the community model.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self, entries: Iterable[tuple[str, np.ndarray]] | np.ndarray, layout: Layout | None = None
+    ) -> None:
+        if layout is None:
+            pairs = [(str(name), np.asarray(values, dtype=np.float64)) for name, values in entries]
+            for name, arr in pairs:
+                if arr.ndim != 2:
+                    raise ShapeError(f"entry {name!r}: expected a 2-D matrix, got ndim={arr.ndim}")
+            layout = Layout(tuple((name, *arr.shape) for name, arr in pairs))
+            flat = np.empty(layout.size)
+            for view, (_, arr) in zip(layout.views(flat), pairs):
+                view[...] = arr
+        else:
+            flat = entries
+            if not (
+                isinstance(flat, np.ndarray)
+                and flat.dtype == np.float64
+                and flat.shape == (layout.size,)
+                and flat.flags.c_contiguous
+            ):
+                raise ShapeError(
+                    f"expected a contiguous float64 vector of {layout.size} values for {layout.names}"
+                )
+        if not np.isfinite(flat).all():
+            views = zip(layout.names, layout.views(flat))
+            bad = next(n for n, a in views if not np.isfinite(a).all())
+            raise ShapeError(f"entry {bad!r} contains non-finite values")
+        flat.setflags(write=False)
+        self._layout = layout
+        self._flat = flat
+        self._arrays = layout.views(flat)
+
+
+class ParameterBuffer(_FlatParameters):
+    """A writable parameter vector, zero on creation, owned by one mutator.
+
+    Learners train their model and momentum in place here; ``snapshot``
+    copies it out as a ``ParameterSet`` at the exchange boundary.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, layout: Layout) -> None:
+        self._layout = layout
+        self._flat = np.zeros(layout.size)
+        self._arrays = layout.views(self._flat)
+
+    def load(self, params: ParameterSet) -> None:
+        _require_same_layout(self, params, "load")
+        np.copyto(self._flat, params.flat)
+
+    def snapshot(self) -> ParameterSet:
+        return ParameterSet(self._flat.copy(), self._layout)
 
 
 def zeros_like(params: ParameterSet) -> ParameterSet:
-    return ParameterSet((n, np.zeros_like(a)) for n, a in params)
+    return ParameterSet(np.zeros(params.layout.size), params.layout)
 
 
-def _require_same_layout(a: ParameterSet, b: ParameterSet, what: str) -> None:
+def _require_same_layout(a: _FlatParameters, b: _FlatParameters, what: str) -> None:
     if not a.same_layout(b):
         raise ShapeError(f"{what}: parameter layouts differ ({a.shapes()} vs {b.shapes()})")
 
@@ -126,36 +224,23 @@ def _require_same_layout(a: ParameterSet, b: ParameterSet, what: str) -> None:
 def scale_add(dst: ParameterSet, src: ParameterSet, alpha: float) -> ParameterSet:
     """Entrywise dst + alpha * src; both inputs are left untouched."""
     _require_same_layout(dst, src, "scale_add")
-    return ParameterSet((n, d + alpha * s) for (n, d), (_, s) in zip(dst, src))
+    return ParameterSet(dst.flat + alpha * src.flat, dst.layout)
 
 
 def scale(params: ParameterSet, alpha: float) -> ParameterSet:
     """Entrywise alpha * params."""
-    return ParameterSet((n, alpha * a) for n, a in params)
+    return ParameterSet(alpha * params.flat, params.layout)
 
 
-def params_allclose(a: ParameterSet, b: ParameterSet, rtol: float = 1e-9, atol: float = 0.0) -> bool:
-    if not a.same_layout(b):
-        return False
-    return all(np.allclose(x, y, rtol=rtol, atol=atol) for x, y in zip(a.arrays, b.arrays))
+def params_allclose(
+    a: _FlatParameters, b: _FlatParameters, rtol: float = 1e-9, atol: float = 0.0
+) -> bool:
+    return a.same_layout(b) and np.allclose(a.flat, b.flat, rtol=rtol, atol=atol)
 
 
-def params_equal(a: ParameterSet, b: ParameterSet) -> bool:
+def params_equal(a: _FlatParameters, b: _FlatParameters) -> bool:
     """Bit-exact equality."""
-    if not a.same_layout(b):
-        return False
-    return all(np.array_equal(x, y) for x, y in zip(a.arrays, b.arrays))
-
-
-def _layer_shapes(spec: ModelSpec) -> tuple[tuple[str, int, int], ...]:
-    if spec.kind == SOFTMAX_REGRESSION:
-        return (("W", spec.input_dim, spec.num_classes), ("b", 1, spec.num_classes))
-    return (
-        ("W1", spec.input_dim, spec.hidden_dim),
-        ("b1", 1, spec.hidden_dim),
-        ("W2", spec.hidden_dim, spec.num_classes),
-        ("b2", 1, spec.num_classes),
-    )
+    return a.same_layout(b) and np.array_equal(a.flat, b.flat)
 
 
 def init_parameters(spec: ModelSpec) -> ParameterSet:
@@ -166,7 +251,7 @@ def init_parameters(spec: ModelSpec) -> ParameterSet:
     """
     rng = np.random.Generator(np.random.Philox(key=spec.init_seed))
     entries = []
-    for name, rows, cols in _layer_shapes(spec):
+    for name, rows, cols in model_layout(spec).entries:
         if name.startswith("b"):
             entries.append((name, np.zeros((rows, cols))))
         else:
@@ -196,33 +281,25 @@ class Batch:
         return self.features.shape[0]
 
 
-def model_kind(params: ParameterSet) -> str:
-    """Recover the architecture from the parameter layout."""
-    if params.names == ("W", "b"):
-        return SOFTMAX_REGRESSION
-    if params.names == ("W1", "b1", "W2", "b2"):
-        return MLP_1HIDDEN
-    raise ShapeError(f"unrecognized parameter layout: {params.names}")
+def _model_kind(layout: Layout) -> str:
+    if layout.kind is None:
+        raise ShapeError(f"unrecognized parameter layout: {layout.names}")
+    return layout.kind
 
 
-def _forward(params: ParameterSet, features: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    kind = model_kind(params)
+def check_inputs(params: _FlatParameters, features: np.ndarray, labels: np.ndarray) -> None:
+    """Raise unless ``features`` match the model's input width and ``labels``
+    lie in its class range."""
+    _check_features(params, features)
+    _check_labels(labels, params.arrays[-1].shape[1])
+
+
+def _check_features(params: _FlatParameters, features: np.ndarray) -> None:
     first = params.arrays[0]
     if features.shape[1] != first.shape[0]:
         raise ShapeError(
             f"feature dim {features.shape[1]} does not match input dim {first.shape[0]}"
         )
-    if kind == SOFTMAX_REGRESSION:
-        logits = features @ params.array("W") + params.array("b")
-        return logits, None
-    hidden = np.tanh(features @ params.array("W1") + params.array("b1"))
-    logits = hidden @ params.array("W2") + params.array("b2")
-    return logits, hidden
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
@@ -230,45 +307,155 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
 
-def forward_loss(params: ParameterSet, batch: Batch) -> tuple[float, np.ndarray]:
+# The kernels below write into caller-provided buffers. Training reuses the
+# buffers of one Workspace; the pure functions (forward_loss, backward,
+# predict) run the same kernels on fresh buffers, so both paths perform the
+# same operations in the same order.
+
+
+def _forward_into(
+    kind: str, arrays, x: np.ndarray, logits: np.ndarray, hidden: np.ndarray | None
+) -> None:
+    if kind == SOFTMAX_REGRESSION:
+        w, b = arrays
+        np.matmul(x, w, out=logits)
+        logits += b
+        return
+    w1, b1, w2, b2 = arrays
+    np.matmul(x, w1, out=hidden)
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, w2, out=logits)
+    logits += b2
+
+
+def _log_softmax_into(z: np.ndarray, out: np.ndarray, col: np.ndarray, exp: np.ndarray) -> None:
+    """Row-wise log-softmax of ``z`` into ``out``, which may be ``z``; ``col``
+    (n x 1) and ``exp`` (shaped like ``z``) are scratch."""
+    z.max(axis=1, keepdims=True, out=col)
+    np.subtract(z, col, out=out)
+    np.exp(out, out=exp)
+    exp.sum(axis=1, keepdims=True, out=col)
+    np.log(col, out=col)
+    out -= col
+
+
+def _forward(params: _FlatParameters, features: np.ndarray) -> np.ndarray:
+    """Logits in a fresh array."""
+    kind = _model_kind(params.layout)
+    _check_features(params, features)
+    n = features.shape[0]
+    hidden = np.empty((n, params.arrays[0].shape[1])) if kind == MLP_1HIDDEN else None
+    logits = np.empty((n, params.arrays[-1].shape[1]))
+    _forward_into(kind, params.arrays, features, logits, hidden)
+    return logits
+
+
+class Workspace:
+    """Scratch buffers for gradient steps of one parameter layout.
+
+    The buffers grow to the largest batch seen and are then reused, so a
+    training step allocates no batch- or model-sized array. Learners train
+    one at a time, so one workspace serves a whole federation. ``grad``
+    holds the result of the last ``gradient`` call; ``tmp`` is free scratch
+    of the same layout.
+    """
+
+    def __init__(self, layout: Layout) -> None:
+        _model_kind(layout)
+        self.layout = layout
+        self.grad = ParameterBuffer(layout)
+        self.tmp = np.empty(layout.size)
+        self.capacity = 0
+
+    def reserve(self, rows: int) -> None:
+        """Make room for batches of up to ``rows`` samples."""
+        if rows <= self.capacity:
+            return
+        entries = self.layout.entries
+        dim, width, classes = entries[0][1], entries[0][2], entries[-1][2]
+        self.x = np.empty((rows, dim))
+        self.y = np.empty(rows, dtype=np.int64)
+        self.rows = np.arange(rows)
+        self.logits = np.empty((rows, classes))
+        self.logp = np.empty((rows, classes))
+        self.exp = np.empty((rows, classes))
+        self.col = np.empty((rows, 1))
+        if self.layout.kind == MLP_1HIDDEN:
+            self.hidden = np.empty((rows, width))
+            self.dhidden = np.empty((rows, width))
+            self.square = np.empty((rows, width))
+        self.capacity = rows
+
+    def loss(self, params: _FlatParameters, x: np.ndarray, y: np.ndarray) -> float:
+        """Mean cross-entropy over the samples (``x``, ``y``); their logits
+        are left in ``logits[:len(x)]``."""
+        check_inputs(params, x, y)
+        m = x.shape[0]
+        self.reserve(m)
+        kind = self.layout.kind
+        logits, logp = self.logits[:m], self.logp[:m]
+        hidden = self.hidden[:m] if kind == MLP_1HIDDEN else None
+        _forward_into(kind, params.arrays, x, logits, hidden)
+        _log_softmax_into(logits, logp, self.col[:m], self.exp[:m])
+        return float(-logp[self.rows[:m], y].mean())
+
+    def gradient(self, params: _FlatParameters, x: np.ndarray, y: np.ndarray) -> ParameterBuffer:
+        """Mean cross-entropy gradient over the batch (``x``, ``y``) into
+        ``grad``. The caller has reserved room and checked the feature width
+        and the label range."""
+        kind, arrays, g, m = self.layout.kind, params.arrays, self.grad.arrays, x.shape[0]
+        hidden = self.hidden[:m] if kind == MLP_1HIDDEN else None
+        dlogits = self.logits[:m]
+        _forward_into(kind, arrays, x, dlogits, hidden)
+        _log_softmax_into(dlogits, dlogits, self.col[:m], self.exp[:m])
+        np.exp(dlogits, out=dlogits)
+        dlogits[self.rows[:m], y] -= 1.0
+        dlogits /= m
+        if kind == SOFTMAX_REGRESSION:
+            np.matmul(x.T, dlogits, out=g[0])
+            dlogits.sum(axis=0, keepdims=True, out=g[1])
+            return self.grad
+        dpre, square = self.dhidden[:m], self.square[:m]
+        np.matmul(dlogits, arrays[2].T, out=dpre)
+        np.multiply(hidden, hidden, out=square)
+        np.subtract(1.0, square, out=square)
+        dpre *= square
+        np.matmul(x.T, dpre, out=g[0])
+        dpre.sum(axis=0, keepdims=True, out=g[1])
+        np.matmul(hidden.T, dlogits, out=g[2])
+        dlogits.sum(axis=0, keepdims=True, out=g[3])
+        return self.grad
+
+
+def momentum_update(
+    w: np.ndarray, u: np.ndarray, g: np.ndarray, gamma: float, eta: float, tmp: np.ndarray
+) -> None:
+    """In place: u <- gamma*u + g, then w <- w - eta*u; ``tmp`` is scratch."""
+    u *= gamma
+    u += g
+    np.multiply(u, eta, out=tmp)
+    w -= tmp
+
+
+def forward_loss(params: _FlatParameters, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch plus the raw logits."""
-    if len(batch) == 0:
+    n = len(batch)
+    if n == 0:
         raise ValueError("cannot compute a loss on an empty batch")
-    logits, _ = _forward(params, batch.features)
-    _check_labels(batch.labels, logits.shape[1])
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(len(batch)), batch.labels].mean())
-    return loss, logits
+    ws = Workspace(params.layout)
+    return ws.loss(params, batch.features, batch.labels), ws.logits[:n]
 
 
-def backward(params: ParameterSet, batch: Batch) -> GradientSet:
+def backward(params: ParameterSet, batch: Batch) -> ParameterSet:
     """Analytic gradient of ``forward_loss`` w.r.t. every parameter entry."""
     n = len(batch)
     if n == 0:
         raise ValueError("cannot compute gradients on an empty batch")
-    logits, hidden = _forward(params, batch.features)
-    _check_labels(batch.labels, logits.shape[1])
-    probs = np.exp(_log_softmax(logits))
-    dlogits = probs
-    dlogits[np.arange(n), batch.labels] -= 1.0
-    dlogits /= n
-    if model_kind(params) == SOFTMAX_REGRESSION:
-        return ParameterSet(
-            [
-                ("W", batch.features.T @ dlogits),
-                ("b", dlogits.sum(axis=0, keepdims=True)),
-            ]
-        )
-    dhidden = dlogits @ params.array("W2").T
-    dpre = dhidden * (1.0 - hidden * hidden)
-    return ParameterSet(
-        [
-            ("W1", batch.features.T @ dpre),
-            ("b1", dpre.sum(axis=0, keepdims=True)),
-            ("W2", hidden.T @ dlogits),
-            ("b2", dlogits.sum(axis=0, keepdims=True)),
-        ]
-    )
+    check_inputs(params, batch.features, batch.labels)
+    ws = Workspace(params.layout)
+    ws.reserve(n)
+    return ws.gradient(params, batch.features, batch.labels).snapshot()
 
 
 @dataclass(frozen=True)
@@ -290,7 +477,7 @@ def init_momentum(params: ParameterSet, gamma: float) -> MomentumState:
 def sgd_momentum_step(
     params: ParameterSet,
     mom: MomentumState,
-    grads: GradientSet,
+    grads: ParameterSet,
     eta: float,
 ) -> tuple[ParameterSet, MomentumState]:
     """One momentum-SGD step.
@@ -302,23 +489,19 @@ def sgd_momentum_step(
         raise ValueError("learning rate must be positive")
     _require_same_layout(params, grads, "sgd_momentum_step")
     _require_same_layout(params, mom.buffer, "sgd_momentum_step")
-    new_buffer = ParameterSet(
-        (n, mom.gamma * u + g) for (n, u), (_, g) in zip(mom.buffer, grads)
-    )
-    new_params = ParameterSet(
-        (n, w - eta * u) for (n, w), (_, u) in zip(params, new_buffer)
-    )
-    return new_params, MomentumState(new_buffer, mom.gamma)
+    w, u = params.flat.copy(), mom.buffer.flat.copy()
+    momentum_update(w, u, grads.flat, mom.gamma, eta, np.empty_like(w))
+    new_buffer = ParameterSet(u, params.layout)
+    return ParameterSet(w, params.layout), MomentumState(new_buffer, mom.gamma)
 
 
-def predict(params: ParameterSet, features: np.ndarray) -> np.ndarray:
+def predict(params: _FlatParameters, features: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index."""
-    logits, _ = _forward(params, np.asarray(features, dtype=np.float64))
-    return np.argmax(logits, axis=1)
+    return np.argmax(_forward(params, np.asarray(features, dtype=np.float64)), axis=1)
 
 
 def evaluate_confusion(
-    params: ParameterSet,
+    params: _FlatParameters,
     features: np.ndarray,
     labels: np.ndarray,
     num_classes: int,
@@ -331,7 +514,7 @@ def evaluate_confusion(
     if y.shape[0] != feats.shape[0]:
         raise ShapeError("labels must be one per feature row")
     _check_labels(y, num_classes)
-    logits, _ = _forward(params, feats)
+    logits = _forward(params, feats)
     if logits.shape[1] != num_classes:
         raise ShapeError(
             f"model predicts {logits.shape[1]} classes, dataset declares {num_classes}"

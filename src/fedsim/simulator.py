@@ -52,8 +52,8 @@ from .learner import (
     record_validation_loss,
     run_epoch,
 )
-from .nn import ModelSpec, ParameterSet, evaluate_confusion, predict
-from .weighting import DVW_SCHEMES, EvalReport, dvw_weight, fedavg_weight
+from .nn import ModelSpec, ParameterSet, Workspace, evaluate_confusion, model_layout, predict
+from .weighting import DVW_SCHEMES, EvalReport, dvw_weight, fedasync_mix_factor, fedavg_weight
 
 EVENT_EPOCH_DONE = "epoch_done"
 EVENT_EVAL_DONE = "eval_done"
@@ -301,6 +301,8 @@ class _Simulation:
         self.sizes = sizes
         self.slots = slots
         self.controller = controller
+        # Learners train one at a time, so they share one set of step buffers.
+        self.workspace = Workspace(model_layout(model_spec))
         self.log = MetricsLog()
         self.requests = 0
         self.exchanged = 0
@@ -316,9 +318,22 @@ class _Simulation:
 
     # -- shared helpers -------------------------------------------------
 
-    def _own_confusion(self, slot: _LearnerSlot) -> np.ndarray:
+    def _update_request(self, slot: _LearnerSlot) -> UpdateRequest:
+        """Snapshot the learner's model into a request, with its own
+        validation counts when the commit is validation-weighted."""
+        params = slot.state.params.snapshot()
         val = slot.split.validation
-        return evaluate_confusion(slot.state.params, val.features, val.labels, val.num_classes)
+        return UpdateRequest(
+            learner_id=slot.state.id,
+            params=params,
+            local_steps=slot.state.S_k_local,
+            local_train_size=slot.split.train.n,
+            local_validation_cm=(
+                evaluate_confusion(params, val.features, val.labels, val.num_classes)
+                if self.is_dvw
+                else None
+            ),
+        )
 
     def _foreign_confusions(self, committing: int, params: ParameterSet) -> list[tuple[int, np.ndarray]]:
         out = []
@@ -346,8 +361,8 @@ class _Simulation:
         return 2
 
     def _train_one_epoch(self, slot: _LearnerSlot) -> None:
-        run_epoch(slot.state, slot.split.train, self.hp)
-        loss = local_validation_loss(slot.state, slot.split.validation)
+        run_epoch(slot.state, slot.split.train, self.hp, self.workspace)
+        loss = local_validation_loss(slot.state, slot.split.validation, self.workspace)
         record_validation_loss(slot.state, loss)
 
     def _log_commit(
@@ -400,15 +415,7 @@ class _Simulation:
             for slot in self.slots:
                 for _ in range(slot.state.policy.uf):
                     self._train_one_epoch(slot)
-                requests.append(
-                    UpdateRequest(
-                        learner_id=slot.state.id,
-                        params=slot.state.params,
-                        local_steps=slot.state.S_k_local,
-                        local_train_size=slot.split.train.n,
-                        local_validation_cm=self._own_confusion(slot) if self.is_dvw else None,
-                    )
-                )
+                requests.append(self._update_request(slot))
             if self.is_dvw:
                 weights = {}
                 for req in requests:
@@ -488,19 +495,11 @@ class _Simulation:
         state = slot.state
         cause = slot.pending_cause or CAUSE_FIXED
         slot.pending_cause = None
-        req = UpdateRequest(
-            learner_id=learner_id,
-            params=state.params,
-            local_steps=state.S_k_local,
-            local_train_size=slot.split.train.n,
-            local_validation_cm=self._own_confusion(slot) if self.is_dvw else None,
-        )
+        req = self._update_request(slot)
         staleness = effective_staleness(self.controller.committed_steps(), state)
         if self.scheme == "fedasync_poly":
             version_staleness = self.controller.version - state.version_at_fetch
             community = self.controller.handle_update(req, version_staleness)
-            from .weighting import fedasync_mix_factor
-
             p = fedasync_mix_factor(version_staleness, self.cfg.fedasync)
         elif self.is_dvw:
             entries = [(learner_id, req.local_validation_cm)]

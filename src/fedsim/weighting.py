@@ -118,6 +118,13 @@ class FedAsyncParams:
             raise ValueError("proximal factor must be >= 0")
 
 
+def fedasync_mix_factor(staleness: int, params: FedAsyncParams) -> float:
+    """FedAsync's mixing weight alpha_t = alpha * (staleness + 1)^-a."""
+    if staleness < 0:
+        raise ValueError("staleness must be >= 0")
+    return params.alpha * (staleness + 1.0) ** -params.a
+
+
 def fedasync_poly_mix(
     w_c: ParameterSet,
     w_k: ParameterSet,
@@ -125,13 +132,5 @@ def fedasync_poly_mix(
     params: FedAsyncParams,
 ) -> ParameterSet:
     """Convex combination (1 - alpha_t) * w_c + alpha_t * w_k."""
-    if staleness < 0:
-        raise ValueError("staleness must be >= 0")
-    alpha_t = params.alpha * (staleness + 1.0) ** -params.a
+    alpha_t = fedasync_mix_factor(staleness, params)
     return scale_add(scale(w_c, 1.0 - alpha_t), w_k, alpha_t)
-
-
-def fedasync_mix_factor(staleness: int, params: FedAsyncParams) -> float:
-    if staleness < 0:
-        raise ValueError("staleness must be >= 0")
-    return params.alpha * (staleness + 1.0) ** -params.a

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.controller import (
     DegenerateFederationError,
@@ -306,3 +308,44 @@ def test_fedasync_zero_staleness_midpoint(rng):
     assert params_allclose(model.params, expected, rtol=0, atol=1e-15)
     assert model.version == 1
     assert model.committed_steps == 4
+
+
+# ---------------------------------------------------------------------------
+# in-place running sum: properties under random commit mixes
+# ---------------------------------------------------------------------------
+
+# One operation: ("async", learner, weight) or ("sync", [(learner, weight), ...]).
+_weights = st.floats(0.01, 5.0, allow_nan=False)
+_async_op = st.tuples(st.just("async"), st.integers(0, 5), _weights)
+_sync_op = st.tuples(
+    st.just("sync"),
+    st.lists(
+        st.tuples(st.integers(0, 5), _weights), min_size=1, max_size=6, unique_by=lambda e: e[0]
+    ),
+)
+
+
+@given(st.integers(0, 2**31 - 1), st.lists(st.one_of(_async_op, _sync_op), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_running_sum_tracks_audit_under_mixed_commits(seed, ops):
+    rng = np.random.default_rng(seed)
+    ctrl = FederationController(SPEC)
+    cached_p = {}  # the cache as the test sees it: latest weight per learner
+    for op in ops:
+        if op[0] == "async":
+            _, lid, p = op
+            w = random_params("softmax-regression", rng, input_dim=3)
+            ctrl.handle_async_update(make_request(lid, w), lambda r: p)
+            cached_p[lid] = p
+        else:
+            weights = dict(op[1])
+            reqs = [
+                make_request(lid, random_params("softmax-regression", rng, input_dim=3))
+                for lid in weights
+            ]
+            ctrl.handle_sync_round(reqs, lambda r: weights[r.learner_id])
+            cached_p = weights
+        audit = ctrl.audit_recompute()
+        assert params_allclose(ctrl.current_model().params, audit.params, rtol=1e-9, atol=1e-12)
+        assert ctrl.cache_size == len(cached_p)
+        assert ctrl.normalizer == pytest.approx(sum(cached_p.values()), rel=1e-9)

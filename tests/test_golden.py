@@ -79,7 +79,8 @@ def test_preset_metrics_match_golden_digests():
 def record() -> None:
     cells = {key: digest(run_simulation(cfg).to_csv()) for key, cfg in preset_cells()}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps({"platform": platform_key(), "cells": cells}, indent=1) + "\n")
+    golden = {"platform": platform_key(), "cells": cells}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"recorded {len(cells)} cells to {GOLDEN_PATH}")
 
 

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.controller import FederationController, UpdateRequest
 from fedsim.data import generate_blobs
@@ -80,7 +84,7 @@ def test_proximal_contracts_toward_anchor(controller):
     state = fresh_learner(controller, mu=10.0)
     anchor = state.anchor
     drifted = ParameterSet((n, a + 1.0) for n, a in state.params)
-    state.params = drifted
+    state.params.load(drifted)
     # dataset with zero features still produces a data gradient on biases;
     # isolate the proximal term by checking the weight matrix only.
     flat = generate_blobs(4, 3, n_per_class=2, spread=0.0, seed=1)
@@ -97,7 +101,7 @@ def test_large_mu_closed_form_single_step(controller):
     state = fresh_learner(controller, mu=1000.0)
     # hand-run one proximal-only step on the weight entry
     drift = 0.5
-    state.params = ParameterSet((n, a + drift) for n, a in state.params)
+    state.params.load(ParameterSet((n, a + drift) for n, a in state.params))
     hp = Hyperparameters(eta=0.0005, gamma=0.0, batch_size=6)  # one step per epoch
     flat = generate_blobs(4, 3, n_per_class=2, spread=0.0, seed=1)
     zero_feats = type(flat)(np.zeros_like(flat.features), flat.labels, flat.num_classes)
@@ -122,9 +126,18 @@ def test_vpct_hand_values():
     assert compute_vpct(0.6, 0.5) == pytest.approx(20.0, abs=1e-12)
 
 
-def test_vpct_rejects_nonpositive_previous():
+def test_vpct_rejects_negative_previous():
     with pytest.raises(ValueError):
-        compute_vpct(1.0, 0.0)
+        compute_vpct(1.0, -0.5)
+
+
+def test_vpct_from_zero_previous_is_a_failure():
+    # A learner that fits its validation slice reaches loss 0.0 exactly.
+    assert compute_vpct(0.0, 0.0) == 0.0
+    assert compute_vpct(1e-300, 0.0) == math.inf
+    state = make_adaptive_state(AdaptivePolicy(vc_loss=0.0, vc_tomb=1))
+    assert check_adaptive_trigger(state, compute_vpct(0.0, 0.0), staleness_now=0) is None
+    assert check_adaptive_trigger(state, compute_vpct(0.5, 0.0), staleness_now=0) == "C1"
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +245,7 @@ def test_staleness_frozen_example():
         id=0,
         params=None,
         momentum=None,
+        gamma=0.5,
         policy=FixedPolicy(4),
         S_k_local=20,
         S_c_at_fetch=100,
@@ -286,7 +300,7 @@ def test_adopt_archives_one_cycle_per_commit(train_set, controller):
     state = fresh_learner(controller)
     for round_no in range(1, 4):
         run_epoch(state, train_set, HP)
-        req = UpdateRequest(0, state.params, state.S_k_local, train_set.n)
+        req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
         model = controller.handle_async_update(req, lambda r: 1.0)
         adopt_community(state, model, cause="fixed")
         assert len(state.cycles) == round_no
@@ -296,13 +310,13 @@ def test_adopt_archives_one_cycle_per_commit(train_set, controller):
 def test_adopt_resets_counters_and_momentum(train_set, controller):
     state = fresh_learner(controller)
     run_epoch(state, train_set, HP)
-    assert any(np.any(u != 0) for u in state.momentum.buffer.arrays)
-    req = UpdateRequest(0, state.params, state.S_k_local, train_set.n)
+    assert np.any(state.momentum.flat != 0)
+    req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
     model = controller.handle_async_update(req, lambda r: 1.0)
     adopt_community(state, model, cause="fixed")
     assert state.S_k_local == 0
     assert state.S_c_at_fetch == model.committed_steps
-    assert all(np.all(u == 0) for u in state.momentum.buffer.arrays)
+    assert np.all(state.momentum.flat == 0)
     assert params_equal(state.params, model.params)
     assert effective_staleness(controller.committed_steps(), state) == 0
 
@@ -313,10 +327,10 @@ def test_adopt_records_staleness_including_own_steps(train_set, controller):
     run_epoch(state, train_set, HP)  # 3 steps
     # another learner commits 7 steps in the meantime
     controller.handle_async_update(
-        UpdateRequest(1, other.params, 7, train_set.n), lambda r: 1.0
+        UpdateRequest(1, other.params.snapshot(), 7, train_set.n), lambda r: 1.0
     )
     model = controller.handle_async_update(
-        UpdateRequest(0, state.params, state.S_k_local, train_set.n), lambda r: 1.0
+        UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n), lambda r: 1.0
     )
     adopt_community(state, model, cause="fixed")
     assert state.cycles[-1].staleness_at_commit == 7 + 3
@@ -329,3 +343,86 @@ def test_validation_loss_recorded(train_set, controller):
     record_validation_loss(state, loss)
     assert state.current.losses == [loss]
     assert loss > 0
+
+
+# ---------------------------------------------------------------------------
+# learner buffers vs the controller cache (aliasing guard)
+# ---------------------------------------------------------------------------
+
+
+@given(
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.01, 1.0]),
+    st.sampled_from([0.0, 0.5, 0.9]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_training_after_commit_leaves_cache_untouched(epochs_after, mu, gamma, data_seed):
+    train = generate_blobs(4, 3, n_per_class=40, spread=0.3, seed=77)
+    hp = Hyperparameters(eta=0.05, gamma=gamma, batch_size=32)
+    ctrl = FederationController(SPEC)
+    state = new_learner(0, ctrl.current_model(), FixedPolicy(4), gamma, mu, data_seed)
+    run_epoch(state, train, hp)
+    req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train.n)
+    committed = ctrl.handle_async_update(req, lambda r: 2.0)
+    cached = req.params.flat.copy()
+    audit = ctrl.audit_recompute().params
+    adopt_community(state, committed, cause="fixed")
+    for _ in range(epochs_after):
+        run_epoch(state, train, hp)
+    assert not params_equal(state.params, committed.params)
+    assert np.array_equal(req.params.flat, cached)
+    assert params_equal(ctrl.audit_recompute().params, audit)
+    assert params_equal(ctrl.current_model().params, committed.params)
+    assert params_equal(state.anchor, committed.params)
+
+
+def test_update_request_rejects_a_training_buffer(controller):
+    state = fresh_learner(controller)
+    with pytest.raises(TypeError, match="snapshot"):
+        UpdateRequest(0, state.params, 1, 10)
+
+
+def reference_epoch(state, train, hp):
+    """The allocating formulation of one epoch, from plain numpy expressions:
+    the in-place loop must reproduce it bit for bit."""
+    w = [a.copy() for a in state.params.arrays]
+    u = [a.copy() for a in state.momentum.arrays]
+    anchor = state.anchor.arrays
+    seq = np.random.SeedSequence([state.data_seed, 5, state.id, state.epochs_total])
+    perm = np.random.Generator(np.random.Philox(seq)).permutation(train.n)
+    for start in range(0, train.n, hp.batch_size):
+        chunk = perm[start : start + hp.batch_size]
+        x, y, n = train.features[chunk], train.labels[chunk], len(chunk)
+        hidden = np.tanh(x @ w[0] + w[1]) if len(w) == 4 else None
+        logits = hidden @ w[2] + w[3] if len(w) == 4 else x @ w[0] + w[1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        dlogits = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+        dlogits[np.arange(n), y] -= 1.0
+        dlogits /= n
+        if hidden is None:
+            g = [x.T @ dlogits, dlogits.sum(axis=0, keepdims=True)]
+        else:
+            dpre = (dlogits @ w[2].T) * (1.0 - hidden * hidden)
+            g = [x.T @ dpre, dpre.sum(axis=0, keepdims=True)]
+            g += [hidden.T @ dlogits, dlogits.sum(axis=0, keepdims=True)]
+        if state.proximal_mu > 0.0:
+            g = [gi + state.proximal_mu * (wi - ai) for gi, wi, ai in zip(g, w, anchor)]
+        u = [state.gamma * ui + gi for ui, gi in zip(u, g)]
+        w = [wi - hp.eta * ui for wi, ui in zip(w, u)]
+    return w, u
+
+
+@pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_in_place_epoch_matches_reference(kind, mu):
+    train = generate_blobs(4, 3, n_per_class=70, spread=0.3, seed=5)  # 210 -> 64,64,64,18
+    hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=64)
+    spec = ModelSpec(kind, input_dim=4, num_classes=3, hidden_dim=6 if kind == "mlp-1hidden" else 0)
+    ctrl = FederationController(spec)
+    state = new_learner(2, ctrl.current_model(), FixedPolicy(4), hp.gamma, mu, data_seed=11)
+    run_epoch(state, train, hp)  # a nonzero momentum and a drift from the anchor
+    want_w, want_u = reference_epoch(state, train, hp)
+    run_epoch(state, train, hp)
+    assert all(np.array_equal(a, b) for a, b in zip(state.params.arrays, want_w))
+    assert all(np.array_equal(a, b) for a, b in zip(state.momentum.arrays, want_u))

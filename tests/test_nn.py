@@ -10,6 +10,7 @@ from fedsim.nn import (
     SOFTMAX_REGRESSION,
     Batch,
     ModelSpec,
+    ParameterBuffer,
     ParameterSet,
     ShapeError,
     backward,
@@ -17,6 +18,7 @@ from fedsim.nn import (
     forward_loss,
     init_momentum,
     init_parameters,
+    model_layout,
     params_allclose,
     params_equal,
     predict,
@@ -350,3 +352,33 @@ def test_parameter_arrays_are_read_only(rng):
     params = random_params(SOFTMAX_REGRESSION, rng)
     with pytest.raises(ValueError):
         params.array("W")[0, 0] = 1.0
+
+
+def test_parameter_set_is_one_flat_vector_in_layout_order(rng):
+    params = random_params(MLP_1HIDDEN, rng)
+    assert params.flat.shape == (params.layout.size,)
+    assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in params.arrays]))
+    assert all(np.shares_memory(a, params.flat) for a in params.arrays)
+
+
+def test_parameter_set_adopts_a_flat_vector_and_freezes_it(softmax_spec):
+    layout = model_layout(softmax_spec)
+    flat = np.arange(float(layout.size))
+    params = ParameterSet(flat, layout)
+    assert not flat.flags.writeable
+    assert params.array("b")[0, 0] == float(softmax_spec.input_dim * softmax_spec.num_classes)
+    with pytest.raises(ShapeError):
+        ParameterSet(np.zeros(layout.size + 1), layout)
+    with pytest.raises(ShapeError):
+        ParameterSet(np.full(layout.size, np.inf), layout)
+
+
+def test_buffer_snapshot_does_not_alias(softmax_spec):
+    params = init_parameters(softmax_spec)
+    buf = ParameterBuffer(params.layout)
+    buf.load(params)
+    snap = buf.snapshot()
+    buf.flat[...] += 1.0
+    assert params_equal(snap, params)
+    with pytest.raises(ShapeError):
+        buf.load(init_parameters(ModelSpec(SOFTMAX_REGRESSION, 5, 3)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedsim.config import config_from_dict
+from fedsim.config import config_from_dict, get_preset
 from fedsim.data import generate_blobs
 from fedsim.nn import ModelSpec, init_parameters, evaluate_confusion
 from fedsim.simulator import (
@@ -277,3 +277,15 @@ def test_log_cutoff_helpers():
     assert log.last_at_or_before_time(1.5).test_top1 == 0.5
     assert log.last_at_or_before_time(9.0).test_top1 == 0.7
     assert log.last_at_or_before_version(1).test_top1 == 0.5
+
+
+def test_zero_validation_loss_does_not_abort_the_run():
+    # At eta=50 a 2-class non-IID learner fits its validation slice and its
+    # loss underflows to 0.0; the run used to abort in compute_vpct.
+    raw = get_preset("blobs-powerlaw-noniid")
+    raw.update(schemes=None, scheme="async_dvw")
+    raw["hyperparameters"]["eta"] = 50.0
+    result = run_simulation_detailed(config_from_dict(raw, apply_env=False))
+    losses = [loss for s in result.learners for c in [*s.cycles, s.current] for loss in c.losses]
+    assert 0.0 in losses
+    assert len(result.log) > 1
