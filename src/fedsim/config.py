@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Union
 
 from .data import (
@@ -30,11 +30,13 @@ SEED_ENV_VAR = "FEDSIM_SEED"
 DEFAULT_SEED = 1990
 DEFAULT_VALIDATION_FRACTION = 0.05
 DEFAULT_SCHEME = "sync_fedavg"
-DEFAULT_UF = 4
 DEFAULT_TIME_BUDGET = 60.0
 
-DEFAULT_FAST_PROFILE = {"steps_per_second": 100.0, "eval_samples_per_second": 2000.0}
-DEFAULT_SLOW_PROFILE = {"steps_per_second": 20.0, "eval_samples_per_second": 400.0}
+SPEED_GROUPS = ("fast", "slow")
+DEFAULT_RATES = {
+    "fast": {"steps_per_second": 100.0, "eval_samples_per_second": 2000.0},
+    "slow": {"steps_per_second": 20.0, "eval_samples_per_second": 400.0},
+}
 
 # Named per-rank class-count expansions for power-law experiments where the
 # head learners hold data from extra classes.
@@ -96,24 +98,38 @@ class _Section:
             where = self.path or "config"
             raise ConfigError(f"{where}: unknown keys {unknown}")
 
+    def build(self, cls, key: str = "", /, **values):
+        """Finish the section and construct ``cls`` from the values the JSON
+        set; ``cls`` supplies the defaults and the range checks. Its
+        ``ValueError`` is reported at this section's path (or at ``key``)."""
+        self.finish()
+        try:
+            return cls(**{name: v for name, v in values.items() if v is not None})
+        except ValueError as exc:
+            where = f"{self.path}.{key}" if key else self.path
+            raise ConfigError(f"{where}: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class BlobsSpec:
     input_dim: int
     num_classes: int
     train_samples_per_class: int
-    test_samples_per_class: int
-    spread: float
+    test_samples_per_class: int = 200
+    spread: float = 0.35
+
+    def __post_init__(self) -> None:
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
+        if self.train_samples_per_class < 1 or self.test_samples_per_class < 1:
+            raise ValueError("train/test_samples_per_class must be >= 1")
+        if self.spread < 0:
+            raise ValueError("spread must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "blobs",
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "train_samples_per_class": self.train_samples_per_class,
-            "test_samples_per_class": self.test_samples_per_class,
-            "spread": self.spread,
-        }
+        return {"kind": "blobs", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -125,14 +141,7 @@ class IdxSpec:
     num_classes: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "idx",
-            "train_images": self.train_images,
-            "train_labels": self.train_labels,
-            "test_images": self.test_images,
-            "test_labels": self.test_labels,
-            "num_classes": self.num_classes,
-        }
+        return {"kind": "idx", **asdict(self)}
 
 
 DatasetSpec = Union[BlobsSpec, IdxSpec]
@@ -143,43 +152,38 @@ class ModelConfig:
     kind: str = SOFTMAX_REGRESSION
     hidden_dim: int = 0
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "hidden_dim": self.hidden_dim}
+    def __post_init__(self) -> None:
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"kind must be one of {list(MODEL_KINDS)}, got {self.kind!r}")
+        if self.kind == MLP_1HIDDEN and self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be >= 1 for mlp-1hidden")
 
 
 @dataclass(frozen=True)
-class SpeedProfileConfig:
+class SpeedProfile:
+    """A learner's hardware group and its virtual compute rates."""
+
     group: str
     steps_per_second: float
     eval_samples_per_second: float
 
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "steps_per_second": self.steps_per_second,
-            "eval_samples_per_second": self.eval_samples_per_second,
-        }
+    def __post_init__(self) -> None:
+        if self.group not in SPEED_GROUPS:
+            raise ValueError(f"group must be 'fast' or 'slow', got {self.group!r}")
+        if self.steps_per_second <= 0 or self.eval_samples_per_second <= 0:
+            raise ValueError(
+                f"rates must be positive (steps_per_second={self.steps_per_second}, "
+                f"eval_samples_per_second={self.eval_samples_per_second})"
+            )
 
 
-@dataclass(frozen=True)
-class SizeDistConfig:
-    kind: str
-    total: int | None = None
-    decay: float = 0.8
-    exponent: float = 1.5
-
-    def to_distribution(self, num_learners: int) -> SizeDistribution:
-        return SizeDistribution(
-            kind=self.kind, num_learners=num_learners, decay=self.decay, exponent=self.exponent
-        )
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "total": self.total}
-        if self.kind == "skewed":
-            d["decay"] = self.decay
-        if self.kind == "powerlaw":
-            d["exponent"] = self.exponent
-        return d
+def _size_distribution_dict(dist: SizeDistribution) -> dict:
+    d = {"kind": dist.kind, "total": dist.total}
+    if dist.kind == "skewed":
+        d["decay"] = dist.decay
+    if dist.kind == "powerlaw":
+        d["exponent"] = dist.exponent
+    return d
 
 
 @dataclass(frozen=True)
@@ -234,38 +238,30 @@ class ClassAssignmentSpec:
 
 @dataclass(frozen=True)
 class TriggerSpec:
-    """Config-level trigger description; per-group values resolve to one
-    TriggerPolicy per learner at build time."""
+    """Config-level trigger: the fixed policy (``uf``, or ``fixed_uf`` for the
+    non-adaptive cells of a grid) and, when adaptive, one policy per speed
+    group. ``policy_for`` picks each learner's policy at build time."""
 
     kind: str  # fixed | adaptive
-    uf: int = DEFAULT_UF
-    vc_loss: Mapping[str, float] | None = None
-    vc_tomb: Mapping[str, int] | None = None
-    warmup_cycles: int = 20
-    max_epochs_per_cycle: int = 32
-    fixed_uf: int = DEFAULT_UF  # fallback for non-adaptive schemes in a grid
+    fixed: FixedPolicy
+    adaptive: Mapping[str, AdaptivePolicy] | None = None
 
     def policy_for(self, scheme: str, group: str) -> TriggerPolicy:
-        if self.kind == "fixed" or scheme != "async_dvw":
-            uf = self.uf if self.kind == "fixed" else self.fixed_uf
-            return FixedPolicy(uf=uf)
-        return AdaptivePolicy(
-            vc_loss=float(self.vc_loss[group]),
-            vc_tomb=int(self.vc_tomb[group]),
-            warmup_cycles=self.warmup_cycles,
-            max_epochs_per_cycle=self.max_epochs_per_cycle,
-        )
+        if self.kind == "adaptive" and scheme == "async_dvw":
+            return self.adaptive[group]
+        return self.fixed
 
     def to_dict(self) -> dict:
         if self.kind == "fixed":
-            return {"kind": "fixed", "uf": self.uf}
+            return {"kind": "fixed", "uf": self.fixed.uf}
+        shared = self.adaptive["fast"]
         return {
             "kind": "adaptive",
-            "vc_loss": dict(self.vc_loss),
-            "vc_tomb": dict(self.vc_tomb),
-            "warmup_cycles": self.warmup_cycles,
-            "max_epochs_per_cycle": self.max_epochs_per_cycle,
-            "fixed_uf": self.fixed_uf,
+            "vc_loss": {g: p.vc_loss for g, p in self.adaptive.items()},
+            "vc_tomb": {g: p.vc_tomb for g, p in self.adaptive.items()},
+            "warmup_cycles": shared.warmup_cycles,
+            "max_epochs_per_cycle": shared.max_epochs_per_cycle,
+            "fixed_uf": self.fixed.uf,
         }
 
 
@@ -276,8 +272,8 @@ class ExperimentConfig:
     num_learners: int
     dataset: DatasetSpec
     model: ModelConfig
-    profiles: tuple
-    size_distribution: SizeDistConfig
+    profiles: tuple[SpeedProfile, ...]
+    size_distribution: SizeDistribution
     class_assignment: ClassAssignmentSpec
     validation_fraction: float
     scheme: str
@@ -305,7 +301,7 @@ class ExperimentConfig:
         d["scheme"] = scheme
         d.pop("schemes", None)
         if self.trigger.kind == "adaptive" and scheme != "async_dvw":
-            d["trigger"] = {"kind": "fixed", "uf": self.trigger.fixed_uf}
+            d["trigger"] = {"kind": "fixed", "uf": self.trigger.fixed.uf}
         return config_from_dict(d, apply_env=False)
 
     def to_dict(self) -> dict:
@@ -314,9 +310,9 @@ class ExperimentConfig:
             "seed": self.seed,
             "num_learners": self.num_learners,
             "dataset": self.dataset.to_dict(),
-            "model": self.model.to_dict(),
-            "speed_profiles": [p.to_dict() for p in self.profiles],
-            "size_distribution": self.size_distribution.to_dict(),
+            "model": asdict(self.model),
+            "speed_profiles": [asdict(p) for p in self.profiles],
+            "size_distribution": _size_distribution_dict(self.size_distribution),
             "class_assignment": self.class_assignment.to_dict(),
             "validation_fraction": self.validation_fraction,
             "scheme": self.scheme,
@@ -326,11 +322,7 @@ class ExperimentConfig:
                 "gamma": self.hyperparameters.gamma,
                 "beta": self.hyperparameters.batch_size,
             },
-            "fedasync": {
-                "alpha": self.fedasync.alpha,
-                "a": self.fedasync.a,
-                "rho": self.fedasync.rho,
-            },
+            "fedasync": asdict(self.fedasync),
             "proximal_mu": self.proximal_mu,
             "time_budget": self.time_budget,
             "max_versions": self.max_versions,
@@ -345,116 +337,85 @@ class ExperimentConfig:
 def _parse_dataset(sec: _Section) -> DatasetSpec:
     kind = sec.take("kind", str, required=True)
     if kind == "blobs":
-        spec = BlobsSpec(
+        return sec.build(
+            BlobsSpec,
             input_dim=sec.take("input_dim", int, required=True),
             num_classes=sec.take("num_classes", int, required=True),
             train_samples_per_class=sec.take("train_samples_per_class", int, required=True),
-            test_samples_per_class=sec.take("test_samples_per_class", int, default=200),
-            spread=sec.take("spread", float, default=0.35),
+            test_samples_per_class=sec.take("test_samples_per_class", int),
+            spread=sec.take("spread", float),
         )
-        sec.finish()
-        if spec.input_dim < 1:
-            raise ConfigError("dataset.input_dim: must be >= 1")
-        if spec.num_classes < 2:
-            raise ConfigError("dataset.num_classes: must be >= 2")
-        if spec.train_samples_per_class < 1 or spec.test_samples_per_class < 1:
-            raise ConfigError("dataset: per-class sample counts must be >= 1")
-        if spec.spread < 0:
-            raise ConfigError("dataset.spread: must be >= 0")
-        return spec
     if kind == "idx":
-        spec = IdxSpec(
+        return sec.build(
+            IdxSpec,
             train_images=sec.take("train_images", str, required=True),
             train_labels=sec.take("train_labels", str, required=True),
             test_images=sec.take("test_images", str, required=True),
             test_labels=sec.take("test_labels", str, required=True),
-            num_classes=sec.take("num_classes", int, default=None),
+            num_classes=sec.take("num_classes", int),
         )
-        sec.finish()
-        return spec
     raise ConfigError(f"dataset.kind: expected 'blobs' or 'idx', got {kind!r}")
 
 
 def _parse_model(sec: _Section | None) -> ModelConfig:
     if sec is None:
         return ModelConfig()
-    kind = sec.take("kind", str, default=SOFTMAX_REGRESSION)
-    hidden = sec.take("hidden_dim", int, default=0)
-    sec.finish()
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"model.kind: expected one of {list(MODEL_KINDS)}, got {kind!r}")
-    if kind == MLP_1HIDDEN and hidden < 1:
-        raise ConfigError("model.hidden_dim: must be >= 1 for mlp-1hidden")
-    return ModelConfig(kind, hidden)
+    return sec.build(
+        ModelConfig, kind=sec.take("kind", str), hidden_dim=sec.take("hidden_dim", int)
+    )
 
 
-def _parse_profiles(raw: Any, num_learners: int, path: str) -> tuple[SpeedProfileConfig, ...]:
-    if raw is None:
-        return tuple(
-            SpeedProfileConfig("fast", **DEFAULT_FAST_PROFILE) for _ in range(num_learners)
-        )
-    if isinstance(raw, Mapping):
-        sec = _Section(raw, path)
+def _parse_profiles(raw: Any, num_learners: int) -> tuple[SpeedProfile, ...]:
+    path = "speed_profiles"
+    if not isinstance(raw, list):  # absent: all fast, default rates
+        sec = _Section(raw or {}, path)
         num_fast = sec.take("num_fast", int, default=num_learners)
-        fast_sec = sec.section("fast")
-        slow_sec = sec.section("slow")
+        group_secs = {group: sec.section(group) for group in SPEED_GROUPS}
         sec.finish()
         if not (0 <= num_fast <= num_learners):
             raise ConfigError(f"{path}.num_fast: must lie in [0, num_learners]")
-
-        def group_profile(child: _Section | None, defaults: dict, group: str):
-            if child is None:
-                return SpeedProfileConfig(group, **defaults)
-            sps = child.take("steps_per_second", float, default=defaults["steps_per_second"])
-            eps = child.take(
-                "eval_samples_per_second", float, default=defaults["eval_samples_per_second"]
+        fast, slow = (
+            _group_profile(group_secs[group], group) for group in SPEED_GROUPS
+        )
+        return tuple(fast if i < num_fast else slow for i in range(num_learners))
+    if len(raw) != num_learners:
+        raise ConfigError(f"{path}: {len(raw)} profiles for {num_learners} learners")
+    out = []
+    for i, item in enumerate(raw):
+        sec = _Section(item, f"{path}[{i}]")
+        out.append(
+            sec.build(
+                SpeedProfile,
+                group=sec.take("group", str, required=True),
+                steps_per_second=sec.take("steps_per_second", float, required=True),
+                eval_samples_per_second=sec.take(
+                    "eval_samples_per_second", float, required=True
+                ),
             )
-            child.finish()
-            return SpeedProfileConfig(group, sps, eps)
-
-        fast = group_profile(fast_sec, DEFAULT_FAST_PROFILE, "fast")
-        slow = group_profile(slow_sec, DEFAULT_SLOW_PROFILE, "slow")
-        return tuple(
-            fast if i < num_fast else slow for i in range(num_learners)
         )
-    if isinstance(raw, list):
-        if len(raw) != num_learners:
-            raise ConfigError(f"{path}: {len(raw)} profiles for {num_learners} learners")
-        out = []
-        for i, item in enumerate(raw):
-            sec = _Section(item, f"{path}[{i}]")
-            group = sec.take("group", str, required=True)
-            sps = sec.take("steps_per_second", float, required=True)
-            eps = sec.take("eval_samples_per_second", float, required=True)
-            sec.finish()
-            if group not in ("fast", "slow"):
-                raise ConfigError(f"{path}[{i}].group: expected 'fast' or 'slow'")
-            if sps <= 0 or eps <= 0:
-                raise ConfigError(f"{path}[{i}]: rates must be positive")
-            out.append(SpeedProfileConfig(group, sps, eps))
-        return tuple(out)
-    raise ConfigError(f"{path}: expected an object or a list")
+    return tuple(out)
 
 
-def _parse_size_distribution(sec: _Section | None) -> SizeDistConfig:
+def _group_profile(sec: _Section | None, group: str) -> SpeedProfile:
+    """One group of the shorthand form; unset rates take the group's default."""
+    defaults = DEFAULT_RATES[group]
     if sec is None:
-        return SizeDistConfig("uniform")
-    kind = sec.take("kind", str, required=True)
-    total = sec.take("total", int, default=None)
-    decay = sec.take("decay", float, default=0.8)
-    exponent = sec.take("exponent", float, default=1.5)
-    sec.finish()
-    if kind not in ("uniform", "skewed", "powerlaw"):
-        raise ConfigError(
-            f"size_distribution.kind: expected uniform/skewed/powerlaw, got {kind!r}"
-        )
-    if total is not None and total < 1:
-        raise ConfigError("size_distribution.total: must be >= 1")
-    if not (0.0 < decay <= 1.0):
-        raise ConfigError("size_distribution.decay: must lie in (0, 1]")
-    if exponent <= 0:
-        raise ConfigError("size_distribution.exponent: must be positive")
-    return SizeDistConfig(kind, total, decay, exponent)
+        return SpeedProfile(group, **defaults)
+    rates = {key: sec.take(key, float, default=value) for key, value in defaults.items()}
+    return sec.build(SpeedProfile, group=group, **rates)
+
+
+def _parse_size_distribution(sec: _Section | None, num_learners: int) -> SizeDistribution:
+    if sec is None:
+        return SizeDistribution("uniform", num_learners)
+    return sec.build(
+        SizeDistribution,
+        kind=sec.take("kind", str, required=True),
+        num_learners=num_learners,
+        total=sec.take("total", int),
+        decay=sec.take("decay", float),
+        exponent=sec.take("exponent", float),
+    )
 
 
 def _parse_class_assignment(sec: _Section | None) -> ClassAssignmentSpec:
@@ -482,75 +443,60 @@ def _parse_class_assignment(sec: _Section | None) -> ClassAssignmentSpec:
     if kind == "explicit":
         lists = sec.take("per_learner_classes", list, required=True)
         sec.finish()
-        try:
-            frozen = tuple(tuple(int(c) for c in classes) for classes in lists)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"class_assignment.per_learner_classes: {exc}") from exc
-        return ClassAssignmentSpec("explicit", per_learner_classes=frozen)
+        for i, classes in enumerate(lists):
+            # type(c) is int also rejects booleans, which JSON keeps apart.
+            if not isinstance(classes, list) or any(type(c) is not int for c in classes):
+                raise ConfigError(
+                    f"class_assignment.per_learner_classes[{i}]: expected a list of integers"
+                )
+        return ClassAssignmentSpec(
+            "explicit", per_learner_classes=tuple(tuple(classes) for classes in lists)
+        )
     raise ConfigError(
         f"class_assignment.kind: expected iid/noniid/preset/explicit, got {kind!r}"
     )
 
 
-def _parse_group_value(sec: _Section, key: str, types, default):
-    sec._seen.add(key)
-    if key not in sec.raw:
-        return {"fast": default, "slow": default}
-    value = sec.raw[key]
-    if isinstance(value, Mapping):
-        child = _Section(value, f"{sec.path}.{key}")
-        fast = child.take("fast", types, required=True)
-        slow = child.take("slow", types, required=True)
-        child.finish()
-        return {"fast": fast, "slow": slow}
-    if types is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, types):
-        raise ConfigError(f"{sec.path}.{key}: expected a number or a fast/slow object")
-    return {"fast": value, "slow": value}
+def _parse_group_value(sec: _Section, key: str, types) -> dict[str, Any]:
+    """A per-group threshold: a fast/slow object, or one value for both."""
+    value = sec.take(key, (dict, float, int))
+    if not isinstance(value, dict):
+        value = {group: value for group in SPEED_GROUPS}
+    child = _Section(value, f"{sec.path}.{key}")
+    values = {group: child.take(group, types, required=key in sec.raw) for group in SPEED_GROUPS}
+    child.finish()
+    return values
 
 
 def _parse_trigger(sec: _Section | None, scheme: str, schemes) -> TriggerSpec:
     if sec is None:
-        return TriggerSpec("fixed", uf=DEFAULT_UF)
+        return TriggerSpec("fixed", FixedPolicy())
     kind = sec.take("kind", str, required=True)
     if kind == "fixed":
-        uf = sec.take("uf", int, default=DEFAULT_UF)
-        sec.finish()
-        if uf < 1:
-            raise ConfigError("trigger.uf: must be >= 1")
-        return TriggerSpec("fixed", uf=uf)
+        return TriggerSpec("fixed", sec.build(FixedPolicy, uf=sec.take("uf", int)))
     if kind != "adaptive":
         raise ConfigError(f"trigger.kind: expected 'fixed' or 'adaptive', got {kind!r}")
-    vc_loss = _parse_group_value(sec, "vc_loss", float, 0.0)
-    vc_tomb = _parse_group_value(sec, "vc_tomb", int, 0)
-    warmup = sec.take("warmup_cycles", int, default=20)
-    cap = sec.take("max_epochs_per_cycle", int, default=32)
-    fixed_uf = sec.take("fixed_uf", int, default=DEFAULT_UF)
-    sec.finish()
-    if any(v < 0 for v in vc_loss.values()):
-        raise ConfigError("trigger.vc_loss: must be >= 0")
-    if any(v < 0 for v in vc_tomb.values()):
-        raise ConfigError("trigger.vc_tomb: must be >= 0")
-    if warmup < 1:
-        raise ConfigError("trigger.warmup_cycles: must be >= 1")
-    if cap < 1:
-        raise ConfigError("trigger.max_epochs_per_cycle: must be >= 1")
-    if fixed_uf < 1:
-        raise ConfigError("trigger.fixed_uf: must be >= 1")
+    vc_loss = _parse_group_value(sec, "vc_loss", float)
+    vc_tomb = _parse_group_value(sec, "vc_tomb", int)
+    warmup = sec.take("warmup_cycles", int)
+    cap = sec.take("max_epochs_per_cycle", int)
+    fixed = sec.build(FixedPolicy, "fixed_uf", uf=sec.take("fixed_uf", int))
+    adaptive = {
+        group: sec.build(
+            AdaptivePolicy,
+            vc_loss=vc_loss[group],
+            vc_tomb=vc_tomb[group],
+            warmup_cycles=warmup,
+            max_epochs_per_cycle=cap,
+        )
+        for group in SPEED_GROUPS
+    }
     if schemes is None and scheme != "async_dvw":
         raise ConfigError(
             "trigger.kind: the adaptive policy requires scheme 'async_dvw' "
             f"(got {scheme!r})"
         )
-    return TriggerSpec(
-        "adaptive",
-        vc_loss=vc_loss,
-        vc_tomb=vc_tomb,
-        warmup_cycles=warmup,
-        max_epochs_per_cycle=cap,
-        fixed_uf=fixed_uf,
-    )
+    return TriggerSpec("adaptive", fixed, adaptive)
 
 
 def config_from_dict(raw: Mapping[str, Any], apply_env: bool = True) -> ExperimentConfig:
@@ -571,9 +517,8 @@ def config_from_dict(raw: Mapping[str, Any], apply_env: bool = True) -> Experime
 
     dataset = _parse_dataset(root.section("dataset", required=True))
     model = _parse_model(root.section("model"))
-    root._seen.add("speed_profiles")
-    profiles = _parse_profiles(raw.get("speed_profiles"), num_learners, "speed_profiles")
-    size_dist = _parse_size_distribution(root.section("size_distribution"))
+    profiles = _parse_profiles(root.take("speed_profiles", (dict, list)), num_learners)
+    size_dist = _parse_size_distribution(root.section("size_distribution"), num_learners)
     class_assignment = _parse_class_assignment(root.section("class_assignment"))
 
     validation_fraction = root.take("validation_fraction", float, default=DEFAULT_VALIDATION_FRACTION)
@@ -596,30 +541,19 @@ def config_from_dict(raw: Mapping[str, Any], apply_env: bool = True) -> Experime
     trigger = _parse_trigger(root.section("trigger"), scheme, schemes)
 
     hp_sec = root.section("hyperparameters")
-    if hp_sec is None:
-        hp = Hyperparameters(eta=0.05, gamma=0.75, batch_size=100)
-    else:
-        eta = hp_sec.take("eta", float, default=0.05)
-        gamma = hp_sec.take("gamma", float, default=0.75)
-        beta = hp_sec.take("beta", int, default=100)
-        hp_sec.finish()
-        try:
-            hp = Hyperparameters(eta=eta, gamma=gamma, batch_size=beta)
-        except ValueError as exc:
-            raise ConfigError(f"hyperparameters: {exc}") from exc
-
+    hp = Hyperparameters() if hp_sec is None else hp_sec.build(
+        Hyperparameters,
+        eta=hp_sec.take("eta", float),
+        gamma=hp_sec.take("gamma", float),
+        batch_size=hp_sec.take("beta", int),
+    )
     fa_sec = root.section("fedasync")
-    if fa_sec is None:
-        fedasync = FedAsyncParams()
-    else:
-        alpha = fa_sec.take("alpha", float, default=0.5)
-        a = fa_sec.take("a", float, default=0.5)
-        rho = fa_sec.take("rho", float, default=0.005)
-        fa_sec.finish()
-        try:
-            fedasync = FedAsyncParams(alpha=alpha, a=a, rho=rho)
-        except ValueError as exc:
-            raise ConfigError(f"fedasync: {exc}") from exc
+    fedasync = FedAsyncParams() if fa_sec is None else fa_sec.build(
+        FedAsyncParams,
+        alpha=fa_sec.take("alpha", float),
+        a=fa_sec.take("a", float),
+        rho=fa_sec.take("rho", float),
+    )
 
     proximal_mu = root.take("proximal_mu", float, default=0.0)
     if proximal_mu < 0:

@@ -162,12 +162,14 @@ def generate_blobs(
 
 @dataclass(frozen=True)
 class SizeDistribution:
-    """How many training samples each learner receives."""
+    """How many training samples each learner receives; ``total`` is the
+    number to spread, or ``None`` for the whole source pool."""
 
     kind: str
     num_learners: int
     decay: float = 0.8
     exponent: float = 1.5
+    total: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in SIZE_KINDS:
@@ -178,6 +180,13 @@ class SizeDistribution:
             raise ValueError("skew decay must lie in (0, 1]")
         if self.exponent <= 0.0:
             raise ValueError("power-law exponent must be positive")
+        if self.total is not None and self.total < 1:
+            raise ValueError("total must be >= 1")
+        # Each kind reads at most one shape parameter. The other is reset to
+        # its default, so distributions that split alike compare equal.
+        for name, kind in (("decay", "skewed"), ("exponent", "powerlaw")):
+            if self.kind != kind:
+                object.__setattr__(self, name, getattr(SizeDistribution, name))
 
 
 def compute_sizes(dist: SizeDistribution, total: int) -> list[int]:

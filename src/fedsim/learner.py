@@ -37,9 +37,9 @@ CAUSE_FIXED = "fixed"
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    eta: float
-    gamma: float
-    batch_size: int
+    eta: float = 0.05
+    gamma: float = 0.75
+    batch_size: int = 100
 
     def __post_init__(self) -> None:
         if self.eta <= 0:
@@ -47,7 +47,7 @@ class Hyperparameters:
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must lie in [0, 1)")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError("batch size beta must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class FixedPolicy:
 
     def __post_init__(self) -> None:
         if self.uf < 1:
-            raise ValueError("update frequency must be >= 1")
+            raise ValueError("update frequency uf must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from .data import (
 from .learner import (
     CAUSE_FIXED,
     FixedPolicy,
-    Hyperparameters,
     LearnerState,
     adopt_community,
     check_adaptive_trigger,
@@ -56,6 +55,9 @@ from .nn import ModelSpec, ParameterSet, Workspace, evaluate_confusion, model_la
 from .weighting import DVW_SCHEMES, EvalReport, dvw_weight, fedasync_mix_factor, fedavg_weight
 
 EVENT_EPOCH_DONE = "epoch_done"
+# The end of a DVW fan-out. Handling it only re-queues the commit at the same
+# virtual time, behind events already queued for that time; scheduling the
+# commit directly would reorder such ties and change the metrics of runs.
 EVENT_EVAL_DONE = "eval_done"
 EVENT_UPDATE_COMMIT = "update_commit"
 
@@ -71,19 +73,6 @@ CSV_COLUMNS = (
     "models_exchanged_cum",
     "update_requests_cum",
 )
-
-
-@dataclass(frozen=True)
-class SpeedProfile:
-    group: str
-    steps_per_second: float
-    eval_samples_per_second: float
-
-    def __post_init__(self) -> None:
-        if self.group not in ("fast", "slow"):
-            raise ValueError("speed group must be 'fast' or 'slow'")
-        if self.steps_per_second <= 0 or self.eval_samples_per_second <= 0:
-            raise ValueError("speed profile rates must be positive")
 
 
 @dataclass(frozen=True)
@@ -205,8 +194,7 @@ def evaluate_test_accuracy(params: ParameterSet, test: Dataset) -> float:
 class _LearnerSlot:
     state: LearnerState
     split: LearnerSplit
-    profile: SpeedProfile
-    steps_per_epoch: int
+    profile: config_mod.SpeedProfile
     epoch_duration: float
     pending_cause: str | None = None
 
@@ -249,9 +237,8 @@ def build_federation(cfg: config_mod.ExperimentConfig):
         hidden_dim=cfg.model.hidden_dim,
         init_seed=cfg.seed,
     )
-    total = cfg.size_distribution.total if cfg.size_distribution.total is not None else source.n
-    dist = cfg.size_distribution.to_distribution(cfg.num_learners)
-    sizes = compute_sizes(dist, total)
+    dist = cfg.size_distribution
+    sizes = compute_sizes(dist, dist.total if dist.total is not None else source.n)
     groups = [p.group for p in cfg.profiles]
     order = None if dist.kind == "uniform" else alternating_order(groups)
     assignment = cfg.class_assignment.resolve(cfg.num_learners, source.num_classes)
@@ -283,7 +270,6 @@ def build_federation(cfg: config_mod.ExperimentConfig):
                 state=state,
                 split=lsplit,
                 profile=cfg.profiles[lid],
-                steps_per_epoch=steps_per_epoch,
                 epoch_duration=steps_per_epoch / cfg.profiles[lid].steps_per_second,
             )
         )
@@ -345,6 +331,13 @@ class _Simulation:
                 (slot.state.id, evaluate_confusion(params, val.features, val.labels, val.num_classes))
             )
         return out
+
+    def _dvw_weight(self, req: UpdateRequest) -> float:
+        """Score a request's model on every learner's validation slice: its
+        own counts shipped with the request plus the foreign fan-out."""
+        entries = [(req.learner_id, req.local_validation_cm)]
+        entries.extend(self._foreign_confusions(req.learner_id, req.params))
+        return dvw_weight(EvalReport(tuple(entries)))
 
     def _eval_fanout_duration(self, committing: int) -> float:
         return max(
@@ -417,11 +410,7 @@ class _Simulation:
                     self._train_one_epoch(slot)
                 requests.append(self._update_request(slot))
             if self.is_dvw:
-                weights = {}
-                for req in requests:
-                    entries = [(req.learner_id, req.local_validation_cm)]
-                    entries.extend(self._foreign_confusions(req.learner_id, req.params))
-                    weights[req.learner_id] = dvw_weight(EvalReport(tuple(entries)))
+                weights = {req.learner_id: self._dvw_weight(req) for req in requests}
                 weight_fn = lambda r: weights[r.learner_id]
             else:
                 weight_fn = lambda r: fedavg_weight(r.local_train_size)
@@ -502,9 +491,7 @@ class _Simulation:
             community = self.controller.handle_update(req, version_staleness)
             p = fedasync_mix_factor(version_staleness, self.cfg.fedasync)
         elif self.is_dvw:
-            entries = [(learner_id, req.local_validation_cm)]
-            entries.extend(self._foreign_confusions(learner_id, req.params))
-            p = dvw_weight(EvalReport(tuple(entries)))
+            p = self._dvw_weight(req)
             community = self.controller.handle_async_update(req, lambda _r: p)
         else:
             p = fedavg_weight(req.local_train_size)

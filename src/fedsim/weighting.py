@@ -8,7 +8,6 @@ staleness mixer used by the FedAsync baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -87,18 +86,9 @@ def micro_f1(cm: np.ndarray) -> float:
     return (2 * tp) / (2 * tp + fp + fn)
 
 
-SCORE_METRICS: dict[str, Callable[[np.ndarray], float]] = {"micro_f1": micro_f1}
-
-
-def dvw_weight(report: EvalReport, metric: str = "micro_f1") -> float:
-    """Contribution of a committed model: pooled-validation score in [0, 1]."""
-    try:
-        score = SCORE_METRICS[metric]
-    except KeyError:
-        raise ValueError(
-            f"unknown DVW metric {metric!r}; available: {sorted(SCORE_METRICS)}"
-        ) from None
-    return score(pool_confusion(report))
+def dvw_weight(report: EvalReport) -> float:
+    """Contribution of a committed model: pooled-validation micro-F1 in [0, 1]."""
+    return micro_f1(pool_confusion(report))
 
 
 @dataclass(frozen=True)
@@ -113,9 +103,9 @@ class FedAsyncParams:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
         if self.a < 0.0:
-            raise ValueError("staleness exponent must be >= 0")
+            raise ValueError("staleness exponent a must be >= 0")
         if self.rho < 0.0:
-            raise ValueError("proximal factor must be >= 0")
+            raise ValueError("proximal factor rho must be >= 0")
 
 
 def fedasync_mix_factor(staleness: int, params: FedAsyncParams) -> float:

@@ -77,6 +77,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "validation_fraction" in capsys.readouterr().err
 
 
+def test_shorthand_profile_zero_rate_exit_code(tmp_path, capsys):
+    profiles = {"num_fast": 1, "slow": {"steps_per_second": 0}}
+    bad = write_config(tmp_path, {"speed_profiles": profiles})
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "speed_profiles.slow" in capsys.readouterr().err
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.config import (
     CLASS_COUNT_PRESETS,
@@ -10,7 +12,9 @@ from fedsim.config import (
     parse_config,
     preset_names,
 )
+from fedsim.data import SIZE_KINDS
 from fedsim.learner import AdaptivePolicy, FixedPolicy
+from fedsim.weighting import SCHEMES
 
 
 MINIMAL = {
@@ -30,7 +34,7 @@ def test_minimal_config_defaults():
     assert cfg.seed == 1990
     assert cfg.scheme == "sync_fedavg"
     assert cfg.trigger.kind == "fixed"
-    assert cfg.trigger.uf == 4
+    assert cfg.trigger.fixed.uf == 4
     assert cfg.num_learners == 10
     assert len(cfg.profiles) == 10
     assert all(p.group == "fast" for p in cfg.profiles)
@@ -192,3 +196,171 @@ def test_schemes_grid_validation():
         config_from_dict(dict(MINIMAL, schemes=["sync_fedavg", "sync_fedavg"]))
     with pytest.raises(ConfigError, match="schemes"):
         config_from_dict(dict(MINIMAL, schemes=["bogus"]))
+
+
+@pytest.mark.parametrize(
+    "scheme, slow",
+    [
+        ("sync_fedavg", {"steps_per_second": 0}),
+        ("async_dvw", {"eval_samples_per_second": 0}),
+        ("async_fedavg", {"steps_per_second": -5}),
+        ("sync_fedavg", {"steps_per_second": -5}),
+    ],
+)
+def test_shorthand_profile_rates_must_be_positive(scheme, slow):
+    profiles = {"num_fast": 5, "slow": slow}
+    with pytest.raises(ConfigError, match=r"speed_profiles\.slow: rates must be positive"):
+        config_from_dict(dict(MINIMAL, scheme=scheme, speed_profiles=profiles))
+
+
+def test_scalar_group_value_rejects_boolean():
+    trig = {"kind": "adaptive", "vc_tomb": True}
+    with pytest.raises(ConfigError, match=r"trigger\.vc_tomb"):
+        config_from_dict(dict(MINIMAL, scheme="async_dvw", trigger=trig))
+
+
+@pytest.mark.parametrize("bad", [[0.9, 3.7], ["1", "2"], [True, 1], 3])
+def test_explicit_classes_must_be_integer_lists(bad):
+    assignment = {"kind": "explicit", "per_learner_classes": [[0, 1], bad]}
+    with pytest.raises(ConfigError, match=r"class_assignment\.per_learner_classes\[1\]"):
+        config_from_dict(dict(MINIMAL, class_assignment=assignment))
+
+
+POSITIVE = st.floats(min_value=1e-3, max_value=1e4)
+RATES = st.fixed_dictionaries(
+    {}, optional={"steps_per_second": POSITIVE, "eval_samples_per_second": POSITIVE}
+)
+IDX_DATASET = {
+    "kind": "idx",
+    "train_images": "train-images.idx",
+    "train_labels": "train-labels.idx",
+    "test_images": "test-images.idx",
+    "test_labels": "test-labels.idx",
+}
+
+
+def per_group(values):
+    return values | st.fixed_dictionaries({"fast": values, "slow": values})
+
+
+@st.composite
+def valid_configs(draw):
+    """Raw configs the schema accepts, covering every form of every section."""
+    n = draw(st.integers(1, 12))
+    profile = st.fixed_dictionaries(
+        {
+            "group": st.sampled_from(["fast", "slow"]),
+            "steps_per_second": POSITIVE,
+            "eval_samples_per_second": POSITIVE,
+        }
+    )
+    classes = st.lists(st.integers(0, 9), min_size=1, max_size=4)
+    schemes = draw(st.none() | st.lists(st.sampled_from(SCHEMES), min_size=1, unique=True))
+    scheme = draw(st.sampled_from(SCHEMES))
+    triggers = [
+        st.none(),
+        st.fixed_dictionaries({"kind": st.just("fixed")}, optional={"uf": st.integers(1, 20)}),
+    ]
+    if schemes is not None or scheme == "async_dvw":
+        triggers.append(
+            st.fixed_dictionaries(
+                {"kind": st.just("adaptive")},
+                optional={
+                    "vc_loss": per_group(st.floats(0.0, 10.0) | st.integers(0, 10)),
+                    "vc_tomb": per_group(st.integers(0, 8)),
+                    "warmup_cycles": st.integers(1, 50),
+                    "max_epochs_per_cycle": st.integers(1, 64),
+                    "fixed_uf": st.integers(1, 20),
+                },
+            )
+        )
+    raw = {
+        "num_learners": n,
+        "seed": draw(st.integers(0, 2**31)),
+        "dataset": draw(st.sampled_from([MINIMAL["dataset"], IDX_DATASET])),
+        "model": draw(
+            st.none()
+            | st.just({"kind": "softmax-regression"})
+            | st.fixed_dictionaries(
+                {"kind": st.just("mlp-1hidden"), "hidden_dim": st.integers(1, 64)}
+            )
+        ),
+        "speed_profiles": draw(
+            st.none()
+            | st.fixed_dictionaries(
+                {}, optional={"num_fast": st.integers(0, n), "fast": RATES, "slow": RATES}
+            )
+            | st.lists(profile, min_size=n, max_size=n)
+        ),
+        "size_distribution": draw(
+            st.none()
+            | st.fixed_dictionaries(
+                {"kind": st.sampled_from(SIZE_KINDS)},
+                optional={
+                    "total": st.integers(1, 10**6),
+                    "decay": st.floats(1e-3, 1.0),
+                    "exponent": POSITIVE,
+                },
+            )
+        ),
+        "class_assignment": draw(
+            st.none()
+            | st.just({"kind": "iid"})
+            | st.fixed_dictionaries(
+                {"kind": st.just("noniid"), "classes_per_learner": st.integers(1, 5)}
+            )
+            | st.fixed_dictionaries(
+                {"kind": st.just("preset"), "name": st.sampled_from(sorted(CLASS_COUNT_PRESETS))}
+            )
+            | st.fixed_dictionaries(
+                {
+                    "kind": st.just("explicit"),
+                    "per_learner_classes": st.lists(classes, min_size=n, max_size=n),
+                }
+            )
+        ),
+        "scheme": scheme,
+        "schemes": schemes,
+        "trigger": draw(st.one_of(triggers)),
+        "hyperparameters": draw(
+            st.none()
+            | st.fixed_dictionaries(
+                {},
+                optional={
+                    "eta": POSITIVE,
+                    "gamma": st.floats(0.0, 0.99),
+                    "beta": st.integers(1, 500),
+                },
+            )
+        ),
+        "fedasync": draw(
+            st.none()
+            | st.fixed_dictionaries(
+                {},
+                optional={
+                    "alpha": st.floats(1e-3, 1.0),
+                    "a": st.floats(0.0, 5.0),
+                    "rho": st.floats(0.0, 1.0),
+                },
+            )
+        ),
+        "validation_fraction": draw(st.floats(0.01, 0.99)),
+        "time_budget": draw(POSITIVE),
+        "max_versions": draw(st.none() | st.integers(1, 1000)),
+        "summary_times": draw(st.none() | st.lists(POSITIVE, max_size=3)),
+        "summary_rounds": draw(st.lists(st.integers(1, 100), max_size=3)),
+    }
+    return {key: value for key, value in raw.items() if value is not None}
+
+
+@given(valid_configs())
+@settings(max_examples=200, deadline=None)
+def test_to_dict_round_trip_property(raw):
+    cfg = config_from_dict(raw, apply_env=False)
+    d = cfg.to_dict()
+    again = config_from_dict(d, apply_env=False)
+    assert again == cfg
+    assert again.to_dict() == d
+    assert all(p.steps_per_second > 0 and p.eval_samples_per_second > 0 for p in cfg.profiles)
+    for scheme in cfg.schemes or ():
+        assert cfg.with_scheme(scheme).scheme == scheme

@@ -115,12 +115,6 @@ def test_dvw_weight_perfect_diagonals():
     assert dvw_weight(report) == 1.0
 
 
-def test_dvw_unknown_metric_rejected():
-    report = EvalReport(((0, np.diag([1, 1])),))
-    with pytest.raises(ValueError, match="matthews"):
-        dvw_weight(report, metric="matthews")
-
-
 @given(
     arrays(np.int64, (4, 4), elements=st.integers(0, 50)),
 )
