@@ -10,6 +10,7 @@ run manifest stores so any run can be reproduced byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Union
@@ -51,6 +52,24 @@ class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending field path."""
 
 
+def _typed(where: str, value: Any, types):
+    """``value`` if it is one of ``types``; an integer stands for a float.
+    Booleans are not integers, and floats must be finite: Python's JSON
+    reader accepts ``NaN`` and ``Infinity``, which pass every range check."""
+    if types is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if types is int and isinstance(value, bool):
+        raise ConfigError(f"{where}: expected an integer, got a boolean")
+    if not isinstance(value, types):
+        expected = types.__name__ if isinstance(types, type) else "/".join(
+            t.__name__ for t in types
+        )
+        raise ConfigError(f"{where}: expected {expected}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value}")
+    return value
+
+
 class _Section:
     """Dict wrapper that tracks consumed keys and builds field-path errors."""
 
@@ -61,9 +80,11 @@ class _Section:
         self.path = path
         self._seen: set[str] = set()
 
+    def where(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
     def _fail(self, key: str, message: str) -> ConfigError:
-        where = f"{self.path}.{key}" if self.path else key
-        return ConfigError(f"{where}: {message}")
+        return ConfigError(f"{self.where(key)}: {message}")
 
     def take(self, key: str, types, default=..., required: bool = False):
         self._seen.add(key)
@@ -72,16 +93,7 @@ class _Section:
             if required:
                 raise self._fail(key, "missing required field")
             return None if default is ... else default
-        if types is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if types is int and isinstance(value, bool):
-            raise self._fail(key, "expected an integer, got a boolean")
-        if not isinstance(value, types):
-            expected = types.__name__ if isinstance(types, type) else "/".join(
-                t.__name__ for t in types
-            )
-            raise self._fail(key, f"expected {expected}, got {type(value).__name__}")
-        return value
+        return _typed(self.where(key), value, types)
 
     def section(self, key: str, required: bool = False) -> "_Section | None":
         self._seen.add(key)
@@ -89,8 +101,7 @@ class _Section:
             if required:
                 raise self._fail(key, "missing required field")
             return None
-        child = f"{self.path}.{key}" if self.path else key
-        return _Section(self.raw[key], child)
+        return _Section(self.raw[key], self.where(key))
 
     def finish(self) -> None:
         unknown = sorted(set(self.raw) - self._seen)
@@ -499,6 +510,13 @@ def _parse_trigger(sec: _Section | None, scheme: str, schemes) -> TriggerSpec:
     return TriggerSpec("adaptive", fixed, adaptive)
 
 
+def _typed_list(sec: _Section, key: str, types, default: tuple) -> tuple:
+    values = sec.take(key, list)
+    if values is None:
+        return default
+    return tuple(_typed(f"{sec.where(key)}[{i}]", v, types) for i, v in enumerate(values))
+
+
 def config_from_dict(raw: Mapping[str, Any], apply_env: bool = True) -> ExperimentConfig:
     root = _Section(raw, "")
     name = root.take("name", str, default="experiment")
@@ -566,22 +584,8 @@ def config_from_dict(raw: Mapping[str, Any], apply_env: bool = True) -> Experime
     if max_versions is not None and max_versions < 1:
         raise ConfigError("max_versions: must be >= 1")
 
-    summary_times_raw = root.take("summary_times", list, default=None)
-    if summary_times_raw is None:
-        summary_times = (time_budget,)
-    else:
-        try:
-            summary_times = tuple(float(t) for t in summary_times_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"summary_times: {exc}") from exc
-    summary_rounds_raw = root.take("summary_rounds", list, default=None)
-    if summary_rounds_raw is None:
-        summary_rounds = ()
-    else:
-        try:
-            summary_rounds = tuple(int(r) for r in summary_rounds_raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"summary_rounds: {exc}") from exc
+    summary_times = _typed_list(root, "summary_times", float, default=(time_budget,))
+    summary_rounds = _typed_list(root, "summary_rounds", int, default=())
 
     root.finish()
     return ExperimentConfig(

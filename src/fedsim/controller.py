@@ -40,7 +40,6 @@ class UpdateRequest:
     params: ParameterSet
     local_steps: int
     local_train_size: int
-    local_validation_cm: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.params, ParameterSet):

@@ -2,7 +2,7 @@
 
 Parameter containers, forward/backward passes for two small classifier
 architectures (softmax regression and a one-hidden-layer tanh MLP),
-cross-entropy loss, momentum SGD, and confusion-matrix evaluation.
+cross-entropy loss, momentum SGD, and argmax prediction.
 
 A model is one contiguous float64 vector with named 2-D views, laid out by a
 ``Layout``. ``ParameterSet`` is the read-only unit of exchange;
@@ -499,27 +499,3 @@ def predict(params: _FlatParameters, features: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index."""
     return np.argmax(_forward(params, np.asarray(features, dtype=np.float64)), axis=1)
 
-
-def evaluate_confusion(
-    params: _FlatParameters,
-    features: np.ndarray,
-    labels: np.ndarray,
-    num_classes: int,
-) -> np.ndarray:
-    """C x C integer counts: rows are actual labels, columns predictions."""
-    feats = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if feats.shape[0] == 0:
-        raise ValueError("cannot evaluate an empty dataset")
-    if y.shape[0] != feats.shape[0]:
-        raise ShapeError("labels must be one per feature row")
-    _check_labels(y, num_classes)
-    logits = _forward(params, feats)
-    if logits.shape[1] != num_classes:
-        raise ShapeError(
-            f"model predicts {logits.shape[1]} classes, dataset declares {num_classes}"
-        )
-    pred = np.argmax(logits, axis=1)
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (y, pred), 1)
-    return cm

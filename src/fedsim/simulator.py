@@ -51,8 +51,8 @@ from .learner import (
     record_validation_loss,
     run_epoch,
 )
-from .nn import ModelSpec, ParameterSet, Workspace, evaluate_confusion, model_layout, predict
-from .weighting import DVW_SCHEMES, EvalReport, dvw_weight, fedasync_mix_factor, fedavg_weight
+from .nn import ModelSpec, ParameterSet, Workspace, model_layout, predict
+from .weighting import DVW_SCHEMES, dvw_weight, fedasync_mix_factor, fedavg_weight
 
 EVENT_EPOCH_DONE = "epoch_done"
 # The end of a DVW fan-out. Handling it only re-queues the commit at the same
@@ -276,6 +276,15 @@ def build_federation(cfg: config_mod.ExperimentConfig):
     return model_spec, split, sizes, slots, controller
 
 
+def _pooled_validation(split: FederatedSplit) -> Dataset:
+    slices = [ls.validation for ls in split.per_learner]
+    return Dataset(
+        np.concatenate([v.features for v in slices]),
+        np.concatenate([v.labels for v in slices]),
+        slices[0].num_classes,
+    )
+
+
 class _Simulation:
     def __init__(self, cfg: config_mod.ExperimentConfig) -> None:
         self.cfg = cfg
@@ -296,6 +305,9 @@ class _Simulation:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self.is_dvw = self.scheme in DVW_SCHEMES
+        # Every learner's validation slice in learner-id order. The virtual
+        # clock still charges each evaluator's own pass (_eval_fanout_duration).
+        self.pooled_validation = _pooled_validation(split) if self.is_dvw else None
         initial = controller.current_model()
         self.initial_accuracy = evaluate_test_accuracy(initial.params, split.test)
         self.log.append(
@@ -305,39 +317,18 @@ class _Simulation:
     # -- shared helpers -------------------------------------------------
 
     def _update_request(self, slot: _LearnerSlot) -> UpdateRequest:
-        """Snapshot the learner's model into a request, with its own
-        validation counts when the commit is validation-weighted."""
-        params = slot.state.params.snapshot()
-        val = slot.split.validation
+        """Snapshot the learner's model into a request."""
         return UpdateRequest(
             learner_id=slot.state.id,
-            params=params,
+            params=slot.state.params.snapshot(),
             local_steps=slot.state.S_k_local,
             local_train_size=slot.split.train.n,
-            local_validation_cm=(
-                evaluate_confusion(params, val.features, val.labels, val.num_classes)
-                if self.is_dvw
-                else None
-            ),
         )
 
-    def _foreign_confusions(self, committing: int, params: ParameterSet) -> list[tuple[int, np.ndarray]]:
-        out = []
-        for slot in self.slots:
-            if slot.state.id == committing:
-                continue
-            val = slot.split.validation
-            out.append(
-                (slot.state.id, evaluate_confusion(params, val.features, val.labels, val.num_classes))
-            )
-        return out
-
     def _dvw_weight(self, req: UpdateRequest) -> float:
-        """Score a request's model on every learner's validation slice: its
-        own counts shipped with the request plus the foreign fan-out."""
-        entries = [(req.learner_id, req.local_validation_cm)]
-        entries.extend(self._foreign_confusions(req.learner_id, req.params))
-        return dvw_weight(EvalReport(tuple(entries)))
+        """Score a request's model on every learner's validation slice, its
+        own included, in one pass over the pooled set."""
+        return dvw_weight(req.params, self.pooled_validation)
 
     def _eval_fanout_duration(self, committing: int) -> float:
         return max(

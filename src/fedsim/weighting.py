@@ -1,8 +1,8 @@
 """Contribution-value schemes for mixing learner models into the community.
 
 Static FedAvg weights (local training-set size), distributed-validation
-weighting (micro-F1 over pooled confusion matrices), and the polynomial
-staleness mixer used by the FedAsync baseline.
+weighting (pooled-validation accuracy, equal to micro-F1), and the
+polynomial staleness mixer used by the FedAsync baseline.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ParameterSet, ShapeError, scale_add, scale
+from .data import Dataset
+from .nn import ParameterSet, ShapeError, predict, scale_add, scale
 
 SCHEMES = ("sync_fedavg", "async_fedavg", "sync_dvw", "async_dvw", "fedasync_poly")
 DVW_SCHEMES = ("sync_dvw", "async_dvw")
@@ -24,71 +25,22 @@ def fedavg_weight(train_size: int) -> float:
     return float(train_size)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-evaluator confusion matrices for one committed model."""
+def dvw_weight(params: ParameterSet, validation: Dataset) -> float:
+    """Contribution of a committed model: its accuracy on the pooled
+    validation set, in [0, 1].
 
-    per_evaluator: tuple[tuple[int, np.ndarray], ...]
-
-    def __post_init__(self) -> None:
-        if not self.per_evaluator:
-            raise ValueError("evaluation report is empty")
-        ids = [lid for lid, _ in self.per_evaluator]
-        if len(set(ids)) != len(ids):
-            raise ValueError("an evaluator appears more than once in the report")
-        entries = []
-        shape = None
-        for lid, cm in self.per_evaluator:
-            m = _as_confusion(cm)
-            if shape is None:
-                shape = m.shape
-            elif m.shape != shape:
-                raise ShapeError(
-                    f"evaluator {lid}: confusion matrix {m.shape} differs from {shape}"
-                )
-            entries.append((int(lid), m))
-        object.__setattr__(self, "per_evaluator", tuple(entries))
-
-
-def _as_confusion(cm: np.ndarray) -> np.ndarray:
-    m = np.asarray(cm)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"confusion matrix must be square, got shape {m.shape}")
-    if not np.issubdtype(m.dtype, np.integer):
-        raise ValueError("confusion matrix counts must be integers")
-    if (m < 0).any():
-        raise ValueError("confusion matrix counts must be non-negative")
-    return m.astype(np.int64)
-
-
-def pool_confusion(report: EvalReport) -> np.ndarray:
-    """Elementwise integer sum of all evaluators' confusion matrices."""
-    pooled = np.zeros_like(report.per_evaluator[0][1])
-    for _, cm in report.per_evaluator:
-        pooled = pooled + cm
-    return pooled
-
-
-def micro_f1(cm: np.ndarray) -> float:
-    """Micro-averaged F1 of a confusion matrix (rows actual, columns predicted).
-
-    TP/FP/FN totals are accumulated in exact integer arithmetic; only the
-    final ratio is a float division.
+    With one label per sample every miss is one false positive and one false
+    negative, so this equals the micro-F1 of the pooled confusion matrix,
+    2TP / (2TP + FP + FN) = TP / n, exactly: the hit count is an integer and
+    only the final ratio is a float division.
     """
-    m = _as_confusion(cm)
-    total = int(m.sum())
-    if total < 1:
-        raise ValueError("micro-F1 is undefined on an empty confusion matrix")
-    diag = np.diag(m)
-    tp = int(diag.sum())
-    fp = int((m.sum(axis=0) - diag).sum())
-    fn = int((m.sum(axis=1) - diag).sum())
-    return (2 * tp) / (2 * tp + fp + fn)
-
-
-def dvw_weight(report: EvalReport) -> float:
-    """Contribution of a committed model: pooled-validation micro-F1 in [0, 1]."""
-    return micro_f1(pool_confusion(report))
+    num_classes = params.arrays[-1].shape[1]
+    if num_classes != validation.num_classes:
+        raise ShapeError(
+            f"model predicts {num_classes} classes, dataset declares {validation.num_classes}"
+        )
+    hits = int(np.count_nonzero(predict(params, validation.features) == validation.labels))
+    return hits / validation.n
 
 
 @dataclass(frozen=True)

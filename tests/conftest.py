@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedsim.data import Dataset
 from fedsim.nn import (
     MLP_1HIDDEN,
     SOFTMAX_REGRESSION,
@@ -31,6 +32,19 @@ def random_params(spec_kind: str, rng: np.random.Generator, input_dim=5, num_cla
 
 def random_batch(rng: np.random.Generator, n=6, input_dim=5, num_classes=3) -> Batch:
     return Batch(rng.normal(size=(n, input_dim)), rng.integers(0, num_classes, size=n))
+
+
+def identity_model(num_classes: int) -> ParameterSet:
+    """Softmax regression with W = I and b = 0: it predicts the hot column of
+    a one-hot feature row."""
+    return ParameterSet([("W", np.eye(num_classes)), ("b", np.zeros((1, num_classes)))])
+
+
+def one_hot_dataset(actual, predicted, num_classes: int) -> Dataset:
+    """Samples labelled ``actual`` on which ``identity_model`` predicts
+    ``predicted``."""
+    features = np.eye(num_classes)[np.asarray(predicted, dtype=np.int64)]
+    return Dataset(features, np.asarray(actual, dtype=np.int64), num_classes)
 
 
 @pytest.fixture

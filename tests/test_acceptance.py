@@ -26,8 +26,8 @@ from fedsim.learner import (
 )
 from fedsim.nn import ModelSpec, ParameterSet, backward, forward_loss
 from fedsim.simulator import evaluate_test_accuracy, run_simulation, run_simulation_detailed
-from fedsim.weighting import EvalReport, dvw_weight
-from tests.conftest import random_batch, random_params
+from fedsim.weighting import dvw_weight
+from tests.conftest import identity_model, one_hot_dataset, random_batch, random_params
 
 
 def report(criterion: int, message: str) -> None:
@@ -133,6 +133,58 @@ def test_criterion_02_constant_time_cache():
     )
 
 
+class _CountingCache(dict):
+    """A controller cache that counts the entries read from it."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+
+def test_criterion_02_commit_reads_one_cache_entry():
+    # Deterministic companion of the latency check: at N=1000 an async commit
+    # reads only the committing learner's cache entry and never re-sums.
+    n_learners = 1000
+    rng = np.random.default_rng(7)
+    models = [ParameterSet([("W", rng.normal(size=(4, 3)))]) for _ in range(8)]
+    ctrl = _controller_with_cache(n_learners, models)
+    cache = _CountingCache(ctrl._cache)
+    ctrl._cache = cache
+    sums = []
+    sum_cache = ctrl._sum_cache
+    ctrl._sum_cache = lambda: sums.append(1) or sum_cache()
+    for i in range(200):
+        cache.reads = 0
+        req = UpdateRequest(int(rng.integers(0, n_learners)), models[i % 8], 1, 1)
+        ctrl.handle_async_update(req, lambda r: float(rng.uniform(0.5, 2.0)))
+        assert cache.reads == 1
+    assert sums == []
+    assert len(cache) == n_learners
+    # The counters see the full pass when it does happen.
+    cache.reads = 0
+    ctrl.audit_recompute()
+    assert sums == [1] and cache.reads >= n_learners
+    report(2, "an async commit at N=1000 reads one cache entry and never re-sums the cache")
+
+
 # ---------------------------------------------------------------------------
 # 3. Micro-F1 oracle
 # ---------------------------------------------------------------------------
@@ -144,20 +196,22 @@ def test_criterion_03_micro_f1_oracle():
     for _ in range(1000):
         num_classes = int(rng.integers(2, 6))
         n_eval = int(rng.integers(1, 6))
-        entries = []
+        all_actual, all_predicted = [], []
         matches = 0
         total = 0
-        for lid in range(n_eval):
+        for _lid in range(n_eval):
             n = int(rng.integers(1, 20))
             actual = rng.integers(0, num_classes, size=n)
             predicted = rng.integers(0, num_classes, size=n)
-            cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-            for a, p in zip(actual, predicted):
-                cm[a, p] += 1
-            entries.append((lid, cm))
+            all_actual.append(actual)
+            all_predicted.append(predicted)
             matches += int((actual == predicted).sum())
             total += n
-        got = dvw_weight(EvalReport(tuple(entries)))
+        # The identity model predicts the random labels on one-hot rows.
+        pooled = one_hot_dataset(
+            np.concatenate(all_actual), np.concatenate(all_predicted), num_classes
+        )
+        got = dvw_weight(identity_model(num_classes), pooled)
         # oracle from first principles over concatenated predictions:
         # every miss is exactly one false positive and one false negative
         misses = total - matches

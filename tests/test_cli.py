@@ -84,6 +84,13 @@ def test_shorthand_profile_zero_rate_exit_code(tmp_path, capsys):
     assert "speed_profiles.slow" in capsys.readouterr().err
 
 
+def test_non_finite_number_exit_code(tmp_path, capsys):
+    bad = write_config(tmp_path, {"hyperparameters": {"eta": float("nan")}})
+    assert "NaN" in bad.read_text()
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "hyperparameters.eta: expected a finite number" in capsys.readouterr().err
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

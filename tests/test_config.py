@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,62 @@ def test_explicit_classes_must_be_integer_lists(bad):
     assignment = {"kind": "explicit", "per_learner_classes": [[0, 1], bad]}
     with pytest.raises(ConfigError, match=r"class_assignment\.per_learner_classes\[1\]"):
         config_from_dict(dict(MINIMAL, class_assignment=assignment))
+
+
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"time_budget": math.nan}, "time_budget"),
+        ({"proximal_mu": math.nan}, "proximal_mu"),
+        ({"validation_fraction": -math.inf}, "validation_fraction"),
+        ({"hyperparameters": {"eta": math.nan}}, r"hyperparameters\.eta"),
+        (
+            {"speed_profiles": {"fast": {"steps_per_second": math.inf}}},
+            r"speed_profiles\.fast\.steps_per_second",
+        ),
+        (
+            {"speed_profiles": [{"group": "slow", "steps_per_second": 1.0,
+                                 "eval_samples_per_second": math.inf}] * 10},
+            r"speed_profiles\[0\]\.eval_samples_per_second",
+        ),
+        ({"fedasync": {"alpha": math.nan}}, r"fedasync\.alpha"),
+        (
+            {
+                "scheme": "async_dvw",
+                "trigger": {"kind": "adaptive", "vc_loss": {"fast": 1.0, "slow": math.inf}},
+            },
+            r"trigger\.vc_loss\.slow",
+        ),
+    ],
+)
+def test_non_finite_numbers_rejected(overrides, where):
+    with pytest.raises(ConfigError, match=where + ": expected a finite number"):
+        config_from_dict(dict(MINIMAL, **overrides))
+
+
+@pytest.mark.parametrize(
+    "key, values, index",
+    [
+        ("summary_rounds", [3.7, 4], 0),
+        ("summary_rounds", [3, "4"], 1),
+        ("summary_rounds", [3, 4, True], 2),
+        ("summary_times", ["1.5"], 0),
+        ("summary_times", [1.5, True], 1),
+        ("summary_times", [1.0, math.nan], 1),
+        ("summary_times", [math.inf], 0),
+    ],
+)
+def test_summary_lists_type_checked_per_element(key, values, index):
+    with pytest.raises(ConfigError, match=rf"{key}\[{index}\]: expected"):
+        config_from_dict(dict(MINIMAL, **{key: values}))
+
+
+def test_summary_lists_keep_valid_values():
+    cfg = config_from_dict(dict(MINIMAL, summary_times=[1, 2.5], summary_rounds=[3, 40]))
+    assert cfg.summary_times == (1.0, 2.5)
+    assert all(type(t) is float for t in cfg.summary_times)
+    assert cfg.summary_rounds == (3, 40)
+    assert config_from_dict(MINIMAL).summary_times == (60.0,)
 
 
 POSITIVE = st.floats(min_value=1e-3, max_value=1e4)

@@ -14,7 +14,6 @@ from fedsim.nn import (
     ParameterSet,
     ShapeError,
     backward,
-    evaluate_confusion,
     forward_loss,
     init_momentum,
     init_parameters,
@@ -229,8 +228,16 @@ def test_step_rejects_bad_eta(rng):
 
 
 # ---------------------------------------------------------------------------
-# evaluate_confusion
+# predict
 # ---------------------------------------------------------------------------
+
+
+def confusion_of(params, features, labels, num_classes):
+    """C x C counts of one batch prediction: rows actual, columns predicted."""
+    pred = predict(params, features)
+    return np.bincount(labels * num_classes + pred, minlength=num_classes**2).reshape(
+        num_classes, num_classes
+    )
 
 
 def test_perfect_classifier_diagonal():
@@ -238,7 +245,7 @@ def test_perfect_classifier_diagonal():
     params = ParameterSet([("W", np.array([[-5.0, 5.0]])), ("b", np.zeros((1, 2)))])
     x = np.array([[-1.0]] * 5 + [[1.0]] * 5)
     y = np.array([0] * 5 + [1] * 5)
-    cm = evaluate_confusion(params, x, y, 2)
+    cm = confusion_of(params, x, y, 2)
     assert np.array_equal(cm, np.diag([5, 5]))
 
 
@@ -246,15 +253,17 @@ def test_constant_predictor_counts():
     params = ParameterSet([("W", np.zeros((3, 2))), ("b", np.array([[1.0, 0.0]]))])
     x = np.zeros((10, 3))
     y = np.array([0] * 5 + [1] * 5)
-    cm = evaluate_confusion(params, x, y, 2)
+    cm = confusion_of(params, x, y, 2)
     assert cm[0, 0] == 5 and cm[1, 0] == 5
     assert cm[:, 1].sum() == 0
 
 
 def test_confusion_matches_per_sample_loop(rng):
+    # One pass over a batch predicts what row-by-row passes predict; pooled
+    # validation scoring relies on it.
     params = random_params(MLP_1HIDDEN, rng)
     batch = random_batch(rng, n=40)
-    cm = evaluate_confusion(params, batch.features, batch.labels, 3)
+    cm = confusion_of(params, batch.features, batch.labels, 3)
     # Oracle: recount sample by sample.
     expected = np.zeros((3, 3), dtype=np.int64)
     for i in range(40):
@@ -270,20 +279,17 @@ def test_argmax_ties_break_low():
     assert np.all(pred == 0)
 
 
-def test_confusion_rejects_empty():
-    params = ParameterSet([("W", np.zeros((2, 2))), ("b", np.zeros((1, 2)))])
-    with pytest.raises(ValueError, match="empty"):
-        evaluate_confusion(params, np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
-
-
 @given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(1, 30))
 @settings(max_examples=30, deadline=None)
 def test_confusion_mass_conservation(seed, num_classes, n):
     rng = np.random.default_rng(seed)
     params = random_params(SOFTMAX_REGRESSION, rng, input_dim=3, num_classes=num_classes)
     x = rng.normal(size=(n, 3))
+    pred = predict(params, x)
+    assert pred.shape == (n,)
+    assert ((pred >= 0) & (pred < num_classes)).all()
     y = rng.integers(0, num_classes, size=n)
-    cm = evaluate_confusion(params, x, y, num_classes)
+    cm = confusion_of(params, x, y, num_classes)
     assert cm.sum() == n
     assert (cm >= 0).all()
 

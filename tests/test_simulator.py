@@ -3,10 +3,11 @@ import pytest
 
 from fedsim.config import config_from_dict, get_preset
 from fedsim.data import generate_blobs
-from fedsim.nn import ModelSpec, init_parameters, evaluate_confusion
+from fedsim.nn import ModelSpec, init_parameters, predict
 from fedsim.simulator import (
     MetricsLog,
     MetricsRow,
+    _Simulation,
     evaluate_test_accuracy,
     run_simulation,
     run_simulation_detailed,
@@ -53,8 +54,8 @@ def test_accuracy_bounds_and_crosscheck(rng):
     test = generate_blobs(4, 3, 40, 0.4, seed=3)
     params = init_parameters(ModelSpec("softmax-regression", 4, 3, init_seed=7))
     acc = evaluate_test_accuracy(params, test)
-    cm = evaluate_confusion(params, test.features, test.labels, 3)
-    assert acc == np.trace(cm) / cm.sum()
+    hits = sum(int(predict(params, x[None])[0] == y) for x, y in zip(test.features, test.labels))
+    assert acc == hits / test.n
     assert 0.0 <= acc <= 1.0
 
 
@@ -65,6 +66,51 @@ def test_constant_predictor_accuracy_is_one_over_c():
 
     params = ParameterSet([("W", np.zeros((4, 4))), ("b", np.zeros((1, 4)))])
     assert evaluate_test_accuracy(params, test) == 0.25
+
+
+# ---------------------------------------------------------------------------
+# DVW scoring
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["sync_dvw", "async_dvw"])
+@pytest.mark.parametrize("num_learners, seed", [(1, 1990), (3, 7), (5, 2008)])
+@pytest.mark.parametrize(
+    "model", [{"kind": "softmax-regression"}, {"kind": "mlp-1hidden", "hidden_dim": 8}]
+)
+def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, model):
+    cfg = blob_config(
+        scheme=scheme,
+        num_learners=num_learners,
+        seed=seed,
+        model=model,
+        class_assignment={"kind": "noniid", "classes_per_learner": 2},
+    )
+    sim = _Simulation(cfg)
+    num_classes = sim.model_spec.num_classes
+    for slot in sim.slots:
+        sim._train_one_epoch(slot)
+        req = sim._update_request(slot)
+        # One confusion matrix per learner, counted sample by sample; the
+        # committing learner's own slice is one of them, once.
+        cms = []
+        for other in sim.slots:
+            val = other.split.validation
+            cm = np.zeros((num_classes, num_classes), dtype=np.int64)
+            for x, y in zip(val.features, val.labels):
+                cm[y, predict(req.params, x[None])[0]] += 1
+            cms.append(cm)
+        pooled = sum(cms)
+        tp = int(np.trace(pooled))
+        fp = int((pooled.sum(axis=0) - np.diag(pooled)).sum())
+        fn = int((pooled.sum(axis=1) - np.diag(pooled)).sum())
+        assert sim._dvw_weight(req) == (2 * tp) / (2 * tp + fp + fn)
+        assert sim.pooled_validation.n == sum(other.split.validation.n for other in sim.slots)
+
+
+def test_non_dvw_schemes_build_no_pooled_validation_set():
+    for scheme in ("sync_fedavg", "async_fedavg", "fedasync_poly"):
+        assert _Simulation(blob_config(scheme=scheme)).pooled_validation is None
 
 
 # ---------------------------------------------------------------------------

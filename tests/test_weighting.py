@@ -6,16 +6,13 @@ from hypothesis.extra.numpy import arrays
 
 from fedsim.nn import ParameterSet, ShapeError, params_allclose
 from fedsim.weighting import (
-    EvalReport,
     FedAsyncParams,
     dvw_weight,
     fedasync_mix_factor,
     fedasync_poly_mix,
     fedavg_weight,
-    micro_f1,
-    pool_confusion,
 )
-from tests.conftest import random_params
+from tests.conftest import identity_model, one_hot_dataset, random_params
 
 
 def confusion_of(actual, predicted, num_classes):
@@ -24,6 +21,26 @@ def confusion_of(actual, predicted, num_classes):
     for a, p in zip(actual, predicted):
         cm[a, p] += 1
     return cm
+
+
+def micro_f1_of(cm):
+    """2TP / (2TP + FP + FN) of a confusion matrix (rows actual)."""
+    tp = int(np.trace(cm))
+    fp = int((cm.sum(axis=0) - np.diag(cm)).sum())
+    fn = int((cm.sum(axis=1) - np.diag(cm)).sum())
+    return (2 * tp) / (2 * tp + fp + fn)
+
+
+def scored(*cms):
+    """dvw_weight of the one-hot identity model on the samples that realize
+    each confusion matrix, pooled in order."""
+    actual, predicted = [], []
+    for cm in cms:
+        for (a, p), count in np.ndenumerate(np.asarray(cm)):
+            actual += [a] * int(count)
+            predicted += [p] * int(count)
+    num_classes = np.asarray(cms[0]).shape[0]
+    return dvw_weight(identity_model(num_classes), one_hot_dataset(actual, predicted, num_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -50,69 +67,54 @@ def test_fedavg_weight_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# pool_confusion / micro_f1
+# dvw_weight: pooled-validation accuracy, equal to micro-F1
 # ---------------------------------------------------------------------------
 
 
 def test_pool_single_evaluator_identity():
-    cm = np.array([[3, 1], [0, 2]])
-    report = EvalReport(((0, cm),))
-    assert np.array_equal(pool_confusion(report), cm)
-
-
-def test_pool_two_diagonals():
-    report = EvalReport(((0, np.diag([3, 4])), (1, np.diag([1, 2]))))
-    assert np.array_equal(pool_confusion(report), np.diag([4, 6]))
+    # One slice: its own accuracy, 5 hits out of 6.
+    assert scored(np.array([[3, 1], [0, 2]])) == 5 / 6
 
 
 def test_pool_rejects_mismatched_classes():
-    with pytest.raises(ShapeError):
-        EvalReport(((0, np.zeros((2, 2), dtype=int)), (1, np.zeros((3, 3), dtype=int))))
-
-
-def test_pool_rejects_duplicate_evaluator():
-    cm = np.ones((2, 2), dtype=int)
-    with pytest.raises(ValueError):
-        EvalReport(((0, cm), (0, cm)))
+    data = one_hot_dataset([0, 1], [0, 1], 2)
+    with pytest.raises(ShapeError, match="3 classes"):
+        dvw_weight(random_params("softmax-regression", np.random.default_rng(0), 2, 3), data)
 
 
 def test_micro_f1_diagonal_is_one():
-    assert micro_f1(np.diag([5, 3, 2])) == 1.0
+    assert scored(np.diag([5, 3, 2])) == 1.0
 
 
 def test_micro_f1_zero_diagonal_is_zero():
-    assert micro_f1(np.array([[0, 3], [4, 0]])) == 0.0
+    assert scored(np.array([[0, 3], [4, 0]])) == 0.0
 
 
 def test_micro_f1_hand_example():
     # [[5,1],[2,4]]: TP=9, FP=3, FN=3 -> 18/24
-    assert micro_f1(np.array([[5, 1], [2, 4]])) == 0.75
+    assert scored(np.array([[5, 1], [2, 4]])) == 0.75
 
 
 def test_micro_f1_rejects_empty():
-    with pytest.raises(ValueError):
-        micro_f1(np.zeros((3, 3), dtype=int))
+    # An empty validation set cannot be built, so the score is always defined.
+    with pytest.raises(ValueError, match="at least one sample"):
+        dvw_weight(identity_model(3), one_hot_dataset([], [], 3))
 
 
 def test_dvw_weight_hand_pooling():
-    report = EvalReport(
-        ((0, np.array([[5, 1], [2, 4]])), (1, np.array([[3, 0], [0, 3]])))
-    )
     # pooled [[8,1],[2,7]]: TP=15, FP=3, FN=3 -> 30/36
-    assert dvw_weight(report) == pytest.approx(30 / 36, abs=0)
-    assert dvw_weight(report) == (2 * 15) / (2 * 15 + 3 + 3)
+    got = scored(np.array([[5, 1], [2, 4]]), np.array([[3, 0], [0, 3]]))
+    assert got == pytest.approx(30 / 36, abs=0)
+    assert got == (2 * 15) / (2 * 15 + 3 + 3)
 
 
 def test_dvw_weight_order_invariant(rng):
     cms = [rng.integers(0, 9, size=(3, 3)) for _ in range(4)]
-    fwd = dvw_weight(EvalReport(tuple((i, cm) for i, cm in enumerate(cms))))
-    rev = dvw_weight(EvalReport(tuple((i, cm) for i, cm in reversed(list(enumerate(cms))))))
-    assert fwd == rev
+    assert scored(*cms) == scored(*reversed(cms))
 
 
 def test_dvw_weight_perfect_diagonals():
-    report = EvalReport(((0, np.diag([4, 4])), (1, np.diag([2, 6]))))
-    assert dvw_weight(report) == 1.0
+    assert scored(np.diag([4, 4]), np.diag([2, 6])) == 1.0
 
 
 @given(
@@ -125,10 +127,11 @@ def test_micro_f1_equals_pooled_accuracy(cm):
     total = int(cm.sum())
     if total == 0:
         with pytest.raises(ValueError):
-            micro_f1(cm)
+            scored(cm)
         return
     tp = int(np.trace(cm))
-    assert micro_f1(cm) == tp / total
+    assert scored(cm) == tp / total
+    assert scored(cm) == micro_f1_of(cm)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(2, 5))
@@ -137,19 +140,19 @@ def test_pooling_matches_concatenated_predictions(seed, n_eval, num_classes):
     # Oracle: concatenate per-sample predictions across evaluators, recount,
     # and score once. Exact equality is required, not approximate.
     rng = np.random.default_rng(seed)
-    entries = []
+    cms = []
     all_actual, all_pred = [], []
-    for lid in range(n_eval):
+    for _ in range(n_eval):
         n = int(rng.integers(1, 25))
         actual = rng.integers(0, num_classes, size=n)
         pred = rng.integers(0, num_classes, size=n)
-        entries.append((lid, confusion_of(actual, pred, num_classes)))
+        cms.append(confusion_of(actual, pred, num_classes))
         all_actual.extend(actual.tolist())
         all_pred.extend(pred.tolist())
-    report = EvalReport(tuple(entries))
     oracle_cm = confusion_of(all_actual, all_pred, num_classes)
-    assert np.array_equal(pool_confusion(report), oracle_cm)
-    assert dvw_weight(report) == micro_f1(oracle_cm)
+    assert scored(*cms) == micro_f1_of(oracle_cm)
+    pooled = one_hot_dataset(all_actual, all_pred, num_classes)
+    assert dvw_weight(identity_model(num_classes), pooled) == micro_f1_of(oracle_cm)
 
 
 # ---------------------------------------------------------------------------
