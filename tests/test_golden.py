@@ -1,7 +1,8 @@
-"""Golden metrics.csv digests for every cell of every shipped preset.
+"""Golden metrics.csv digests for every cell of every shipped preset, plus
+cells whose learners train in multi-learner cohorts.
 
 Acceptance criterion 11 proves that one code version replays itself byte for
-byte. This test carries that proof across code changes: every preset cell's
+byte. This test carries that proof across code changes: every golden cell's
 ``metrics.csv`` must hash to the sha256 recorded in
 ``tests/golden/metrics_sha256.json``. The file also keeps one short digest per
 CSV line, so a mismatch names the cell and the first row that differs.
@@ -43,6 +44,41 @@ def preset_cells():
             yield f"{name}/{cell.scheme}", cell
 
 
+def cohort_cells():
+    """Cells in which many epochs end at one virtual instant.
+
+    40 learners hold uniform data sizes (50 or 51 samples), and the 35 slow
+    ones share a speed profile, so nearly every epoch shares its instant with
+    others and trains in a cohort of several learners. The ``multistep``
+    variant lowers the batch size below the local data size, so its cohorts
+    take several steps per epoch. fedasync_poly trains with its proximal pull
+    (mu = rho > 0).
+    """
+    raw = get_preset("blobs-powerlaw-noniid")
+    raw.update(
+        num_learners=40,
+        size_distribution={"kind": "uniform", "total": 2010},
+        schemes=["async_dvw", "async_fedavg", "fedasync_poly"],
+        time_budget=3.0,
+    )
+    variants = (
+        ("cohort-n40", raw["schemes"], {}),
+        ("cohort-n40-multistep", ["async_dvw", "fedasync_poly"], {"beta": 16}),
+    )
+    for name, schemes, hyper in variants:
+        cfg = config_from_dict(
+            dict(raw, name=name, hyperparameters={**raw["hyperparameters"], **hyper}),
+            apply_env=False,
+        )
+        for scheme in schemes:
+            yield f"{name}/{scheme}", cfg.with_scheme(scheme)
+
+
+def golden_cells():
+    yield from preset_cells()
+    yield from cohort_cells()
+
+
 def digest(text: str) -> dict:
     return {
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
@@ -62,8 +98,8 @@ def first_difference(got: dict, want: dict, text: str) -> str:
 
 def test_preset_metrics_match_golden_digests():
     golden = json.loads(GOLDEN_PATH.read_text())
-    cells = dict(preset_cells())
-    assert sorted(cells) == sorted(golden["cells"]), "preset cells differ from the golden set"
+    cells = dict(golden_cells())
+    assert sorted(cells) == sorted(golden["cells"]), "cells differ from the golden set"
     failures = []
     for key, cfg in cells.items():
         text = run_simulation(cfg).to_csv()
@@ -77,7 +113,7 @@ def test_preset_metrics_match_golden_digests():
 
 
 def record() -> None:
-    cells = {key: digest(run_simulation(cfg).to_csv()) for key, cfg in preset_cells()}
+    cells = {key: digest(run_simulation(cfg).to_csv()) for key, cfg in golden_cells()}
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     golden = {"platform": platform_key(), "cells": cells}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
