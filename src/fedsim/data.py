@@ -32,7 +32,12 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (n x d), integer labels and the global class count."""
+    """Feature matrix (n x d), integer labels and the global class count.
+
+    The labels are a read-only copy, range-checked against ``num_classes``
+    here, so that check holds for the dataset's lifetime. The features are
+    not copied.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -40,7 +45,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         f = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = np.array(self.labels, dtype=np.int64)
         if f.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if y.ndim != 1 or y.shape[0] != f.shape[0]:
@@ -51,6 +56,7 @@ class Dataset:
             raise ValueError("num_classes must be >= 1")
         if y.min() < 0 or y.max() >= self.num_classes:
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
+        y.setflags(write=False)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", y)
 

@@ -2,17 +2,19 @@
 
 A learner trains epoch by epoch on its private data (momentum SGD, optional
 proximal pull toward the last community model) and decides when to request a
-community update. The fixed policy triggers every ``uf`` epochs; the adaptive
-policy watches the per-epoch change of the local validation loss (conditions
-C1/C2 with a tombstone allowance) and the learner's effective staleness
-against a frozen median threshold (condition C3).
+community update. Learners whose epochs end together train as one cohort,
+stacked along a leading member axis, with every member's arithmetic exactly
+as if it trained alone. The fixed policy triggers every ``uf`` epochs; the
+adaptive policy watches the per-epoch change of the local validation loss
+(conditions C1/C2 with a tombstone allowance) and the learner's effective
+staleness against a frozen median threshold (condition C3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Hashable, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .nn import (
     ShapeError,
     Workspace,
     backward,  # noqa: F401 - re-exported: benchmark tracing looks it up here
-    check_inputs,
+    check_dataset,
     momentum_update,
     sgd_momentum_step,  # noqa: F401 - re-exported: benchmark tracing looks it up here
 )
@@ -33,6 +35,11 @@ CAUSE_C1 = "C1"
 CAUSE_C2 = "C2"
 CAUSE_C3 = "C3"
 CAUSE_FIXED = "fixed"
+
+# Scratch bytes one stacked cohort may use (``Workspace.member_bytes`` per
+# member); larger cohorts are split. A cohort of big models then takes no more
+# memory than one model, while a cohort of small ones stays whole.
+COHORT_SCRATCH_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -154,63 +161,174 @@ def new_learner(
     return state
 
 
-def run_epoch(
-    state: LearnerState, train: Dataset, hp: Hyperparameters, workspace: Workspace | None = None
-) -> int:
-    """Train one epoch in a seed-determined shuffle order; returns steps taken.
+def _cohorts(
+    count: int, key: Callable[[int], Hashable], member_bytes: Callable[[int], int]
+) -> list[list[int]]:
+    """Indices ``0..count-1`` grouped by ``key`` (groups in order of first
+    appearance, members in index order), each group cut into runs whose
+    ``member_bytes`` total stays within ``COHORT_SCRATCH_BYTES``."""
+    if count == 1:
+        return [[0]]
+    groups: dict[Hashable, list[int]] = {}
+    for i in range(count):
+        groups.setdefault(key(i), []).append(i)
+    out = []
+    for members in groups.values():
+        per = max(1, COHORT_SCRATCH_BYTES // member_bytes(members[0]))
+        out.extend(members[j : j + per] for j in range(0, len(members), per))
+    return out
 
-    Each step works in place on the learner's buffers: the data gradient,
-    plus mu * (w - w_anchor) with a positive proximal coefficient (a pull
-    toward the community model adopted at the last fetch), then
-    u <- gamma*u + g and w <- w - eta*u. ``workspace`` holds the batch and
-    gradient scratch; a federation passes one shared by all its learners.
-    Raises ``ShapeError`` at the first step that leaves a non-finite
-    parameter.
-    """
-    if train.n < 1:
-        raise ValueError("cannot train on an empty dataset")
-    params = state.params
-    check_inputs(params, train.features, train.labels)
-    ws = workspace if workspace is not None else Workspace(params.layout)
-    ws.reserve(min(hp.batch_size, train.n))
-    w, u, g, tmp = params.flat, state.momentum.flat, ws.grad.flat, ws.tmp
-    mu = state.proximal_mu
-    anchor = state.anchor.flat if mu > 0.0 else None
-    seq = np.random.SeedSequence([state.data_seed, 5, state.id, state.epochs_total])
-    rng = np.random.Generator(np.random.Philox(seq))
-    perm = rng.permutation(train.n)
-    steps = 0
-    for start in range(0, train.n, hp.batch_size):
-        chunk = perm[start : start + hp.batch_size]
-        m = chunk.shape[0]
-        # mode="clip" skips the bounds pass that buffers the gather; a
-        # permutation is always in range.
-        x = np.take(train.features, chunk, axis=0, out=ws.x[:m], mode="clip")
-        y = np.take(train.labels, chunk, out=ws.y[:m], mode="clip")
-        ws.gradient(params, x, y)
+
+def _stack(ws: Workspace, name: str, vectors: list[np.ndarray]) -> np.ndarray:
+    """The vectors as rows of an (M, size) array gathered into the workspace
+    buffer ``name``; a cohort of one keeps its own vector."""
+    if len(vectors) == 1:
+        return vectors[0]
+    out = ws.array(name, (len(vectors), ws.layout.size))
+    np.concatenate(vectors, out=out.reshape(-1))
+    return out
+
+
+def _stacked_models(ws: Workspace, states: list[LearnerState]):
+    """The learners' models stacked (``_stack``) and their entry views."""
+    if len(states) == 1:
+        return states[0].params.flat, states[0].params.arrays
+    w = _stack(ws, "w", [st.params.flat for st in states])
+    return w, ws.layout.views(w)
+
+
+def _per_member(values: list[float]):
+    """One value per cohort member, as a column that broadcasts over the
+    member's row of a stack; a cohort of one gets its scalar."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
+
+
+def _train_cohort(
+    states: list[LearnerState], trains: list[Dataset], hp: Hyperparameters, ws: Workspace
+) -> dict[int, int]:
+    """One epoch of learners with equal data sizes and the same use of the
+    proximal term, stacked. Returns {member: first step that left it non-finite}."""
+    n = trains[0].n
+    w, arrays = _stacked_models(ws, states)
+    u = _stack(ws, "u", [st.momentum.flat for st in states])
+    gamma = _per_member([st.gamma for st in states])
+    mu = _per_member([st.proximal_mu for st in states])
+    anchor = None
+    if states[0].proximal_mu > 0.0:
+        anchor = _stack(ws, "anchor", [st.anchor.flat for st in states])
+    perms = [
+        np.random.Generator(
+            np.random.Philox(np.random.SeedSequence([st.data_seed, 5, st.id, st.epochs_total]))
+        ).permutation(n)
+        for st in states
+    ]
+    bad: dict[int, int] = {}
+    step = 0
+    for start in range(0, n, hp.batch_size):
+        m = min(hp.batch_size, n - start)
+        s = ws.batch(len(states), m)
+        for train, perm, x, y in zip(trains, perms, s.xs, s.ys):
+            chunk = perm[start : start + m]
+            # mode="clip" skips the bounds pass that buffers the gather; a
+            # permutation is always in range.
+            train.features.take(chunk, axis=0, out=x, mode="clip")
+            train.labels.take(chunk, out=y, mode="clip")
+        g = ws.gradient(arrays, s)
         if anchor is not None:
-            np.subtract(w, anchor, out=tmp)
-            tmp *= mu
-            g += tmp
-        momentum_update(w, u, g, state.gamma, hp.eta, tmp)
-        steps += 1
+            np.subtract(w, anchor, out=s.tmp)
+            s.tmp *= mu
+            g += s.tmp
+        momentum_update(w, u, g, gamma, hp.eta, s.tmp)
+        step += 1
         if not np.isfinite(w).all():
-            raise ShapeError(
-                f"learner {state.id}: parameters became non-finite at step {steps} "
-                f"of epoch {state.epochs_total}"
-            )
-    state.S_k_local += steps
-    state.epochs_total += 1
-    state.current.epochs += 1
-    return steps
+            for i in np.flatnonzero(~np.isfinite(w).reshape(len(states), -1).all(axis=1)):
+                bad.setdefault(int(i), step)
+    if len(states) > 1:
+        for st, w_row, u_row in zip(states, w, u):
+            np.copyto(st.params.flat, w_row)
+            np.copyto(st.momentum.flat, u_row)
+    return bad
+
+
+def run_epoch(
+    states: Sequence[LearnerState],
+    trains: Sequence[Dataset],
+    hp: Hyperparameters,
+    workspace: Workspace | None = None,
+) -> int:
+    """Train one epoch of each learner on its own training set (``trains[k]``
+    for ``states[k]``); returns the steps taken by all of them.
+
+    Each learner shuffles in its own seed-determined order, and each step
+    works in place on its buffers: the data gradient, plus mu * (w - w_anchor)
+    with a positive proximal coefficient (a pull toward the community model
+    adopted at the last fetch), then u <- gamma*u + g and w <- w - eta*u.
+    Learners with equal data sizes and the same use of the proximal term
+    train as one stacked cohort, which gives every one of them the same bits
+    as training alone; a lone learner trains on views of its own buffers.
+    ``workspace`` holds the scratch; a federation passes one shared by all its
+    learners. Raises ``ShapeError`` for the first learner in ``states`` that a
+    step left with a non-finite parameter, naming that step.
+    """
+    if len(states) != len(trains):
+        raise ValueError("run_epoch needs one training set per learner")
+    ws = workspace if workspace is not None else Workspace(states[0].params.layout)
+    for train in trains:
+        check_dataset(ws.layout, train)
+    failures = []
+    cohorts = _cohorts(
+        len(states),
+        lambda i: (trains[i].n, states[i].proximal_mu > 0.0),
+        lambda i: ws.member_bytes(min(hp.batch_size, trains[i].n)),
+    )
+    for members in cohorts:
+        bad = _train_cohort([states[i] for i in members], [trains[i] for i in members], hp, ws)
+        failures.extend((members[i], step) for i, step in bad.items())
+    if failures:
+        first, step = min(failures)
+        state = states[first]
+        raise ShapeError(
+            f"learner {state.id}: parameters became non-finite at step {step} "
+            f"of epoch {state.epochs_total}"
+        )
+    total = 0
+    for state, train in zip(states, trains):
+        steps = -(-train.n // hp.batch_size)
+        state.S_k_local += steps
+        state.epochs_total += 1
+        state.current.epochs += 1
+        total += steps
+    return total
 
 
 def local_validation_loss(
-    state: LearnerState, validation: Dataset, workspace: Workspace | None = None
-) -> float:
-    """Mean cross-entropy of the local model on ``validation``."""
-    ws = workspace if workspace is not None else Workspace(state.params.layout)
-    return ws.loss(state.params, validation.features, validation.labels)
+    states: Sequence[LearnerState],
+    validations: Sequence[Dataset],
+    workspace: Workspace | None = None,
+) -> list[float]:
+    """Mean cross-entropy of each learner's model on its validation set;
+    learners whose sets have equal sizes are scored as one stacked cohort."""
+    if len(states) != len(validations):
+        raise ValueError("local_validation_loss needs one validation set per learner")
+    ws = workspace if workspace is not None else Workspace(states[0].params.layout)
+    for validation in validations:
+        check_dataset(ws.layout, validation)
+    losses = [0.0] * len(states)
+    for members in _cohorts(
+        len(states), lambda i: validations[i].n, lambda i: ws.member_bytes(validations[i].n)
+    ):
+        w, arrays = _stacked_models(ws, [states[i] for i in members])
+        if len(members) == 1:
+            x, y = validations[members[0]].features, validations[members[0]].labels
+        else:
+            s = ws.batch(len(members), validations[members[0]].n)
+            x, y = s.x, s.y
+            features = [validations[i].features for i in members]
+            np.concatenate(features, out=x.reshape(-1, x.shape[2]))
+            np.concatenate([validations[i].labels for i in members], out=y.reshape(-1))
+        for i, loss in zip(members, ws.loss(arrays, x, y).tolist()):
+            losses[i] = loss
+    return losses
 
 
 def record_validation_loss(state: LearnerState, loss: float) -> None:

@@ -7,9 +7,12 @@ cross-entropy loss, momentum SGD, and argmax prediction.
 A model is one contiguous float64 vector with named 2-D views, laid out by a
 ``Layout``. ``ParameterSet`` is the read-only unit of exchange;
 ``ParameterBuffer`` is the writable vector a learner trains in place. The
-step kernels write into a reusable ``Workspace``, and the pure functions
-(``backward``, ``sgd_momentum_step``) wrap the same kernels, so every path
-performs the same floating-point operations in the same order.
+step kernels run on a cohort of models stacked along a leading member axis
+(a cohort of one drops the axis) and write into a reusable ``Workspace``;
+every member's slice goes through the same floating-point operations in the
+same order as a model trained alone. The pure functions (``backward``,
+``forward_loss``, ``sgd_momentum_step``) wrap the same kernels on a cohort
+of one.
 """
 
 from __future__ import annotations
@@ -81,10 +84,15 @@ class Layout:
         return _KIND_BY_NAMES.get(self.names)
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """One 2-D view of ``flat`` per entry; writes go through to ``flat``."""
+        """One view of ``flat`` per entry; writes go through to ``flat``.
+
+        A vector gives (rows, cols) matrices; a C-contiguous (M, size) stack
+        of M vectors gives (M, rows, cols) views.
+        """
+        lead = flat.shape[:-1]
         out, offset = [], 0
         for _, rows, cols in self.entries:
-            out.append(flat[offset : offset + rows * cols].reshape(rows, cols))
+            out.append(flat[..., offset : offset + rows * cols].reshape(*lead, rows, cols))
             offset += rows * cols
         return tuple(out)
 
@@ -294,6 +302,19 @@ def check_inputs(params: _FlatParameters, features: np.ndarray, labels: np.ndarr
     _check_labels(labels, params.arrays[-1].shape[1])
 
 
+def check_dataset(layout: Layout, data) -> None:
+    """``check_inputs`` for a model of ``layout`` and a
+    ``fedsim.data.Dataset``, in constant time when it can be: a dataset's
+    labels are range-checked against its ``num_classes`` when it is built and
+    cannot be written afterwards, so they are scanned only when it declares
+    more classes than the model has."""
+    dim, classes = layout.entries[0][1], layout.entries[-1][2]
+    if data.features.shape[1] != dim:
+        raise ShapeError(f"feature dim {data.features.shape[1]} does not match input dim {dim}")
+    if data.num_classes > classes:
+        _check_labels(data.labels, classes)
+
+
 def _check_features(params: _FlatParameters, features: np.ndarray) -> None:
     first = params.arrays[0]
     if features.shape[1] != first.shape[0]:
@@ -307,10 +328,14 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"labels must lie in [0, {num_classes})")
 
 
-# The kernels below write into caller-provided buffers. Training reuses the
-# buffers of one Workspace; the pure functions (forward_loss, backward,
-# predict) run the same kernels on fresh buffers, so both paths perform the
-# same operations in the same order.
+# The kernels below write into caller-provided buffers. They take a single
+# model (2-D matrices) or a cohort stacked along a leading member axis (3-D);
+# every reduction runs along the class or the batch axis, so each member's
+# slice sees the same operations in the same order either way. A cohort of
+# one passes 2-D arrays: a stacked matmul costs about a microsecond more per
+# call than a 2-D one. Training reuses the buffers of one Workspace; the pure
+# functions (forward_loss, backward, predict) run the same kernels on fresh
+# buffers.
 
 
 def _forward_into(
@@ -331,11 +356,11 @@ def _forward_into(
 
 def _log_softmax_into(z: np.ndarray, out: np.ndarray, col: np.ndarray, exp: np.ndarray) -> None:
     """Row-wise log-softmax of ``z`` into ``out``, which may be ``z``; ``col``
-    (n x 1) and ``exp`` (shaped like ``z``) are scratch."""
-    z.max(axis=1, keepdims=True, out=col)
+    (``z`` with one column) and ``exp`` (shaped like ``z``) are scratch."""
+    z.max(axis=-1, keepdims=True, out=col)
     np.subtract(z, col, out=out)
     np.exp(out, out=exp)
-    exp.sum(axis=1, keepdims=True, out=col)
+    exp.sum(axis=-1, keepdims=True, out=col)
     np.log(col, out=col)
     out -= col
 
@@ -351,81 +376,138 @@ def _forward(params: _FlatParameters, features: np.ndarray) -> np.ndarray:
     return logits
 
 
-class Workspace:
-    """Scratch buffers for gradient steps of one parameter layout.
+# Distinct (members, rows) cohort shapes whose scratch views a Workspace keeps.
+_CACHED_SHAPES = 32
 
-    The buffers grow to the largest batch seen and are then reused, so a
-    training step allocates no batch- or model-sized array. Learners train
-    one at a time, so one workspace serves a whole federation. ``grad``
-    holds the result of the last ``gradient`` call; ``tmp`` is free scratch
-    of the same layout.
+
+class Workspace:
+    """Scratch buffers for cohort steps of one parameter layout.
+
+    Each named buffer grows to the largest cohort seen and is then reused, so
+    a training step allocates no batch- or model-sized array. Cohorts train
+    one at a time, so one workspace serves a whole federation.
     """
 
     def __init__(self, layout: Layout) -> None:
         _model_kind(layout)
         self.layout = layout
-        self.grad = ParameterBuffer(layout)
-        self.tmp = np.empty(layout.size)
-        self.capacity = 0
+        self._store: dict[str, np.ndarray] = {}
+        self._shapes: dict[tuple[int, int], _CohortScratch] = {}
+        self._index = np.arange(0)
 
-    def reserve(self, rows: int) -> None:
-        """Make room for batches of up to ``rows`` samples."""
-        if rows <= self.capacity:
-            return
+    def member_bytes(self, rows: int) -> int:
+        """Scratch bytes one cohort member adds at batches of ``rows``
+        samples: five stacked parameter vectors plus its batch buffers."""
         entries = self.layout.entries
-        dim, width, classes = entries[0][1], entries[0][2], entries[-1][2]
-        self.x = np.empty((rows, dim))
-        self.y = np.empty(rows, dtype=np.int64)
-        self.rows = np.arange(rows)
-        self.logits = np.empty((rows, classes))
-        self.logp = np.empty((rows, classes))
-        self.exp = np.empty((rows, classes))
-        self.col = np.empty((rows, 1))
-        if self.layout.kind == MLP_1HIDDEN:
-            self.hidden = np.empty((rows, width))
-            self.dhidden = np.empty((rows, width))
-            self.square = np.empty((rows, width))
-        self.capacity = rows
+        dim, classes = entries[0][1], entries[-1][2]
+        width = entries[0][2] if self.layout.kind == MLP_1HIDDEN else 0
+        return 8 * (5 * self.layout.size + rows * (dim + 2 + 3 * classes + 3 * width))
 
-    def loss(self, params: _FlatParameters, x: np.ndarray, y: np.ndarray) -> float:
-        """Mean cross-entropy over the samples (``x``, ``y``); their logits
-        are left in ``logits[:len(x)]``."""
-        check_inputs(params, x, y)
-        m = x.shape[0]
-        self.reserve(m)
-        kind = self.layout.kind
-        logits, logp = self.logits[:m], self.logp[:m]
-        hidden = self.hidden[:m] if kind == MLP_1HIDDEN else None
-        _forward_into(kind, params.arrays, x, logits, hidden)
-        _log_softmax_into(logits, logp, self.col[:m], self.exp[:m])
-        return float(-logp[self.rows[:m], y].mean())
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A C-contiguous view of the shared buffer ``name``; its contents
+        are whatever the last user left there."""
+        size = math.prod(shape)
+        buf = self._store.get(name)
+        if buf is None or buf.size < size:
+            buf = self._store[name] = np.empty(size, dtype)
+            self._shapes.clear()  # drop views that keep the old buffer alive
+        return buf[:size].reshape(shape)
 
-    def gradient(self, params: _FlatParameters, x: np.ndarray, y: np.ndarray) -> ParameterBuffer:
-        """Mean cross-entropy gradient over the batch (``x``, ``y``) into
-        ``grad``. The caller has reserved room and checked the feature width
-        and the label range."""
-        kind, arrays, g, m = self.layout.kind, params.arrays, self.grad.arrays, x.shape[0]
-        hidden = self.hidden[:m] if kind == MLP_1HIDDEN else None
-        dlogits = self.logits[:m]
-        _forward_into(kind, arrays, x, dlogits, hidden)
-        _log_softmax_into(dlogits, dlogits, self.col[:m], self.exp[:m])
+    def index(self, count: int) -> np.ndarray:
+        """The integers ``0..count-1``, read-only."""
+        if self._index.size < count:
+            self._index = np.arange(count)
+            self._index.setflags(write=False)
+        return self._index[:count]
+
+    def batch(self, members: int, rows: int) -> "_CohortScratch":
+        """Scratch for one step of ``members`` models on ``rows`` samples each."""
+        key = (members, rows)
+        scratch = self._shapes.get(key)
+        if scratch is None:
+            if len(self._shapes) >= _CACHED_SHAPES:
+                self._shapes.clear()
+            scratch = self._shapes[key] = _CohortScratch(self, members, rows)
+        return scratch
+
+    def loss(self, arrays, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Mean cross-entropy of each model on its samples, as an (M,) array.
+
+        A cohort of M > 1 passes per-entry (M, rows, cols) ``arrays``, ``x``
+        M x m x d and ``y`` M x m; a cohort of one passes them without the
+        member axis. The logits are left in ``batch(M, m).logits``. The caller
+        has checked the feature width and the label range.
+        """
+        m = y.shape[-1]
+        s = self.batch(y.size // m, m)
+        _forward_into(self.layout.kind, arrays, x, s.logits, s.hidden)
+        _log_softmax_into(s.logits, s.logp, s.col, s.exp)
+        picked = s.logp_rows[s.samples, y.reshape(-1)].reshape(-1, m)
+        # The sum divided by the count is what ``mean`` computes, bit for bit.
+        return -(np.add.reduce(picked, axis=1) / m)
+
+    def gradient(self, arrays, s: "_CohortScratch") -> np.ndarray:
+        """Mean cross-entropy gradient of each model (``arrays`` as in
+        ``loss``) over its batch, which the caller has gathered into ``s.x``
+        and ``s.y`` of ``s = batch(M, m)``, checking the feature width and the
+        label range. Writes ``s.grad`` (M x layout.size, or one vector for a
+        cohort of one) and returns it."""
+        kind, g, hidden, dlogits = self.layout.kind, s.grad_views, s.hidden, s.logits
+        _forward_into(kind, arrays, s.x, dlogits, hidden)
+        _log_softmax_into(dlogits, dlogits, s.col, s.exp)
         np.exp(dlogits, out=dlogits)
-        dlogits[self.rows[:m], y] -= 1.0
-        dlogits /= m
+        s.logit_rows[s.samples, s.labels] -= 1.0
+        dlogits /= s.y.shape[-1]
         if kind == SOFTMAX_REGRESSION:
-            np.matmul(x.T, dlogits, out=g[0])
-            dlogits.sum(axis=0, keepdims=True, out=g[1])
-            return self.grad
-        dpre, square = self.dhidden[:m], self.square[:m]
-        np.matmul(dlogits, arrays[2].T, out=dpre)
+            np.matmul(s.x_t, dlogits, out=g[0])
+            dlogits.sum(axis=-2, keepdims=True, out=g[1])
+            return s.grad
+        dpre, square = s.dhidden, s.square
+        np.matmul(dlogits, arrays[2].swapaxes(-1, -2), out=dpre)
         np.multiply(hidden, hidden, out=square)
         np.subtract(1.0, square, out=square)
         dpre *= square
-        np.matmul(x.T, dpre, out=g[0])
-        dpre.sum(axis=0, keepdims=True, out=g[1])
-        np.matmul(hidden.T, dlogits, out=g[2])
-        dlogits.sum(axis=0, keepdims=True, out=g[3])
-        return self.grad
+        np.matmul(s.x_t, dpre, out=g[0])
+        dpre.sum(axis=-2, keepdims=True, out=g[1])
+        np.matmul(s.hidden_t, dlogits, out=g[2])
+        dlogits.sum(axis=-2, keepdims=True, out=g[3])
+        return s.grad
+
+
+class _CohortScratch:
+    """C-contiguous views of a workspace's buffers for one (members, rows)
+    cohort shape: the batch (``xs[k]`` and ``ys[k]`` are member k's part),
+    the forward and backward intermediates, the gradient and a free array of
+    the same shape (``tmp``). Every array has a leading member axis, except
+    for a cohort of one. ``logit_rows``, ``logp_rows`` and ``labels``
+    flatten the member and sample axes, so a row index of ``samples`` picks
+    each sample's logits, log-probabilities and label."""
+
+    def __init__(self, ws: Workspace, members: int, rows: int) -> None:
+        entries = ws.layout.entries
+        dim, width, classes = entries[0][1], entries[0][2], entries[-1][2]
+        lead = (members,) if members > 1 else ()
+        self.x = ws.array("x", (*lead, rows, dim))
+        self.x_t = self.x.swapaxes(-1, -2)
+        self.y = ws.array("y", (*lead, rows), np.int64)
+        self.xs, self.ys = (list(self.x), list(self.y)) if lead else ([self.x], [self.y])
+        self.labels = self.y.reshape(-1)
+        self.samples = ws.index(members * rows)
+        self.logits = ws.array("logits", (*lead, rows, classes))
+        self.logit_rows = self.logits.reshape(-1, classes)
+        self.logp = ws.array("logp", (*lead, rows, classes))
+        self.logp_rows = self.logp.reshape(-1, classes)
+        self.exp = ws.array("exp", (*lead, rows, classes))
+        self.col = ws.array("col", (*lead, rows, 1))
+        self.hidden = self.hidden_t = self.dhidden = self.square = None
+        if ws.layout.kind == MLP_1HIDDEN:
+            self.hidden = ws.array("hidden", (*lead, rows, width))
+            self.hidden_t = self.hidden.swapaxes(-1, -2)
+            self.dhidden = ws.array("dhidden", (*lead, rows, width))
+            self.square = ws.array("square", (*lead, rows, width))
+        self.grad = ws.array("grad", (*lead, ws.layout.size))
+        self.grad_views = ws.layout.views(self.grad)
+        self.tmp = ws.array("tmp", (*lead, ws.layout.size))
 
 
 def momentum_update(
@@ -438,24 +520,28 @@ def momentum_update(
     w -= tmp
 
 
+def _cohort_of_one(params: _FlatParameters, batch: Batch, what: str):
+    """A fresh workspace and the batch gathered into its scratch for a
+    cohort of one."""
+    if len(batch) == 0:
+        raise ValueError(f"cannot compute {what} on an empty batch")
+    check_inputs(params, batch.features, batch.labels)
+    ws = Workspace(params.layout)
+    s = ws.batch(1, len(batch))
+    s.x[...], s.y[...] = batch.features, batch.labels
+    return ws, s
+
+
 def forward_loss(params: _FlatParameters, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch plus the raw logits."""
-    n = len(batch)
-    if n == 0:
-        raise ValueError("cannot compute a loss on an empty batch")
-    ws = Workspace(params.layout)
-    return ws.loss(params, batch.features, batch.labels), ws.logits[:n]
+    ws, s = _cohort_of_one(params, batch, "a loss")
+    return float(ws.loss(params.arrays, s.x, s.y)[0]), s.logits
 
 
 def backward(params: ParameterSet, batch: Batch) -> ParameterSet:
     """Analytic gradient of ``forward_loss`` w.r.t. every parameter entry."""
-    n = len(batch)
-    if n == 0:
-        raise ValueError("cannot compute gradients on an empty batch")
-    check_inputs(params, batch.features, batch.labels)
-    ws = Workspace(params.layout)
-    ws.reserve(n)
-    return ws.gradient(params, batch.features, batch.labels).snapshot()
+    ws, s = _cohort_of_one(params, batch, "gradients")
+    return ParameterSet(ws.gradient(params.arrays, s).copy(), params.layout)
 
 
 @dataclass(frozen=True)

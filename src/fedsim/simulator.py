@@ -2,7 +2,9 @@
 
 A virtual clock advances through a (time, seq) ordered event queue; ties
 execute in enqueue order, so replays with the same config and seed are
-bit-identical. Heterogeneity comes from per-learner speed profiles: an epoch
+bit-identical. Learners whose epochs end at the same virtual instant train as
+one stacked cohort; the trigger checks then run per learner in event order.
+Heterogeneity comes from per-learner speed profiles: an epoch
 costs steps/steps_per_second virtual seconds, and a distributed-validation
 fan-out costs the slowest evaluator's validation pass (evaluators run in
 parallel and keep training undisturbed; the committing learner waits).
@@ -296,8 +298,9 @@ class _Simulation:
         self.sizes = sizes
         self.slots = slots
         self.controller = controller
-        # Learners train one at a time, so they share one set of step buffers.
+        # Cohorts train one at a time, so they share one set of step buffers.
         self.workspace = Workspace(model_layout(model_spec))
+        self._init_fanout()
         self.log = MetricsLog()
         self.requests = 0
         self.exchanged = 0
@@ -330,12 +333,23 @@ class _Simulation:
         own included, in one pass over the pooled set."""
         return dvw_weight(req.params, self.pooled_validation)
 
+    def _init_fanout(self) -> None:
+        """Each learner's validation-pass duration is fixed for the run, so a
+        fan-out's length is the largest of them, or the runner-up when the
+        committing learner holds the largest."""
+        durations = [
+            slot.split.validation.n / slot.profile.eval_samples_per_second for slot in self.slots
+        ]
+        self._fanout_top = max(range(len(durations)), key=durations.__getitem__)
+        self._fanout_max = durations[self._fanout_top]
+        self._fanout_runner_up = max(
+            (d for k, d in enumerate(durations) if k != self._fanout_top), default=0.0
+        )
+
     def _eval_fanout_duration(self, committing: int) -> float:
-        return max(
-            slot.split.validation.n / slot.profile.eval_samples_per_second
-            for slot in self.slots
-            if slot.state.id != committing
-        ) if len(self.slots) > 1 else 0.0
+        """The slowest validation pass among the learners other than
+        ``committing``; 0.0 for a federation of one."""
+        return self._fanout_runner_up if committing == self._fanout_top else self._fanout_max
 
     def _models_per_request(self) -> int:
         # 1 upload + 1 community pull, plus one evaluator ship per other
@@ -344,10 +358,15 @@ class _Simulation:
             return len(self.slots) + 1
         return 2
 
-    def _train_one_epoch(self, slot: _LearnerSlot) -> None:
-        run_epoch(slot.state, slot.split.train, self.hp, self.workspace)
-        loss = local_validation_loss(slot.state, slot.split.validation, self.workspace)
-        record_validation_loss(slot.state, loss)
+    def _train_cohort(self, slots: list[_LearnerSlot]) -> None:
+        """One epoch of every learner in ``slots``, then its validation loss."""
+        states = [slot.state for slot in slots]
+        run_epoch(states, [slot.split.train for slot in slots], self.hp, self.workspace)
+        losses = local_validation_loss(
+            states, [slot.split.validation for slot in slots], self.workspace
+        )
+        for state, loss in zip(states, losses):
+            record_validation_loss(state, loss)
 
     def _log_commit(
         self,
@@ -398,7 +417,7 @@ class _Simulation:
             requests = []
             for slot in self.slots:
                 for _ in range(slot.state.policy.uf):
-                    self._train_one_epoch(slot)
+                    self._train_cohort([slot])
                 requests.append(self._update_request(slot))
             if self.is_dvw:
                 weights = {req.learner_id: self._dvw_weight(req) for req in requests}
@@ -439,7 +458,7 @@ class _Simulation:
                 break
             self.clock = t
             if ev.kind == EVENT_EPOCH_DONE:
-                self._on_epoch_done(ev.learner_id, t)
+                self._on_epochs_done(self._epoch_run(ev), t)
             elif ev.kind == EVENT_EVAL_DONE:
                 self._schedule(t, ev.learner_id, EVENT_UPDATE_COMMIT)
             elif ev.kind == EVENT_UPDATE_COMMIT:
@@ -449,10 +468,29 @@ class _Simulation:
             else:  # pragma: no cover - exhaustive kinds
                 raise RuntimeError(f"unknown event kind {ev.kind!r}")
 
-    def _on_epoch_done(self, learner_id: int, t: float) -> None:
-        slot = self.slots[learner_id]
+    def _epoch_run(self, first: Event) -> list[_LearnerSlot]:
+        """``first`` and the EPOCH_DONE events queued right behind it at the
+        same virtual time, popped.
+
+        Training them as one cohort is exact: a learner with a pending
+        EPOCH_DONE has no other pending event, so its epoch reads only its own
+        state, and everything the run's trigger checks schedule lands after
+        the run (later in time, or at the same time with a larger seq).
+        """
+        run = [self.slots[first.learner_id]]
+        heap = self._heap
+        while heap and heap[0][0] == first.time and heap[0][2].kind == EVENT_EPOCH_DONE:
+            run.append(self.slots[heapq.heappop(heap)[2].learner_id])
+        return run
+
+    def _on_epochs_done(self, slots: list[_LearnerSlot], t: float) -> None:
+        self._train_cohort(slots)
+        for slot in slots:
+            self._check_trigger(slot, t)
+
+    def _check_trigger(self, slot: _LearnerSlot, t: float) -> None:
         state = slot.state
-        self._train_one_epoch(slot)
+        learner_id = state.id
         policy = state.policy
         if isinstance(policy, FixedPolicy):
             cause = CAUSE_FIXED if state.current.epochs >= policy.uf else None

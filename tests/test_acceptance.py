@@ -413,7 +413,7 @@ def test_criterion_08_convergence_sanity():
     state = new_learner(0, ctrl.current_model(), FixedPolicy(1), gamma=0.75)
     hp = Hyperparameters(eta=0.05, gamma=0.75, batch_size=100)
     for _ in range(200):
-        run_epoch(state, union, hp)
+        run_epoch([state], [union], hp)
     centralized = evaluate_test_accuracy(state.params, result.split.test)
     elapsed = time.perf_counter() - start
     assert federated >= 0.95 * centralized, (

@@ -1,8 +1,9 @@
+import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.data import (
@@ -130,7 +131,7 @@ def test_blobs_trainable_by_centralized_softmax():
     hp = Hyperparameters(eta=0.5, gamma=0.5, batch_size=30)
     steps = 0
     while steps < 200:
-        steps += run_epoch(state, ds, hp)
+        steps += run_epoch([state], [ds], hp)
     acc = float(np.mean(predict(state.params, ds.features) == ds.labels))
     assert acc >= 0.99
 
@@ -266,6 +267,22 @@ def test_assign_respects_learner_order():
     assert [p.n for p in parts] == [30, 10, 60, 20]
 
 
+def test_dataset_labels_are_a_read_only_copy():
+    labels = np.array([0, 1, 2, 1])
+    ds = Dataset(np.zeros((4, 2)), labels, 3)
+    labels[0] = 7  # the caller's array stays the caller's
+    assert ds.labels.tolist() == [0, 1, 2, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        ds.labels[0] = 5
+    assert ds.subset(np.array([3, 0])).labels.flags.writeable is False
+
+
+@pytest.mark.parametrize("labels", [[0, 3, 1], [0, -1, 1]])
+def test_dataset_rejects_out_of_range_labels(labels):
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+        Dataset(np.zeros((3, 2)), np.array(labels), 3)
+
+
 # ---------------------------------------------------------------------------
 # stratified_split
 # ---------------------------------------------------------------------------
@@ -308,17 +325,27 @@ def test_split_disjoint_and_deterministic():
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5), st.floats(0.02, 0.4))
+@example(seed=164, num_classes=5, fraction=0.03125)
+@example(seed=149, num_classes=4, fraction=0.0234375)
 @settings(max_examples=40, deadline=None)
 def test_split_stratification_property(seed, num_classes, fraction):
+    # The documented count per class: round-half-up(fraction * n_c) clamped
+    # to [1, n_c - 1], and nothing from a singleton class.
     rng = np.random.default_rng(seed)
-    counts = rng.integers(4, 60, size=num_classes)
+    counts = rng.integers(1, 60, size=num_classes)
     labels = np.repeat(np.arange(num_classes), counts)
     ds = Dataset(rng.normal(size=(labels.size, 2)), labels, num_classes)
+    if counts.max() == 1:
+        with pytest.raises(ValueError, match="validation split is empty"):
+            stratified_split(ds, fraction, seed)
+        return
     train, val = stratified_split(ds, fraction, seed)
-    assert train.n + val.n == ds.n
-    local = ds.class_histogram() / ds.n
-    held = val.class_histogram() / val.n
-    assert np.all(np.abs(held - local) <= 1.0 / val.n + 1e-12)
+    want = [
+        0 if n_c == 1 else min(max(math.floor(fraction * n_c + 0.5), 1), n_c - 1)
+        for n_c in counts
+    ]
+    assert val.class_histogram().tolist() == want
+    assert (train.class_histogram() + val.class_histogram()).tolist() == counts.tolist()
 
 
 # ---------------------------------------------------------------------------

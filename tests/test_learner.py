@@ -1,12 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fedsim import learner as learner_mod
 from fedsim.controller import FederationController, UpdateRequest
-from fedsim.data import generate_blobs
+from fedsim.data import Dataset, generate_blobs
 from fedsim.learner import (
     AdaptivePolicy,
     FixedPolicy,
@@ -24,7 +26,7 @@ from fedsim.learner import (
     run_epoch,
     staleness_threshold,
 )
-from fedsim.nn import ModelSpec, ParameterSet, params_equal
+from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace, params_equal
 
 SPEC = ModelSpec("softmax-regression", input_dim=4, num_classes=3, init_seed=1990)
 HP = Hyperparameters(eta=0.05, gamma=0.5, batch_size=100)
@@ -54,7 +56,7 @@ def fresh_learner(controller, policy=None, mu=0.0):
 def test_epoch_step_count_is_ceil(train_set, controller):
     # 252 samples at batch 100 -> 3 steps (100, 100, 52)
     state = fresh_learner(controller)
-    steps = run_epoch(state, train_set, HP)
+    steps = run_epoch([state], [train_set], HP)
     assert steps == 3
     assert state.S_k_local == 3
     assert state.current.epochs == 1
@@ -63,8 +65,8 @@ def test_epoch_step_count_is_ceil(train_set, controller):
 def test_epoch_is_deterministic(train_set, controller):
     a = fresh_learner(controller)
     b = fresh_learner(controller)
-    run_epoch(a, train_set, HP)
-    run_epoch(b, train_set, HP)
+    run_epoch([a], [train_set], HP)
+    run_epoch([b], [train_set], HP)
     assert params_equal(a.params, b.params)
 
 
@@ -73,8 +75,8 @@ def test_zero_mu_matches_plain_trajectory(train_set, controller):
     prox = fresh_learner(controller, mu=0.0)
     prox.proximal_mu = 0.0
     for _ in range(3):
-        run_epoch(plain, train_set, HP)
-        run_epoch(prox, train_set, HP)
+        run_epoch([plain], [train_set], HP)
+        run_epoch([prox], [train_set], HP)
     assert params_equal(plain.params, prox.params)
 
 
@@ -91,7 +93,7 @@ def test_proximal_contracts_toward_anchor(controller):
     zero_feats = type(flat)(np.zeros_like(flat.features), flat.labels, flat.num_classes)
     hp = Hyperparameters(eta=0.01, gamma=0.0, batch_size=6)
     before_gap = np.abs(state.params.array("W") - anchor.array("W")).max()
-    run_epoch(state, zero_feats, hp)
+    run_epoch([state], [zero_feats], hp)
     after_gap = np.abs(state.params.array("W") - anchor.array("W")).max()
     expected = (1 - hp.eta * state.proximal_mu) * before_gap
     assert after_gap == pytest.approx(expected, rel=1e-9)
@@ -107,7 +109,7 @@ def test_large_mu_closed_form_single_step(controller):
     zero_feats = type(flat)(np.zeros_like(flat.features), flat.labels, flat.num_classes)
     w_before = state.params.array("W").copy()
     anchor_w = state.anchor.array("W")
-    run_epoch(state, zero_feats, hp)
+    run_epoch([state], [zero_feats], hp)
     expected = w_before - hp.eta * 1000.0 * (w_before - anchor_w)
     assert np.allclose(state.params.array("W"), expected, rtol=1e-12)
 
@@ -299,7 +301,7 @@ def test_adopt_twice_is_idempotent(controller):
 def test_adopt_archives_one_cycle_per_commit(train_set, controller):
     state = fresh_learner(controller)
     for round_no in range(1, 4):
-        run_epoch(state, train_set, HP)
+        run_epoch([state], [train_set], HP)
         req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
         model = controller.handle_async_update(req, lambda r: 1.0)
         adopt_community(state, model, cause="fixed")
@@ -309,7 +311,7 @@ def test_adopt_archives_one_cycle_per_commit(train_set, controller):
 
 def test_adopt_resets_counters_and_momentum(train_set, controller):
     state = fresh_learner(controller)
-    run_epoch(state, train_set, HP)
+    run_epoch([state], [train_set], HP)
     assert np.any(state.momentum.flat != 0)
     req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
     model = controller.handle_async_update(req, lambda r: 1.0)
@@ -324,7 +326,7 @@ def test_adopt_resets_counters_and_momentum(train_set, controller):
 def test_adopt_records_staleness_including_own_steps(train_set, controller):
     state = fresh_learner(controller)
     other = new_learner(1, controller.current_model(), FixedPolicy(4), gamma=HP.gamma)
-    run_epoch(state, train_set, HP)  # 3 steps
+    run_epoch([state], [train_set], HP)  # 3 steps
     # another learner commits 7 steps in the meantime
     controller.handle_async_update(
         UpdateRequest(1, other.params.snapshot(), 7, train_set.n), lambda r: 1.0
@@ -338,8 +340,8 @@ def test_adopt_records_staleness_including_own_steps(train_set, controller):
 
 def test_validation_loss_recorded(train_set, controller):
     state = fresh_learner(controller)
-    run_epoch(state, train_set, HP)
-    loss = local_validation_loss(state, train_set)
+    run_epoch([state], [train_set], HP)
+    loss = local_validation_loss([state], [train_set])[0]
     record_validation_loss(state, loss)
     assert state.current.losses == [loss]
     assert loss > 0
@@ -362,14 +364,14 @@ def test_training_after_commit_leaves_cache_untouched(epochs_after, mu, gamma, d
     hp = Hyperparameters(eta=0.05, gamma=gamma, batch_size=32)
     ctrl = FederationController(SPEC)
     state = new_learner(0, ctrl.current_model(), FixedPolicy(4), gamma, mu, data_seed)
-    run_epoch(state, train, hp)
+    run_epoch([state], [train], hp)
     req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train.n)
     committed = ctrl.handle_async_update(req, lambda r: 2.0)
     cached = req.params.flat.copy()
     audit = ctrl.audit_recompute().params
     adopt_community(state, committed, cause="fixed")
     for _ in range(epochs_after):
-        run_epoch(state, train, hp)
+        run_epoch([state], [train], hp)
     assert not params_equal(state.params, committed.params)
     assert np.array_equal(req.params.flat, cached)
     assert params_equal(ctrl.audit_recompute().params, audit)
@@ -421,8 +423,138 @@ def test_in_place_epoch_matches_reference(kind, mu):
     spec = ModelSpec(kind, input_dim=4, num_classes=3, hidden_dim=6 if kind == "mlp-1hidden" else 0)
     ctrl = FederationController(spec)
     state = new_learner(2, ctrl.current_model(), FixedPolicy(4), hp.gamma, mu, data_seed=11)
-    run_epoch(state, train, hp)  # a nonzero momentum and a drift from the anchor
+    run_epoch([state], [train], hp)  # a nonzero momentum and a drift from the anchor
     want_w, want_u = reference_epoch(state, train, hp)
-    run_epoch(state, train, hp)
+    run_epoch([state], [train], hp)
     assert all(np.array_equal(a, b) for a, b in zip(state.params.arrays, want_w))
     assert all(np.array_equal(a, b) for a, b in zip(state.momentum.arrays, want_u))
+
+
+# ---------------------------------------------------------------------------
+# cohorts: training stacked learners equals training each alone
+# ---------------------------------------------------------------------------
+
+
+def cohort_members(kind, mu, sizes, seed, poison=None):
+    """Learners with their own ids, data, epoch counts, gammas, models,
+    momenta and anchors; ``sizes[k]`` is (train n, validation n) of learner
+    k. A learner in ``poison`` diverges through its momentum: "step1" at
+    its first step, "step2" at its second."""
+    spec = ModelSpec(kind, 4, 3, hidden_dim=5 if kind == "mlp-1hidden" else 0, init_seed=seed)
+    ctrl = FederationController(spec)
+    layout = ctrl.current_model().params.layout
+    rng = np.random.default_rng(seed)
+    poison = poison or {}
+    states, trains, validations = [], [], []
+    for k, (n, nv) in enumerate(sizes):
+        gamma = float(rng.choice([0.0, 0.5, 0.75]))
+        state = new_learner(3 * k + 1, ctrl.current_model(), FixedPolicy(4), gamma, mu, seed)
+        state.params.load(ParameterSet(rng.normal(size=layout.size), layout))
+        state.momentum.flat[:] = rng.normal(size=layout.size)
+        state.anchor = ParameterSet(rng.normal(size=layout.size), layout)
+        state.epochs_total = int(rng.integers(0, 5))
+        data = generate_blobs(4, 3, n_per_class=(n + nv) // 3 + 1, spread=0.3, seed=[seed, k])
+        data = data.subset(rng.permutation(data.n)[: n + nv])
+        if poison.get(k) == "step1":
+            state.gamma, state.momentum.flat[:] = 10.0, 1e308
+        if poison.get(k) == "step2":
+            state.gamma = 1e300
+        states.append(state)
+        trains.append(data.subset(np.arange(n)))
+        validations.append(data.subset(np.arange(n, n + nv)))
+    return states, trains, validations
+
+
+cohort_cases = dict(
+    kind=st.sampled_from(["softmax-regression", "mlp-1hidden"]),
+    mu=st.sampled_from([0.0, 0.05]),
+    sizes=st.lists(st.sampled_from([(12, 3), (20, 3), (20, 4)]), min_size=1, max_size=8),
+    batch=st.sampled_from([8, 64]),  # n > beta and n <= beta
+    per_cohort=st.sampled_from([1, 2, 3, None]),  # scratch cap in members; None: default
+    seed=st.integers(0, 2**16),
+)
+
+
+def capped_cohorts(kind, batch, per_cohort):
+    """Lower the scratch cap so that cohorts split into runs of about
+    ``per_cohort`` learners; None keeps the shipped cap."""
+    cap = learner_mod.COHORT_SCRATCH_BYTES
+    if per_cohort is not None:
+        spec = ModelSpec(kind, 4, 3, hidden_dim=5 if kind == "mlp-1hidden" else 0)
+        layout = FederationController(spec).current_model().params.layout
+        cap = Workspace(layout).member_bytes(batch) * per_cohort
+    return mock.patch.object(learner_mod, "COHORT_SCRATCH_BYTES", cap)
+
+
+@given(**cohort_cases)
+@settings(max_examples=60, deadline=None)
+def test_cohort_epoch_matches_each_member_alone(kind, mu, sizes, batch, per_cohort, seed):
+    hp = Hyperparameters(eta=0.1, gamma=0.5, batch_size=batch)
+    together, trains, validations = cohort_members(kind, mu, sizes, seed)
+    alone, _, _ = cohort_members(kind, mu, sizes, seed)
+    with capped_cohorts(kind, batch, per_cohort):
+        for _ in range(2):
+            steps = run_epoch(together, trains, hp)
+            losses = local_validation_loss(together, validations)
+            want_steps = sum(run_epoch([s], [t], hp) for s, t in zip(alone, trains))
+            want_losses = [local_validation_loss([s], [v])[0] for s, v in zip(alone, validations)]
+            assert steps == want_steps
+            assert losses == want_losses
+    for a, b in zip(together, alone):
+        assert np.array_equal(a.params.flat, b.params.flat)
+        assert np.array_equal(a.momentum.flat, b.momentum.flat)
+        assert (a.S_k_local, a.epochs_total, a.current.epochs) == (
+            b.S_k_local, b.epochs_total, b.current.epochs
+        )
+
+
+@given(
+    poisons=st.lists(st.sampled_from([None, "step1", "step2"]), min_size=8, max_size=8),
+    **cohort_cases,
+)
+@settings(max_examples=40, deadline=None)
+def test_cohort_divergence_raises_like_sequential_training(
+    poisons, kind, mu, sizes, batch, per_cohort, seed
+):
+    poison = {k: p for k, p in enumerate(poisons[: len(sizes)]) if p is not None}
+    assume(poison)
+    hp = Hyperparameters(eta=0.1, gamma=0.5, batch_size=batch)
+    together, trains, _ = cohort_members(kind, mu, sizes, seed, poison)
+    alone, _, _ = cohort_members(kind, mu, sizes, seed, poison)
+    # Where each poison strikes first, in rounds of one epoch per learner.
+    strikes = []
+    for k, when in poison.items():
+        if when == "step1":
+            strikes.append((0, k, 1))
+        elif sizes[k][0] > batch:
+            strikes.append((0, k, 2))
+        else:  # one step per epoch: the second step is the next epoch's first
+            strikes.append((1, k, 1))
+    epoch, k, step = min(strikes)
+    expected = (
+        f"learner {alone[k].id}: parameters became non-finite at step {step} "
+        f"of epoch {alone[k].epochs_total + epoch}"
+    )
+    with np.errstate(all="ignore"), capped_cohorts(kind, batch, per_cohort):
+        with pytest.raises(ShapeError) as sequential:
+            for _ in range(2):
+                for state, train in zip(alone, trains):
+                    run_epoch([state], [train], hp)
+        with pytest.raises(ShapeError) as stacked:
+            for _ in range(2):
+                run_epoch(together, trains, hp)
+    assert str(sequential.value) == expected
+    assert str(stacked.value) == expected
+
+
+def test_labels_scanned_only_when_the_dataset_declares_more_classes(controller):
+    state = fresh_learner(controller)  # a 3-class model
+    features = np.zeros((4, 4))
+    fits = Dataset(features, np.array([0, 1, 2, 0]), 5)
+    run_epoch([state], [fits], HP)
+    local_validation_loss([state], [fits])
+    too_many = Dataset(features, np.array([0, 1, 4, 0]), 5)
+    with pytest.raises(ValueError, match="labels must lie"):
+        run_epoch([state], [too_many], HP)
+    with pytest.raises(ValueError, match="labels must lie"):
+        local_validation_loss([state], [too_many])

@@ -89,7 +89,7 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
     sim = _Simulation(cfg)
     num_classes = sim.model_spec.num_classes
     for slot in sim.slots:
-        sim._train_one_epoch(slot)
+        sim._train_cohort([slot])
         req = sim._update_request(slot)
         # One confusion matrix per learner, counted sample by sample; the
         # committing learner's own slice is one of them, once.
@@ -106,6 +106,42 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
         fn = int((pooled.sum(axis=1) - np.diag(pooled)).sum())
         assert sim._dvw_weight(req) == (2 * tp) / (2 * tp + fp + fn)
         assert sim.pooled_validation.n == sum(other.split.validation.n for other in sim.slots)
+
+
+@pytest.mark.parametrize(
+    "eval_rates, sizes",
+    [
+        ([2000.0], "uniform"),
+        ([400.0, 2000.0], "uniform"),
+        ([400.0, 400.0], "uniform"),  # tied
+        ([400.0, 2000.0, 400.0, 1000.0, 400.0], "uniform"),  # three tied at the top
+        ([2000.0, 1000.0, 400.0, 800.0, 1500.0], "powerlaw"),  # validation sizes differ
+        ([400.0, 400.0, 2000.0, 2000.0, 400.0], "powerlaw"),
+    ],
+)
+def test_eval_fanout_duration_is_the_slowest_other_evaluator(eval_rates, sizes):
+    profiles = [
+        {"group": "slow", "steps_per_second": 20.0, "eval_samples_per_second": rate}
+        for rate in eval_rates
+    ]
+    cfg = blob_config(
+        scheme="async_dvw",
+        num_learners=len(eval_rates),
+        speed_profiles=profiles,
+        size_distribution={"kind": sizes, "total": 400},
+        trigger={"kind": "adaptive"},
+    )
+    sim = _Simulation(cfg)
+    for committing in range(len(sim.slots)):
+        brute = max(
+            (
+                slot.split.validation.n / slot.profile.eval_samples_per_second
+                for slot in sim.slots
+                if slot.state.id != committing
+            ),
+            default=0.0,
+        )
+        assert sim._eval_fanout_duration(committing) == brute
 
 
 def test_non_dvw_schemes_build_no_pooled_validation_set():
