@@ -178,18 +178,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     named_logs = []
-    fingerprints = {}
+    fingerprints = set()  # one per run: runs in different directories may share a name
     for path in args.csv:
         p = Path(path)
         log = MetricsLog.from_csv(p)
-        name = p.parent.name or p.stem
-        named_logs.append((name, log))
+        named_logs.append((p.parent.name or p.stem, log))
         manifest_path = p.parent / "manifest.json"
         if manifest_path.exists():
             with open(manifest_path) as f:
-                fingerprints[name] = json.load(f).get("test_fingerprint")
-    known = {v for v in fingerprints.values() if v}
-    if len(known) > 1:
+                fingerprints.add(json.load(f).get("test_fingerprint"))
+    if len({fp for fp in fingerprints if fp}) > 1:
         print("compare: runs use different test sets", file=sys.stderr)
         return 3
     rows = compare_logs(named_logs, args.at or [])

@@ -28,7 +28,6 @@ from .nn import (
     backward,  # noqa: F401 - re-exported: benchmark tracing looks it up here
     check_dataset,
     momentum_update,
-    sgd_momentum_step,  # noqa: F401 - re-exported: benchmark tracing looks it up here
 )
 
 CAUSE_C1 = "C1"

@@ -10,9 +10,7 @@ A model is one contiguous float64 vector with named 2-D views, laid out by a
 step kernels run on a cohort of models stacked along a leading member axis
 (a cohort of one drops the axis) and write into a reusable ``Workspace``;
 every member's slice goes through the same floating-point operations in the
-same order as a model trained alone. The pure functions (``backward``,
-``forward_loss``, ``sgd_momentum_step``) wrap the same kernels on a cohort
-of one.
+same order as a model trained alone.
 """
 
 from __future__ import annotations
@@ -220,10 +218,6 @@ class ParameterBuffer(_FlatParameters):
         return ParameterSet(self._flat.copy(), self._layout)
 
 
-def zeros_like(params: ParameterSet) -> ParameterSet:
-    return ParameterSet(np.zeros(params.layout.size), params.layout)
-
-
 def _require_same_layout(a: _FlatParameters, b: _FlatParameters, what: str) -> None:
     if not a.same_layout(b):
         raise ShapeError(f"{what}: parameter layouts differ ({a.shapes()} vs {b.shapes()})")
@@ -238,17 +232,6 @@ def scale_add(dst: ParameterSet, src: ParameterSet, alpha: float) -> ParameterSe
 def scale(params: ParameterSet, alpha: float) -> ParameterSet:
     """Entrywise alpha * params."""
     return ParameterSet(alpha * params.flat, params.layout)
-
-
-def params_allclose(
-    a: _FlatParameters, b: _FlatParameters, rtol: float = 1e-9, atol: float = 0.0
-) -> bool:
-    return a.same_layout(b) and np.allclose(a.flat, b.flat, rtol=rtol, atol=atol)
-
-
-def params_equal(a: _FlatParameters, b: _FlatParameters) -> bool:
-    """Bit-exact equality."""
-    return a.same_layout(b) and np.array_equal(a.flat, b.flat)
 
 
 def init_parameters(spec: ModelSpec) -> ParameterSet:
@@ -268,64 +251,27 @@ def init_parameters(spec: ModelSpec) -> ParameterSet:
     return ParameterSet(entries)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A mini-batch of samples: features (n x d) and integer class labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        f = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
-        if f.ndim != 2:
-            raise ShapeError("batch features must be a 2-D matrix")
-        if y.ndim != 1 or y.shape[0] != f.shape[0]:
-            raise ShapeError("batch labels must be one per feature row")
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "labels", y)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-
 def _model_kind(layout: Layout) -> str:
     if layout.kind is None:
         raise ShapeError(f"unrecognized parameter layout: {layout.names}")
     return layout.kind
 
 
-def check_inputs(params: _FlatParameters, features: np.ndarray, labels: np.ndarray) -> None:
-    """Raise unless ``features`` match the model's input width and ``labels``
-    lie in its class range."""
-    _check_features(params, features)
-    _check_labels(labels, params.arrays[-1].shape[1])
-
-
 def check_dataset(layout: Layout, data) -> None:
-    """``check_inputs`` for a model of ``layout`` and a
-    ``fedsim.data.Dataset``, in constant time when it can be: a dataset's
-    labels are range-checked against its ``num_classes`` when it is built and
-    cannot be written afterwards, so they are scanned only when it declares
-    more classes than the model has."""
-    dim, classes = layout.entries[0][1], layout.entries[-1][2]
-    if data.features.shape[1] != dim:
-        raise ShapeError(f"feature dim {data.features.shape[1]} does not match input dim {dim}")
-    if data.num_classes > classes:
-        _check_labels(data.labels, classes)
+    """Raise unless a ``fedsim.data.Dataset`` fits a model of ``layout``, in
+    constant time when it can: a dataset's labels are range-checked against
+    its ``num_classes`` when it is built and cannot be written afterwards, so
+    they are scanned only when it declares more classes than the model has."""
+    _check_width(layout, data.features.shape[1])
+    classes = layout.entries[-1][2]
+    if data.num_classes > classes and data.labels.max() >= classes:
+        raise ValueError(f"labels must lie in [0, {classes})")
 
 
-def _check_features(params: _FlatParameters, features: np.ndarray) -> None:
-    first = params.arrays[0]
-    if features.shape[1] != first.shape[0]:
-        raise ShapeError(
-            f"feature dim {features.shape[1]} does not match input dim {first.shape[0]}"
-        )
-
-
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"labels must lie in [0, {num_classes})")
+def _check_width(layout: Layout, width: int) -> None:
+    dim = layout.entries[0][1]
+    if width != dim:
+        raise ShapeError(f"feature dim {width} does not match input dim {dim}")
 
 
 # The kernels below write into caller-provided buffers. They take a single
@@ -333,9 +279,8 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
 # every reduction runs along the class or the batch axis, so each member's
 # slice sees the same operations in the same order either way. A cohort of
 # one passes 2-D arrays: a stacked matmul costs about a microsecond more per
-# call than a 2-D one. Training reuses the buffers of one Workspace; the pure
-# functions (forward_loss, backward, predict) run the same kernels on fresh
-# buffers.
+# call than a 2-D one. Training reuses the buffers of one Workspace; predict
+# and backward run the same kernels on fresh buffers.
 
 
 def _forward_into(
@@ -368,7 +313,7 @@ def _log_softmax_into(z: np.ndarray, out: np.ndarray, col: np.ndarray, exp: np.n
 def _forward(params: _FlatParameters, features: np.ndarray) -> np.ndarray:
     """Logits in a fresh array."""
     kind = _model_kind(params.layout)
-    _check_features(params, features)
+    _check_width(params.layout, features.shape[1])
     n = features.shape[0]
     hidden = np.empty((n, params.arrays[0].shape[1])) if kind == MLP_1HIDDEN else None
     logits = np.empty((n, params.arrays[-1].shape[1]))
@@ -520,65 +465,13 @@ def momentum_update(
     w -= tmp
 
 
-def _cohort_of_one(params: _FlatParameters, batch: Batch, what: str):
-    """A fresh workspace and the batch gathered into its scratch for a
-    cohort of one."""
-    if len(batch) == 0:
-        raise ValueError(f"cannot compute {what} on an empty batch")
-    check_inputs(params, batch.features, batch.labels)
+def backward(params: _FlatParameters, x: np.ndarray, y: np.ndarray) -> ParameterSet:
+    """Mean cross-entropy gradient of one model over the samples ``x`` (n x d)
+    and labels ``y``, computed by ``Workspace.gradient`` in fresh buffers."""
     ws = Workspace(params.layout)
-    s = ws.batch(1, len(batch))
-    s.x[...], s.y[...] = batch.features, batch.labels
-    return ws, s
-
-
-def forward_loss(params: _FlatParameters, batch: Batch) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch plus the raw logits."""
-    ws, s = _cohort_of_one(params, batch, "a loss")
-    return float(ws.loss(params.arrays, s.x, s.y)[0]), s.logits
-
-
-def backward(params: ParameterSet, batch: Batch) -> ParameterSet:
-    """Analytic gradient of ``forward_loss`` w.r.t. every parameter entry."""
-    ws, s = _cohort_of_one(params, batch, "gradients")
+    s = ws.batch(1, len(y))
+    s.x[...], s.y[...] = x, y
     return ParameterSet(ws.gradient(params.arrays, s).copy(), params.layout)
-
-
-@dataclass(frozen=True)
-class MomentumState:
-    """Momentum buffer plus its attenuation factor."""
-
-    buffer: ParameterSet
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError("momentum attenuation must lie in [0, 1)")
-
-
-def init_momentum(params: ParameterSet, gamma: float) -> MomentumState:
-    return MomentumState(zeros_like(params), gamma)
-
-
-def sgd_momentum_step(
-    params: ParameterSet,
-    mom: MomentumState,
-    grads: ParameterSet,
-    eta: float,
-) -> tuple[ParameterSet, MomentumState]:
-    """One momentum-SGD step.
-
-    The buffer accumulates raw gradients (u' = gamma*u + g) and the learning
-    rate is applied at the weight update (w' = w - eta*u').
-    """
-    if eta <= 0.0:
-        raise ValueError("learning rate must be positive")
-    _require_same_layout(params, grads, "sgd_momentum_step")
-    _require_same_layout(params, mom.buffer, "sgd_momentum_step")
-    w, u = params.flat.copy(), mom.buffer.flat.copy()
-    momentum_update(w, u, grads.flat, mom.gamma, eta, np.empty_like(w))
-    new_buffer = ParameterSet(u, params.layout)
-    return ParameterSet(w, params.layout), MomentumState(new_buffer, mom.gamma)
 
 
 def predict(params: _FlatParameters, features: np.ndarray) -> np.ndarray:

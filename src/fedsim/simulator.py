@@ -144,14 +144,24 @@ class MetricsLog:
 
     @classmethod
     def from_csv(cls, path) -> "MetricsLog":
+        """Read a ``metrics.csv``; a file without rows or with a short or long
+        row raises ``ValueError`` naming the file (and the line)."""
         with open(path, "r") as f:
-            lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-        header = tuple(lines[0].split(","))
+            lines = [(number, ln.rstrip("\n")) for number, ln in enumerate(f, 1) if ln.strip()]
+        if not lines:
+            raise ValueError(f"{path}: empty metrics CSV")
+        header = tuple(lines[0][1].split(","))
         if header != cls.columns:
             raise ValueError(f"unexpected CSV header in {path!r}: {header}")
+        if len(lines) == 1:
+            raise ValueError(f"{path}: no rows after the header")
         rows = []
-        for ln in lines[1:]:
+        for number, ln in lines[1:]:
             fields = ln.split(",")
+            if len(fields) != len(cls.columns):
+                raise ValueError(
+                    f"{path}, line {number}: expected {len(cls.columns)} fields, got {len(fields)}"
+                )
             rows.append(
                 MetricsRow(
                     virtual_time=float(fields[0]),

@@ -1,14 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 from fedsim.data import Dataset
-from fedsim.nn import (
-    MLP_1HIDDEN,
-    SOFTMAX_REGRESSION,
-    Batch,
-    ModelSpec,
-    ParameterSet,
-)
+from fedsim.nn import MLP_1HIDDEN, SOFTMAX_REGRESSION, ModelSpec, ParameterSet
+from fedsim.simulator import run_simulation
+
+
+def params_equal(a, b) -> bool:
+    """Bit-exact equality of two parameter vectors with the same layout."""
+    return a.same_layout(b) and np.array_equal(a.flat, b.flat)
+
+
+def params_allclose(a, b, rtol: float = 1e-9, atol: float = 0.0) -> bool:
+    return a.same_layout(b) and np.allclose(a.flat, b.flat, rtol=rtol, atol=atol)
+
+
+def zeros_like(params: ParameterSet) -> ParameterSet:
+    return ParameterSet(np.zeros(params.layout.size), params.layout)
 
 
 def random_params(spec_kind: str, rng: np.random.Generator, input_dim=5, num_classes=3, hidden=4) -> ParameterSet:
@@ -30,8 +40,9 @@ def random_params(spec_kind: str, rng: np.random.Generator, input_dim=5, num_cla
     )
 
 
-def random_batch(rng: np.random.Generator, n=6, input_dim=5, num_classes=3) -> Batch:
-    return Batch(rng.normal(size=(n, input_dim)), rng.integers(0, num_classes, size=n))
+def random_batch(rng: np.random.Generator, n=6, input_dim=5, num_classes=3):
+    """Features (n x input_dim) and labels of a random mini-batch."""
+    return rng.normal(size=(n, input_dim)), rng.integers(0, num_classes, size=n)
 
 
 def identity_model(num_classes: int) -> ParameterSet:
@@ -60,3 +71,19 @@ def softmax_spec():
 @pytest.fixture
 def mlp_spec():
     return ModelSpec(MLP_1HIDDEN, input_dim=4, num_classes=3, hidden_dim=16, init_seed=1990)
+
+
+@pytest.fixture(scope="session")
+def simulated():
+    """``run_simulation`` memoized for the test session by the config's
+    canonical dict, so checks that read the same cell share one run. The
+    returned logs are shared: read them, do not append to them."""
+    memo = {}
+
+    def run(cfg):
+        key = json.dumps(cfg.to_dict(), sort_keys=True)
+        if key not in memo:
+            memo[key] = run_simulation(cfg)
+        return memo[key]
+
+    return run

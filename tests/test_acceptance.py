@@ -24,7 +24,7 @@ from fedsim.learner import (
     new_learner,
     run_epoch,
 )
-from fedsim.nn import ModelSpec, ParameterSet, backward, forward_loss
+from fedsim.nn import ModelSpec, ParameterSet, Workspace, momentum_update
 from fedsim.simulator import evaluate_test_accuracy, run_simulation, run_simulation_detailed
 from fedsim.weighting import dvw_weight
 from tests.conftest import identity_model, one_hot_dataset, random_batch, random_params
@@ -228,32 +228,60 @@ def test_criterion_03_micro_f1_oracle():
 # ---------------------------------------------------------------------------
 
 
+def _central_differences(ws: Workspace, w: np.ndarray, x, y, eps: float = 1e-5) -> np.ndarray:
+    """d loss / d w by central differences of ``Workspace.loss``, bumping one
+    coordinate of the flat vector ``w`` at a time (in every member at once
+    for a stacked (M, size) cohort)."""
+    numeric = np.empty_like(w)
+    for j in range(w.shape[-1]):
+        up, dn = w.copy(), w.copy()
+        up[..., j] += eps
+        dn[..., j] -= eps
+        lu = ws.loss(ws.layout.views(up), x, y)
+        ld = ws.loss(ws.layout.views(dn), x, y)
+        numeric[..., j] = (lu - ld).reshape(w.shape[:-1]) / (2 * eps)
+    return numeric
+
+
+def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    return float((np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))).max())
+
+
 def test_criterion_04_gradient_check():
     start = time.perf_counter()
     rng = np.random.default_rng(1990)
+    pairs = {"softmax-regression": [], "mlp-1hidden": []}
     worst = 0.0
     for pair in range(20):
         kind = "softmax-regression" if pair % 2 == 0 else "mlp-1hidden"
         params = random_params(kind, rng, input_dim=4, num_classes=3, hidden=6)
-        batch = random_batch(rng, n=5, input_dim=4, num_classes=3)
-        analytic = backward(params, batch)
-        eps = 1e-5
-        for name, grad in analytic:
-            numeric = np.zeros_like(grad)
-            for idx in np.ndindex(grad.shape):
-                up = {n: a.copy() for n, a in params}
-                dn = {n: a.copy() for n, a in params}
-                up[name][idx] += eps
-                dn[name][idx] -= eps
-                lu, _ = forward_loss(ParameterSet(up.items()), batch)
-                ld, _ = forward_loss(ParameterSet(dn.items()), batch)
-                numeric[idx] = (lu - ld) / (2 * eps)
-            rel = np.abs(grad - numeric) / np.maximum(1.0, np.abs(numeric))
-            worst = max(worst, float(rel.max()))
+        x, y = random_batch(rng, n=5, input_dim=4, num_classes=3)
+        pairs[kind].append((params, x, y))
+        # a cohort of one: 2-D arrays, no member axis
+        ws = Workspace(params.layout)
+        s = ws.batch(1, 5)
+        s.x[...], s.y[...] = x, y
+        analytic = ws.gradient(params.arrays, s).copy()
+        numeric = _central_differences(ws, params.flat, x, y)
+        worst = max(worst, _relative_error(analytic, numeric))
+    for kind, members in pairs.items():
+        # the same pairs as one stacked cohort of ten
+        ws = Workspace(members[0][0].layout)
+        w = np.stack([params.flat for params, _, _ in members])
+        s = ws.batch(len(members), 5)
+        s.x[...] = np.stack([x for _, x, _ in members])
+        s.y[...] = np.stack([y for _, _, y in members])
+        analytic = ws.gradient(ws.layout.views(w), s).copy()
+        numeric = _central_differences(ws, w, s.x, s.y)
+        worst = max(worst, _relative_error(analytic, numeric))
     elapsed = time.perf_counter() - start
     assert worst < 1e-4
     assert elapsed < 30.0
-    report(4, f"max relative gradient error {worst:.2e} over 20 pairs, both model kinds ({elapsed:.1f}s)")
+    report(
+        4,
+        f"max relative gradient error {worst:.2e} over 20 pairs, alone and as one "
+        f"stacked cohort per model kind ({elapsed:.1f}s)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +290,43 @@ def test_criterion_04_gradient_check():
 
 
 def test_criterion_05_momentum_semantics():
-    from fedsim.nn import init_momentum, params_equal, sgd_momentum_step
-
-    # scalar two-step closed form
+    # two-step closed form from u0 = 0 under a constant gradient:
+    # w2 = w0 - eta*g*(2 + gamma); alone, and stacked with per-member gamma
     w0, g, eta, gamma = 2.5, -0.7, 0.1, 0.75
-    params = ParameterSet([("W", np.array([[w0]])), ("b", np.array([[w0]]))])
-    grads = ParameterSet([("W", np.array([[g]])), ("b", np.array([[g]]))])
-    mom = init_momentum(params, gamma)
+    w, u, grad = np.full(2, w0), np.zeros(2), np.full(2, g)
     for _ in range(2):
-        params, mom = sgd_momentum_step(params, mom, grads, eta)
+        momentum_update(w, u, grad, gamma, eta, np.empty(2))
     closed_form = w0 - eta * g * (2 + gamma)
-    for arr in params.arrays:
-        assert abs(arr[0, 0] - closed_form) <= 1e-12
+    assert np.abs(w - closed_form).max() <= 1e-12
+    gammas = np.array([[0.0], [0.5], [gamma], [0.9]])
+    w, u, grad = np.full((4, 2), w0), np.zeros((4, 2)), np.full((4, 2), g)
+    for _ in range(2):
+        momentum_update(w, u, grad, gammas, eta, np.empty((4, 2)))
+    assert np.abs(w - (w0 - eta * g * (2 + gammas))).max() <= 1e-12
 
-    # gamma = 0 equals vanilla SGD bit-for-bit over a full trajectory
+    # gamma = 0 equals vanilla SGD bit-for-bit over a full trajectory, for a
+    # cohort of one (2-D arrays) and for a stacked cohort of four
     rng = np.random.default_rng(3)
-    params = random_params("softmax-regression", rng)
-    vanilla = params
-    mom = init_momentum(params, 0.0)
-    for _ in range(10):
-        batch = random_batch(rng)
-        grads = backward(params, batch)
-        params, mom = sgd_momentum_step(params, mom, grads, 0.05)
-        vgrads = backward(vanilla, batch)
-        vanilla = ParameterSet(
-            (n, w - 0.05 * g) for (n, w), (_, g) in zip(vanilla, vgrads)
-        )
-        assert params_equal(params, vanilla)
-    report(5, "two-step closed form within 1e-12; gamma=0 trajectory bit-equal to vanilla SGD")
+    for members in (1, 4):
+        models = [random_params("softmax-regression", rng) for _ in range(members)]
+        ws = Workspace(models[0].layout)
+        w = models[0].flat.copy() if members == 1 else np.stack([m.flat for m in models])
+        vanilla, u, tmp = w.copy(), np.zeros_like(w), np.empty_like(w)
+        for _ in range(10):
+            batches = [random_batch(rng) for _ in range(members)]
+            s = ws.batch(members, 6)
+            s.x[...] = np.stack([x for x, _ in batches]).reshape(s.x.shape)
+            s.y[...] = np.stack([y for _, y in batches]).reshape(s.y.shape)
+            grads = ws.gradient(ws.layout.views(w), s)
+            momentum_update(w, u, grads, 0.0, 0.05, tmp)
+            vgrads = ws.gradient(ws.layout.views(vanilla), s)
+            vanilla = vanilla - 0.05 * vgrads
+            assert np.array_equal(w, vanilla)
+    report(
+        5,
+        "two-step closed form within 1e-12; gamma=0 trajectory bit-equal to vanilla SGD, "
+        "alone and stacked",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +475,7 @@ def _trend_grid_base() -> dict:
     return base
 
 
-def test_criterion_09_trend_reproduction():
+def test_criterion_09_trend_reproduction(simulated):
     start = time.perf_counter()
     base = _trend_grid_base()
     async_wins = 0
@@ -449,7 +486,7 @@ def test_criterion_09_trend_reproduction():
             cell = dict(base, scheme=scheme, seed=seed)
             if scheme != "async_dvw":
                 cell["trigger"] = {"kind": "fixed", "uf": 4}
-            log = run_simulation(config_from_dict(cell, apply_env=False))
+            log = simulated(config_from_dict(cell, apply_env=False))
             finals[scheme] = log.rows[-1].test_top1
         async_wins += finals["async_dvw"] >= finals["async_fedavg"]
         sync_wins += finals["sync_dvw"] >= finals["sync_fedavg"]
@@ -469,17 +506,17 @@ def test_criterion_09_trend_reproduction():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_10_communication_accounting():
+def test_criterion_10_communication_accounting(simulated):
     base = _trend_grid_base()
     # exact exchange counts on completed runs, N=10
     for scheme, factor in (("async_fedavg", 2), ("fedasync_poly", 2), ("async_dvw", 11)):
         cell = dict(base, scheme=scheme, seed=1990, time_budget=6.0)
         if scheme != "async_dvw":
             cell["trigger"] = {"kind": "fixed", "uf": 4}
-        last = run_simulation(config_from_dict(cell, apply_env=False)).rows[-1]
+        last = simulated(config_from_dict(cell, apply_env=False)).rows[-1]
         assert last.models_exchanged_cum == factor * last.update_requests_cum
 
-    sync_last = run_simulation(
+    sync_last = simulated(
         config_from_dict(
             dict(base, scheme="sync_fedavg", seed=1990, time_budget=6.0,
                  trigger={"kind": "fixed", "uf": 4}),
@@ -489,8 +526,8 @@ def test_criterion_10_communication_accounting():
     assert sync_last.models_exchanged_cum == 2 * sync_last.update_requests_cum
 
     # adaptive DVW requests never exceed non-adaptive DVW on the same preset
-    adaptive = run_simulation(config_from_dict(dict(base, scheme="async_dvw", seed=1990), apply_env=False))
-    nonadaptive = run_simulation(
+    adaptive = simulated(config_from_dict(dict(base, scheme="async_dvw", seed=1990), apply_env=False))
+    nonadaptive = simulated(
         config_from_dict(
             dict(base, scheme="async_dvw", seed=1990, trigger={"kind": "fixed", "uf": 4}),
             apply_env=False,
@@ -511,7 +548,7 @@ def test_criterion_10_communication_accounting():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_11_preset_determinism():
+def test_criterion_11_preset_determinism(simulated):
     start = time.perf_counter()
     checked = 0
     for name in preset_names():
@@ -520,8 +557,8 @@ def test_criterion_11_preset_determinism():
             [cfg.with_scheme(s) for s in cfg.schemes] if cfg.schemes else [cfg]
         )
         for cell in cells:
-            first = run_simulation(cell).to_csv()
-            second = run_simulation(cell).to_csv()
+            first = simulated(cell).to_csv()  # may be a run another check made
+            second = run_simulation(cell).to_csv()  # always a fresh replay
             assert first == second, f"preset {name}/{cell.scheme} replay diverged"
             checked += 1
     elapsed = time.perf_counter() - start

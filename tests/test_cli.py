@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fedsim.cli import main
 from fedsim.config import get_preset
 from fedsim.simulator import MetricsLog
@@ -153,17 +155,39 @@ def test_compare_command(tmp_path, capsys):
 
 def test_compare_rejects_mismatched_test_sets(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["run", "--config", str(cfg_path), "--out", str(out1)])
     other = write_config(
         tmp_path,
         {"dataset": dict(SMALL_CONFIG["dataset"], spread=0.9)},
         name="other.json",
     )
-    main(["run", "--config", str(other), "--out", str(out2)])
-    rc = main(["compare", str(out1 / "metrics.csv"), str(out2 / "metrics.csv")])
-    assert rc == 3
-    assert "different test sets" in capsys.readouterr().err
+    # flat runs, then grid-style runs whose directories share one name
+    for out1, out2 in ((tmp_path / "a", tmp_path / "b"), (tmp_path / "c" / "cell", tmp_path / "d" / "cell")):
+        main(["run", "--config", str(cfg_path), "--out", str(out1)])
+        main(["run", "--config", str(other), "--out", str(out2)])
+        capsys.readouterr()
+        rc = main(["compare", str(out1 / "metrics.csv"), str(out2 / "metrics.csv")])
+        assert rc == 3, out1
+        assert "different test sets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty metrics CSV"),
+        (",".join(MetricsLog.columns) + "\n", "no rows after the header"),
+        (
+            ",".join(MetricsLog.columns) + "\n0.0,0,sync_fedavg,0.5,-1,0.0,0,init,0\n",
+            "line 2: expected 10 fields, got 9",
+        ),
+    ],
+    ids=["empty", "header-only", "missing-field"],
+)
+def test_compare_rejects_malformed_csv(tmp_path, capsys, text, message):
+    path = tmp_path / "metrics.csv"
+    path.write_text(text)
+    assert main(["compare", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and message in err
 
 
 def test_non_dvw_exchange_in_comparison(tmp_path):

@@ -13,13 +13,11 @@ from fedsim.nn import (
     ModelSpec,
     ParameterSet,
     init_parameters,
-    params_allclose,
-    params_equal,
     scale,
     scale_add,
 )
 from fedsim.weighting import FedAsyncParams, fedavg_weight
-from tests.conftest import random_params
+from tests.conftest import params_allclose, params_equal, random_params
 
 
 SPEC = ModelSpec("softmax-regression", input_dim=3, num_classes=3, init_seed=1990)

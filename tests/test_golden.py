@@ -96,13 +96,13 @@ def first_difference(got: dict, want: dict, text: str) -> str:
     return f"row count {len(got['rows'])} != expected {len(want['rows'])}"
 
 
-def test_preset_metrics_match_golden_digests():
+def test_preset_metrics_match_golden_digests(simulated):
     golden = json.loads(GOLDEN_PATH.read_text())
     cells = dict(golden_cells())
     assert sorted(cells) == sorted(golden["cells"]), "cells differ from the golden set"
     failures = []
     for key, cfg in cells.items():
-        text = run_simulation(cfg).to_csv()
+        text = simulated(cfg).to_csv()
         got, want = digest(text), golden["cells"][key]
         if got["sha256"] != want["sha256"]:
             failures.append(f"{key}: {first_difference(got, want, text)}")

@@ -26,7 +26,8 @@ from fedsim.learner import (
     run_epoch,
     staleness_threshold,
 )
-from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace, params_equal
+from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace
+from tests.conftest import params_equal
 
 SPEC = ModelSpec("softmax-regression", input_dim=4, num_classes=3, init_seed=1990)
 HP = Hyperparameters(eta=0.05, gamma=0.5, batch_size=100)

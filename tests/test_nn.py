@@ -5,27 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim.learner import Hyperparameters
 from fedsim.nn import (
     MLP_1HIDDEN,
     SOFTMAX_REGRESSION,
-    Batch,
     ModelSpec,
     ParameterBuffer,
     ParameterSet,
     ShapeError,
+    Workspace,
     backward,
-    forward_loss,
-    init_momentum,
     init_parameters,
     model_layout,
-    params_allclose,
-    params_equal,
+    momentum_update,
     predict,
     scale_add,
-    sgd_momentum_step,
+)
+from tests.conftest import (
+    params_allclose,
+    params_equal,
+    random_batch,
+    random_params,
     zeros_like,
 )
-from tests.conftest import random_batch, random_params
 
 
 # ---------------------------------------------------------------------------
@@ -64,25 +66,31 @@ def test_init_weights_within_glorot_bound():
 
 
 # ---------------------------------------------------------------------------
-# forward_loss
+# Workspace.loss
 # ---------------------------------------------------------------------------
+
+
+def loss_of(params, x, y) -> float:
+    """Mean cross-entropy of one model (a cohort of one) on ``x``, ``y``."""
+    ws = Workspace(params.layout)
+    return float(ws.loss(params.arrays, np.asarray(x, dtype=np.float64), np.asarray(y))[0])
 
 
 def test_uniform_logits_loss_is_log_c():
     # Zero weights and bias produce uniform logits over C=4 classes.
     params = ParameterSet([("W", np.zeros((3, 4))), ("b", np.zeros((1, 4)))])
-    batch = Batch(np.ones((5, 3)), np.array([0, 1, 2, 3, 0]))
-    loss, logits = forward_loss(params, batch)
-    assert logits.shape == (5, 4)
-    assert loss == pytest.approx(math.log(4), abs=1e-12)
+    ws = Workspace(params.layout)
+    loss = ws.loss(params.arrays, np.ones((5, 3)), np.array([0, 1, 2, 3, 0]))
+    assert loss.shape == (1,)
+    assert ws.batch(1, 5).logits.shape == (5, 4)
+    assert loss[0] == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_loss_vanishes_with_growing_margin():
     losses = []
     for margin in (1.0, 10.0, 100.0):
         params = ParameterSet([("W", np.array([[margin, 0.0]])), ("b", np.zeros((1, 2)))])
-        batch = Batch(np.ones((1, 1)), np.array([0]))
-        losses.append(forward_loss(params, batch)[0])
+        losses.append(loss_of(params, np.ones((1, 1)), np.array([0])))
     assert losses[0] > losses[1] > losses[2]
     assert losses[2] < 1e-10
 
@@ -102,60 +110,64 @@ def test_loss_matches_scalar_evaluation():
         z = sum(math.exp(v) for v in logits)
         expected += -math.log(math.exp(logits[y[i]]) / z)
     expected /= 2
-    loss, _ = forward_loss(params, Batch(x, np.array(y)))
-    assert loss == pytest.approx(expected, rel=1e-12)
+    assert loss_of(params, x, y) == pytest.approx(expected, rel=1e-12)
 
 
 def test_forward_rejects_dim_mismatch(softmax_spec):
     params = init_parameters(softmax_spec)
-    with pytest.raises(ShapeError):
-        forward_loss(params, Batch(np.ones((2, 7)), np.array([0, 1])))
+    with pytest.raises(ShapeError, match="feature dim 7 does not match input dim 4"):
+        predict(params, np.ones((2, 7)))
 
 
 def test_loss_nonnegative_random(rng):
     for kind in (SOFTMAX_REGRESSION, MLP_1HIDDEN):
-        params = random_params(kind, rng)
-        loss, _ = forward_loss(params, random_batch(rng))
-        assert loss >= 0.0 and math.isfinite(loss)
+        models = [random_params(kind, rng) for _ in range(3)]
+        batches = [random_batch(rng) for _ in range(3)]
+        alone = [loss_of(m, x, y) for m, (x, y) in zip(models, batches)]
+        assert all(v >= 0.0 and math.isfinite(v) for v in alone)
+        # stacked: one loss per member, each the bits it gets alone
+        ws = Workspace(models[0].layout)
+        w = np.stack([m.flat for m in models])
+        x = np.stack([x for x, _ in batches])
+        y = np.stack([y for _, y in batches])
+        assert ws.loss(ws.layout.views(w), x, y).tolist() == alone
 
 
 # ---------------------------------------------------------------------------
-# backward
+# Workspace.gradient
 # ---------------------------------------------------------------------------
 
 
-def central_difference_grads(params: ParameterSet, batch: Batch, eps: float = 1e-5) -> ParameterSet:
-    """Finite-difference oracle, entry by entry."""
-    entries = []
-    for name, arr in params:
-        grad = np.zeros_like(arr)
-        for idx in np.ndindex(arr.shape):
-            bumped_up = {n: a.copy() for n, a in params}
-            bumped_dn = {n: a.copy() for n, a in params}
-            bumped_up[name][idx] += eps
-            bumped_dn[name][idx] -= eps
-            up, _ = forward_loss(ParameterSet(bumped_up.items()), batch)
-            dn, _ = forward_loss(ParameterSet(bumped_dn.items()), batch)
-            grad[idx] = (up - dn) / (2 * eps)
-        entries.append((name, grad))
-    return ParameterSet(entries)
+def central_difference_grads(params, x, y, eps: float = 1e-5) -> np.ndarray:
+    """Finite-difference oracle over the flat parameter vector."""
+    grad = np.empty(params.layout.size)
+    for j in range(grad.size):
+        up, dn = params.flat.copy(), params.flat.copy()
+        up[j] += eps
+        dn[j] -= eps
+        lu = loss_of(ParameterSet(up, params.layout), x, y)
+        ld = loss_of(ParameterSet(dn, params.layout), x, y)
+        grad[j] = (lu - ld) / (2 * eps)
+    return grad
 
 
 @pytest.mark.parametrize("kind", [SOFTMAX_REGRESSION, MLP_1HIDDEN])
 def test_gradient_matches_central_difference(kind, rng):
     params = random_params(kind, rng)
-    batch = random_batch(rng)
-    analytic = backward(params, batch)
-    numeric = central_difference_grads(params, batch)
-    for (_, a), (_, n) in zip(analytic, numeric):
-        rel = np.abs(a - n) / np.maximum(1.0, np.abs(n))
-        assert rel.max() < 1e-4
+    x, y = random_batch(rng)
+    ws = Workspace(params.layout)
+    s = ws.batch(1, len(y))
+    s.x[...], s.y[...] = x, y
+    analytic = ws.gradient(params.arrays, s)
+    numeric = central_difference_grads(params, x, y)
+    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
+    assert rel.max() < 1e-4
+    assert np.array_equal(backward(params, x, y).flat, analytic)
 
 
 def test_zero_input_softmax_gradient():
     params = ParameterSet([("W", np.array([[0.3, -0.1]])), ("b", np.array([[0.2, 0.4]]))])
-    batch = Batch(np.zeros((4, 1)), np.array([0, 0, 1, 1]))
-    grads = backward(params, batch)
+    grads = backward(params, np.zeros((4, 1)), np.array([0, 0, 1, 1]))
     assert np.all(grads.array("W") == 0.0)
     assert np.any(grads.array("b") != 0.0)
 
@@ -163,68 +175,60 @@ def test_zero_input_softmax_gradient():
 def test_duplicated_sample_mean_invariance(rng):
     params = random_params(SOFTMAX_REGRESSION, rng)
     x = rng.normal(size=(1, 5))
-    once = backward(params, Batch(x, np.array([1])))
-    twice = backward(params, Batch(np.vstack([x, x]), np.array([1, 1])))
+    once = backward(params, x, np.array([1]))
+    twice = backward(params, np.vstack([x, x]), np.array([1, 1]))
     assert params_allclose(once, twice, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# sgd_momentum_step
+# momentum_update
 # ---------------------------------------------------------------------------
-
-
-def _scalar_ps(value: float) -> ParameterSet:
-    return ParameterSet([("W", np.array([[value]])), ("b", np.array([[0.0]]))])
 
 
 def test_zero_gradient_leaves_params_unchanged(rng):
     params = random_params(SOFTMAX_REGRESSION, rng)
-    mom = init_momentum(params, gamma=0.5)
-    new_params, new_mom = sgd_momentum_step(params, mom, zeros_like(params), eta=0.1)
-    assert params_equal(new_params, params)
-    assert params_equal(new_mom.buffer, mom.buffer)
+    w, u = params.flat.copy(), np.zeros(params.layout.size)
+    momentum_update(w, u, zeros_like(params).flat, 0.5, 0.1, np.empty_like(w))
+    assert np.array_equal(w, params.flat)
+    assert np.array_equal(u, np.zeros_like(u))
 
 
 def test_momentum_recurrence_hand_values():
     # w=1, u=0, g=2, gamma=0.5, eta=0.1:
     #   step 1: u=2, w=0.8;  step 2 (same g): u=3, w=0.5
-    params = _scalar_ps(1.0)
-    grads = ParameterSet([("W", np.array([[2.0]])), ("b", np.array([[0.0]]))])
-    mom = init_momentum(params, gamma=0.5)
-    params, mom = sgd_momentum_step(params, mom, grads, eta=0.1)
-    assert mom.buffer.array("W")[0, 0] == pytest.approx(2.0, abs=1e-15)
-    assert params.array("W")[0, 0] == pytest.approx(0.8, abs=1e-15)
-    params, mom = sgd_momentum_step(params, mom, grads, eta=0.1)
-    assert mom.buffer.array("W")[0, 0] == pytest.approx(3.0, abs=1e-15)
-    assert params.array("W")[0, 0] == pytest.approx(0.5, abs=1e-15)
+    w, u, g, tmp = np.array([1.0, 0.0]), np.zeros(2), np.array([2.0, 0.0]), np.empty(2)
+    momentum_update(w, u, g, 0.5, 0.1, tmp)
+    assert u[0] == pytest.approx(2.0, abs=1e-15)
+    assert w[0] == pytest.approx(0.8, abs=1e-15)
+    momentum_update(w, u, g, 0.5, 0.1, tmp)
+    assert u[0] == pytest.approx(3.0, abs=1e-15)
+    assert w[0] == pytest.approx(0.5, abs=1e-15)
+    assert w[1] == 0.0 and u[1] == 0.0
 
 
 def test_two_step_closed_form():
     # From u0=0 with constant gradient g: w2 = w0 - eta*g*(2+gamma).
     w0, g, eta, gamma = 1.7, 0.42, 0.05, 0.9
-    params = ParameterSet([("W", np.array([[w0]])), ("b", np.array([[w0]]))])
-    grads = ParameterSet([("W", np.array([[g]])), ("b", np.array([[g]]))])
-    mom = init_momentum(params, gamma)
+    w, u = np.full(2, w0), np.zeros(2)
     for _ in range(2):
-        params, mom = sgd_momentum_step(params, mom, grads, eta)
+        momentum_update(w, u, np.full(2, g), gamma, eta, np.empty(2))
     expected = w0 - eta * g * (2 + gamma)
-    assert params.array("W")[0, 0] == pytest.approx(expected, abs=1e-12)
+    assert w[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_zero_gamma_is_vanilla_sgd(rng):
     params = random_params(SOFTMAX_REGRESSION, rng)
-    mom = init_momentum(params, gamma=0.0)
-    batch = random_batch(rng)
-    grads = backward(params, batch)
-    stepped, _ = sgd_momentum_step(params, mom, grads, eta=0.05)
+    grads = backward(params, *random_batch(rng))
+    stepped, u = params.flat.copy(), np.zeros(params.layout.size)
+    momentum_update(stepped, u, grads.flat, 0.0, 0.05, np.empty_like(stepped))
     vanilla = ParameterSet((n, w - 0.05 * g) for (n, w), (_, g) in zip(params, grads))
-    assert params_equal(stepped, vanilla)
+    assert np.array_equal(stepped, vanilla.flat)
 
 
-def test_step_rejects_bad_eta(rng):
-    params = random_params(SOFTMAX_REGRESSION, rng)
-    with pytest.raises(ValueError):
-        sgd_momentum_step(params, init_momentum(params, 0.5), zeros_like(params), eta=0.0)
+def test_step_rejects_bad_eta():
+    for eta in (0.0, -0.05):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            Hyperparameters(eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +266,13 @@ def test_confusion_matches_per_sample_loop(rng):
     # One pass over a batch predicts what row-by-row passes predict; pooled
     # validation scoring relies on it.
     params = random_params(MLP_1HIDDEN, rng)
-    batch = random_batch(rng, n=40)
-    cm = confusion_of(params, batch.features, batch.labels, 3)
+    x, y = random_batch(rng, n=40)
+    cm = confusion_of(params, x, y, 3)
     # Oracle: recount sample by sample.
     expected = np.zeros((3, 3), dtype=np.int64)
     for i in range(40):
-        pred = predict(params, batch.features[i : i + 1])[0]
-        expected[batch.labels[i], pred] += 1
+        pred = predict(params, x[i : i + 1])[0]
+        expected[y[i], pred] += 1
     assert np.array_equal(cm, expected)
     assert cm.sum() == 40
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedsim.nn import ParameterSet, ShapeError, params_allclose
+from fedsim.nn import ParameterSet, ShapeError
 from fedsim.weighting import (
     FedAsyncParams,
     dvw_weight,
@@ -12,7 +12,7 @@ from fedsim.weighting import (
     fedasync_poly_mix,
     fedavg_weight,
 )
-from tests.conftest import identity_model, one_hot_dataset, random_params
+from tests.conftest import identity_model, one_hot_dataset, params_allclose, random_params
 
 
 def confusion_of(actual, predicted, num_classes):
