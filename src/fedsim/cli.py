@@ -176,13 +176,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_names(paths: list[Path]) -> list[str]:
+    """Each run's directory name; runs whose names collide are named by the
+    shortest trailing part of their directory path that no other run shares."""
+    names = [p.parent.name or p.stem for p in paths]
+    dirs = [p.absolute().parent.parts for p in paths]
+    out = []
+    for i, (name, parts) in enumerate(zip(names, dirs)):
+        others = [d for j, (n, d) in enumerate(zip(names, dirs)) if n == name and j != i]
+        k = 1
+        while others and k < len(parts) and any(d[-k:] == parts[-k:] for d in others):
+            k += 1
+        out.append(Path(*parts[-k:]).as_posix() if others else name)
+    return out
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     named_logs = []
     fingerprints = set()  # one per run: runs in different directories may share a name
-    for path in args.csv:
-        p = Path(path)
+    paths = [Path(path) for path in args.csv]
+    for name, p in zip(_run_names(paths), paths):
         log = MetricsLog.from_csv(p)
-        named_logs.append((p.parent.name or p.stem, log))
+        named_logs.append((name, log))
         manifest_path = p.parent / "manifest.json"
         if manifest_path.exists():
             with open(manifest_path) as f:

@@ -7,7 +7,8 @@ stacked along a leading member axis, with every member's arithmetic exactly
 as if it trained alone. The fixed policy triggers every ``uf`` epochs; the
 adaptive policy watches the per-epoch change of the local validation loss
 (conditions C1/C2 with a tombstone allowance) and the learner's effective
-staleness against a frozen median threshold (condition C3).
+staleness against the median of its first ``warmup_cycles`` commits
+(condition C3). A learner keeps only what its trigger (``trigger_cause``) reads.
 """
 
 from __future__ import annotations
@@ -99,13 +100,11 @@ TriggerPolicy = Union[FixedPolicy, AdaptivePolicy]
 
 @dataclass
 class ValidationCycle:
-    """Everything a learner did between two community updates."""
+    """Trigger state since the last community update (``last_loss``: adaptive only)."""
 
     epochs: int = 0
-    losses: list[float] = field(default_factory=list)
     tombstones_used: int = 0
-    staleness_at_commit: int | None = None
-    trigger_cause: str | None = None
+    last_loss: float | None = None
 
 
 @dataclass
@@ -116,7 +115,8 @@ class LearnerState:
     place; they are copied out only at the exchange boundary
     (``params.snapshot()`` for an update request) and overwritten only by
     ``adopt_community``. ``anchor`` is the community model adopted at the
-    last fetch.
+    last fetch. ``warmup_staleness`` and ``c3_threshold`` are C3's state
+    (adaptive only, filled by ``adopt_community``).
     """
 
     id: int
@@ -131,8 +131,9 @@ class LearnerState:
     version_at_fetch: int = 0
     anchor: ParameterSet | None = None
     epochs_total: int = 0
-    cycles: list[ValidationCycle] = field(default_factory=list)
     current: ValidationCycle = field(default_factory=ValidationCycle)
+    warmup_staleness: list[int] = field(default_factory=list)
+    c3_threshold: float | None = None
 
 
 def new_learner(
@@ -330,10 +331,6 @@ def local_validation_loss(
     return losses
 
 
-def record_validation_loss(state: LearnerState, loss: float) -> None:
-    state.current.losses.append(loss)
-
-
 def compute_vpct(vloss_now: float, vloss_prev: float) -> float:
     """Percentage change of the validation loss between consecutive epochs.
 
@@ -372,7 +369,7 @@ def check_adaptive_trigger(
             cycle.tombstones_used += 1
             if cycle.tombstones_used > policy.vc_tomb:
                 return failure
-    threshold = frozen_staleness_threshold(state)
+    threshold = state.c3_threshold
     if threshold is not None and staleness_now > threshold:
         return CAUSE_C3
     if cycle.epochs >= policy.max_epochs_per_cycle:
@@ -398,30 +395,33 @@ def staleness_threshold(samples: Sequence[int], warmup_cycles: int) -> float | N
     return float(window[(warmup_cycles - 1) // 2])
 
 
-def frozen_staleness_threshold(state: LearnerState) -> float | None:
+def trigger_cause(state: LearnerState, loss: float | None, staleness_now: int) -> str | None:
+    """The cause for which the learner requests an update after an epoch, or
+    None to keep training. A fixed policy reads neither argument; an adaptive
+    one needs ``loss``, this epoch's validation loss (``check_adaptive_trigger``).
+    """
     policy = state.policy
-    if not isinstance(policy, AdaptivePolicy):
-        return None
-    samples = [
-        c.staleness_at_commit for c in state.cycles if c.staleness_at_commit is not None
-    ]
-    return staleness_threshold(samples, policy.warmup_cycles)
+    cycle = state.current
+    if isinstance(policy, FixedPolicy):
+        return CAUSE_FIXED if cycle.epochs >= policy.uf else None
+    vpct = None if cycle.last_loss is None else compute_vpct(loss, cycle.last_loss)
+    cycle.last_loss = loss
+    return check_adaptive_trigger(state, vpct, staleness_now)
 
 
-def adopt_community(
-    state: LearnerState, community: CommunityModel, cause: str | None = None
-) -> None:
+def adopt_community(state: LearnerState, community: CommunityModel) -> None:
     """Copy the community model into the local parameters and start a new cycle.
 
     The momentum buffer is zeroed (it was computed against a discarded
-    trajectory), the local step counter restarts, and the finished cycle is
-    archived with its effective staleness. Adopting again without training in
-    between archives nothing.
+    trajectory) and the local step counter restarts. Until its C3 threshold
+    freezes, an adaptive learner keeps the finished cycle's effective
+    staleness. Adopting again without training in between records nothing.
     """
-    if state.current.epochs >= 1:
-        state.current.trigger_cause = cause
-        state.current.staleness_at_commit = community.committed_steps - state.S_c_at_fetch
-        state.cycles.append(state.current)
+    policy = state.policy
+    if isinstance(policy, AdaptivePolicy) and state.c3_threshold is None:
+        if state.current.epochs >= 1:
+            state.warmup_staleness.append(community.committed_steps - state.S_c_at_fetch)
+            state.c3_threshold = staleness_threshold(state.warmup_staleness, policy.warmup_cycles)
     state.current = ValidationCycle()
     state.params.load(community.params)
     state.momentum.flat.fill(0.0)

@@ -42,16 +42,14 @@ from .data import (
 )
 from .learner import (
     CAUSE_FIXED,
-    FixedPolicy,
+    AdaptivePolicy,
     LearnerState,
     adopt_community,
-    check_adaptive_trigger,
-    compute_vpct,
     effective_staleness,
     local_validation_loss,
     new_learner,
-    record_validation_loss,
     run_epoch,
+    trigger_cause,
 )
 from .nn import ModelSpec, ParameterSet, Workspace, model_layout, predict
 from .weighting import DVW_SCHEMES, dvw_weight, fedasync_mix_factor, fedavg_weight
@@ -75,6 +73,8 @@ CSV_COLUMNS = (
     "models_exchanged_cum",
     "update_requests_cum",
 )
+# How each CSV column is read back; float columns are written with repr.
+CSV_PARSERS = (float, int, str, float, int, float, int, str, int, int)
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,8 @@ class MetricsRow:
     update_requests_cum: int
 
     def as_csv_fields(self) -> list[str]:
-        return [
-            repr(self.virtual_time),
-            str(self.version),
-            self.scheme,
-            repr(self.test_top1),
-            str(self.committing_learner),
-            repr(self.p_k),
-            str(self.staleness),
-            self.cause,
-            str(self.models_exchanged_cum),
-            str(self.update_requests_cum),
-        ]
+        values = (getattr(self, column) for column in CSV_COLUMNS)
+        return [repr(v) if parse is float else str(v) for parse, v in zip(CSV_PARSERS, values)]
 
 
 class MetricsLog:
@@ -144,8 +134,8 @@ class MetricsLog:
 
     @classmethod
     def from_csv(cls, path) -> "MetricsLog":
-        """Read a ``metrics.csv``; a file without rows or with a short or long
-        row raises ``ValueError`` naming the file (and the line)."""
+        """Read a ``metrics.csv``; a file without rows, or with a short, long or
+        non-numeric row, raises ``ValueError`` naming the file (and the line)."""
         with open(path, "r") as f:
             lines = [(number, ln.rstrip("\n")) for number, ln in enumerate(f, 1) if ln.strip()]
         if not lines:
@@ -162,20 +152,10 @@ class MetricsLog:
                 raise ValueError(
                     f"{path}, line {number}: expected {len(cls.columns)} fields, got {len(fields)}"
                 )
-            rows.append(
-                MetricsRow(
-                    virtual_time=float(fields[0]),
-                    version=int(fields[1]),
-                    scheme=fields[2],
-                    test_top1=float(fields[3]),
-                    committing_learner=int(fields[4]),
-                    p_k=float(fields[5]),
-                    staleness=int(fields[6]),
-                    cause=fields[7],
-                    models_exchanged_cum=int(fields[8]),
-                    update_requests_cum=int(fields[9]),
-                )
-            )
+            try:
+                rows.append(MetricsRow(*(parse(v) for parse, v in zip(CSV_PARSERS, fields))))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from exc
         return cls(rows)
 
     def last_at_or_before_time(self, t: float) -> MetricsRow | None:
@@ -368,16 +348,6 @@ class _Simulation:
             return len(self.slots) + 1
         return 2
 
-    def _train_cohort(self, slots: list[_LearnerSlot]) -> None:
-        """One epoch of every learner in ``slots``, then its validation loss."""
-        states = [slot.state for slot in slots]
-        run_epoch(states, [slot.split.train for slot in slots], self.hp, self.workspace)
-        losses = local_validation_loss(
-            states, [slot.split.validation for slot in slots], self.workspace
-        )
-        for state, loss in zip(states, losses):
-            record_validation_loss(state, loss)
-
     def _log_commit(
         self,
         t: float,
@@ -427,7 +397,7 @@ class _Simulation:
             requests = []
             for slot in self.slots:
                 for _ in range(slot.state.policy.uf):
-                    self._train_cohort([slot])
+                    run_epoch([slot.state], [slot.split.train], self.hp, self.workspace)
                 requests.append(self._update_request(slot))
             if self.is_dvw:
                 weights = {req.learner_id: self._dvw_weight(req) for req in requests}
@@ -447,7 +417,7 @@ class _Simulation:
                 CAUSE_FIXED,
             )
             for slot in self.slots:
-                adopt_community(slot.state, community, CAUSE_FIXED)
+                adopt_community(slot.state, community)
 
     # -- asynchronous event loop ------------------------------------------
 
@@ -494,21 +464,28 @@ class _Simulation:
         return run
 
     def _on_epochs_done(self, slots: list[_LearnerSlot], t: float) -> None:
-        self._train_cohort(slots)
-        for slot in slots:
-            self._check_trigger(slot, t)
+        """Train the cohort one epoch, score the validation loss of the
+        members whose adaptive trigger reads it, then check each trigger."""
+        states = [slot.state for slot in slots]
+        run_epoch(states, [slot.split.train for slot in slots], self.hp, self.workspace)
+        losses: list[float | None] = [None] * len(slots)
+        scored = [i for i, st in enumerate(states) if isinstance(st.policy, AdaptivePolicy)]
+        if scored:
+            values = local_validation_loss(
+                [states[i] for i in scored],
+                [slots[i].split.validation for i in scored],
+                self.workspace,
+            )
+            for i, loss in zip(scored, values):
+                losses[i] = loss
+        for slot, loss in zip(slots, losses):
+            self._check_trigger(slot, t, loss)
 
-    def _check_trigger(self, slot: _LearnerSlot, t: float) -> None:
+    def _check_trigger(self, slot: _LearnerSlot, t: float, loss: float | None) -> None:
         state = slot.state
         learner_id = state.id
-        policy = state.policy
-        if isinstance(policy, FixedPolicy):
-            cause = CAUSE_FIXED if state.current.epochs >= policy.uf else None
-        else:
-            losses = state.current.losses
-            vpct = compute_vpct(losses[-1], losses[-2]) if len(losses) >= 2 else None
-            staleness_now = effective_staleness(self.controller.committed_steps(), state)
-            cause = check_adaptive_trigger(state, vpct, staleness_now)
+        staleness_now = effective_staleness(self.controller.committed_steps(), state)
+        cause = trigger_cause(state, loss, staleness_now)
         if cause is None:
             self._schedule(t + slot.epoch_duration, learner_id, EVENT_EPOCH_DONE)
             return
@@ -540,7 +517,7 @@ class _Simulation:
         self.requests += 1
         self.exchanged += self._models_per_request()
         self._log_commit(t, community, learner_id, p, staleness, cause)
-        adopt_community(state, community, cause)
+        adopt_community(state, community)
         self._schedule(t + slot.epoch_duration, learner_id, EVENT_EPOCH_DONE)
 
     def run(self) -> SimulationResult:

@@ -10,17 +10,15 @@ import time
 import numpy as np
 
 from fedsim.config import config_from_dict, get_preset, preset_names
-from fedsim.controller import FederationController, UpdateRequest
+from fedsim.controller import CommunityModel, FederationController, UpdateRequest
 from fedsim.data import Dataset
 from fedsim.learner import (
     AdaptivePolicy,
     FixedPolicy,
     Hyperparameters,
-    ValidationCycle,
     adopt_community,
     check_adaptive_trigger,
     effective_staleness,
-    frozen_staleness_threshold,
     new_learner,
     run_epoch,
 )
@@ -351,7 +349,7 @@ def test_criterion_06_staleness_bookkeeping():
         model = ctrl.handle_async_update(
             UpdateRequest(lid, w, local_steps=steps, local_train_size=10), lambda r: 1.0
         )
-        adopt_community(state, model, cause="fixed")
+        adopt_community(state, model)
         return staleness
 
     # hand-computed: staleness = (committed steps since fetch) + own steps
@@ -395,13 +393,19 @@ def test_criterion_07_trigger_semantics():
 
     # C3 arms only after 20 completed cycles and fires on strict excess
     state = _adaptive_state(AdaptivePolicy(vc_loss=0.0, vc_tomb=99, warmup_cycles=20))
+
+    def commit(staleness: int) -> None:
+        state.current.epochs = 1
+        steps = state.S_c_at_fetch + staleness
+        adopt_community(state, CommunityModel(state.anchor, 0, steps))
+        state.current.epochs = 2
+
     for s in [4] * 10 + [6] * 9:
-        state.cycles.append(ValidationCycle(epochs=1, staleness_at_commit=s))
-    state.current.epochs = 2
-    assert frozen_staleness_threshold(state) is None
+        commit(s)
+    assert state.c3_threshold is None
     assert check_adaptive_trigger(state, vpct=-9.0, staleness_now=10**9) is None
-    state.cycles.append(ValidationCycle(epochs=1, staleness_at_commit=6))
-    thr = frozen_staleness_threshold(state)
+    commit(6)
+    thr = state.c3_threshold
     assert thr == 4.0  # lower-middle of ten 4s and ten 6s
     assert check_adaptive_trigger(state, vpct=-9.0, staleness_now=4) is None
     assert check_adaptive_trigger(state, vpct=-9.0, staleness_now=5) == "C3"

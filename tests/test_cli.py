@@ -151,6 +151,19 @@ def test_compare_command(tmp_path, capsys):
     out_text = capsys.readouterr().out
     assert "sync_fedavg" in out_text and "async_fedavg" in out_text
     assert table_csv.exists()
+    assert [line.split(",")[0] for line in table_csv.read_text().splitlines()] == ["run", "a", "b"]
+
+    # grid-style runs whose directories share one name are told apart by
+    # the shortest trailing part of their paths that is unique
+    out3, out4 = tmp_path / "c" / "cell", tmp_path / "f" / "cell"
+    for out in (out3, out4):
+        main(["run", "--config", str(cfg_path), "--out", str(out)])
+    capsys.readouterr()
+    paths = [str(out / "metrics.csv") for out in (out3, out4, out1)]
+    assert main(["compare", *paths, "--out", str(table_csv)]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == ["run", "c/cell", "f/cell", "a"]
+    assert [line.split(",")[0] for line in table_csv.read_text().splitlines()] == names
 
 
 def test_compare_rejects_mismatched_test_sets(tmp_path, capsys):
@@ -179,8 +192,12 @@ def test_compare_rejects_mismatched_test_sets(tmp_path, capsys):
             ",".join(MetricsLog.columns) + "\n0.0,0,sync_fedavg,0.5,-1,0.0,0,init,0\n",
             "line 2: expected 10 fields, got 9",
         ),
+        (
+            ",".join(MetricsLog.columns) + "\n0.0,x,sync_fedavg,0.5,-1,0.0,0,init,0,0\n",
+            "line 2: invalid literal for int() with base 10: 'x'",
+        ),
     ],
-    ids=["empty", "header-only", "missing-field"],
+    ids=["empty", "header-only", "missing-field", "non-numeric"],
 )
 def test_compare_rejects_malformed_csv(tmp_path, capsys, text, message):
     path = tmp_path / "metrics.csv"

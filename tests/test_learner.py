@@ -7,24 +7,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedsim import learner as learner_mod
-from fedsim.controller import FederationController, UpdateRequest
+from fedsim.controller import CommunityModel, FederationController, UpdateRequest
 from fedsim.data import Dataset, generate_blobs
 from fedsim.learner import (
     AdaptivePolicy,
     FixedPolicy,
     Hyperparameters,
     LearnerState,
-    ValidationCycle,
     adopt_community,
     check_adaptive_trigger,
     compute_vpct,
     effective_staleness,
-    frozen_staleness_threshold,
     local_validation_loss,
     new_learner,
-    record_validation_loss,
     run_epoch,
     staleness_threshold,
+    trigger_cause,
 )
 from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace
 from tests.conftest import params_equal
@@ -187,10 +185,18 @@ def test_first_epoch_never_triggers_on_loss():
     assert check_adaptive_trigger(state, vpct=None, staleness_now=0) is None
 
 
+def commit_with_staleness(state: LearnerState, staleness: int) -> None:
+    """End a one-epoch cycle with a commit whose effective staleness is ``staleness``."""
+    state.current.epochs = 1
+    adopt_community(state, CommunityModel(state.anchor, 0, state.S_c_at_fetch + staleness))
+
+
 def test_c3_disabled_before_warmup():
     state = make_adaptive_state(AdaptivePolicy(vc_tomb=99, warmup_cycles=20))
     for s in range(19):
-        state.cycles.append(ValidationCycle(epochs=1, staleness_at_commit=s))
+        commit_with_staleness(state, s)
+    state.current.epochs = 2
+    assert state.c3_threshold is None
     assert check_adaptive_trigger(state, vpct=-50.0, staleness_now=10**6) is None
 
 
@@ -198,8 +204,9 @@ def test_c3_fires_after_warmup_on_strict_excess():
     state = make_adaptive_state(AdaptivePolicy(vc_tomb=99, warmup_cycles=20))
     samples = [3, 7, 5, 9, 4, 6, 8, 2, 10, 1, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20]
     for s in samples:
-        state.cycles.append(ValidationCycle(epochs=1, staleness_at_commit=s))
-    threshold = frozen_staleness_threshold(state)
+        commit_with_staleness(state, s)
+    state.current.epochs = 2
+    threshold = state.c3_threshold
     # sorted samples are 1..20; the lower-middle element (rank 10) is 10
     assert threshold == 10.0
     assert check_adaptive_trigger(state, vpct=-50.0, staleness_now=10) is None
@@ -229,6 +236,94 @@ def test_raising_vc_loss_never_lengthens_cycle():
 
     epochs = [trigger_epoch(v) for v in (0.0, 0.05, 0.2, 1.0)]
     assert all(a >= b for a, b in zip(epochs, epochs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# trigger_cause and the state it keeps
+# ---------------------------------------------------------------------------
+
+
+def test_fixed_trigger_reads_only_the_epoch_count(controller):
+    state = fresh_learner(controller, FixedPolicy(3))
+    causes = []
+    for epoch in range(1, 4):
+        state.current.epochs = epoch
+        causes.append(trigger_cause(state, None, staleness_now=10**9))
+    assert causes == [None, None, "fixed"]
+    assert state.current.last_loss is None
+
+
+class FullHistoryTrigger:
+    """The adaptive trigger over unbounded state: every validation loss of the
+    cycle and every commit's effective staleness, none of it ever dropped."""
+
+    def __init__(self, policy: AdaptivePolicy) -> None:
+        self.policy = policy
+        self.losses: list[float] = []
+        self.samples: list[int] = []
+        self.tombstones = 0
+
+    def epoch(self, loss: float, staleness_now: int) -> str | None:
+        policy = self.policy
+        self.losses.append(loss)
+        if len(self.losses) >= 2:
+            vpct = compute_vpct(self.losses[-1], self.losses[-2])
+            failure = "C1" if vpct >= 0.0 else "C2" if abs(vpct) <= policy.vc_loss else None
+            if failure is not None:
+                self.tombstones += 1
+                if self.tombstones > policy.vc_tomb:
+                    return failure
+        threshold = staleness_threshold(self.samples, policy.warmup_cycles)
+        if threshold is not None and staleness_now > threshold:
+            return "C3"
+        if len(self.losses) >= policy.max_epochs_per_cycle:
+            return "fixed"
+        return None
+
+    def commit(self, staleness: int) -> None:
+        if self.losses:
+            self.samples.append(staleness)
+        self.losses = []
+        self.tombstones = 0
+
+
+LOSSES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0))
+EPOCH = st.tuples(st.just("epoch"), LOSSES, st.integers(0, 40))
+COMMIT = st.tuples(st.just("commit"), st.integers(0, 40))
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 1.0, 50.0]),
+    st.integers(1, 6),
+    st.lists(st.one_of(EPOCH, EPOCH, COMMIT), max_size=80),
+)
+@settings(max_examples=200, deadline=None)
+def test_constant_size_state_decides_like_the_full_history(
+    warmup_cycles, vc_tomb, vc_loss, max_epochs, ops
+):
+    policy = AdaptivePolicy(vc_loss, vc_tomb, warmup_cycles, max_epochs)
+    state = new_learner(0, FederationController(SPEC).current_model(), policy, gamma=0.5)
+    reference = FullHistoryTrigger(policy)
+
+    def commit(staleness):
+        adopt_community(state, CommunityModel(state.anchor, 0, state.S_c_at_fetch + staleness))
+        reference.commit(staleness)
+
+    for op in ops:
+        if op[0] == "epoch":
+            _, loss, staleness_now = op
+            state.current.epochs += 1  # what run_epoch does to the cycle
+            cause = trigger_cause(state, loss, staleness_now)
+            assert cause == reference.epoch(loss, staleness_now)
+            if cause is not None:
+                commit(staleness_now)
+        else:
+            commit(op[1])
+        assert len(state.warmup_staleness) <= warmup_cycles
+        assert state.warmup_staleness == reference.samples[:warmup_cycles]
+        assert state.c3_threshold == staleness_threshold(reference.samples, warmup_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +386,32 @@ def test_threshold_frozen_after_warmup():
 
 
 def test_adopt_twice_is_idempotent(controller):
-    state = fresh_learner(controller)
+    state = fresh_learner(controller, AdaptivePolicy(warmup_cycles=1))
     model = controller.current_model()
     adopt_community(state, model)
     adopt_community(state, model)
     assert params_equal(state.params, model.params)
-    assert state.cycles == []
+    assert state.warmup_staleness == [] and state.c3_threshold is None
 
 
-def test_adopt_archives_one_cycle_per_commit(train_set, controller):
-    state = fresh_learner(controller)
-    for round_no in range(1, 4):
+def test_adopt_keeps_one_staleness_sample_per_warmup_commit(train_set, controller):
+    state = fresh_learner(controller, AdaptivePolicy(warmup_cycles=3))
+    for round_no in range(1, 6):
         run_epoch([state], [train_set], HP)
         req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
         model = controller.handle_async_update(req, lambda r: 1.0)
-        adopt_community(state, model, cause="fixed")
-        assert len(state.cycles) == round_no
-    assert all(c.trigger_cause == "fixed" for c in state.cycles)
+        adopt_community(state, model)
+        assert state.warmup_staleness == [3] * min(round_no, 3)
+        assert state.c3_threshold == (3.0 if round_no >= 3 else None)
+        assert state.current.epochs == 0 and state.current.last_loss is None
+
+
+def test_fixed_learner_keeps_no_staleness_samples(train_set, controller):
+    state = fresh_learner(controller)
+    run_epoch([state], [train_set], HP)
+    req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
+    adopt_community(state, controller.handle_async_update(req, lambda r: 1.0))
+    assert state.warmup_staleness == [] and state.c3_threshold is None
 
 
 def test_adopt_resets_counters_and_momentum(train_set, controller):
@@ -316,7 +420,7 @@ def test_adopt_resets_counters_and_momentum(train_set, controller):
     assert np.any(state.momentum.flat != 0)
     req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
     model = controller.handle_async_update(req, lambda r: 1.0)
-    adopt_community(state, model, cause="fixed")
+    adopt_community(state, model)
     assert state.S_k_local == 0
     assert state.S_c_at_fetch == model.committed_steps
     assert np.all(state.momentum.flat == 0)
@@ -325,7 +429,7 @@ def test_adopt_resets_counters_and_momentum(train_set, controller):
 
 
 def test_adopt_records_staleness_including_own_steps(train_set, controller):
-    state = fresh_learner(controller)
+    state = fresh_learner(controller, AdaptivePolicy())
     other = new_learner(1, controller.current_model(), FixedPolicy(4), gamma=HP.gamma)
     run_epoch([state], [train_set], HP)  # 3 steps
     # another learner commits 7 steps in the meantime
@@ -335,16 +439,16 @@ def test_adopt_records_staleness_including_own_steps(train_set, controller):
     model = controller.handle_async_update(
         UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n), lambda r: 1.0
     )
-    adopt_community(state, model, cause="fixed")
-    assert state.cycles[-1].staleness_at_commit == 7 + 3
+    adopt_community(state, model)
+    assert state.warmup_staleness == [7 + 3]
 
 
 def test_validation_loss_recorded(train_set, controller):
-    state = fresh_learner(controller)
+    state = fresh_learner(controller, AdaptivePolicy())
     run_epoch([state], [train_set], HP)
     loss = local_validation_loss([state], [train_set])[0]
-    record_validation_loss(state, loss)
-    assert state.current.losses == [loss]
+    assert trigger_cause(state, loss, staleness_now=0) is None
+    assert state.current.last_loss == loss
     assert loss > 0
 
 
@@ -370,7 +474,7 @@ def test_training_after_commit_leaves_cache_untouched(epochs_after, mu, gamma, d
     committed = ctrl.handle_async_update(req, lambda r: 2.0)
     cached = req.params.flat.copy()
     audit = ctrl.audit_recompute().params
-    adopt_community(state, committed, cause="fixed")
+    adopt_community(state, committed)
     for _ in range(epochs_after):
         run_epoch([state], [train], hp)
     assert not params_equal(state.params, committed.params)

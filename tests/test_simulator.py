@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fedsim import simulator as simulator_mod
 from fedsim.config import config_from_dict, get_preset
 from fedsim.data import generate_blobs
+from fedsim.learner import AdaptivePolicy, run_epoch
 from fedsim.nn import ModelSpec, init_parameters, predict
 from fedsim.simulator import (
     MetricsLog,
@@ -89,7 +91,7 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
     sim = _Simulation(cfg)
     num_classes = sim.model_spec.num_classes
     for slot in sim.slots:
-        sim._train_cohort([slot])
+        run_epoch([slot.state], [slot.split.train], sim.hp, sim.workspace)
         req = sim._update_request(slot)
         # One confusion matrix per learner, counted sample by sample; the
         # committing learner's own slice is one of them, once.
@@ -298,8 +300,45 @@ def test_fixed_policy_cycles_have_exact_uf_epochs():
     cfg = blob_config(scheme="async_fedavg", trigger={"kind": "fixed", "uf": 3}, time_budget=4.0)
     res = run_simulation_detailed(cfg)
     for state in res.learners:
-        assert state.cycles, "every learner should have completed cycles"
-        assert all(c.epochs == 3 for c in state.cycles)
+        commits = sum(row.committing_learner == state.id for row in res.log)
+        assert commits, "every learner should have completed cycles"
+        assert state.epochs_total == 3 * commits + state.current.epochs
+        assert state.current.epochs < 3
+
+
+def record_validation_losses(monkeypatch) -> list[list[float]]:
+    """Wrap the simulator's validation-loss call; the returned list collects
+    what each call returns."""
+    calls = []
+    score = simulator_mod.local_validation_loss
+
+    def recording(states, validations, workspace=None):
+        calls.append(score(states, validations, workspace))
+        return calls[-1]
+
+    monkeypatch.setattr(simulator_mod, "local_validation_loss", recording)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["sync_fedavg", "sync_dvw", "async_fedavg", "fedasync_poly"])
+def test_fixed_policy_runs_compute_no_validation_loss(monkeypatch, scheme):
+    calls = record_validation_losses(monkeypatch)
+    res = run_simulation_detailed(blob_config(scheme=scheme, time_budget=3.0))
+    assert len(res.log) > 1
+    assert calls == []
+
+
+def test_adaptive_run_scores_each_epoch_once_and_keeps_warmup_samples(monkeypatch):
+    calls = record_validation_losses(monkeypatch)
+    trigger = {"kind": "adaptive", "vc_loss": 0.5, "vc_tomb": 1, "warmup_cycles": 3}
+    cfg = blob_config(scheme="async_dvw", trigger=trigger, speed_profiles=HETERO_PROFILES)
+    res = run_simulation_detailed(cfg)
+    assert all(isinstance(state.policy, AdaptivePolicy) for state in res.learners)
+    assert sum(map(len, calls)) == sum(state.epochs_total for state in res.learners)
+    for state in res.learners:
+        assert sum(row.committing_learner == state.id for row in res.log) > 3
+        assert len(state.warmup_staleness) == 3
+        assert state.c3_threshold is not None
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +400,13 @@ def test_log_cutoff_helpers():
     assert log.last_at_or_before_version(1).test_top1 == 0.5
 
 
-def test_zero_validation_loss_does_not_abort_the_run():
+def test_zero_validation_loss_does_not_abort_the_run(monkeypatch):
     # At eta=50 a 2-class non-IID learner fits its validation slice and its
     # loss underflows to 0.0; the run used to abort in compute_vpct.
     raw = get_preset("blobs-powerlaw-noniid")
     raw.update(schemes=None, scheme="async_dvw")
     raw["hyperparameters"]["eta"] = 50.0
+    calls = record_validation_losses(monkeypatch)
     result = run_simulation_detailed(config_from_dict(raw, apply_env=False))
-    losses = [loss for s in result.learners for c in [*s.cycles, s.current] for loss in c.losses]
-    assert 0.0 in losses
+    assert any(0.0 in losses for losses in calls)
     assert len(result.log) > 1
