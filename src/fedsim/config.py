@@ -528,6 +528,8 @@ def config_from_dict(raw: Mapping[str, Any], apply_env: bool = True) -> Experime
             raise ConfigError(f"{SEED_ENV_VAR}: not an integer") from exc
     if seed < 0:
         raise ConfigError("seed: must be non-negative")
+    if seed >= 2**128:  # the model's initial weights come from Philox(key=seed)
+        raise ConfigError("seed: must be < 2**128")
 
     num_learners = root.take("num_learners", int, required=True)
     if num_learners < 1:

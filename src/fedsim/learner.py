@@ -41,6 +41,16 @@ CAUSE_FIXED = "fixed"
 # memory than one model, while a cohort of small ones stays whole.
 COHORT_SCRATCH_BYTES = 1 << 18
 
+# Epochs of shuffle keys derived per learner at once (``_shuffles``). One
+# derivation has a fixed cost of about 0.15-0.25 ms on a 2-vCPU host, however
+# many keys it makes, so a block spreads that over many epochs. A key takes
+# 16 bytes, and keys past a learner's last epoch are never used.
+SHUFFLE_KEY_BLOCK = 16
+
+_WORD = 0xFFFFFFFF
+_POOL = 4  # SeedSequence's pool size in uint32 words
+_ZEROS4 = (0, 0, 0, 0)  # Python ints: Philox's state setter reads them fastest
+
 
 @dataclass(frozen=True)
 class Hyperparameters:
@@ -203,6 +213,116 @@ def _per_member(values: list[float]):
     return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``values`` (uint32, last axis of k) with
+    the k + 1 successive hash constants ``consts``."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    values ^= values >> 16
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of pool words ``x`` with hashed words ``y``."""
+    x = x * np.uint32(0xCA01F9DD)
+    x -= y * np.uint32(0x4973F715)
+    x ^= x >> 16
+    return x
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``init`` and the next ``count`` hash constants, each ``mult`` times the last."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _WORD)
+    return np.array(consts, np.uint32)
+
+
+def _philox_keys(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The key ``Philox(SeedSequence(words))`` takes for each row of uint32
+    ``entropy`` whose first ``lengths[r]`` (at least 4) words are in use, as
+    an (R, 2) uint64 array: SeedSequence's entropy mixing into its 4-word
+    pool, then ``generate_state(2, uint64)``, run across rows. The hash
+    constants depend only on the word position, never on the data."""
+    width = entropy.shape[1]
+    consts = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL * width)
+    pool = _hashmix(entropy[:, :_POOL], consts[: _POOL + 1])
+    k = _POOL
+    for src in range(_POOL):  # every pool word into every other one
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src : src + 1], consts[k : k + _POOL]))
+        k += _POOL - 1
+    for src in range(_POOL, width):  # words beyond the pool into every pool word
+        mixed = _mix(pool, _hashmix(entropy[:, src : src + 1], consts[k : k + _POOL + 1]))
+        pool = np.where((src < lengths)[:, None], mixed, pool)
+        k += _POOL
+    words = _hashmix(pool, _hash_consts(0x8B51F9DD, 0x58F38DED, _POOL)).astype(np.uint64)
+    return words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+
+
+def _words(value: int) -> list[int]:
+    """``value`` as little-endian uint32 words, the way SeedSequence splits it."""
+    words = [value & _WORD]
+    while value > _WORD:
+        value >>= 32
+        words.append(value & _WORD)
+    return words
+
+
+def _key_blocks(states: list[LearnerState]) -> np.ndarray:
+    """The shuffle keys of each learner's next ``SHUFFLE_KEY_BLOCK`` epochs,
+    its current one first, as an (M, K, 2) array: row (m, k) is the key of
+    ``SeedSequence([data_seed, 5, id, epochs_total + k])``."""
+    m, block = len(states), SHUFFLE_KEY_BLOCK
+    prefixes = [_words(st.data_seed) + [5] + _words(st.id) for st in states]
+    width = max(map(len, prefixes))
+    used = np.array([len(p) for p in prefixes])[:, None]
+    epochs = np.array([st.epochs_total for st in states], np.uint64)[:, None]
+    epochs = epochs + np.arange(block, dtype=np.uint64)
+    padded = np.array([p + [0] * (width - len(p)) for p in prefixes], np.uint32)
+    entropy = np.zeros((m, block, width + 2), np.uint32)
+    entropy[:, :, :width] = padded[:, None]
+    rows, cols = np.arange(m)[:, None], np.arange(block)
+    entropy[rows, cols, used] = (epochs & np.uint64(_WORD)).astype(np.uint32)
+    entropy[rows, cols, used + 1] = (epochs >> np.uint64(32)).astype(np.uint32)
+    lengths = (used + 1 + (epochs > _WORD)).reshape(-1)
+    keys = _philox_keys(entropy.reshape(m * block, -1)[:, : lengths.max()], lengths)
+    return keys.reshape(m, block, 2)
+
+
+def _shuffles(ws: Workspace, states: list[LearnerState], n: int) -> list[np.ndarray]:
+    """Each learner's order of its n samples for this epoch:
+    ``Generator(Philox(SeedSequence([data_seed, 5, id, epochs_total]))).permutation(n)``,
+    bit for bit. Keys come from per-learner blocks on the workspace; the
+    members whose block does not hold this epoch get new blocks in one pass.
+    Every permutation is numpy's own, drawn by the workspace's one generator
+    reseated with the key, a zero counter and empty output buffers."""
+    blocks = ws.shuffle_keys
+    keys: list[np.ndarray | None] = []
+    for st in states:
+        first, block = blocks.get((st.data_seed, st.id), (0, ()))
+        epoch = st.epochs_total - first
+        keys.append(block[epoch] if 0 <= epoch < len(block) else None)
+    missing = [i for i, key in enumerate(keys) if key is None]
+    if missing:
+        for i, block in zip(missing, _key_blocks([states[i] for i in missing])):
+            st = states[i]
+            blocks[(st.data_seed, st.id)] = (st.epochs_total, block)
+            keys[i] = block[0]
+    bits, perms = ws.shuffle.bit_generator, []
+    for key in keys:
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS4, "key": key.tolist()},
+            "buffer": _ZEROS4,
+            "buffer_pos": 4,  # past the end of Philox's 4-word output buffer: empty
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        perms.append(ws.shuffle.permutation(n))
+    return perms
+
+
 def _train_cohort(
     states: list[LearnerState], trains: list[Dataset], hp: Hyperparameters, ws: Workspace
 ) -> dict[int, int]:
@@ -216,12 +336,7 @@ def _train_cohort(
     anchor = None
     if states[0].proximal_mu > 0.0:
         anchor = _stack(ws, "anchor", [st.anchor.flat for st in states])
-    perms = [
-        np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([st.data_seed, 5, st.id, st.epochs_total]))
-        ).permutation(n)
-        for st in states
-    ]
+    perms = _shuffles(ws, states, n)
     bad: dict[int, int] = {}
     step = 0
     for start in range(0, n, hp.batch_size):

@@ -330,7 +330,10 @@ class Workspace:
 
     Each named buffer grows to the largest cohort seen and is then reused, so
     a training step allocates no batch- or model-sized array. Cohorts train
-    one at a time, so one workspace serves a whole federation.
+    one at a time, so one workspace serves a whole federation. The learners'
+    epoch shuffles share it too: ``shuffle_keys`` holds each learner's block
+    of Philox keys, keyed by (data seed, learner id), and ``shuffle`` is the
+    one generator that is reseated with a key before each permutation.
     """
 
     def __init__(self, layout: Layout) -> None:
@@ -339,6 +342,8 @@ class Workspace:
         self._store: dict[str, np.ndarray] = {}
         self._shapes: dict[tuple[int, int], _CohortScratch] = {}
         self._index = np.arange(0)
+        self.shuffle_keys: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+        self.shuffle = np.random.Generator(np.random.Philox(0))
 
     def member_bytes(self, rows: int) -> int:
         """Scratch bytes one cohort member adds at batches of ``rows``

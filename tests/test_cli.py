@@ -93,6 +93,18 @@ def test_non_finite_number_exit_code(tmp_path, capsys):
     assert "hyperparameters.eta: expected a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_seed_too_large_for_philox_exit_code(tmp_path, capsys, monkeypatch, source):
+    if source == "env":
+        monkeypatch.setenv("FEDSIM_SEED", str(2**128 + 1))
+        bad = write_config(tmp_path)
+    else:
+        bad = write_config(tmp_path, {"seed": 2**128 + 1})
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "seed: must be < 2**128" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -138,6 +138,22 @@ def test_env_seed_override(monkeypatch, tmp_path):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize(
+    "seed, fits", [(2**128 - 1, True), (2**128, False), (2**128 + 1, False)],
+    ids=["2**128-1", "2**128", "2**128+1"],
+)
+def test_seed_must_fit_a_philox_key(monkeypatch, source, seed, fits):
+    raw = dict(MINIMAL, seed=seed) if source == "file" else dict(MINIMAL)
+    if source == "env":
+        monkeypatch.setenv("FEDSIM_SEED", str(seed))
+    if fits:
+        assert config_from_dict(raw).seed == seed
+    else:
+        with pytest.raises(ConfigError, match=r"^seed: must be < 2\*\*128$"):
+            config_from_dict(raw)
+
+
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/config.json")

@@ -24,7 +24,7 @@ from fedsim.learner import (
     staleness_threshold,
     trigger_cause,
 )
-from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace
+from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace, model_layout
 from tests.conftest import params_equal
 
 SPEC = ModelSpec("softmax-regression", input_dim=4, num_classes=3, init_seed=1990)
@@ -533,6 +533,105 @@ def test_in_place_epoch_matches_reference(kind, mu):
     run_epoch([state], [train], hp)
     assert all(np.array_equal(a, b) for a, b in zip(state.params.arrays, want_w))
     assert all(np.array_equal(a, b) for a, b in zip(state.momentum.arrays, want_u))
+
+
+# ---------------------------------------------------------------------------
+# epoch shuffles: block-derived keys through one reseated Philox
+# ---------------------------------------------------------------------------
+
+
+def numpy_shuffle(seed, learner_id, epoch, n):
+    seq = np.random.SeedSequence([seed, 5, learner_id, epoch])
+    return np.random.Generator(np.random.Philox(seq)).permutation(n)
+
+
+def shuffle_learner(seed, learner_id, epoch):
+    """A learner with only what its shuffle reads."""
+    return LearnerState(learner_id, None, None, 0.5, FixedPolicy(), data_seed=seed,
+                        epochs_total=epoch)
+
+
+# Seeds whose entropy takes 1, 2, 3 and 4 uint32 words.
+seeds = st.one_of(*(st.integers(2 ** (32 * k) if k else 0, 2 ** (32 * k + 32) - 1)
+                    for k in range(4)))
+# n = 1, up to beta, and above beta.
+shuffle_sizes = st.one_of(
+    st.just(1), st.integers(2, HP.batch_size), st.integers(HP.batch_size + 1, 1000)
+)
+
+
+@given(
+    draws=st.lists(
+        st.tuples(seeds, st.integers(0, 2**40), st.integers(0, 2**40), shuffle_sizes),
+        min_size=1,
+        max_size=6,
+    ),
+    cohort_n=shuffle_sizes,
+)
+@settings(max_examples=100, deadline=None)
+def test_shuffles_match_numpys_seed_sequence_philox(draws, cohort_n):
+    ws = Workspace(model_layout(SPEC))
+    # One learner at a time through the one reused generator, so state a
+    # permutation leaves behind (buffered words, a half-used 64-bit draw)
+    # would show in the next one.
+    for seed, learner_id, epoch, n in draws:
+        (got,) = learner_mod._shuffles(ws, [shuffle_learner(seed, learner_id, epoch)], n)
+        assert np.array_equal(got, numpy_shuffle(seed, learner_id, epoch, n))
+    # As one cohort, next epochs first: some blocks hit, others refill together.
+    cohort = [shuffle_learner(s, i, e + 1) for s, i, e, _ in draws]
+    cohort += [shuffle_learner(s, i, e) for s, i, e, _ in draws]
+    got = learner_mod._shuffles(ws, cohort, cohort_n)
+    for learner, perm in zip(cohort, got):
+        want = numpy_shuffle(learner.data_seed, learner.id, learner.epochs_total, cohort_n)
+        assert np.array_equal(perm, want)
+
+
+@pytest.fixture
+def shuffle_case():
+    train = generate_blobs(4, 3, n_per_class=70, spread=0.3, seed=5)  # 210 -> 64,64,64,18
+    hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=64)
+    return train, hp, FederationController(SPEC), Workspace(model_layout(SPEC))
+
+
+def assert_epoch_is_reference(state, train, hp, ws):
+    want_w, want_u = reference_epoch(state, train, hp)
+    run_epoch([state], [train], hp, ws)
+    assert np.array_equal(state.params.flat, np.concatenate([a.ravel() for a in want_w]))
+    assert np.array_equal(state.momentum.flat, np.concatenate([a.ravel() for a in want_u]))
+
+
+def test_shuffle_across_a_key_block_boundary(shuffle_case):
+    train, hp, ctrl, ws = shuffle_case
+    state = new_learner(4, ctrl.current_model(), FixedPolicy(4), hp.gamma, data_seed=2**70 + 3)
+    state.epochs_total = learner_mod.SHUFFLE_KEY_BLOCK - 2
+    for _ in range(5):
+        assert_epoch_is_reference(state, train, hp, ws)
+    assert state.epochs_total == learner_mod.SHUFFLE_KEY_BLOCK + 3
+
+
+def test_shuffle_after_epochs_total_is_set_backwards(shuffle_case):
+    train, hp, ctrl, ws = shuffle_case
+    state = new_learner(4, ctrl.current_model(), FixedPolicy(4), hp.gamma, data_seed=9)
+    for epoch in [7, 8, 6, 3, 7 + learner_mod.SHUFFLE_KEY_BLOCK, 8]:
+        state.epochs_total = epoch
+        assert_epoch_is_reference(state, train, hp, ws)
+
+
+def test_shuffle_keys_are_per_data_seed_in_a_shared_workspace(shuffle_case):
+    train, hp, ctrl, ws = shuffle_case
+    a = new_learner(4, ctrl.current_model(), FixedPolicy(4), hp.gamma, data_seed=1)
+    b = new_learner(4, ctrl.current_model(), FixedPolicy(4), hp.gamma, data_seed=2)
+    for _ in range(3):
+        assert_epoch_is_reference(a, train, hp, ws)
+        assert_epoch_is_reference(b, train, hp, ws)
+    assert not params_equal(a.params, b.params)
+
+
+def test_shuffle_without_a_workspace(shuffle_case):
+    train, hp, ctrl, _ = shuffle_case
+    state = new_learner(4, ctrl.current_model(), FixedPolicy(4), hp.gamma, data_seed=4294967297)
+    for _ in range(3):
+        assert_epoch_is_reference(state, train, hp, None)
 
 
 # ---------------------------------------------------------------------------
