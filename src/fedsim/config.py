@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping, Union
 
 from .data import (
@@ -292,20 +292,11 @@ class ExperimentConfig:
     trigger: TriggerSpec
     hyperparameters: Hyperparameters
     fedasync: FedAsyncParams
-    proximal_mu: float
+    proximal_mu: float  # as written; hyperparameters.proximal_mu is what trains
     time_budget: float
     max_versions: int | None
     summary_times: tuple[float, ...]
     summary_rounds: tuple[int, ...]
-
-    def resolved_proximal_mu(self) -> float:
-        # FedAsync ships with its own divergence regularizer; an explicit
-        # proximal_mu in the config wins.
-        if self.proximal_mu > 0.0:
-            return self.proximal_mu
-        if self.scheme == "fedasync_poly":
-            return self.fedasync.rho
-        return 0.0
 
     def with_scheme(self, scheme: str) -> "ExperimentConfig":
         d = self.to_dict()
@@ -575,9 +566,14 @@ def config_from_dict(raw: Mapping[str, Any], apply_env: bool = True) -> Experime
         rho=fa_sec.take("rho", float),
     )
 
+    # FedAsync brings its own divergence regularizer, rho; an explicit
+    # proximal_mu wins.
     proximal_mu = root.take("proximal_mu", float, default=0.0)
-    if proximal_mu < 0:
-        raise ConfigError("proximal_mu: must be >= 0")
+    mu = proximal_mu or (fedasync.rho if scheme == "fedasync_poly" else 0.0)
+    try:
+        hp = replace(hp, proximal_mu=mu)
+    except ValueError as exc:  # the message starts with the field's name
+        raise ConfigError(str(exc)) from exc
 
     time_budget = root.take("time_budget", float, default=DEFAULT_TIME_BUDGET)
     if time_budget <= 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -54,9 +54,14 @@ _ZEROS4 = (0, 0, 0, 0)  # Python ints: Philox's state setter reads them fastest
 
 @dataclass(frozen=True)
 class Hyperparameters:
+    """A run's training constants, the same for every learner: step size eta,
+    momentum attenuation gamma, batch size beta and the proximal coefficient
+    (FedProx's mu, or FedAsync's rho; 0 turns the proximal term off)."""
+
     eta: float = 0.05
     gamma: float = 0.75
     batch_size: int = 100
+    proximal_mu: float = 0.0
 
     def __post_init__(self) -> None:
         if self.eta <= 0:
@@ -65,6 +70,8 @@ class Hyperparameters:
             raise ValueError("gamma must lie in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch size beta must be >= 1")
+        if self.proximal_mu < 0:
+            raise ValueError("proximal_mu must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -125,16 +132,16 @@ class LearnerState:
     place; they are copied out only at the exchange boundary
     (``params.snapshot()`` for an update request) and overwritten only by
     ``adopt_community``. ``anchor`` is the community model adopted at the
-    last fetch. ``warmup_staleness`` and ``c3_threshold`` are C3's state
-    (adaptive only, filled by ``adopt_community``).
+    last fetch, the target of the proximal pull. ``warmup_staleness`` and
+    ``c3_threshold`` are C3's state (adaptive only, filled by
+    ``adopt_community``). The optimizer constants are the run's
+    (``Hyperparameters``), not the learner's.
     """
 
     id: int
     params: ParameterBuffer
     momentum: ParameterBuffer
-    gamma: float
     policy: TriggerPolicy
-    proximal_mu: float = 0.0
     data_seed: int = 0
     S_k_local: int = 0
     S_c_at_fetch: int = 0
@@ -150,41 +157,35 @@ def new_learner(
     learner_id: int,
     community: CommunityModel,
     policy: TriggerPolicy,
-    gamma: float,
-    proximal_mu: float = 0.0,
     data_seed: int = 0,
 ) -> LearnerState:
     """Create a learner that has just adopted the broadcast community model."""
-    if not (0.0 <= gamma < 1.0):
-        raise ValueError("momentum attenuation must lie in [0, 1)")
     layout = community.params.layout
     state = LearnerState(
         id=learner_id,
         params=ParameterBuffer(layout),
         momentum=ParameterBuffer(layout),
-        gamma=gamma,
         policy=policy,
-        proximal_mu=proximal_mu,
         data_seed=data_seed,
     )
     adopt_community(state, community)
     return state
 
 
-def _cohorts(
-    count: int, key: Callable[[int], Hashable], member_bytes: Callable[[int], int]
-) -> list[list[int]]:
-    """Indices ``0..count-1`` grouped by ``key`` (groups in order of first
+def _cohorts(ws: Workspace, sizes: list[int], batch: int | None = None) -> list[list[int]]:
+    """Indices into ``sizes`` grouped by size (groups in order of first
     appearance, members in index order), each group cut into runs whose
-    ``member_bytes`` total stays within ``COHORT_SCRATCH_BYTES``."""
-    if count == 1:
+    scratch (``ws.member_bytes`` at batches of ``batch`` rows, or of the whole
+    set) stays within ``COHORT_SCRATCH_BYTES``."""
+    if len(sizes) == 1:
         return [[0]]
-    groups: dict[Hashable, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(key(i), []).append(i)
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(sizes):
+        groups.setdefault(n, []).append(i)
     out = []
-    for members in groups.values():
-        per = max(1, COHORT_SCRATCH_BYTES // member_bytes(members[0]))
+    for n, members in groups.items():
+        rows = n if batch is None else min(batch, n)
+        per = max(1, COHORT_SCRATCH_BYTES // ws.member_bytes(rows))
         out.extend(members[j : j + per] for j in range(0, len(members), per))
     return out
 
@@ -205,12 +206,6 @@ def _stacked_models(ws: Workspace, states: list[LearnerState]):
         return states[0].params.flat, states[0].params.arrays
     w = _stack(ws, "w", [st.params.flat for st in states])
     return w, ws.layout.views(w)
-
-
-def _per_member(values: list[float]):
-    """One value per cohort member, as a column that broadcasts over the
-    member's row of a stack; a cohort of one gets its scalar."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -326,15 +321,13 @@ def _shuffles(ws: Workspace, states: list[LearnerState], n: int) -> list[np.ndar
 def _train_cohort(
     states: list[LearnerState], trains: list[Dataset], hp: Hyperparameters, ws: Workspace
 ) -> dict[int, int]:
-    """One epoch of learners with equal data sizes and the same use of the
-    proximal term, stacked. Returns {member: first step that left it non-finite}."""
+    """One epoch of learners with equal data sizes, stacked. Returns
+    {member: first step that left it non-finite}."""
     n = trains[0].n
     w, arrays = _stacked_models(ws, states)
     u = _stack(ws, "u", [st.momentum.flat for st in states])
-    gamma = _per_member([st.gamma for st in states])
-    mu = _per_member([st.proximal_mu for st in states])
     anchor = None
-    if states[0].proximal_mu > 0.0:
+    if hp.proximal_mu > 0.0:
         anchor = _stack(ws, "anchor", [st.anchor.flat for st in states])
     perms = _shuffles(ws, states, n)
     bad: dict[int, int] = {}
@@ -351,9 +344,9 @@ def _train_cohort(
         g = ws.gradient(arrays, s)
         if anchor is not None:
             np.subtract(w, anchor, out=s.tmp)
-            s.tmp *= mu
+            s.tmp *= hp.proximal_mu
             g += s.tmp
-        momentum_update(w, u, g, gamma, hp.eta, s.tmp)
+        momentum_update(w, u, g, hp.gamma, hp.eta, s.tmp)
         step += 1
         if not np.isfinite(w).all():
             for i in np.flatnonzero(~np.isfinite(w).reshape(len(states), -1).all(axis=1)):
@@ -376,11 +369,12 @@ def run_epoch(
 
     Each learner shuffles in its own seed-determined order, and each step
     works in place on its buffers: the data gradient, plus mu * (w - w_anchor)
-    with a positive proximal coefficient (a pull toward the community model
-    adopted at the last fetch), then u <- gamma*u + g and w <- w - eta*u.
-    Learners with equal data sizes and the same use of the proximal term
-    train as one stacked cohort, which gives every one of them the same bits
-    as training alone; a lone learner trains on views of its own buffers.
+    with a positive ``hp.proximal_mu`` (a pull toward the community model the
+    learner adopted at its last fetch), then u <- gamma*u + g and
+    w <- w - eta*u. eta, gamma and mu are the run's and come only from ``hp``;
+    each learner keeps its own shuffle and anchor. Learners with equal data
+    sizes train as one stacked cohort, which gives every one of them the same
+    bits as training alone; a lone learner trains on views of its own buffers.
     ``workspace`` holds the scratch; a federation passes one shared by all its
     learners. Raises ``ShapeError`` for the first learner in ``states`` that a
     step left with a non-finite parameter, naming that step.
@@ -391,12 +385,7 @@ def run_epoch(
     for train in trains:
         check_dataset(ws.layout, train)
     failures = []
-    cohorts = _cohorts(
-        len(states),
-        lambda i: (trains[i].n, states[i].proximal_mu > 0.0),
-        lambda i: ws.member_bytes(min(hp.batch_size, trains[i].n)),
-    )
-    for members in cohorts:
+    for members in _cohorts(ws, [train.n for train in trains], hp.batch_size):
         bad = _train_cohort([states[i] for i in members], [trains[i] for i in members], hp, ws)
         failures.extend((members[i], step) for i, step in bad.items())
     if failures:
@@ -429,9 +418,7 @@ def local_validation_loss(
     for validation in validations:
         check_dataset(ws.layout, validation)
     losses = [0.0] * len(states)
-    for members in _cohorts(
-        len(states), lambda i: validations[i].n, lambda i: ws.member_bytes(validations[i].n)
-    ):
+    for members in _cohorts(ws, [validation.n for validation in validations]):
         w, arrays = _stacked_models(ws, [states[i] for i in members])
         if len(members) == 1:
             x, y = validations[members[0]].features, validations[members[0]].labels

@@ -19,7 +19,7 @@ import heapq
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,8 +77,9 @@ CSV_COLUMNS = (
 CSV_PARSERS = (float, int, str, float, int, float, int, str, int, int)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """A queued event; the heap orders events by (time, seq), which is unique."""
+
     time: float
     seq: int
     learner_id: int
@@ -177,8 +178,6 @@ class MetricsLog:
 
 def evaluate_test_accuracy(params: ParameterSet, test: Dataset) -> float:
     """Fraction of argmax-correct predictions on the held-out test set."""
-    if test.n < 1:
-        raise ValueError("test set is empty")
     return float(np.mean(predict(params, test.features) == test.labels))
 
 
@@ -247,14 +246,7 @@ def build_federation(cfg: config_mod.ExperimentConfig):
     slots = []
     for lid in range(cfg.num_learners):
         policy = cfg.trigger.policy_for(cfg.scheme, groups[lid])
-        state = new_learner(
-            lid,
-            community,
-            policy,
-            gamma=cfg.hyperparameters.gamma,
-            proximal_mu=cfg.resolved_proximal_mu(),
-            data_seed=cfg.seed,
-        )
+        state = new_learner(lid, community, policy, data_seed=cfg.seed)
         lsplit = split.per_learner[lid]
         steps_per_epoch = math.ceil(lsplit.train.n / cfg.hyperparameters.batch_size)
         slots.append(
@@ -295,7 +287,7 @@ class _Simulation:
         self.requests = 0
         self.exchanged = 0
         self.clock = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self._seq = 0
         self.is_dvw = self.scheme in DVW_SCHEMES
         # Every learner's validation slice in learner-id order. The virtual
@@ -424,8 +416,7 @@ class _Simulation:
     def _schedule(self, t: float, learner_id: int, kind: str) -> None:
         if t < self.clock:
             raise RuntimeError("cannot schedule an event in the past")
-        ev = Event(t, self._seq, learner_id, kind)
-        heapq.heappush(self._heap, (t, self._seq, ev))
+        heapq.heappush(self._heap, Event(t, self._seq, learner_id, kind))
         self._seq += 1
 
     def run_async(self) -> None:
@@ -433,7 +424,8 @@ class _Simulation:
         for slot in self.slots:
             self._schedule(slot.epoch_duration, slot.state.id, EVENT_EPOCH_DONE)
         while self._heap:
-            t, _, ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)
+            t = ev.time
             if t > cfg.time_budget:
                 break
             self.clock = t
@@ -459,8 +451,8 @@ class _Simulation:
         """
         run = [self.slots[first.learner_id]]
         heap = self._heap
-        while heap and heap[0][0] == first.time and heap[0][2].kind == EVENT_EPOCH_DONE:
-            run.append(self.slots[heapq.heappop(heap)[2].learner_id])
+        while heap and heap[0].time == first.time and heap[0].kind == EVENT_EPOCH_DONE:
+            run.append(self.slots[heapq.heappop(heap).learner_id])
         return run
 
     def _on_epochs_done(self, slots: list[_LearnerSlot], t: float) -> None:
@@ -498,7 +490,7 @@ class _Simulation:
     def _on_commit(self, learner_id: int, t: float) -> None:
         slot = self.slots[learner_id]
         state = slot.state
-        cause = slot.pending_cause or CAUSE_FIXED
+        cause = slot.pending_cause
         slot.pending_cause = None
         req = self._update_request(slot)
         staleness = effective_staleness(self.controller.committed_steps(), state)

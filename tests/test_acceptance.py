@@ -337,7 +337,7 @@ def test_criterion_06_staleness_bookkeeping():
     ctrl = FederationController(spec)
     rng = np.random.default_rng(11)
     learners = {
-        lid: new_learner(lid, ctrl.current_model(), FixedPolicy(4), gamma=0.5)
+        lid: new_learner(lid, ctrl.current_model(), FixedPolicy(4))
         for lid in range(3)
     }
 
@@ -370,7 +370,7 @@ def test_criterion_06_staleness_bookkeeping():
 def _adaptive_state(policy: AdaptivePolicy):
     spec = ModelSpec("softmax-regression", input_dim=3, num_classes=2, init_seed=0)
     ctrl = FederationController(spec)
-    return new_learner(0, ctrl.current_model(), policy, gamma=0.5)
+    return new_learner(0, ctrl.current_model(), policy)
 
 
 def test_criterion_07_trigger_semantics():
@@ -451,7 +451,7 @@ def test_criterion_08_convergence_sanity():
         4,
     )
     ctrl = FederationController(result.model_spec)
-    state = new_learner(0, ctrl.current_model(), FixedPolicy(1), gamma=0.75)
+    state = new_learner(0, ctrl.current_model(), FixedPolicy(1))
     hp = Hyperparameters(eta=0.05, gamma=0.75, batch_size=100)
     for _ in range(200):
         run_epoch([state], [union], hp)

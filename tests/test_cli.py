@@ -79,6 +79,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "validation_fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["sync_fedavg", "fedasync_poly"])
+def test_negative_proximal_mu_exit_code(tmp_path, capsys, scheme):
+    bad = write_config(tmp_path, {"scheme": scheme, "proximal_mu": -0.5})
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "proximal_mu must be >= 0" in capsys.readouterr().err
+
+
 def test_shorthand_profile_zero_rate_exit_code(tmp_path, capsys):
     profiles = {"num_fast": 1, "slow": {"steps_per_second": 0}}
     bad = write_config(tmp_path, {"speed_profiles": profiles})

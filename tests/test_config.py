@@ -198,12 +198,26 @@ def test_fedasync_defaults():
     assert cfg.fedasync.alpha == 0.5
     assert cfg.fedasync.a == 0.5
     assert cfg.fedasync.rho == 0.005
+
+
+def test_run_proximal_coefficient_is_in_the_hyperparameters():
     # the divergence regularizer rides along unless overridden
-    assert cfg.resolved_proximal_mu() == 0.005
+    cfg = config_from_dict(dict(MINIMAL, scheme="fedasync_poly"))
+    assert cfg.hyperparameters.proximal_mu == 0.005
     explicit = config_from_dict(dict(MINIMAL, scheme="fedasync_poly", proximal_mu=0.1))
-    assert explicit.resolved_proximal_mu() == 0.1
+    assert explicit.hyperparameters.proximal_mu == 0.1
     plain = config_from_dict(MINIMAL)
-    assert plain.resolved_proximal_mu() == 0.0
+    assert plain.hyperparameters.proximal_mu == 0.0
+    # every cell of a grid: rho under fedasync_poly, else 0, unless proximal_mu is set
+    grid = dict(MINIMAL, schemes=list(SCHEMES), fedasync={"rho": 0.02})
+    for raw, set_mu in ((grid, 0.0), (dict(grid, proximal_mu=0.3), 0.3)):
+        for scheme in SCHEMES:
+            cell = config_from_dict(raw).with_scheme(scheme)
+            want = set_mu or (0.02 if scheme == "fedasync_poly" else 0.0)
+            assert cell.hyperparameters.proximal_mu == want
+            assert cell.to_dict()["proximal_mu"] == set_mu  # the file's value, not the resolved one
+    with pytest.raises(ConfigError, match="^proximal_mu must be >= 0"):
+        config_from_dict(dict(MINIMAL, scheme="fedasync_poly", proximal_mu=-0.1))
 
 
 def test_schemes_grid_validation():

@@ -127,7 +127,7 @@ def test_blobs_trainable_by_centralized_softmax():
     ds = generate_blobs(2, 3, n_per_class=60, spread=0.1, seed=1990)
     spec = ModelSpec("softmax-regression", input_dim=2, num_classes=3, init_seed=1990)
     controller = FederationController(spec)
-    state = new_learner(0, controller.current_model(), FixedPolicy(1), gamma=0.5)
+    state = new_learner(0, controller.current_model(), FixedPolicy(1))
     hp = Hyperparameters(eta=0.5, gamma=0.5, batch_size=30)
     steps = 0
     while steps < 200:
