@@ -71,6 +71,18 @@ class Dataset:
     def class_histogram(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
 
+    def one_hot(self, classes: int) -> np.ndarray:
+        """The labels as read-only float64 rows of ``classes`` columns, 1.0
+        in the label's column and 0.0 elsewhere; built on first use for each
+        ``classes`` and kept on the instance. Every label must lie below
+        ``classes``."""
+        cache = self.__dict__.setdefault("_one_hot", {})
+        rows = cache.get(classes)
+        if rows is None:
+            rows = cache[classes] = np.eye(classes)[self.labels]
+            rows.setflags(write=False)
+        return rows
+
 
 def _read_idx_header(data: bytes, path: str, field: str, magic: int, ndims: int) -> tuple[int, ...]:
     header_len = 4 * (1 + ndims)

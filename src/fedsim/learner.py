@@ -43,9 +43,14 @@ COHORT_SCRATCH_BYTES = 1 << 18
 
 # Epochs of shuffle keys derived per learner at once (``_shuffles``). One
 # derivation has a fixed cost of about 0.15-0.25 ms on a 2-vCPU host, however
-# many keys it makes, so a block spreads that over many epochs. A key takes
-# 16 bytes, and keys past a learner's last epoch are never used.
+# many keys it makes, so a block spreads that over many epochs. A learner's
+# first block holds SHUFFLE_KEY_BLOCK keys, and each refill doubles the last
+# block's length up to SHUFFLE_KEY_BLOCK_MAX: a learner that trains for
+# hundreds of epochs then pays for a few derivations, while one that trains
+# for a few wastes few keys. A key takes 16 bytes, and keys past a learner's
+# last epoch are never used.
 SHUFFLE_KEY_BLOCK = 16
+SHUFFLE_KEY_BLOCK_MAX = 256
 
 _WORD = 0xFFFFFFFF
 _POOL = 4  # SeedSequence's pool size in uint32 words
@@ -172,16 +177,18 @@ def new_learner(
     return state
 
 
-def _cohorts(ws: Workspace, sizes: list[int], batch: int | None = None) -> list[list[int]]:
-    """Indices into ``sizes`` grouped by size (groups in order of first
+def _cohorts(
+    ws: Workspace, datasets: Sequence[Dataset], batch: int | None = None
+) -> list[list[int]]:
+    """Indices into ``datasets`` grouped by size (groups in order of first
     appearance, members in index order), each group cut into runs whose
     scratch (``ws.member_bytes`` at batches of ``batch`` rows, or of the whole
     set) stays within ``COHORT_SCRATCH_BYTES``."""
-    if len(sizes) == 1:
+    if len(datasets) == 1:
         return [[0]]
     groups: dict[int, list[int]] = {}
-    for i, n in enumerate(sizes):
-        groups.setdefault(n, []).append(i)
+    for i, data in enumerate(datasets):
+        groups.setdefault(data.n, []).append(i)
     out = []
     for n, members in groups.items():
         rows = n if batch is None else min(batch, n)
@@ -264,43 +271,53 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _key_blocks(states: list[LearnerState]) -> np.ndarray:
-    """The shuffle keys of each learner's next ``SHUFFLE_KEY_BLOCK`` epochs,
-    its current one first, as an (M, K, 2) array: row (m, k) is the key of
-    ``SeedSequence([data_seed, 5, id, epochs_total + k])``."""
-    m, block = len(states), SHUFFLE_KEY_BLOCK
+def _key_blocks(states: list[LearnerState], counts: list[int]) -> list[np.ndarray]:
+    """The shuffle keys of each learner's next ``counts[k]`` epochs, its
+    current one first, derived in one pass: a (counts[k], 2) uint64 array per
+    learner whose row e is the key of
+    ``SeedSequence([data_seed, 5, id, epochs_total + e])``."""
     prefixes = [_words(st.data_seed) + [5] + _words(st.id) for st in states]
     width = max(map(len, prefixes))
-    used = np.array([len(p) for p in prefixes])[:, None]
-    epochs = np.array([st.epochs_total for st in states], np.uint64)[:, None]
-    epochs = epochs + np.arange(block, dtype=np.uint64)
+    sizes = np.array(counts)
+    ends = np.cumsum(sizes)
+    rows = np.arange(ends[-1])
+    member = np.repeat(np.arange(len(states)), sizes)
+    epochs = np.array([st.epochs_total for st in states], np.uint64)[member]
+    epochs += (rows - np.repeat(ends - sizes, sizes)).astype(np.uint64)
+    used = np.array([len(p) for p in prefixes])[member]
     padded = np.array([p + [0] * (width - len(p)) for p in prefixes], np.uint32)
-    entropy = np.zeros((m, block, width + 2), np.uint32)
-    entropy[:, :, :width] = padded[:, None]
-    rows, cols = np.arange(m)[:, None], np.arange(block)
-    entropy[rows, cols, used] = (epochs & np.uint64(_WORD)).astype(np.uint32)
-    entropy[rows, cols, used + 1] = (epochs >> np.uint64(32)).astype(np.uint32)
-    lengths = (used + 1 + (epochs > _WORD)).reshape(-1)
-    keys = _philox_keys(entropy.reshape(m * block, -1)[:, : lengths.max()], lengths)
-    return keys.reshape(m, block, 2)
+    entropy = np.zeros((rows.size, width + 2), np.uint32)
+    entropy[:, :width] = padded[member]
+    entropy[rows, used] = (epochs & np.uint64(_WORD)).astype(np.uint32)
+    entropy[rows, used + 1] = (epochs >> np.uint64(32)).astype(np.uint32)
+    lengths = used + 1 + (epochs > _WORD)
+    keys = _philox_keys(entropy[:, : lengths.max()], lengths)
+    # Copies, so that no block keeps the whole pass's array alive.
+    return [block.copy() for block in np.split(keys, ends[:-1])]
 
 
 def _shuffles(ws: Workspace, states: list[LearnerState], n: int) -> list[np.ndarray]:
     """Each learner's order of its n samples for this epoch:
     ``Generator(Philox(SeedSequence([data_seed, 5, id, epochs_total]))).permutation(n)``,
     bit for bit. Keys come from per-learner blocks on the workspace; the
-    members whose block does not hold this epoch get new blocks in one pass.
+    members whose block does not hold this epoch get new blocks, each twice
+    as long as the one it replaces (``SHUFFLE_KEY_BLOCK``), in one pass.
     Every permutation is numpy's own, drawn by the workspace's one generator
     reseated with the key, a zero counter and empty output buffers."""
     blocks = ws.shuffle_keys
     keys: list[np.ndarray | None] = []
-    for st in states:
+    missing, counts = [], []
+    for i, st in enumerate(states):
         first, block = blocks.get((st.data_seed, st.id), (0, ()))
         epoch = st.epochs_total - first
-        keys.append(block[epoch] if 0 <= epoch < len(block) else None)
-    missing = [i for i, key in enumerate(keys) if key is None]
+        if 0 <= epoch < len(block):
+            keys.append(block[epoch])
+        else:
+            keys.append(None)
+            missing.append(i)
+            counts.append(max(SHUFFLE_KEY_BLOCK, min(2 * len(block), SHUFFLE_KEY_BLOCK_MAX)))
     if missing:
-        for i, block in zip(missing, _key_blocks([states[i] for i in missing])):
+        for i, block in zip(missing, _key_blocks([states[i] for i in missing], counts)):
             st = states[i]
             blocks[(st.data_seed, st.id)] = (st.epochs_total, block)
             keys[i] = block[0]
@@ -318,44 +335,103 @@ def _shuffles(ws: Workspace, states: list[LearnerState], n: int) -> list[np.ndar
     return perms
 
 
+def _steps(
+    w: np.ndarray,
+    arrays: tuple[np.ndarray, ...],
+    u: np.ndarray,
+    anchor: np.ndarray | None,
+    batches: list[tuple[np.ndarray, np.ndarray]],
+    perms: list[np.ndarray],
+    hp: Hyperparameters,
+    ws: Workspace,
+    bad: dict[int, int] | None = None,
+) -> None:
+    """One epoch of momentum SGD steps on the (stacked) models ``w`` (entry
+    views ``arrays``) and momenta ``u``, member k drawing its batches from
+    ``batches[k]`` (features, one-hot targets) in the order ``perms[k]``.
+    With a ``bad`` dict, ``w`` is checked after every step, and each member's
+    first step that left it non-finite is recorded there."""
+    n, beta, members = perms[0].size, hp.batch_size, len(perms)
+    # The full batch first: a smaller one then fits in its buffers.
+    head = ws.batch(members, min(beta, n))
+    tail = ws.batch(members, n % beta) if n > beta and n % beta else head
+    gradient, mu, gamma, eta = ws.gradient, hp.proximal_mu, hp.gamma, hp.eta
+    step = 0
+    for start in range(0, n, beta):
+        stop = start + beta
+        s = head if stop <= n else tail
+        for (features, targets), perm, x, t in zip(batches, perms, s.xs, s.ts):
+            chunk = perm[start:stop]
+            # mode="clip" skips the bounds pass that buffers the gather; a
+            # permutation is always in range.
+            features.take(chunk, axis=0, out=x, mode="clip")
+            targets.take(chunk, axis=0, out=t, mode="clip")
+        g = gradient(arrays, s)
+        if anchor is not None:
+            tmp = s.tmp
+            np.subtract(w, anchor, out=tmp)
+            tmp *= mu
+            g += tmp
+        momentum_update(w, u, g, gamma, eta, s.tmp)
+        if bad is not None:
+            step += 1
+            if not np.isfinite(w).all():
+                for i in np.flatnonzero(~np.isfinite(w).reshape(members, -1).all(axis=1)):
+                    bad.setdefault(int(i), step)
+
+
 def _train_cohort(
     states: list[LearnerState], trains: list[Dataset], hp: Hyperparameters, ws: Workspace
 ) -> dict[int, int]:
     """One epoch of learners with equal data sizes, stacked. Returns
-    {member: first step that left it non-finite}."""
-    n = trains[0].n
+    {member: first step that left it non-finite}.
+
+    Under these updates a non-finite entry of ``w`` never turns finite again,
+    so the steps run unchecked and one scan ends the epoch. Only when it
+    fails does the epoch replay from its start with a check after every
+    step, which leaves the same buffers. The start is the members' own
+    buffers for a stacked cohort, and a copy for a lone learner, which trains
+    in place."""
     w, arrays = _stacked_models(ws, states)
     u = _stack(ws, "u", [st.momentum.flat for st in states])
+    lone = len(states) == 1
+    if lone:
+        start = ws.array("start", (2 * w.size,))
+        np.concatenate((w, u), out=start)
     anchor = None
     if hp.proximal_mu > 0.0:
         anchor = _stack(ws, "anchor", [st.anchor.flat for st in states])
-    perms = _shuffles(ws, states, n)
+    classes = ws.layout.entries[-1][2]
+    batches = [(train.features, train.one_hot(classes)) for train in trains]
+    perms = _shuffles(ws, states, trains[0].n)
+    _steps(w, arrays, u, anchor, batches, perms, hp, ws)
     bad: dict[int, int] = {}
-    step = 0
-    for start in range(0, n, hp.batch_size):
-        m = min(hp.batch_size, n - start)
-        s = ws.batch(len(states), m)
-        for train, perm, x, y in zip(trains, perms, s.xs, s.ys):
-            chunk = perm[start : start + m]
-            # mode="clip" skips the bounds pass that buffers the gather; a
-            # permutation is always in range.
-            train.features.take(chunk, axis=0, out=x, mode="clip")
-            train.labels.take(chunk, out=y, mode="clip")
-        g = ws.gradient(arrays, s)
-        if anchor is not None:
-            np.subtract(w, anchor, out=s.tmp)
-            s.tmp *= hp.proximal_mu
-            g += s.tmp
-        momentum_update(w, u, g, hp.gamma, hp.eta, s.tmp)
-        step += 1
-        if not np.isfinite(w).all():
-            for i in np.flatnonzero(~np.isfinite(w).reshape(len(states), -1).all(axis=1)):
-                bad.setdefault(int(i), step)
-    if len(states) > 1:
+    if not np.isfinite(w).all():
+        if lone:
+            np.copyto(w, start[: w.size])
+            np.copyto(u, start[w.size :])
+        else:
+            np.concatenate([st.params.flat for st in states], out=w.reshape(-1))
+            np.concatenate([st.momentum.flat for st in states], out=u.reshape(-1))
+        _steps(w, arrays, u, anchor, batches, perms, hp, ws, bad)
+    if not lone:
         for st, w_row, u_row in zip(states, w, u):
             np.copyto(st.params.flat, w_row)
             np.copyto(st.momentum.flat, u_row)
     return bad
+
+
+def _workspace(
+    states: Sequence[LearnerState], datasets: Sequence[Dataset], workspace: Workspace | None
+) -> Workspace:
+    """``workspace``, whose owner has checked the datasets; else a fresh one,
+    after checking each dataset against the learners' model."""
+    if workspace is not None:
+        return workspace
+    ws = Workspace(states[0].params.layout)
+    for data in datasets:
+        check_dataset(ws.layout, data)
+    return ws
 
 
 def run_epoch(
@@ -376,18 +452,19 @@ def run_epoch(
     sizes train as one stacked cohort, which gives every one of them the same
     bits as training alone; a lone learner trains on views of its own buffers.
     ``workspace`` holds the scratch; a federation passes one shared by all its
-    learners. Raises ``ShapeError`` for the first learner in ``states`` that a
-    step left with a non-finite parameter, naming that step.
+    learners, and has checked their datasets (``check_dataset``) once, when
+    it was built. Without a workspace, each training set is checked here.
+    Raises ``ShapeError`` for the first learner in ``states`` that a step
+    left with a non-finite parameter, naming that step.
     """
     if len(states) != len(trains):
         raise ValueError("run_epoch needs one training set per learner")
-    ws = workspace if workspace is not None else Workspace(states[0].params.layout)
-    for train in trains:
-        check_dataset(ws.layout, train)
+    ws = _workspace(states, trains, workspace)
     failures = []
-    for members in _cohorts(ws, [train.n for train in trains], hp.batch_size):
+    for members in _cohorts(ws, trains, hp.batch_size):
         bad = _train_cohort([states[i] for i in members], [trains[i] for i in members], hp, ws)
-        failures.extend((members[i], step) for i, step in bad.items())
+        if bad:
+            failures.extend((members[i], step) for i, step in bad.items())
     if failures:
         first, step = min(failures)
         state = states[first]
@@ -411,14 +488,13 @@ def local_validation_loss(
     workspace: Workspace | None = None,
 ) -> list[float]:
     """Mean cross-entropy of each learner's model on its validation set;
-    learners whose sets have equal sizes are scored as one stacked cohort."""
+    learners whose sets have equal sizes are scored as one stacked cohort.
+    ``workspace`` is as in ``run_epoch``: without one, each set is checked."""
     if len(states) != len(validations):
         raise ValueError("local_validation_loss needs one validation set per learner")
-    ws = workspace if workspace is not None else Workspace(states[0].params.layout)
-    for validation in validations:
-        check_dataset(ws.layout, validation)
+    ws = _workspace(states, validations, workspace)
     losses = [0.0] * len(states)
-    for members in _cohorts(ws, [validation.n for validation in validations]):
+    for members in _cohorts(ws, validations):
         w, arrays = _stacked_models(ws, [states[i] for i in members])
         if len(members) == 1:
             x, y = validations[members[0]].features, validations[members[0]].labels

@@ -281,6 +281,19 @@ def _check_width(layout: Layout, width: int) -> None:
 # one passes 2-D arrays: a stacked matmul costs about a microsecond more per
 # call than a 2-D one. Training reuses the buffers of one Workspace; predict
 # and backward run the same kernels on fresh buffers.
+#
+# A step is a few dozen numpy calls on arrays of a few hundred values, so
+# each call's fixed cost sets its speed, and every shortcut below keeps the
+# bits of the plain formulation (tests/kernel_reference.py):
+# - the gradient subtracts the batch's one-hot targets rather than 1.0 from
+#   one fancy-indexed entry per sample, since x - 0.0 == x;
+# - reductions call the ufuncs directly, without ndarray's Python wrappers;
+# - a row max over at most _COLUMN_MAX_CLASSES classes is a chain of
+#   np.maximum calls over column views. A max never rounds, and up to 8
+#   columns the chain returns what the reduction does, the sign of a tied
+#   zero included; past 8 the reduction is the cheaper call anyway. The
+#   class sum stays a reduction: numpy sums 8 or more terms pairwise.
+_COLUMN_MAX_CLASSES = 8
 
 
 def _forward_into(
@@ -299,13 +312,19 @@ def _forward_into(
     logits += b2
 
 
-def _log_softmax_into(z: np.ndarray, out: np.ndarray, col: np.ndarray, exp: np.ndarray) -> None:
-    """Row-wise log-softmax of ``z`` into ``out``, which may be ``z``; ``col``
-    (``z`` with one column) and ``exp`` (shaped like ``z``) are scratch."""
-    z.max(axis=-1, keepdims=True, out=col)
+def _log_softmax_into(s: "_CohortScratch", out: np.ndarray) -> None:
+    """Row-wise log-softmax of ``s.logits`` into ``out``, which may be
+    ``s.logits``; ``s.col`` and ``s.exp`` are scratch."""
+    z, col, exp, columns = s.logits, s.col, s.exp, s.columns
+    if columns:
+        np.maximum(columns[0], columns[1], out=col)
+        for column in columns[2:]:
+            np.maximum(col, column, out=col)
+    else:
+        np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
     np.subtract(z, col, out=out)
     np.exp(out, out=exp)
-    exp.sum(axis=-1, keepdims=True, out=col)
+    np.add.reduce(exp, axis=-1, keepdims=True, out=col)
     np.log(col, out=col)
     out -= col
 
@@ -351,7 +370,7 @@ class Workspace:
         entries = self.layout.entries
         dim, classes = entries[0][1], entries[-1][2]
         width = entries[0][2] if self.layout.kind == MLP_1HIDDEN else 0
-        return 8 * (5 * self.layout.size + rows * (dim + 2 + 3 * classes + 3 * width))
+        return 8 * (5 * self.layout.size + rows * (dim + 2 + 4 * classes + 3 * width))
 
     def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """A C-contiguous view of the shared buffer ``name``; its contents
@@ -391,7 +410,7 @@ class Workspace:
         m = y.shape[-1]
         s = self.batch(y.size // m, m)
         _forward_into(self.layout.kind, arrays, x, s.logits, s.hidden)
-        _log_softmax_into(s.logits, s.logp, s.col, s.exp)
+        _log_softmax_into(s, s.logp)
         picked = s.logp_rows[s.samples, y.reshape(-1)].reshape(-1, m)
         # The sum divided by the count is what ``mean`` computes, bit for bit.
         return -(np.add.reduce(picked, axis=1) / m)
@@ -399,18 +418,18 @@ class Workspace:
     def gradient(self, arrays, s: "_CohortScratch") -> np.ndarray:
         """Mean cross-entropy gradient of each model (``arrays`` as in
         ``loss``) over its batch, which the caller has gathered into ``s.x``
-        and ``s.y`` of ``s = batch(M, m)``, checking the feature width and the
-        label range. Writes ``s.grad`` (M x layout.size, or one vector for a
-        cohort of one) and returns it."""
+        (features) and ``s.t`` (one-hot targets) of ``s = batch(M, m)``,
+        checking the feature width and the label range. Writes ``s.grad``
+        (M x layout.size, or one vector for a cohort of one) and returns it."""
         kind, g, hidden, dlogits = self.layout.kind, s.grad_views, s.hidden, s.logits
         _forward_into(kind, arrays, s.x, dlogits, hidden)
-        _log_softmax_into(dlogits, dlogits, s.col, s.exp)
+        _log_softmax_into(s, dlogits)
         np.exp(dlogits, out=dlogits)
-        s.logit_rows[s.samples, s.labels] -= 1.0
-        dlogits /= s.y.shape[-1]
+        dlogits -= s.t
+        dlogits /= s.rows
         if kind == SOFTMAX_REGRESSION:
             np.matmul(s.x_t, dlogits, out=g[0])
-            dlogits.sum(axis=-2, keepdims=True, out=g[1])
+            np.add.reduce(dlogits, axis=-2, keepdims=True, out=g[1])
             return s.grad
         dpre, square = s.dhidden, s.square
         np.matmul(dlogits, arrays[2].swapaxes(-1, -2), out=dpre)
@@ -418,33 +437,38 @@ class Workspace:
         np.subtract(1.0, square, out=square)
         dpre *= square
         np.matmul(s.x_t, dpre, out=g[0])
-        dpre.sum(axis=-2, keepdims=True, out=g[1])
+        np.add.reduce(dpre, axis=-2, keepdims=True, out=g[1])
         np.matmul(s.hidden_t, dlogits, out=g[2])
-        dlogits.sum(axis=-2, keepdims=True, out=g[3])
+        np.add.reduce(dlogits, axis=-2, keepdims=True, out=g[3])
         return s.grad
 
 
 class _CohortScratch:
     """C-contiguous views of a workspace's buffers for one (members, rows)
-    cohort shape: the batch (``xs[k]`` and ``ys[k]`` are member k's part),
-    the forward and backward intermediates, the gradient and a free array of
-    the same shape (``tmp``). Every array has a leading member axis, except
-    for a cohort of one. ``logit_rows``, ``logp_rows`` and ``labels``
-    flatten the member and sample axes, so a row index of ``samples`` picks
-    each sample's logits, log-probabilities and label."""
+    cohort shape: the batch of features ``x``, labels ``y`` (for ``loss``)
+    and one-hot targets ``t`` (for ``gradient``; ``xs[k]`` and ``ts[k]`` are
+    member k's part), the forward and backward intermediates, the gradient
+    and a free array of the same shape (``tmp``). Every array has a leading
+    member axis, except for a cohort of one. ``logp_rows`` flattens the
+    member and sample axes, so a row index of ``samples`` picks each
+    sample's log-probabilities. ``columns`` holds the logits' column views
+    when the row max is taken column by column, else it is empty."""
 
     def __init__(self, ws: Workspace, members: int, rows: int) -> None:
         entries = ws.layout.entries
         dim, width, classes = entries[0][1], entries[0][2], entries[-1][2]
         lead = (members,) if members > 1 else ()
+        self.rows = rows
         self.x = ws.array("x", (*lead, rows, dim))
         self.x_t = self.x.swapaxes(-1, -2)
         self.y = ws.array("y", (*lead, rows), np.int64)
-        self.xs, self.ys = (list(self.x), list(self.y)) if lead else ([self.x], [self.y])
-        self.labels = self.y.reshape(-1)
+        self.t = ws.array("t", (*lead, rows, classes))
+        self.xs, self.ts = (list(self.x), list(self.t)) if lead else ([self.x], [self.t])
         self.samples = ws.index(members * rows)
         self.logits = ws.array("logits", (*lead, rows, classes))
-        self.logit_rows = self.logits.reshape(-1, classes)
+        self.columns = ()
+        if 1 < classes <= _COLUMN_MAX_CLASSES:
+            self.columns = tuple(self.logits[..., c : c + 1] for c in range(classes))
         self.logp = ws.array("logp", (*lead, rows, classes))
         self.logp_rows = self.logp.reshape(-1, classes)
         self.exp = ws.array("exp", (*lead, rows, classes))
@@ -475,7 +499,7 @@ def backward(params: _FlatParameters, x: np.ndarray, y: np.ndarray) -> Parameter
     and labels ``y``, computed by ``Workspace.gradient`` in fresh buffers."""
     ws = Workspace(params.layout)
     s = ws.batch(1, len(y))
-    s.x[...], s.y[...] = x, y
+    s.x[...], s.t[...] = x, np.eye(params.layout.entries[-1][2])[y]
     return ParameterSet(ws.gradient(params.arrays, s).copy(), params.layout)
 
 

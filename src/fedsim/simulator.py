@@ -51,7 +51,7 @@ from .learner import (
     run_epoch,
     trigger_cause,
 )
-from .nn import ModelSpec, ParameterSet, Workspace, model_layout, predict
+from .nn import ModelSpec, ParameterSet, Workspace, check_dataset, model_layout, predict
 from .weighting import DVW_SCHEMES, dvw_weight, fedasync_mix_factor, fedavg_weight
 
 EVENT_EPOCH_DONE = "epoch_done"
@@ -236,6 +236,11 @@ def build_federation(cfg: config_mod.ExperimentConfig):
     split = build_federated_split(
         source, sizes, assignment, cfg.validation_fraction, cfg.seed, test, order
     )
+    # Once per run: training and scoring take these slices as checked.
+    layout = model_layout(model_spec)
+    for lsplit in split.per_learner:
+        check_dataset(layout, lsplit.train)
+        check_dataset(layout, lsplit.validation)
 
     if cfg.scheme == "fedasync_poly":
         controller = FedAsyncController(model_spec, cfg.fedasync)

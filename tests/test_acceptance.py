@@ -258,7 +258,7 @@ def test_criterion_04_gradient_check():
         # a cohort of one: 2-D arrays, no member axis
         ws = Workspace(params.layout)
         s = ws.batch(1, 5)
-        s.x[...], s.y[...] = x, y
+        s.x[...], s.t[...] = x, np.eye(3)[y]
         analytic = ws.gradient(params.arrays, s).copy()
         numeric = _central_differences(ws, params.flat, x, y)
         worst = max(worst, _relative_error(analytic, numeric))
@@ -269,6 +269,7 @@ def test_criterion_04_gradient_check():
         s = ws.batch(len(members), 5)
         s.x[...] = np.stack([x for _, x, _ in members])
         s.y[...] = np.stack([y for _, _, y in members])
+        s.t[...] = np.eye(3)[s.y]
         analytic = ws.gradient(ws.layout.views(w), s).copy()
         numeric = _central_differences(ws, w, s.x, s.y)
         worst = max(worst, _relative_error(analytic, numeric))
@@ -314,7 +315,7 @@ def test_criterion_05_momentum_semantics():
             batches = [random_batch(rng) for _ in range(members)]
             s = ws.batch(members, 6)
             s.x[...] = np.stack([x for x, _ in batches]).reshape(s.x.shape)
-            s.y[...] = np.stack([y for _, y in batches]).reshape(s.y.shape)
+            s.t[...] = np.eye(3)[np.stack([y for _, y in batches])].reshape(s.t.shape)
             grads = ws.gradient(ws.layout.views(w), s)
             momentum_update(w, u, grads, 0.0, 0.05, tmp)
             vgrads = ws.gradient(ws.layout.views(vanilla), s)

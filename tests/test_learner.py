@@ -605,6 +605,44 @@ def test_shuffles_match_numpys_seed_sequence_philox(draws, cohort_n):
         assert np.array_equal(perm, want)
 
 
+def numpy_key(seed, learner_id, epoch):
+    seq = np.random.SeedSequence([seed, 5, learner_id, epoch])
+    return np.random.Philox(seq).state["state"]["key"]
+
+
+def test_key_blocks_double_up_to_the_cap():
+    ws = Workspace(model_layout(SPEC))
+    # Two data seeds in one workspace; a third learner joins at epoch 496,
+    # when the first two refill too, so one pass derives blocks of 256 and 16.
+    a, b = shuffle_learner(3, 6, 0), shuffle_learner(2**40 + 1, 6, 0)
+    late = shuffle_learner(3, 7, 496)
+    blocks = {}
+    for epoch in [*range(620), *range(100, 140)]:  # then set backwards once
+        cohort = [a, b] + ([late] if epoch >= 496 else [])
+        for learner in cohort:
+            learner.epochs_total = epoch
+        perms = learner_mod._shuffles(ws, cohort, 7)
+        for learner, perm in zip(cohort, perms):
+            assert np.array_equal(perm, numpy_shuffle(learner.data_seed, learner.id, epoch, 7))
+            first, block = ws.shuffle_keys[(learner.data_seed, learner.id)]
+            assert len(block) <= learner_mod.SHUFFLE_KEY_BLOCK_MAX
+            history = blocks.setdefault((learner.data_seed, learner.id), [])
+            if not history or history[-1][1] is not block:
+                history.append((first, block))
+    assert learner_mod.SHUFFLE_KEY_BLOCK == 16 and learner_mod.SHUFFLE_KEY_BLOCK_MAX == 256
+    grown = [(0, 16), (16, 32), (48, 64), (112, 128), (240, 256), (496, 256), (100, 256)]
+    for learner in (a, b):
+        history = blocks[(learner.data_seed, learner.id)]
+        assert [(first, len(block)) for first, block in history] == grown
+    late_grown = [(496, 16), (512, 32), (544, 64), (608, 128)]
+    assert [(first, len(block)) for first, block in blocks[(3, 7)]] == late_grown
+    for (seed, learner_id), history in blocks.items():
+        for first, block in history:
+            assert block.base is None  # its own array, not a view of the pass
+            for e, key in enumerate(block):
+                assert np.array_equal(key, numpy_key(seed, learner_id, first + e))
+
+
 @pytest.fixture
 def shuffle_case():
     train = generate_blobs(4, 3, n_per_class=70, spread=0.3, seed=5)  # 210 -> 64,64,64,18
@@ -660,24 +698,24 @@ def test_shuffle_without_a_workspace(shuffle_case):
 
 def overflow_start(hp, step):
     """Where a learner's last output bias starts, as a fraction of the largest
-    float F, so that with momentum -F it first passes F at ``step`` (1 or 2)
-    of training under ``hp``. At that scale the data gradient rounds away,
+    float F, so that with momentum -F it first passes F at ``step`` (1, 2 or
+    3) of training under ``hp``. At that scale the data gradient rounds away,
     and the bias b follows u <- gamma*u + mu*b, then b <- b - eta*u."""
 
-    def path(b):  # the bias after steps 1 and 2, in units of F
+    def path(b):  # the bias after steps 1 to 3, in units of F
         u, out = -1.0, []
-        for _ in range(2):
+        for _ in range(3):
             u = hp.gamma * u + hp.proximal_mu * b
             b -= hp.eta * u
             out.append(b)
         return out
 
     start = 1.0
-    if step == 2:  # F halfway between the two steps' values, both affine in b
-        at0, at1 = sum(path(0.0)), sum(path(1.0))
+    if step > 1:  # F halfway between two steps' values, both affine in b
+        at0, at1 = (sum(path(b)[step - 2 : step]) for b in (0.0, 1.0))
         start = (2.0 - at0) / (at1 - at0)
     after = path(start)
-    assert after[step - 1] > 1.0 and (step == 1 or after[0] < 1.0)
+    assert after[step - 1] > 1.0 and all(v < 1.0 for v in after[: step - 1])
     return start
 
 
@@ -685,7 +723,8 @@ def cohort_members(kind, hp, sizes, seed, poison=None):
     """Learners with their own ids, data, epoch counts, models, momenta and
     anchors; ``sizes[k]`` is (train n, validation n) of learner k. A learner
     in ``poison`` diverges through its parameters and momentum: "step1" at
-    its first step, "step2" at its second (``overflow_start``)."""
+    its first step, "step2" at its second, "step3" at its third
+    (``overflow_start``)."""
     spec = ModelSpec(kind, 4, 3, hidden_dim=5 if kind == "mlp-1hidden" else 0, init_seed=seed)
     ctrl = FederationController(spec)
     layout = ctrl.current_model().params.layout
@@ -701,7 +740,7 @@ def cohort_members(kind, hp, sizes, seed, poison=None):
         data = generate_blobs(4, 3, n_per_class=(n + nv) // 3 + 1, spread=0.3, seed=[seed, k])
         data = data.subset(rng.permutation(data.n)[: n + nv])
         if k in poison:
-            start = overflow_start(hp, 1 if poison[k] == "step1" else 2)
+            start = overflow_start(hp, int(poison[k][-1]))
             big = np.finfo(np.float64).max
             state.params.flat[-1], state.momentum.flat[-1] = start * big, -big
         states.append(state)
@@ -794,6 +833,33 @@ def test_cohort_divergence_raises_like_sequential_training(
                 run_epoch(together, trains, hp)
     assert str(sequential.value) == expected
     assert str(stacked.value) == expected
+
+
+@pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
+@pytest.mark.parametrize("members", [1, 3])
+def test_divergence_at_the_last_step_is_found_by_the_epoch_scan(kind, members):
+    # 20 samples at batch 8: steps of 8, 8 and 4. The last member diverges
+    # at step 3, so only the scan after the epoch sees it and the replay has
+    # to find the step.
+    hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=8, proximal_mu=0.05)
+    sizes = [(20, 3)] * members
+    states, trains, _ = cohort_members(kind, hp, sizes, 7, {members - 1: "step3"})
+    with np.errstate(all="ignore"):
+        # Training that checks every step still finishes the epoch: every
+        # buffer must end where reference_epoch ends it.
+        wants = [reference_epoch(state, train, hp) for state, train in zip(states, trains)]
+        with pytest.raises(ShapeError) as raised:
+            run_epoch(states, trains, hp)
+    last = states[-1]
+    assert str(raised.value) == (
+        f"learner {last.id}: parameters became non-finite at step 3 of epoch {last.epochs_total}"
+    )
+    assert not np.isfinite(last.params.flat).all()
+    for state, (want_w, want_u) in zip(states, wants):
+        got_w, got_u = state.params.flat, state.momentum.flat
+        assert np.array_equal(got_w, np.concatenate([a.ravel() for a in want_w]), equal_nan=True)
+        assert np.array_equal(got_u, np.concatenate([a.ravel() for a in want_u]), equal_nan=True)
+        assert state.S_k_local == 0 and state.current.epochs == 0
 
 
 def test_labels_scanned_only_when_the_dataset_declares_more_classes(controller):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsim.data import Dataset
 from fedsim.learner import Hyperparameters
 from fedsim.nn import (
     MLP_1HIDDEN,
@@ -28,6 +29,7 @@ from tests.conftest import (
     random_params,
     zeros_like,
 )
+from tests.kernel_reference import reference_gradient, reference_loss
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +159,7 @@ def test_gradient_matches_central_difference(kind, rng):
     x, y = random_batch(rng)
     ws = Workspace(params.layout)
     s = ws.batch(1, len(y))
-    s.x[...], s.y[...] = x, y
+    s.x[...], s.t[...] = x, np.eye(3)[y]
     analytic = ws.gradient(params.arrays, s)
     numeric = central_difference_grads(params, x, y)
     rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
@@ -178,6 +180,36 @@ def test_duplicated_sample_mean_invariance(rng):
     once = backward(params, x, np.array([1]))
     twice = backward(params, np.vstack([x, x]), np.array([1, 1]))
     assert params_allclose(once, twice, rtol=1e-12, atol=1e-15)
+
+
+@given(
+    kind=st.sampled_from([SOFTMAX_REGRESSION, MLP_1HIDDEN]),
+    members=st.integers(1, 8),
+    classes=st.integers(2, 12),
+    declared=st.integers(0, 3),  # classes the datasets declare beyond the model's
+    rows=st.integers(1, 130),
+    dim=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernels_match_the_reference_formulation(kind, members, classes, declared, rows, dim, seed):
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(kind, dim, classes, hidden_dim=rng.integers(1, 7) if kind == MLP_1HIDDEN else 0)
+    layout = model_layout(spec)
+    ws = Workspace(layout)
+    lead = (members,) if members > 1 else ()
+    w = rng.normal(scale=rng.choice([0.1, 1.0, 30.0]), size=(*lead, layout.size))
+    arrays = layout.views(w)
+    s = ws.batch(members, rows)
+    for x, t in zip(s.xs, s.ts):  # gathered as training gathers a batch
+        n = rows + int(rng.integers(0, 20))
+        data = Dataset(rng.normal(size=(n, dim)), rng.integers(0, classes, n), classes + declared)
+        chunk = rng.permutation(n)[:rows]
+        data.features.take(chunk, axis=0, out=x, mode="clip")
+        data.one_hot(classes).take(chunk, axis=0, out=t, mode="clip")
+    x, y = s.x.copy(), s.t.argmax(axis=-1)
+    assert np.array_equal(ws.gradient(arrays, s), reference_gradient(arrays, x, y))
+    assert np.array_equal(ws.loss(arrays, x, y), reference_loss(arrays, x, y))
 
 
 # ---------------------------------------------------------------------------

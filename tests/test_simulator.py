@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedsim import learner as learner_mod
 from fedsim import simulator as simulator_mod
 from fedsim.config import config_from_dict, get_preset
 from fedsim.data import generate_blobs
@@ -339,6 +340,29 @@ def test_adaptive_run_scores_each_epoch_once_and_keeps_warmup_samples(monkeypatc
         assert sum(row.committing_learner == state.id for row in res.log) > 3
         assert len(state.warmup_staleness) == 3
         assert state.c3_threshold is not None
+
+
+@pytest.mark.parametrize("scheme", ["sync_dvw", "async_dvw"])
+def test_federation_checks_each_dataset_once(monkeypatch, scheme):
+    checked = []
+    check = simulator_mod.check_dataset
+
+    def counting(layout, data):
+        checked.append(data)
+        check(layout, data)
+
+    monkeypatch.setattr(simulator_mod, "check_dataset", counting)
+    monkeypatch.setattr(learner_mod, "check_dataset", counting)
+    calls = record_validation_losses(monkeypatch)
+    trigger = {"kind": "adaptive"} if scheme == "async_dvw" else {"kind": "fixed", "uf": 2}
+    res = run_simulation_detailed(blob_config(scheme=scheme, trigger=trigger))
+    assert sum(state.epochs_total for state in res.learners) > 4 * len(res.learners)
+    assert bool(calls) == (scheme == "async_dvw")
+    # Each learner's training and validation slice, checked when the
+    # federation is built and never again.
+    slices = [d for ls in res.split.per_learner for d in (ls.train, ls.validation)]
+    assert len(checked) == 2 * len(res.learners)
+    assert all(a is b for a, b in zip(checked, slices))
 
 
 # ---------------------------------------------------------------------------
