@@ -542,6 +542,8 @@ def config_from_dict(raw: Mapping[str, Any], apply_env: bool = True) -> Experime
     schemes_raw = root.take("schemes", list, default=None)
     schemes = None
     if schemes_raw is not None:
+        if not schemes_raw:
+            raise ConfigError("schemes: must list at least one scheme")
         for s in schemes_raw:
             if s not in SCHEMES:
                 raise ConfigError(f"schemes: unknown scheme {s!r}")

@@ -1,15 +1,15 @@
 """Federation controller: community tier, caching tier, committed-step counter.
 
-The controller serializes every incoming update through one lock (FIFO in
-arrival order) and keeps, per learner, its most recent contribution value and
-model. An asynchronous commit then touches only the running weighted sum and
-that single cache entry, so its cost is independent of the federation size.
-``audit_recompute`` is the deliberately slow full pass kept as an oracle.
+The controllers are single-threaded: the simulator's event loop commits one
+update at a time, in event order. The caching controller keeps, per learner,
+its most recent contribution value and model. An asynchronous commit then
+touches only the running weighted sum and that single cache entry, so its cost
+is independent of the federation size. ``audit_recompute`` is the deliberately
+slow full pass kept as an oracle.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,13 +61,37 @@ class _CacheEntry:
     params: ParameterSet
 
 
-class FederationController:
-    """Single-mutator community/caching tier.
+class _Controller:
+    """The community model, its version and the committed-step count, which
+    every commit advances together through ``_publish``."""
 
-    All mutations run inside one mutual-exclusion region; reads of the step
-    counter are safe concurrent snapshots. The same object can be driven from
-    real threads or from the single-threaded simulator loop.
-    """
+    def __init__(self, initial: ParameterSet) -> None:
+        self._community = initial
+        self._version = 0
+        self._committed_steps = 0
+
+    @property
+    def version(self) -> int:
+        return self._version
+
+    def committed_steps(self) -> int:
+        """Total mini-batch steps across all committed updates."""
+        return self._committed_steps
+
+    def current_model(self) -> CommunityModel:
+        return CommunityModel(self._community, self._version, self._committed_steps)
+
+    def _publish(self, params: ParameterSet, steps: int) -> CommunityModel:
+        """Install ``params`` as the next version, ``steps`` more committed steps on."""
+        self._community = params
+        self._version += 1
+        self._committed_steps += steps
+        return self.current_model()
+
+
+class FederationController(_Controller):
+    """Community/caching tier: the community model is the contribution-weighted
+    mean of each learner's latest cached model."""
 
     def __init__(self, spec: ModelSpec) -> None:
         self._setup(init_parameters(spec))
@@ -80,19 +104,12 @@ class FederationController:
         return obj
 
     def _setup(self, initial: ParameterSet) -> None:
-        self._lock = threading.Lock()
+        super().__init__(initial)
         self._layout = initial.layout
         # Running sum of p * params over the cache, updated in place.
         self._weighted_sum = np.zeros(self._layout.size)
         self._normalizer = 0.0
         self._cache: dict[int, _CacheEntry] = {}
-        self._committed_steps = 0
-        self._version = 0
-        self._community = initial
-
-    @property
-    def version(self) -> int:
-        return self._version
 
     @property
     def normalizer(self) -> float:
@@ -101,14 +118,6 @@ class FederationController:
     @property
     def cache_size(self) -> int:
         return len(self._cache)
-
-    def committed_steps(self) -> int:
-        """Total mini-batch steps across all committed updates."""
-        return self._committed_steps
-
-    def current_model(self) -> CommunityModel:
-        with self._lock:
-            return CommunityModel(self._community, self._version, self._committed_steps)
 
     def handle_async_update(self, req: UpdateRequest, weight_fn: WeightFn) -> CommunityModel:
         """Commit one model: swap the learner's cached contribution in O(model).
@@ -120,22 +129,20 @@ class FederationController:
         if p < 0.0:
             raise ValueError("contribution values must be non-negative")
         self._require_layout(req)
-        with self._lock:
-            prev = self._cache.get(req.learner_id)
-            p_prev = prev.p if prev is not None else 0.0
-            new_normalizer = self._normalizer + p - p_prev
-            if new_normalizer <= 0.0:
-                raise DegenerateFederationError(
-                    f"normalizer would drop to {new_normalizer} on commit from learner "
-                    f"{req.learner_id} (p={p})"
-                )
-            self._weighted_sum += p * req.params.flat
-            if prev is not None:
-                self._weighted_sum += (-p_prev) * prev.params.flat
-            self._normalizer = new_normalizer
-            self._cache[req.learner_id] = _CacheEntry(p, req.params)
-            self._committed_steps += req.local_steps
-            return self._publish()
+        prev = self._cache.get(req.learner_id)
+        p_prev = prev.p if prev is not None else 0.0
+        new_normalizer = self._normalizer + p - p_prev
+        if new_normalizer <= 0.0:
+            raise DegenerateFederationError(
+                f"normalizer would drop to {new_normalizer} on commit from learner "
+                f"{req.learner_id} (p={p})"
+            )
+        self._weighted_sum += p * req.params.flat
+        if prev is not None:
+            self._weighted_sum += (-p_prev) * prev.params.flat
+        self._normalizer = new_normalizer
+        self._cache[req.learner_id] = _CacheEntry(p, req.params)
+        return self._publish(self._mean(), req.local_steps)
 
     def handle_sync_round(
         self, requests: Sequence[UpdateRequest], weight_fn: WeightFn
@@ -159,26 +166,23 @@ class FederationController:
             raise DegenerateFederationError("all contribution values are zero this round")
         for req in requests:
             self._require_layout(req)
-        with self._lock:
-            self._cache = {
-                req.learner_id: _CacheEntry(p, req.params) for req, p in zip(requests, weights)
-            }
-            self._weighted_sum = self._sum_cache()
-            self._normalizer = round_normalizer
-            self._committed_steps += sum(r.local_steps for r in requests)
-            return self._publish()
+        self._cache = {
+            req.learner_id: _CacheEntry(p, req.params) for req, p in zip(requests, weights)
+        }
+        self._weighted_sum = self._sum_cache()
+        self._normalizer = round_normalizer
+        return self._publish(self._mean(), sum(r.local_steps for r in requests))
 
     def audit_recompute(self) -> CommunityModel:
         """Full O(model x learners) pass over the cache; the test oracle for
         the incremental path."""
-        with self._lock:
-            if not self._cache:
-                raise DegenerateFederationError("cannot audit an empty cache")
-            total = sum(entry.p for entry in self._cache.values())
-            if total <= 0.0:
-                raise DegenerateFederationError("cached contributions sum to zero")
-            params = ParameterSet((1.0 / total) * self._sum_cache(), self._layout)
-            return CommunityModel(params, self._version, self._committed_steps)
+        if not self._cache:
+            raise DegenerateFederationError("cannot audit an empty cache")
+        total = sum(entry.p for entry in self._cache.values())
+        if total <= 0.0:
+            raise DegenerateFederationError("cached contributions sum to zero")
+        params = ParameterSet((1.0 / total) * self._sum_cache(), self._layout)
+        return CommunityModel(params, self._version, self._committed_steps)
 
     def _require_layout(self, req: UpdateRequest) -> None:
         if req.params.layout != self._layout:
@@ -194,40 +198,19 @@ class FederationController:
             weighted += entry.p * entry.params.flat
         return weighted
 
-    def _publish(self) -> CommunityModel:
-        """Bump the version and rebuild the community model from the running sum."""
-        self._version += 1
-        self._community = ParameterSet((1.0 / self._normalizer) * self._weighted_sum, self._layout)
-        return CommunityModel(self._community, self._version, self._committed_steps)
+    def _mean(self) -> ParameterSet:
+        """The community model: the running sum over the normalizer."""
+        return ParameterSet((1.0 / self._normalizer) * self._weighted_sum, self._layout)
 
 
-class FedAsyncController:
+class FedAsyncController(_Controller):
     """Mixing-based baseline controller: no cache, the community model is a
     staleness-discounted convex combination of itself and each commit."""
 
     def __init__(self, spec: ModelSpec, params: FedAsyncParams) -> None:
-        self._lock = threading.Lock()
+        super().__init__(init_parameters(spec))
         self._params = params
-        self._community = init_parameters(spec)
-        self._committed_steps = 0
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    def committed_steps(self) -> int:
-        return self._committed_steps
-
-    def current_model(self) -> CommunityModel:
-        with self._lock:
-            return CommunityModel(self._community, self._version, self._committed_steps)
 
     def handle_update(self, req: UpdateRequest, staleness: int) -> CommunityModel:
-        with self._lock:
-            self._community = fedasync_poly_mix(
-                self._community, req.params, staleness, self._params
-            )
-            self._committed_steps += req.local_steps
-            self._version += 1
-            return CommunityModel(self._community, self._version, self._committed_steps)
+        mixed = fedasync_poly_mix(self._community, req.params, staleness, self._params)
+        return self._publish(mixed, req.local_steps)

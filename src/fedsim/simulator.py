@@ -18,8 +18,8 @@ from __future__ import annotations
 import heapq
 import math
 import statistics
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Mapping, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -61,22 +61,6 @@ EVENT_EPOCH_DONE = "epoch_done"
 EVENT_EVAL_DONE = "eval_done"
 EVENT_UPDATE_COMMIT = "update_commit"
 
-CSV_COLUMNS = (
-    "virtual_time",
-    "version",
-    "scheme",
-    "test_top1",
-    "committing_learner",
-    "p_k",
-    "staleness",
-    "cause",
-    "models_exchanged_cum",
-    "update_requests_cum",
-)
-# How each CSV column is read back; float columns are written with repr.
-CSV_PARSERS = (float, int, str, float, int, float, int, str, int, int)
-
-
 class Event(NamedTuple):
     """A queued event; the heap orders events by (time, seq), which is unique."""
 
@@ -102,6 +86,12 @@ class MetricsRow:
     def as_csv_fields(self) -> list[str]:
         values = (getattr(self, column) for column in CSV_COLUMNS)
         return [repr(v) if parse is float else str(v) for parse, v in zip(CSV_PARSERS, values)]
+
+
+# metrics.csv has one column per MetricsRow field, in field order, read back
+# by the field's type; float columns are written with repr.
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
+CSV_PARSERS = tuple(get_type_hints(MetricsRow)[name] for name in CSV_COLUMNS)
 
 
 class MetricsLog:
@@ -298,6 +288,9 @@ class _Simulation:
         # Every learner's validation slice in learner-id order. The virtual
         # clock still charges each evaluator's own pass (_eval_fanout_duration).
         self.pooled_validation = _pooled_validation(split) if self.is_dvw else None
+        # 1 upload + 1 community pull, plus one evaluator ship per other
+        # learner when the commit is validation-weighted.
+        self.models_per_request = len(slots) + 1 if self.is_dvw else 2
         initial = controller.current_model()
         self.initial_accuracy = evaluate_test_accuracy(initial.params, split.test)
         self.log.append(
@@ -315,10 +308,13 @@ class _Simulation:
             local_train_size=slot.split.train.n,
         )
 
-    def _dvw_weight(self, req: UpdateRequest) -> float:
-        """Score a request's model on every learner's validation slice, its
-        own included, in one pass over the pooled set."""
-        return dvw_weight(req.params, self.pooled_validation)
+    def _weight(self, req: UpdateRequest) -> float:
+        """A request's contribution value. Under DVW: its model's accuracy on
+        every learner's validation slice, its own included, in one pass over
+        the pooled set. Otherwise: its training-set size."""
+        if self.is_dvw:
+            return dvw_weight(req.params, self.pooled_validation)
+        return fedavg_weight(req.local_train_size)
 
     def _init_fanout(self) -> None:
         """Each learner's validation-pass duration is fixed for the run, so a
@@ -338,22 +334,20 @@ class _Simulation:
         ``committing``; 0.0 for a federation of one."""
         return self._fanout_runner_up if committing == self._fanout_top else self._fanout_max
 
-    def _models_per_request(self) -> int:
-        # 1 upload + 1 community pull, plus one evaluator ship per other
-        # learner when the commit is validation-weighted.
-        if self.is_dvw:
-            return len(self.slots) + 1
-        return 2
-
-    def _log_commit(
+    def _record(
         self,
         t: float,
         community: CommunityModel,
+        committers: Sequence[_LearnerSlot],
         learner_id: int,
         p: float,
         staleness: int,
         cause: str,
     ) -> None:
+        """Count the commit's requests and exchanged models, log its row, and
+        hand the new community model to every committer."""
+        self.requests += len(committers)
+        self.exchanged += len(committers) * self.models_per_request
         acc = evaluate_test_accuracy(community.params, self.split.test)
         self.log.append(
             MetricsRow(
@@ -369,6 +363,8 @@ class _Simulation:
                 self.requests,
             )
         )
+        for slot in committers:
+            adopt_community(slot.state, community)
 
     # -- synchronous rounds ---------------------------------------------
 
@@ -396,25 +392,11 @@ class _Simulation:
                 for _ in range(slot.state.policy.uf):
                     run_epoch([slot.state], [slot.split.train], self.hp, self.workspace)
                 requests.append(self._update_request(slot))
-            if self.is_dvw:
-                weights = {req.learner_id: self._dvw_weight(req) for req in requests}
-                weight_fn = lambda r: weights[r.learner_id]
-            else:
-                weight_fn = lambda r: fedavg_weight(r.local_train_size)
-            community = self.controller.handle_sync_round(requests, weight_fn)
+            community = self.controller.handle_sync_round(requests, self._weight)
             self.clock = t_end
-            self.requests += n
-            self.exchanged += n * self._models_per_request()
-            self._log_commit(
-                t_end,
-                community,
-                -1,
-                float(self.controller.normalizer),
-                0,
-                CAUSE_FIXED,
+            self._record(
+                t_end, community, self.slots, -1, self.controller.normalizer, 0, CAUSE_FIXED
             )
-            for slot in self.slots:
-                adopt_community(slot.state, community)
 
     # -- asynchronous event loop ------------------------------------------
 
@@ -503,18 +485,10 @@ class _Simulation:
             version_staleness = self.controller.version - state.version_at_fetch
             community = self.controller.handle_update(req, version_staleness)
             p = fedasync_mix_factor(version_staleness, self.cfg.fedasync)
-        elif self.is_dvw:
-            p = self._dvw_weight(req)
-            community = self.controller.handle_async_update(req, lambda _r: p)
         else:
-            p = fedavg_weight(req.local_train_size)
-            community = self.controller.handle_async_update(
-                req, lambda r: fedavg_weight(r.local_train_size)
-            )
-        self.requests += 1
-        self.exchanged += self._models_per_request()
-        self._log_commit(t, community, learner_id, p, staleness, cause)
-        adopt_community(state, community)
+            p = self._weight(req)
+            community = self.controller.handle_async_update(req, lambda _r: p)
+        self._record(t, community, [slot], learner_id, p, staleness, cause)
         self._schedule(t + slot.epoch_duration, learner_id, EVENT_EPOCH_DONE)
 
     def run(self) -> SimulationResult:

@@ -86,6 +86,13 @@ def test_negative_proximal_mu_exit_code(tmp_path, capsys, scheme):
     assert "proximal_mu must be >= 0" in capsys.readouterr().err
 
 
+def test_empty_schemes_exit_code(tmp_path, capsys):
+    bad = write_config(tmp_path, {"schemes": []})
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "schemes: must list at least one scheme" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_shorthand_profile_zero_rate_exit_code(tmp_path, capsys):
     profiles = {"num_fast": 1, "slow": {"steps_per_second": 0}}
     bad = write_config(tmp_path, {"speed_profiles": profiles})

@@ -227,6 +227,11 @@ def test_schemes_grid_validation():
         config_from_dict(dict(MINIMAL, schemes=["sync_fedavg", "sync_fedavg"]))
     with pytest.raises(ConfigError, match="schemes"):
         config_from_dict(dict(MINIMAL, schemes=["bogus"]))
+    # An empty grid would run `scheme` alone, with an adaptive trigger that
+    # no scheme of the grid reads.
+    adaptive = {"kind": "adaptive"}
+    with pytest.raises(ConfigError, match="^schemes: must list at least one scheme$"):
+        config_from_dict(dict(MINIMAL, scheme="sync_fedavg", schemes=[], trigger=adaptive))
 
 
 @pytest.mark.parametrize(

@@ -265,31 +265,49 @@ def test_sync_round_order_independent(rng):
     assert params_allclose(a.params, b.params, rtol=1e-9, atol=1e-12)
 
 
-def test_threaded_commits_serialize(rng):
-    # hammering the controller from real threads must leave it in a state
-    # identical to some serial order: the audit oracle still matches and
-    # every commit is accounted for.
-    import threading
+def _commit_to_federation(ctrl, reqs, rng):
+    if len(reqs) > 1 or rng.random() < 0.5:
+        return ctrl.handle_sync_round(reqs, by_size)
+    return ctrl.handle_async_update(reqs[0], by_size)
 
-    ctrl = FederationController(SPEC)
-    models = [random_params("softmax-regression", rng, input_dim=3) for _ in range(8)]
-    per_thread = 50
 
-    def worker(lid):
-        for i in range(per_thread):
-            ctrl.handle_async_update(
-                make_request(lid, models[(lid + i) % 8], steps=2), lambda r: 1.0
+def _commit_to_fedasync(ctrl, reqs, rng):
+    return ctrl.handle_update(reqs[0], staleness=int(rng.integers(0, 6)))
+
+
+@pytest.mark.parametrize(
+    "make, commit, round_size",
+    [
+        (lambda: FederationController(SPEC), _commit_to_federation, 4),
+        (lambda: FedAsyncController(SPEC, FedAsyncParams()), _commit_to_fedasync, 1),
+    ],
+    ids=["federation", "fedasync"],
+)
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_each_commit_publishes_one_version(make, commit, round_size, seed):
+    # An async commit or a sync round is one version; its requests' steps
+    # all count, and the model it returns is the one current_model serves.
+    rng = np.random.default_rng(seed)
+    ctrl = make()
+    commits = int(rng.integers(1, 25))
+    steps = 0
+    for _ in range(commits):
+        ids = rng.permutation(round_size)[: int(rng.integers(1, round_size + 1))]
+        reqs = [
+            make_request(
+                int(lid),
+                random_params("softmax-regression", rng, input_dim=3),
+                steps=int(rng.integers(1, 30)),
+                size=int(rng.integers(1, 50)),
             )
-
-    threads = [threading.Thread(target=worker, args=(lid,)) for lid in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert ctrl.version == 4 * per_thread
-    assert ctrl.committed_steps() == 2 * 4 * per_thread
-    audit = ctrl.audit_recompute()
-    assert params_allclose(ctrl.current_model().params, audit.params, rtol=1e-9, atol=1e-12)
+            for lid in ids
+        ]
+        steps += sum(r.local_steps for r in reqs)
+        returned = commit(ctrl, reqs, rng)
+    assert ctrl.version == returned.version == commits
+    assert ctrl.committed_steps() == returned.committed_steps == steps
+    assert ctrl.current_model().params is returned.params
 
 
 # ---------------------------------------------------------------------------

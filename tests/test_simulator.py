@@ -107,7 +107,7 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
         tp = int(np.trace(pooled))
         fp = int((pooled.sum(axis=0) - np.diag(pooled)).sum())
         fn = int((pooled.sum(axis=1) - np.diag(pooled)).sum())
-        assert sim._dvw_weight(req) == (2 * tp) / (2 * tp + fp + fn)
+        assert sim._weight(req) == (2 * tp) / (2 * tp + fp + fn)
         assert sim.pooled_validation.n == sum(other.split.validation.n for other in sim.slots)
 
 
@@ -145,6 +145,29 @@ def test_eval_fanout_duration_is_the_slowest_other_evaluator(eval_rates, sizes):
             default=0.0,
         )
         assert sim._eval_fanout_duration(committing) == brute
+
+
+@pytest.mark.parametrize("scheme", ["sync_fedavg", "async_fedavg", "sync_dvw", "async_dvw"])
+def test_p_k_is_the_commits_contribution_value(scheme):
+    cfg = blob_config(
+        scheme=scheme,
+        speed_profiles=HETERO_PROFILES,
+        size_distribution={"kind": "powerlaw", "total": 400},
+    )
+    res = run_simulation_detailed(cfg)
+    train_sizes = [ls.train.n for ls in res.split.per_learner]
+    assert len(set(train_sizes)) > 1
+    commits = [row for row in res.log if row.version >= 1]
+    assert commits
+    for row in commits:
+        if scheme == "async_fedavg":
+            assert row.p_k == train_sizes[row.committing_learner]
+        elif scheme == "sync_fedavg":
+            assert row.p_k == sum(train_sizes)
+        elif scheme == "async_dvw":
+            assert 0.0 <= row.p_k <= 1.0
+        else:
+            assert 0.0 <= row.p_k <= len(train_sizes)
 
 
 def test_non_dvw_schemes_build_no_pooled_validation_set():
