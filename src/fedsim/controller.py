@@ -94,18 +94,8 @@ class FederationController(_Controller):
     mean of each learner's latest cached model."""
 
     def __init__(self, spec: ModelSpec) -> None:
-        self._setup(init_parameters(spec))
-
-    @classmethod
-    def from_initial_model(cls, params: ParameterSet) -> "FederationController":
-        """The federation is model-agnostic; any parameter layout works."""
-        obj = cls.__new__(cls)
-        obj._setup(params)
-        return obj
-
-    def _setup(self, initial: ParameterSet) -> None:
-        super().__init__(initial)
-        self._layout = initial.layout
+        super().__init__(init_parameters(spec))
+        self._layout = self._community.layout
         # Running sum of p * params over the cache, updated in place.
         self._weighted_sum = np.zeros(self._layout.size)
         self._normalizer = 0.0
@@ -114,10 +104,6 @@ class FederationController(_Controller):
     @property
     def normalizer(self) -> float:
         return self._normalizer
-
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
 
     def handle_async_update(self, req: UpdateRequest, weight_fn: WeightFn) -> CommunityModel:
         """Commit one model: swap the learner's cached contribution in O(model).

@@ -9,13 +9,18 @@ adaptive policy watches the per-epoch change of the local validation loss
 (conditions C1/C2 with a tombstone allowance) and the learner's effective
 staleness against the median of its first ``warmup_cycles`` commits
 (condition C3). A learner keeps only what its trigger (``trigger_cause``) reads.
+Cohorts of models too large to stack train side by side on worker threads
+(``CohortPool``), one share of the cohorts per thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +35,9 @@ from .nn import (
     check_dataset,
     momentum_update,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 CAUSE_C1 = "C1"
 CAUSE_C2 = "C2"
@@ -51,6 +59,10 @@ COHORT_SCRATCH_BYTES = 1 << 18
 # last epoch are never used.
 SHUFFLE_KEY_BLOCK = 16
 SHUFFLE_KEY_BLOCK_MAX = 256
+
+# The variables that pin the BLAS thread count, in the order OpenBLAS reads
+# them: the first that holds a positive integer wins (``worker_count``).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 _WORD = 0xFFFFFFFF
 _POOL = 4  # SeedSequence's pool size in uint32 words
@@ -421,6 +433,114 @@ def _train_cohort(
     return bad
 
 
+def _train(
+    states: Sequence[LearnerState],
+    trains: Sequence[Dataset],
+    hp: Hyperparameters,
+    ws: Workspace,
+    cohorts: list[list[int]],
+) -> list[tuple[int, int]]:
+    """One epoch of each cohort (indices into ``states``), one after another
+    in ``ws``. Returns (index, first non-finite step) of every member whose
+    parameters diverged."""
+    failures = []
+    for members in cohorts:
+        bad = _train_cohort([states[i] for i in members], [trains[i] for i in members], hp, ws)
+        failures.extend((members[i], step) for i, step in bad.items())
+    return failures
+
+
+def cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def worker_count(cohorts: int) -> int:
+    """Threads, the caller's included, that train ``cohorts`` cohorts of
+    unstackable models side by side: min(cohorts, CPUs // BLAS threads). The
+    BLAS threads are those the environment pins (``BLAS_THREAD_VARS``); when
+    it pins none, BLAS already uses every CPU and the count is 1, because a
+    thread added on top of a busy BLAS slows the run down."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return max(1, min(cohorts, cpu_count() // threads))
+    return 1
+
+
+def _shares(
+    cohorts: list[list[int]], trains: Sequence[Dataset], workers: int
+) -> list[list[list[int]]]:
+    """The cohorts dealt into ``workers`` shares of about equal samples: the
+    largest cohort first, each to the share holding the fewest so far. The
+    deal depends only on the sizes, so the same cohorts land in the same
+    shares epoch after epoch, and find their shuffle keys in that share's
+    workspace."""
+    shares: list[list[list[int]]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for members in sorted(cohorts, key=lambda m: -len(m) * trains[m[0]].n):
+        j = loads.index(min(loads))
+        shares[j].append(members)
+        loads[j] += len(members) * trains[members[0]].n
+    return shares
+
+
+class CohortPool:
+    """Worker threads that train shares of one epoch's cohorts beside the
+    calling thread, each worker in its own scratch ``Workspace``.
+
+    ``run_epoch`` uses it only for models too large to stack, whose steps are
+    matmuls and ufunc loops that release the GIL, so the shares run on
+    separate cores. Each learner's arithmetic is the same on any thread. The
+    executor starts on first use, and a workspace is made the first time a
+    worker needs one; ``close`` joins the threads. One pool serves one
+    parameter layout.
+    """
+
+    def __init__(self) -> None:
+        self._executor: ThreadPoolExecutor | None = None
+        self._spaces: list[Workspace] = []
+
+    def map(self, fn: Callable, ws: Workspace, shares: list) -> list:
+        """``fn(space, share)`` for every share, results in share order: the
+        first share on this thread in ``ws``, every other one on a worker in
+        its own workspace. Workers run in a copy of this thread's context, so
+        numpy's error state carries over. Returns, or raises the first
+        share's error, once every share has finished."""
+        # Imported here: concurrent.futures pulls in logging, about 0.5 MB
+        # of memory that a run of small models, which never starts a thread,
+        # does not need.
+        import concurrent.futures
+
+        if self._executor is None:
+            # Threads start only as shares need them, up to one per CPU.
+            self._executor = concurrent.futures.ThreadPoolExecutor(
+                cpu_count(), thread_name_prefix="fedsim-cohort"
+            )
+        while len(self._spaces) < len(shares) - 1:
+            self._spaces.append(Workspace(ws.layout))
+        futures = [
+            self._executor.submit(contextvars.copy_context().run, fn, space, share)
+            for space, share in zip(self._spaces, shares[1:])
+        ]
+        try:
+            first = fn(ws, shares[0])
+        finally:
+            concurrent.futures.wait(futures)
+        return [first] + [future.result() for future in futures]
+
+    def close(self) -> None:
+        """Join the worker threads; the pool starts again on its next use."""
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+
 def _workspace(
     states: Sequence[LearnerState], datasets: Sequence[Dataset], workspace: Workspace | None
 ) -> Workspace:
@@ -439,6 +559,7 @@ def run_epoch(
     trains: Sequence[Dataset],
     hp: Hyperparameters,
     workspace: Workspace | None = None,
+    pool: CohortPool | None = None,
 ) -> int:
     """Train one epoch of each learner on its own training set (``trains[k]``
     for ``states[k]``); returns the steps taken by all of them.
@@ -454,17 +575,28 @@ def run_epoch(
     ``workspace`` holds the scratch; a federation passes one shared by all its
     learners, and has checked their datasets (``check_dataset``) once, when
     it was built. Without a workspace, each training set is checked here.
+    When the model is too large to stack (every cohort is cut to one member,
+    ``COHORT_SCRATCH_BYTES``), ``pool`` trains the cohorts in
+    ``worker_count`` shares side by side, the first on this thread in
+    ``workspace``; every learner gets the same bits either way.
     Raises ``ShapeError`` for the first learner in ``states`` that a step
     left with a non-finite parameter, naming that step.
     """
     if len(states) != len(trains):
         raise ValueError("run_epoch needs one training set per learner")
     ws = _workspace(states, trains, workspace)
-    failures = []
-    for members in _cohorts(ws, trains, hp.batch_size):
-        bad = _train_cohort([states[i] for i in members], [trains[i] for i in members], hp, ws)
-        if bad:
-            failures.extend((members[i], step) for i, step in bad.items())
+    cohorts = _cohorts(ws, trains, hp.batch_size)
+    workers = 1
+    if pool is not None and len(cohorts) > 1:
+        rows = min(hp.batch_size, *(trains[members[0]].n for members in cohorts))
+        if ws.member_bytes(rows) > COHORT_SCRATCH_BYTES:
+            workers = worker_count(len(cohorts))
+    if workers > 1:
+        train = partial(_train, states, trains, hp)
+        parts = pool.map(train, ws, _shares(cohorts, trains, workers))
+        failures = [failure for part in parts for failure in part]
+    else:
+        failures = _train(states, trains, hp, ws, cohorts)
     if failures:
         first, step = min(failures)
         state = states[first]

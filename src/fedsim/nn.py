@@ -348,11 +348,12 @@ class Workspace:
     """Scratch buffers for cohort steps of one parameter layout.
 
     Each named buffer grows to the largest cohort seen and is then reused, so
-    a training step allocates no batch- or model-sized array. Cohorts train
-    one at a time, so one workspace serves a whole federation. The learners'
-    epoch shuffles share it too: ``shuffle_keys`` holds each learner's block
-    of Philox keys, keyed by (data seed, learner id), and ``shuffle`` is the
-    one generator that is reseated with a key before each permutation.
+    a training step allocates no batch- or model-sized array. The cohorts of
+    one thread train one at a time, so one workspace serves all of a
+    federation's training on that thread. The learners' epoch shuffles share
+    it too: ``shuffle_keys`` holds each learner's block of Philox keys, keyed
+    by (data seed, learner id), and ``shuffle`` is the one generator that is
+    reseated with a key before each permutation.
     """
 
     def __init__(self, layout: Layout) -> None:

@@ -10,7 +10,8 @@ fan-out costs the slowest evaluator's validation pass (evaluators run in
 parallel and keep training undisturbed; the committing learner waits).
 
 Synchronous schemes run as lockstep rounds whose length is the straggler's
-training time (plus the evaluation phase for validation-weighted schemes).
+training time (plus the evaluation phase for validation-weighted schemes);
+each epoch of a round trains the whole federation in cohorts.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .data import (
 from .learner import (
     CAUSE_FIXED,
     AdaptivePolicy,
+    CohortPool,
     LearnerState,
     adopt_community,
     effective_staleness,
@@ -51,8 +53,8 @@ from .learner import (
     run_epoch,
     trigger_cause,
 )
-from .nn import ModelSpec, ParameterSet, Workspace, check_dataset, model_layout, predict
-from .weighting import DVW_SCHEMES, dvw_weight, fedasync_mix_factor, fedavg_weight
+from .nn import ModelSpec, ParameterSet, Workspace, check_dataset, model_layout
+from .weighting import DVW_SCHEMES, accuracy, dvw_weight, fedasync_mix_factor, fedavg_weight
 
 EVENT_EPOCH_DONE = "epoch_done"
 # The end of a DVW fan-out. Handling it only re-queues the commit at the same
@@ -168,7 +170,7 @@ class MetricsLog:
 
 def evaluate_test_accuracy(params: ParameterSet, test: Dataset) -> float:
     """Fraction of argmax-correct predictions on the held-out test set."""
-    return float(np.mean(predict(params, test.features) == test.labels))
+    return accuracy(params, test)
 
 
 @dataclass
@@ -275,8 +277,10 @@ class _Simulation:
         self.sizes = sizes
         self.slots = slots
         self.controller = controller
-        # Cohorts train one at a time, so they share one set of step buffers.
+        # The event loop's thread trains in this workspace; the pool's
+        # workers, which start only for models too large to stack, in theirs.
         self.workspace = Workspace(model_layout(model_spec))
+        self.pool = CohortPool()
         self._init_fanout()
         self.log = MetricsLog()
         self.requests = 0
@@ -369,11 +373,14 @@ class _Simulation:
     # -- synchronous rounds ---------------------------------------------
 
     def run_sync(self) -> None:
+        """Lockstep rounds: every learner trains ``uf`` epochs, one
+        ``run_epoch`` over the whole federation per epoch, then all commit.
+        A learner whose parameters turn non-finite ends the run at the
+        earliest such epoch, naming the lowest learner id in it."""
         cfg = self.cfg
         n = len(self.slots)
-        train_phase = max(
-            slot.state.policy.uf * slot.epoch_duration for slot in self.slots
-        )
+        uf = cfg.trigger.fixed.uf  # every learner's policy in a sync scheme
+        train_phase = uf * max(slot.epoch_duration for slot in self.slots)
         eval_phase = 0.0
         if self.is_dvw and n > 1:
             eval_phase = max(
@@ -381,17 +388,17 @@ class _Simulation:
                 for slot in self.slots
             )
         round_duration = train_phase + eval_phase
+        states = [slot.state for slot in self.slots]
+        trains = [slot.split.train for slot in self.slots]
         while True:
             if cfg.max_versions is not None and self.controller.version >= cfg.max_versions:
                 break
             t_end = self.clock + round_duration
             if t_end > cfg.time_budget:
                 break
-            requests = []
-            for slot in self.slots:
-                for _ in range(slot.state.policy.uf):
-                    run_epoch([slot.state], [slot.split.train], self.hp, self.workspace)
-                requests.append(self._update_request(slot))
+            for _ in range(uf):
+                run_epoch(states, trains, self.hp, self.workspace, self.pool)
+            requests = [self._update_request(slot) for slot in self.slots]
             community = self.controller.handle_sync_round(requests, self._weight)
             self.clock = t_end
             self._record(
@@ -446,7 +453,7 @@ class _Simulation:
         """Train the cohort one epoch, score the validation loss of the
         members whose adaptive trigger reads it, then check each trigger."""
         states = [slot.state for slot in slots]
-        run_epoch(states, [slot.split.train for slot in slots], self.hp, self.workspace)
+        run_epoch(states, [slot.split.train for slot in slots], self.hp, self.workspace, self.pool)
         losses: list[float | None] = [None] * len(slots)
         scored = [i for i, st in enumerate(states) if isinstance(st.policy, AdaptivePolicy)]
         if scored:
@@ -492,10 +499,13 @@ class _Simulation:
         self._schedule(t + slot.epoch_duration, learner_id, EVENT_EPOCH_DONE)
 
     def run(self) -> SimulationResult:
-        if self.scheme.startswith("sync_"):
-            self.run_sync()
-        else:
-            self.run_async()
+        try:
+            if self.scheme.startswith("sync_"):
+                self.run_sync()
+            else:
+                self.run_async()
+        finally:
+            self.pool.close()
         return SimulationResult(
             log=self.log,
             learners=[slot.state for slot in self.slots],

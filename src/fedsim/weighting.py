@@ -39,8 +39,13 @@ def dvw_weight(params: ParameterSet, validation: Dataset) -> float:
         raise ShapeError(
             f"model predicts {num_classes} classes, dataset declares {validation.num_classes}"
         )
-    hits = int(np.count_nonzero(predict(params, validation.features) == validation.labels))
-    return hits / validation.n
+    return accuracy(params, validation)
+
+
+def accuracy(params: ParameterSet, data: Dataset) -> float:
+    """Fraction of ``data``'s samples whose argmax prediction is their label:
+    an integer hit count, divided once."""
+    return int(np.count_nonzero(predict(params, data.features) == data.labels)) / data.n
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
+import contextlib
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fedsim import learner as learner_mod
+from fedsim.controller import FederationController
 from fedsim.data import Dataset
 from fedsim.nn import MLP_1HIDDEN, SOFTMAX_REGRESSION, ModelSpec, ParameterSet
 from fedsim.simulator import run_simulation
@@ -11,6 +16,27 @@ from fedsim.simulator import run_simulation
 def params_equal(a, b) -> bool:
     """Bit-exact equality of two parameter vectors with the same layout."""
     return a.same_layout(b) and np.array_equal(a.flat, b.flat)
+
+
+def controller_from(initial: ParameterSet) -> FederationController:
+    """A caching controller whose first community model is ``initial``, of
+    any layout: the federation never reads the model's architecture."""
+    with mock.patch("fedsim.controller.init_parameters", lambda _spec: initial):
+        return FederationController(None)
+
+
+def cache_size(ctrl: FederationController) -> int:
+    """The learners the controller holds a cached contribution for."""
+    return len(ctrl._cache)
+
+
+@contextlib.contextmanager
+def pinned_cpus(cpus: int):
+    """One BLAS thread and ``cpus`` CPUs, as ``learner.worker_count`` sees
+    them: unstackable cohorts then train on min(cohorts, cpus) threads."""
+    with mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": "1"}):
+        with mock.patch.object(learner_mod, "cpu_count", return_value=cpus):
+            yield
 
 
 def params_allclose(a, b, rtol: float = 1e-9, atol: float = 0.0) -> bool:

@@ -25,7 +25,7 @@ from fedsim.learner import (
 from fedsim.nn import ModelSpec, ParameterSet, Workspace, momentum_update
 from fedsim.simulator import evaluate_test_accuracy, run_simulation, run_simulation_detailed
 from fedsim.weighting import dvw_weight
-from tests.conftest import identity_model, one_hot_dataset, random_batch, random_params
+from tests.conftest import controller_from, identity_model, one_hot_dataset, random_batch, random_params
 
 
 def report(criterion: int, message: str) -> None:
@@ -49,7 +49,7 @@ def test_criterion_01_cache_correctness():
     for fed_idx, (n_learners, m) in enumerate(federations):
         rng = np.random.default_rng(1990 + fed_idx)
         initial = random_model(rng, m)
-        ctrl = FederationController.from_initial_model(initial)
+        ctrl = controller_from(initial)
         for _ in range(200):
             lid = int(rng.integers(0, n_learners))
             w = random_model(rng, m)
@@ -72,7 +72,7 @@ def test_criterion_01_cache_correctness():
 
 
 def _controller_with_cache(n_learners: int, models: list[ParameterSet]) -> FederationController:
-    ctrl = FederationController.from_initial_model(models[0])
+    ctrl = controller_from(models[0])
     for lid in range(n_learners):
         ctrl.handle_async_update(
             UpdateRequest(lid, models[lid % len(models)], 1, 1), lambda r: 1.0

@@ -17,7 +17,7 @@ from fedsim.nn import (
     scale_add,
 )
 from fedsim.weighting import FedAsyncParams, fedavg_weight
-from tests.conftest import params_allclose, params_equal, random_params
+from tests.conftest import cache_size, params_allclose, params_equal, random_params
 
 
 SPEC = ModelSpec("softmax-regression", input_dim=3, num_classes=3, init_seed=1990)
@@ -63,7 +63,7 @@ def test_init_state():
     model = ctrl.current_model()
     assert model.version == 0
     assert model.committed_steps == 0
-    assert ctrl.cache_size == 0
+    assert cache_size(ctrl) == 0
     assert ctrl.normalizer == 0.0
 
 
@@ -170,7 +170,7 @@ def test_zero_weight_commit_applies_when_others_cached(rng):
     model = ctrl.handle_async_update(make_request(1, w_b), lambda r: 0.0)
     # zero-weight entry contributes nothing: community stays at w_a
     assert params_allclose(model.params, w_a, rtol=0, atol=1e-12)
-    assert ctrl.cache_size == 2
+    assert cache_size(ctrl) == 2
 
 
 def test_interleaved_updates_match_recompute_oracle(rng):
@@ -363,5 +363,5 @@ def test_running_sum_tracks_audit_under_mixed_commits(seed, ops):
             cached_p = weights
         audit = ctrl.audit_recompute()
         assert params_allclose(ctrl.current_model().params, audit.params, rtol=1e-9, atol=1e-12)
-        assert ctrl.cache_size == len(cached_p)
+        assert cache_size(ctrl) == len(cached_p)
         assert ctrl.normalizer == pytest.approx(sum(cached_p.values()), rel=1e-9)

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -11,7 +14,10 @@ from fedsim import learner as learner_mod
 from fedsim.controller import CommunityModel, FederationController, UpdateRequest
 from fedsim.data import Dataset, generate_blobs
 from fedsim.learner import (
+    BLAS_THREAD_VARS,
+    COHORT_SCRATCH_BYTES,
     AdaptivePolicy,
+    CohortPool,
     FixedPolicy,
     Hyperparameters,
     LearnerState,
@@ -24,9 +30,10 @@ from fedsim.learner import (
     run_epoch,
     staleness_threshold,
     trigger_cause,
+    worker_count,
 )
 from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace, model_layout
-from tests.conftest import params_equal
+from tests.conftest import params_equal, pinned_cpus
 
 SPEC = ModelSpec("softmax-regression", input_dim=4, num_classes=3, init_seed=1990)
 HP = Hyperparameters(eta=0.05, gamma=0.5, batch_size=100)
@@ -719,13 +726,14 @@ def overflow_start(hp, step):
     return start
 
 
-def cohort_members(kind, hp, sizes, seed, poison=None):
+def cohort_members(kind, hp, sizes, seed, poison=None, dims=(4, 5)):
     """Learners with their own ids, data, epoch counts, models, momenta and
-    anchors; ``sizes[k]`` is (train n, validation n) of learner k. A learner
-    in ``poison`` diverges through its parameters and momentum: "step1" at
-    its first step, "step2" at its second, "step3" at its third
-    (``overflow_start``)."""
-    spec = ModelSpec(kind, 4, 3, hidden_dim=5 if kind == "mlp-1hidden" else 0, init_seed=seed)
+    anchors; ``sizes[k]`` is (train n, validation n) of learner k, and
+    ``dims`` the model's input and hidden widths. A learner in ``poison``
+    diverges through its parameters and momentum: "step1" at its first
+    step, "step2" at its second, "step3" at its third (``overflow_start``)."""
+    dim, hidden = dims
+    spec = ModelSpec(kind, dim, 3, hidden_dim=hidden if kind == "mlp-1hidden" else 0, init_seed=seed)
     ctrl = FederationController(spec)
     layout = ctrl.current_model().params.layout
     rng = np.random.default_rng(seed)
@@ -737,7 +745,7 @@ def cohort_members(kind, hp, sizes, seed, poison=None):
         state.momentum.flat[:] = rng.normal(size=layout.size)
         state.anchor = ParameterSet(rng.normal(size=layout.size), layout)
         state.epochs_total = int(rng.integers(0, 5))
-        data = generate_blobs(4, 3, n_per_class=(n + nv) // 3 + 1, spread=0.3, seed=[seed, k])
+        data = generate_blobs(dim, 3, n_per_class=(n + nv) // 3 + 1, spread=0.3, seed=[seed, k])
         data = data.subset(rng.permutation(data.n)[: n + nv])
         if k in poison:
             start = overflow_start(hp, int(poison[k][-1]))
@@ -873,3 +881,88 @@ def test_labels_scanned_only_when_the_dataset_declares_more_classes(controller):
         run_epoch([state], [too_many], HP)
     with pytest.raises(ValueError, match="labels must lie"):
         local_validation_loss([state], [too_many])
+
+
+# ---------------------------------------------------------------------------
+# cohorts of unstackable models on worker threads
+# ---------------------------------------------------------------------------
+
+
+def test_worker_count_never_exceeds_the_cohorts():
+    threads = threading.active_count()
+    with pinned_cpus(10**9):
+        assert [worker_count(cohorts) for cohorts in (1, 2, 7, 4096)] == [1, 2, 7, 4096]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "env, workers",
+    [
+        ({}, 1),  # BLAS already runs on every CPU
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OMP_NUM_THREADS": "3"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "8"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "many", "GOTO_NUM_THREADS": "16"}, 1),
+    ],
+)
+def test_worker_count_divides_the_cpus_by_the_blas_threads(monkeypatch, env, workers):
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(learner_mod, "cpu_count", lambda: 8)
+    assert worker_count(16) == workers
+
+
+@given(
+    sizes=st.lists(st.sampled_from([(9, 3), (20, 3), (33, 4)]), min_size=2, max_size=5),
+    mu=st.sampled_from([0.0, 0.05]),
+    batch=st.sampled_from([8, 64]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=15, deadline=None)
+def test_unstackable_cohorts_train_alike_on_one_and_two_workers(sizes, mu, batch, seed):
+    hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=batch, proximal_mu=mu)
+    trained, maps = [], []
+    for cpus in (1, 2):
+        states, trains, _ = cohort_members("mlp-1hidden", hp, sizes, seed, dims=(64, 256))
+        ws = Workspace(states[0].params.layout)
+        assert ws.member_bytes(1) > COHORT_SCRATCH_BYTES  # every cohort has one member
+        pool = CohortPool()
+        try:
+            with pinned_cpus(cpus), mock.patch.object(pool, "map", wraps=pool.map) as spy:
+                for _ in range(2):
+                    run_epoch(states, trains, hp, ws, pool)
+        finally:
+            pool.close()
+        trained.append(states)
+        maps.append(spy.call_count)
+    assert maps == [0, 2]
+    for one, two in zip(*trained):
+        assert np.array_equal(one.params.flat, two.params.flat)
+        assert np.array_equal(one.momentum.flat, two.momentum.flat)
+        assert (one.S_k_local, one.epochs_total) == (two.S_k_local, two.epochs_total)
+
+
+def test_unstackable_cohorts_on_more_threads_than_cpus_train_alike():
+    # Six threads on this host's CPUs, switching as often as the interpreter
+    # allows: every learner must still end with the bits of a serial epoch.
+    hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=8, proximal_mu=0.05)
+    sizes = [(9, 3), (20, 3), (33, 4), (20, 3), (9, 3), (33, 4)]
+    serial, trains, _ = cohort_members("mlp-1hidden", hp, sizes, 11, dims=(64, 256))
+    threaded, _, _ = cohort_members("mlp-1hidden", hp, sizes, 11, dims=(64, 256))
+    for _ in range(3):
+        run_epoch(serial, trains, hp)
+    ws, pool, interval = Workspace(serial[0].params.layout), CohortPool(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pinned_cpus(6):
+            for _ in range(3):
+                run_epoch(threaded, trains, hp, ws, pool)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.close()
+    for one, many in zip(serial, threaded):
+        assert np.array_equal(one.params.flat, many.params.flat)
+        assert np.array_equal(one.momentum.flat, many.momentum.flat)

@@ -1,3 +1,7 @@
+import math
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from fedsim import simulator as simulator_mod
 from fedsim.config import config_from_dict, get_preset
 from fedsim.data import generate_blobs
 from fedsim.learner import AdaptivePolicy, run_epoch
-from fedsim.nn import ModelSpec, init_parameters, predict
+from fedsim.nn import ModelSpec, ShapeError, init_parameters, predict
 from fedsim.simulator import (
     MetricsLog,
     MetricsRow,
@@ -16,6 +20,7 @@ from fedsim.simulator import (
     run_simulation_detailed,
     staleness_report,
 )
+from tests.conftest import pinned_cpus
 
 
 def blob_config(**overrides):
@@ -457,3 +462,88 @@ def test_zero_validation_loss_does_not_abort_the_run(monkeypatch):
     result = run_simulation_detailed(config_from_dict(raw, apply_env=False))
     assert any(0.0 in losses for losses in calls)
     assert len(result.log) > 1
+
+
+# ---------------------------------------------------------------------------
+# models too large to stack, trained on worker threads
+# ---------------------------------------------------------------------------
+
+
+def unstackable_config(**overrides):
+    """A sync_fedavg run of a 64-256-3 MLP, larger than the cohort scratch
+    cap, over learners of mixed sizes."""
+    dataset = {
+        "kind": "blobs",
+        "input_dim": 64,
+        "num_classes": 3,
+        "train_samples_per_class": 60,
+        "test_samples_per_class": 20,
+        "spread": 0.4,
+    }
+    return blob_config(
+        dataset=dataset,
+        model={"kind": "mlp-1hidden", "hidden_dim": 256},
+        size_distribution={"kind": "powerlaw", "total": 150},
+        max_versions=3,
+        **overrides,
+    )
+
+
+def counting_pool_maps():
+    """Count ``CohortPool.map`` calls, which each start work on a worker."""
+    return mock.patch.object(
+        learner_mod.CohortPool, "map", autospec=True, side_effect=learner_mod.CohortPool.map
+    )
+
+
+def test_unstackable_sync_run_writes_the_same_csv_on_one_and_two_workers():
+    csvs, maps = [], []
+    for cpus in (1, 2):
+        with pinned_cpus(cpus), counting_pool_maps() as spy:
+            csvs.append(run_simulation(unstackable_config()).to_csv())
+        maps.append(spy.call_count)
+    assert maps[0] == 0 and maps[1] > 0
+    assert csvs[0] == csvs[1]
+
+
+def poison(slot, hp, step):
+    """Set the learner's last output bias and its momentum so that, at
+    ``hp.proximal_mu`` 0, the bias first overflows at ``step`` of its
+    training. From u = -F (the largest float), the bias follows
+    u <- gamma*u, b <- b - eta*u; at that scale the data gradient rounds
+    away. The bias starts half of step ``step``'s rise below F."""
+    big = np.finfo(np.float64).max
+    rise = hp.eta * sum(hp.gamma**i for i in range(1, step))
+    slot.state.params.flat[-1] = (1.0 - rise - hp.eta * hp.gamma**step / 2) * big
+    slot.state.momentum.flat[-1] = -big
+
+
+@pytest.mark.parametrize("unstackable, cpus", [(False, 1), (True, 2)])
+def test_sync_round_reports_the_earliest_diverging_epoch_first(unstackable, cpus):
+    # Learner 0 overflows at the first step of its second epoch, learner 1
+    # at the first step of its first. Each epoch of the round trains every
+    # learner, so learner 1 is named, although learner 0 has the lower id.
+    cfg = unstackable_config() if unstackable else blob_config()
+    with pinned_cpus(cpus):
+        sim = _Simulation(cfg)
+        first, second = sim.slots[:2]
+        poison(first, cfg.hyperparameters, math.ceil(first.split.train.n / cfg.hyperparameters.batch_size) + 1)
+        poison(second, cfg.hyperparameters, 1)
+        with np.errstate(all="ignore"), pytest.raises(ShapeError) as raised:
+            sim.run()
+    assert str(raised.value) == "learner 1: parameters became non-finite at step 1 of epoch 0"
+
+
+def test_runs_leave_no_worker_thread_behind():
+    threads = threading.active_count()
+    with pinned_cpus(2), counting_pool_maps() as spy:
+        run_simulation(unstackable_config())
+        assert spy.call_count > 0
+        assert threading.active_count() == threads
+        sim = _Simulation(unstackable_config())
+        poison(sim.slots[1], sim.hp, 1)
+        calls = spy.call_count
+        with np.errstate(all="ignore"), pytest.raises(ShapeError):
+            sim.run()
+        assert spy.call_count == calls + 1
+    assert threading.active_count() == threads
