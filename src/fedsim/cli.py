@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -35,6 +36,9 @@ from .config import (
 )
 from .controller import DegenerateFederationError
 from .simulator import MetricsLog, SimulationResult, run_simulation_detailed
+
+# Re-seeds every run of ``fedsim run``, overriding the config's seed.
+SEED_ENV_VAR = "FEDSIM_SEED"
 
 
 def _dataset_fingerprint(result: SimulationResult) -> str:
@@ -157,6 +161,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg = parse_config(args.config)
     else:
         cfg = config_from_dict(get_preset(args.preset))
+    if os.environ.get(SEED_ENV_VAR):
+        try:
+            seed = int(os.environ[SEED_ENV_VAR])
+        except ValueError as exc:
+            raise ConfigError(f"{SEED_ENV_VAR}: not an integer") from exc
+        cfg = config_from_dict(dict(cfg.to_dict(), seed=seed))
     out_root = Path(args.out) if args.out else Path("runs") / cfg.name
 
     if cfg.schemes:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping, Union
 
@@ -25,8 +24,6 @@ from .data import (
 from .learner import AdaptivePolicy, FixedPolicy, Hyperparameters, TriggerPolicy
 from .nn import MLP_1HIDDEN, MODEL_KINDS, SOFTMAX_REGRESSION
 from .weighting import SCHEMES, FedAsyncParams
-
-SEED_ENV_VAR = "FEDSIM_SEED"
 
 DEFAULT_SEED = 1990
 DEFAULT_VALIDATION_FRACTION = 0.05
@@ -134,6 +131,8 @@ class BlobsSpec:
             raise ValueError("input_dim must be >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
+        if self.input_dim == 1 and self.num_classes > 2:
+            raise ValueError("1-D features admit at most two distinct unit-norm class centers")
         if self.train_samples_per_class < 1 or self.test_samples_per_class < 1:
             raise ValueError("train/test_samples_per_class must be >= 1")
         if self.spread < 0:
@@ -304,7 +303,7 @@ class ExperimentConfig:
         d.pop("schemes", None)
         if self.trigger.kind == "adaptive" and scheme != "async_dvw":
             d["trigger"] = {"kind": "fixed", "uf": self.trigger.fixed.uf}
-        return config_from_dict(d, apply_env=False)
+        return config_from_dict(d)
 
     def to_dict(self) -> dict:
         d = {
@@ -508,15 +507,10 @@ def _typed_list(sec: _Section, key: str, types, default: tuple) -> tuple:
     return tuple(_typed(f"{sec.where(key)}[{i}]", v, types) for i, v in enumerate(values))
 
 
-def config_from_dict(raw: Mapping[str, Any], apply_env: bool = True) -> ExperimentConfig:
+def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     root = _Section(raw, "")
     name = root.take("name", str, default="experiment")
     seed = root.take("seed", int, default=DEFAULT_SEED)
-    if apply_env and os.environ.get(SEED_ENV_VAR):
-        try:
-            seed = int(os.environ[SEED_ENV_VAR])
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR}: not an integer") from exc
     if seed < 0:
         raise ConfigError("seed: must be non-negative")
     if seed >= 2**128:  # the model's initial weights come from Philox(key=seed)

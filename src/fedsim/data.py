@@ -71,15 +71,13 @@ class Dataset:
     def class_histogram(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
 
-    def one_hot(self, classes: int) -> np.ndarray:
-        """The labels as read-only float64 rows of ``classes`` columns, 1.0
-        in the label's column and 0.0 elsewhere; built on first use for each
-        ``classes`` and kept on the instance. Every label must lie below
-        ``classes``."""
-        cache = self.__dict__.setdefault("_one_hot", {})
-        rows = cache.get(classes)
+    def one_hot(self) -> np.ndarray:
+        """The labels as read-only float64 rows of ``num_classes`` columns,
+        1.0 in the label's column and 0.0 elsewhere; built on first use and
+        kept on the instance."""
+        rows = self.__dict__.get("_one_hot")
         if rows is None:
-            rows = cache[classes] = np.eye(classes)[self.labels]
+            rows = self.__dict__["_one_hot"] = np.eye(self.num_classes)[self.labels]
             rows.setflags(write=False)
         return rows
 
@@ -181,7 +179,8 @@ def generate_blobs(
 @dataclass(frozen=True)
 class SizeDistribution:
     """How many training samples each learner receives; ``total`` is the
-    number to spread, or ``None`` for the whole source pool."""
+    number to spread, or ``None`` for the whole source pool. An explicit
+    ``total`` must give every learner a sample (``compute_sizes``)."""
 
     kind: str
     num_learners: int
@@ -198,13 +197,13 @@ class SizeDistribution:
             raise ValueError("skew decay must lie in (0, 1]")
         if self.exponent <= 0.0:
             raise ValueError("power-law exponent must be positive")
-        if self.total is not None and self.total < 1:
-            raise ValueError("total must be >= 1")
         # Each kind reads at most one shape parameter. The other is reset to
         # its default, so distributions that split alike compare equal.
         for name, kind in (("decay", "skewed"), ("exponent", "powerlaw")):
             if self.kind != kind:
                 object.__setattr__(self, name, getattr(SizeDistribution, name))
+        if self.total is not None:
+            compute_sizes(self, self.total)
 
 
 def compute_sizes(dist: SizeDistribution, total: int) -> list[int]:

@@ -32,7 +32,6 @@ from .nn import (
     ShapeError,
     Workspace,
     backward,  # noqa: F401 - re-exported: benchmark tracing looks it up here
-    check_dataset,
     momentum_update,
 )
 
@@ -152,7 +151,9 @@ class LearnerState:
     last fetch, the target of the proximal pull. ``warmup_staleness`` and
     ``c3_threshold`` are C3's state (adaptive only, filled by
     ``adopt_community``). The optimizer constants are the run's
-    (``Hyperparameters``), not the learner's.
+    (``Hyperparameters``), not the learner's. ``shuffle_keys`` are the keys of
+    its epoch shuffles from epoch ``shuffle_first`` on (``_shuffles``), derived
+    from ``data_seed`` and ``id``, which never change.
     """
 
     id: int
@@ -168,6 +169,8 @@ class LearnerState:
     current: ValidationCycle = field(default_factory=ValidationCycle)
     warmup_staleness: list[int] = field(default_factory=list)
     c3_threshold: float | None = None
+    shuffle_first: int = field(default=0, compare=False, repr=False)
+    shuffle_keys: np.ndarray | tuple = field(default=(), compare=False, repr=False)
 
 
 def new_learner(
@@ -311,30 +314,22 @@ def _key_blocks(states: list[LearnerState], counts: list[int]) -> list[np.ndarra
 def _shuffles(ws: Workspace, states: list[LearnerState], n: int) -> list[np.ndarray]:
     """Each learner's order of its n samples for this epoch:
     ``Generator(Philox(SeedSequence([data_seed, 5, id, epochs_total]))).permutation(n)``,
-    bit for bit. Keys come from per-learner blocks on the workspace; the
-    members whose block does not hold this epoch get new blocks, each twice
-    as long as the one it replaces (``SHUFFLE_KEY_BLOCK``), in one pass.
-    Every permutation is numpy's own, drawn by the workspace's one generator
-    reseated with the key, a zero counter and empty output buffers."""
-    blocks = ws.shuffle_keys
-    keys: list[np.ndarray | None] = []
-    missing, counts = [], []
-    for i, st in enumerate(states):
-        first, block = blocks.get((st.data_seed, st.id), (0, ()))
-        epoch = st.epochs_total - first
-        if 0 <= epoch < len(block):
-            keys.append(block[epoch])
-        else:
-            keys.append(None)
-            missing.append(i)
-            counts.append(max(SHUFFLE_KEY_BLOCK, min(2 * len(block), SHUFFLE_KEY_BLOCK_MAX)))
-    if missing:
-        for i, block in zip(missing, _key_blocks([states[i] for i in missing], counts)):
-            st = states[i]
-            blocks[(st.data_seed, st.id)] = (st.epochs_total, block)
-            keys[i] = block[0]
+    bit for bit. Keys come from the learners' own blocks; the members whose
+    block does not hold this epoch get new blocks, each twice as long as the
+    one it replaces (``SHUFFLE_KEY_BLOCK``), in one pass. Every permutation is
+    numpy's own, drawn by the workspace's one generator reseated with the
+    key, a zero counter and empty output buffers."""
+    stale = [
+        st for st in states if not 0 <= st.epochs_total - st.shuffle_first < len(st.shuffle_keys)
+    ]
+    if stale:
+        cap = SHUFFLE_KEY_BLOCK_MAX
+        counts = [max(SHUFFLE_KEY_BLOCK, min(2 * len(st.shuffle_keys), cap)) for st in stale]
+        for st, block in zip(stale, _key_blocks(stale, counts)):
+            st.shuffle_first, st.shuffle_keys = st.epochs_total, block
     bits, perms = ws.shuffle.bit_generator, []
-    for key in keys:
+    for st in states:
+        key = st.shuffle_keys[st.epochs_total - st.shuffle_first]
         bits.state = {
             "bit_generator": "Philox",
             "state": {"counter": _ZEROS4, "key": key.tolist()},
@@ -413,8 +408,7 @@ def _train_cohort(
     anchor = None
     if hp.proximal_mu > 0.0:
         anchor = _stack(ws, "anchor", [st.anchor.flat for st in states])
-    classes = ws.layout.entries[-1][2]
-    batches = [(train.features, train.one_hot(classes)) for train in trains]
+    batches = [(train.features, train.one_hot()) for train in trains]
     perms = _shuffles(ws, states, trains[0].n)
     _steps(w, arrays, u, anchor, batches, perms, hp, ws)
     bad: dict[int, int] = {}
@@ -478,9 +472,8 @@ def _shares(
 ) -> list[list[list[int]]]:
     """The cohorts dealt into ``workers`` shares of about equal samples: the
     largest cohort first, each to the share holding the fewest so far. The
-    deal depends only on the sizes, so the same cohorts land in the same
-    shares epoch after epoch, and find their shuffle keys in that share's
-    workspace."""
+    deal depends only on the sizes; a learner's shuffle keys are its own, so
+    they serve it in whichever share it lands."""
     shares: list[list[list[int]]] = [[] for _ in range(workers)]
     loads = [0] * workers
     for members in sorted(cohorts, key=lambda m: -len(m) * trains[m[0]].n):
@@ -541,24 +534,11 @@ class CohortPool:
             self._executor = None
 
 
-def _workspace(
-    states: Sequence[LearnerState], datasets: Sequence[Dataset], workspace: Workspace | None
-) -> Workspace:
-    """``workspace``, whose owner has checked the datasets; else a fresh one,
-    after checking each dataset against the learners' model."""
-    if workspace is not None:
-        return workspace
-    ws = Workspace(states[0].params.layout)
-    for data in datasets:
-        check_dataset(ws.layout, data)
-    return ws
-
-
 def run_epoch(
     states: Sequence[LearnerState],
     trains: Sequence[Dataset],
     hp: Hyperparameters,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
     pool: CohortPool | None = None,
 ) -> int:
     """Train one epoch of each learner on its own training set (``trains[k]``
@@ -574,9 +554,8 @@ def run_epoch(
     bits as training alone; a lone learner trains on views of its own buffers.
     ``workspace`` holds the scratch; a federation passes one shared by all its
     learners, and has checked their datasets (``check_dataset``) once, when
-    it was built. Without a workspace, each training set is checked here.
-    When the model is too large to stack (every cohort is cut to one member,
-    ``COHORT_SCRATCH_BYTES``), ``pool`` trains the cohorts in
+    it was built. When the model is too large to stack (every cohort is cut
+    to one member, ``COHORT_SCRATCH_BYTES``), ``pool`` trains the cohorts in
     ``worker_count`` shares side by side, the first on this thread in
     ``workspace``; every learner gets the same bits either way.
     Raises ``ShapeError`` for the first learner in ``states`` that a step
@@ -584,19 +563,18 @@ def run_epoch(
     """
     if len(states) != len(trains):
         raise ValueError("run_epoch needs one training set per learner")
-    ws = _workspace(states, trains, workspace)
-    cohorts = _cohorts(ws, trains, hp.batch_size)
+    cohorts = _cohorts(workspace, trains, hp.batch_size)
     workers = 1
     if pool is not None and len(cohorts) > 1:
         rows = min(hp.batch_size, *(trains[members[0]].n for members in cohorts))
-        if ws.member_bytes(rows) > COHORT_SCRATCH_BYTES:
+        if workspace.member_bytes(rows) > COHORT_SCRATCH_BYTES:
             workers = worker_count(len(cohorts))
     if workers > 1:
         train = partial(_train, states, trains, hp)
-        parts = pool.map(train, ws, _shares(cohorts, trains, workers))
+        parts = pool.map(train, workspace, _shares(cohorts, trains, workers))
         failures = [failure for part in parts for failure in part]
     else:
-        failures = _train(states, trains, hp, ws, cohorts)
+        failures = _train(states, trains, hp, workspace, cohorts)
     if failures:
         first, step = min(failures)
         state = states[first]
@@ -615,28 +593,25 @@ def run_epoch(
 
 
 def local_validation_loss(
-    states: Sequence[LearnerState],
-    validations: Sequence[Dataset],
-    workspace: Workspace | None = None,
+    states: Sequence[LearnerState], validations: Sequence[Dataset], workspace: Workspace
 ) -> list[float]:
     """Mean cross-entropy of each learner's model on its validation set;
-    learners whose sets have equal sizes are scored as one stacked cohort.
-    ``workspace`` is as in ``run_epoch``: without one, each set is checked."""
+    learners whose sets have equal sizes are scored as one stacked cohort in
+    ``workspace``. The sets are checked as ``run_epoch``'s are: once, by the
+    federation that owns the workspace."""
     if len(states) != len(validations):
         raise ValueError("local_validation_loss needs one validation set per learner")
-    ws = _workspace(states, validations, workspace)
     losses = [0.0] * len(states)
-    for members in _cohorts(ws, validations):
-        w, arrays = _stacked_models(ws, [states[i] for i in members])
-        if len(members) == 1:
-            x, y = validations[members[0]].features, validations[members[0]].labels
-        else:
-            s = ws.batch(len(members), validations[members[0]].n)
-            x, y = s.x, s.y
-            features = [validations[i].features for i in members]
-            np.concatenate(features, out=x.reshape(-1, x.shape[2]))
-            np.concatenate([validations[i].labels for i in members], out=y.reshape(-1))
-        for i, loss in zip(members, ws.loss(arrays, x, y).tolist()):
+    for members in _cohorts(workspace, validations):
+        _, arrays = _stacked_models(workspace, [states[i] for i in members])
+        sets = [validations[i] for i in members]
+        x, t = sets[0].features, sets[0].one_hot()
+        if len(sets) > 1:
+            s = workspace.batch(len(sets), sets[0].n)
+            x, t = s.x, s.t
+            np.concatenate([v.features for v in sets], out=x.reshape(-1, x.shape[2]))
+            np.concatenate([v.one_hot() for v in sets], out=t.reshape(-1, t.shape[2]))
+        for i, loss in zip(members, workspace.loss(arrays, x, t).tolist()):
             losses[i] = loss
     return losses
 

@@ -258,20 +258,16 @@ def _model_kind(layout: Layout) -> str:
 
 
 def check_dataset(layout: Layout, data) -> None:
-    """Raise unless a ``fedsim.data.Dataset`` fits a model of ``layout``, in
-    constant time when it can: a dataset's labels are range-checked against
-    its ``num_classes`` when it is built and cannot be written afterwards, so
-    they are scanned only when it declares more classes than the model has."""
-    _check_width(layout, data.features.shape[1])
-    classes = layout.entries[-1][2]
-    if data.num_classes > classes and data.labels.max() >= classes:
-        raise ValueError(f"labels must lie in [0, {classes})")
-
-
-def _check_width(layout: Layout, width: int) -> None:
-    dim = layout.entries[0][1]
+    """Raise unless a ``fedsim.data.Dataset`` has the input width and the class
+    count of a model of ``layout``. Constant time: a ``Dataset`` range-checks
+    its read-only labels when it is built. A federation checks every dataset
+    it reads once, when it is built; the kernels below trust their inputs."""
+    dim, classes = layout.entries[0][1], layout.entries[-1][2]
+    width = data.features.shape[1]
     if width != dim:
         raise ShapeError(f"feature dim {width} does not match input dim {dim}")
+    if data.num_classes != classes:
+        raise ShapeError(f"model predicts {classes} classes, dataset declares {data.num_classes}")
 
 
 # The kernels below write into caller-provided buffers. They take a single
@@ -285,8 +281,9 @@ def _check_width(layout: Layout, width: int) -> None:
 # A step is a few dozen numpy calls on arrays of a few hundred values, so
 # each call's fixed cost sets its speed, and every shortcut below keeps the
 # bits of the plain formulation (tests/kernel_reference.py):
-# - the gradient subtracts the batch's one-hot targets rather than 1.0 from
-#   one fancy-indexed entry per sample, since x - 0.0 == x;
+# - the kernels read the batch's one-hot targets, not one fancy-indexed
+#   entry per sample: the gradient subtracts them, since x - 0.0 == x, and
+#   the loss sums logp * t over the classes, all but one term a zero;
 # - reductions call the ufuncs directly, without ndarray's Python wrappers;
 # - a row max over at most _COLUMN_MAX_CLASSES classes is a chain of
 #   np.maximum calls over column views. A max never rounds, and up to 8
@@ -329,17 +326,6 @@ def _log_softmax_into(s: "_CohortScratch", out: np.ndarray) -> None:
     out -= col
 
 
-def _forward(params: _FlatParameters, features: np.ndarray) -> np.ndarray:
-    """Logits in a fresh array."""
-    kind = _model_kind(params.layout)
-    _check_width(params.layout, features.shape[1])
-    n = features.shape[0]
-    hidden = np.empty((n, params.arrays[0].shape[1])) if kind == MLP_1HIDDEN else None
-    logits = np.empty((n, params.arrays[-1].shape[1]))
-    _forward_into(kind, params.arrays, features, logits, hidden)
-    return logits
-
-
 # Distinct (members, rows) cohort shapes whose scratch views a Workspace keeps.
 _CACHED_SHAPES = 32
 
@@ -350,10 +336,9 @@ class Workspace:
     Each named buffer grows to the largest cohort seen and is then reused, so
     a training step allocates no batch- or model-sized array. The cohorts of
     one thread train one at a time, so one workspace serves all of a
-    federation's training on that thread. The learners' epoch shuffles share
-    it too: ``shuffle_keys`` holds each learner's block of Philox keys, keyed
-    by (data seed, learner id), and ``shuffle`` is the one generator that is
-    reseated with a key before each permutation.
+    federation's training on that thread. ``shuffle`` is the one generator
+    that the learners' epoch shuffles reseat with a key before each
+    permutation; the keys are the learners' own.
     """
 
     def __init__(self, layout: Layout) -> None:
@@ -361,8 +346,6 @@ class Workspace:
         self.layout = layout
         self._store: dict[str, np.ndarray] = {}
         self._shapes: dict[tuple[int, int], _CohortScratch] = {}
-        self._index = np.arange(0)
-        self.shuffle_keys: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
         self.shuffle = np.random.Generator(np.random.Philox(0))
 
     def member_bytes(self, rows: int) -> int:
@@ -371,24 +354,17 @@ class Workspace:
         entries = self.layout.entries
         dim, classes = entries[0][1], entries[-1][2]
         width = entries[0][2] if self.layout.kind == MLP_1HIDDEN else 0
-        return 8 * (5 * self.layout.size + rows * (dim + 2 + 4 * classes + 3 * width))
+        return 8 * (5 * self.layout.size + rows * (dim + 1 + 4 * classes + 3 * width))
 
-    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """A C-contiguous view of the shared buffer ``name``; its contents
         are whatever the last user left there."""
         size = math.prod(shape)
         buf = self._store.get(name)
         if buf is None or buf.size < size:
-            buf = self._store[name] = np.empty(size, dtype)
+            buf = self._store[name] = np.empty(size)
             self._shapes.clear()  # drop views that keep the old buffer alive
         return buf[:size].reshape(shape)
-
-    def index(self, count: int) -> np.ndarray:
-        """The integers ``0..count-1``, read-only."""
-        if self._index.size < count:
-            self._index = np.arange(count)
-            self._index.setflags(write=False)
-        return self._index[:count]
 
     def batch(self, members: int, rows: int) -> "_CohortScratch":
         """Scratch for one step of ``members`` models on ``rows`` samples each."""
@@ -400,27 +376,30 @@ class Workspace:
             scratch = self._shapes[key] = _CohortScratch(self, members, rows)
         return scratch
 
-    def loss(self, arrays, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def loss(self, arrays, x: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Mean cross-entropy of each model on its samples, as an (M,) array.
 
         A cohort of M > 1 passes per-entry (M, rows, cols) ``arrays``, ``x``
-        M x m x d and ``y`` M x m; a cohort of one passes them without the
-        member axis. The logits are left in ``batch(M, m).logits``. The caller
-        has checked the feature width and the label range.
+        M x m x d and one-hot targets ``t`` M x m x C; a cohort of one passes
+        them without the member axis. The logits are left in
+        ``batch(M, m).logits``.
         """
-        m = y.shape[-1]
-        s = self.batch(y.size // m, m)
+        m = t.shape[-2]
+        s = self.batch(t.shape[0] if t.ndim == 3 else 1, m)
         _forward_into(self.layout.kind, arrays, x, s.logits, s.hidden)
         _log_softmax_into(s, s.logp)
-        picked = s.logp_rows[s.samples, y.reshape(-1)].reshape(-1, m)
+        # A row of t holds one 1.0 and zeros, and logp is finite, so the class
+        # sum of logp * t is the label's log-probability exactly.
+        np.multiply(s.logp, t, out=s.exp)
+        np.add.reduce(s.exp, axis=-1, keepdims=True, out=s.col)
         # The sum divided by the count is what ``mean`` computes, bit for bit.
-        return -(np.add.reduce(picked, axis=1) / m)
+        return -(np.add.reduce(s.col.reshape(-1, m), axis=1) / m)
 
     def gradient(self, arrays, s: "_CohortScratch") -> np.ndarray:
         """Mean cross-entropy gradient of each model (``arrays`` as in
         ``loss``) over its batch, which the caller has gathered into ``s.x``
-        (features) and ``s.t`` (one-hot targets) of ``s = batch(M, m)``,
-        checking the feature width and the label range. Writes ``s.grad``
+        (features) and ``s.t`` (one-hot targets) of ``s = batch(M, m)``.
+        Writes ``s.grad``
         (M x layout.size, or one vector for a cohort of one) and returns it."""
         kind, g, hidden, dlogits = self.layout.kind, s.grad_views, s.hidden, s.logits
         _forward_into(kind, arrays, s.x, dlogits, hidden)
@@ -446,14 +425,12 @@ class Workspace:
 
 class _CohortScratch:
     """C-contiguous views of a workspace's buffers for one (members, rows)
-    cohort shape: the batch of features ``x``, labels ``y`` (for ``loss``)
-    and one-hot targets ``t`` (for ``gradient``; ``xs[k]`` and ``ts[k]`` are
-    member k's part), the forward and backward intermediates, the gradient
-    and a free array of the same shape (``tmp``). Every array has a leading
-    member axis, except for a cohort of one. ``logp_rows`` flattens the
-    member and sample axes, so a row index of ``samples`` picks each
-    sample's log-probabilities. ``columns`` holds the logits' column views
-    when the row max is taken column by column, else it is empty."""
+    cohort shape: the batch of features ``x`` and one-hot targets ``t``
+    (``xs[k]`` and ``ts[k]`` are member k's part), the forward and backward
+    intermediates, the gradient and a free array of the same shape
+    (``tmp``). Every array has a leading member axis, except for a cohort of
+    one. ``columns`` holds the logits' column views when the row max is taken
+    column by column, else it is empty."""
 
     def __init__(self, ws: Workspace, members: int, rows: int) -> None:
         entries = ws.layout.entries
@@ -462,16 +439,13 @@ class _CohortScratch:
         self.rows = rows
         self.x = ws.array("x", (*lead, rows, dim))
         self.x_t = self.x.swapaxes(-1, -2)
-        self.y = ws.array("y", (*lead, rows), np.int64)
         self.t = ws.array("t", (*lead, rows, classes))
         self.xs, self.ts = (list(self.x), list(self.t)) if lead else ([self.x], [self.t])
-        self.samples = ws.index(members * rows)
         self.logits = ws.array("logits", (*lead, rows, classes))
         self.columns = ()
         if 1 < classes <= _COLUMN_MAX_CLASSES:
             self.columns = tuple(self.logits[..., c : c + 1] for c in range(classes))
         self.logp = ws.array("logp", (*lead, rows, classes))
-        self.logp_rows = self.logp.reshape(-1, classes)
         self.exp = ws.array("exp", (*lead, rows, classes))
         self.col = ws.array("col", (*lead, rows, 1))
         self.hidden = self.hidden_t = self.dhidden = self.square = None
@@ -505,6 +479,11 @@ def backward(params: _FlatParameters, x: np.ndarray, y: np.ndarray) -> Parameter
 
 
 def predict(params: _FlatParameters, features: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest class index."""
-    return np.argmax(_forward(params, np.asarray(features, dtype=np.float64)), axis=1)
-
+    """Argmax class per row; ties resolve to the lowest class index. The
+    caller has checked the features' width (``check_dataset``)."""
+    x = np.asarray(features, dtype=np.float64)
+    kind = _model_kind(params.layout)
+    hidden = np.empty((len(x), params.arrays[0].shape[1])) if kind == MLP_1HIDDEN else None
+    logits = np.empty((len(x), params.arrays[-1].shape[1]))
+    _forward_into(kind, params.arrays, x, logits, hidden)
+    return np.argmax(logits, axis=1)

@@ -228,11 +228,12 @@ def build_federation(cfg: config_mod.ExperimentConfig):
     split = build_federated_split(
         source, sizes, assignment, cfg.validation_fraction, cfg.seed, test, order
     )
-    # Once per run: training and scoring take these slices as checked.
+    # Once per run: training, scoring and testing take these sets as checked.
     layout = model_layout(model_spec)
     for lsplit in split.per_learner:
         check_dataset(layout, lsplit.train)
         check_dataset(layout, lsplit.validation)
+    check_dataset(layout, test)
 
     if cfg.scheme == "fedasync_poly":
         controller = FedAsyncController(model_spec, cfg.fedasync)

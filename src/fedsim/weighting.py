@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .nn import ParameterSet, ShapeError, predict, scale_add, scale
+from .nn import ParameterSet, predict, scale_add, scale
 
 SCHEMES = ("sync_fedavg", "async_fedavg", "sync_dvw", "async_dvw", "fedasync_poly")
 DVW_SCHEMES = ("sync_dvw", "async_dvw")
@@ -32,13 +32,9 @@ def dvw_weight(params: ParameterSet, validation: Dataset) -> float:
     With one label per sample every miss is one false positive and one false
     negative, so this equals the micro-F1 of the pooled confusion matrix,
     2TP / (2TP + FP + FN) = TP / n, exactly: the hit count is an integer and
-    only the final ratio is a float division.
+    only the final ratio is a float division. The federation has checked the
+    validation slices against the model (``check_dataset``).
     """
-    num_classes = params.arrays[-1].shape[1]
-    if num_classes != validation.num_classes:
-        raise ShapeError(
-            f"model predicts {num_classes} classes, dataset declares {validation.num_classes}"
-        )
     return accuracy(params, validation)
 
 

@@ -1,8 +1,9 @@
 """The step kernels in their first formulation, kept as an oracle.
 
 ``Workspace.loss`` and ``Workspace.gradient`` once took the row max with
-``ndarray.max``, the class sum with ``ndarray.sum`` and subtracted 1.0 from
-each sample's label entry through a fancy index. The functions below keep
+``ndarray.max`` and the class sum with ``ndarray.sum``, and read each
+sample's label through a fancy index: the loss picked its log-probability,
+the gradient subtracted 1.0 from its entry. The functions below keep
 that formulation as allocating numpy expressions, operation for operation,
 for a single model (2-D arrays) or a cohort stacked along a leading member
 axis; the kernels must reproduce them bit for bit.

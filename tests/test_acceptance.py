@@ -226,7 +226,7 @@ def test_criterion_03_micro_f1_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _central_differences(ws: Workspace, w: np.ndarray, x, y, eps: float = 1e-5) -> np.ndarray:
+def _central_differences(ws: Workspace, w: np.ndarray, x, t, eps: float = 1e-5) -> np.ndarray:
     """d loss / d w by central differences of ``Workspace.loss``, bumping one
     coordinate of the flat vector ``w`` at a time (in every member at once
     for a stacked (M, size) cohort)."""
@@ -235,8 +235,8 @@ def _central_differences(ws: Workspace, w: np.ndarray, x, y, eps: float = 1e-5) 
         up, dn = w.copy(), w.copy()
         up[..., j] += eps
         dn[..., j] -= eps
-        lu = ws.loss(ws.layout.views(up), x, y)
-        ld = ws.loss(ws.layout.views(dn), x, y)
+        lu = ws.loss(ws.layout.views(up), x, t)
+        ld = ws.loss(ws.layout.views(dn), x, t)
         numeric[..., j] = (lu - ld).reshape(w.shape[:-1]) / (2 * eps)
     return numeric
 
@@ -260,7 +260,7 @@ def test_criterion_04_gradient_check():
         s = ws.batch(1, 5)
         s.x[...], s.t[...] = x, np.eye(3)[y]
         analytic = ws.gradient(params.arrays, s).copy()
-        numeric = _central_differences(ws, params.flat, x, y)
+        numeric = _central_differences(ws, params.flat, x, s.t)
         worst = max(worst, _relative_error(analytic, numeric))
     for kind, members in pairs.items():
         # the same pairs as one stacked cohort of ten
@@ -268,10 +268,9 @@ def test_criterion_04_gradient_check():
         w = np.stack([params.flat for params, _, _ in members])
         s = ws.batch(len(members), 5)
         s.x[...] = np.stack([x for _, x, _ in members])
-        s.y[...] = np.stack([y for _, _, y in members])
-        s.t[...] = np.eye(3)[s.y]
+        s.t[...] = np.eye(3)[np.stack([y for _, _, y in members])]
         analytic = ws.gradient(ws.layout.views(w), s).copy()
-        numeric = _central_differences(ws, w, s.x, s.y)
+        numeric = _central_differences(ws, w, s.x, s.t)
         worst = max(worst, _relative_error(analytic, numeric))
     elapsed = time.perf_counter() - start
     assert worst < 1e-4
@@ -454,8 +453,9 @@ def test_criterion_08_convergence_sanity():
     ctrl = FederationController(result.model_spec)
     state = new_learner(0, ctrl.current_model(), FixedPolicy(1))
     hp = Hyperparameters(eta=0.05, gamma=0.75, batch_size=100)
+    ws = Workspace(state.params.layout)
     for _ in range(200):
-        run_epoch([state], [union], hp)
+        run_epoch([state], [union], hp, ws)
     centralized = evaluate_test_accuracy(state.params, result.split.test)
     elapsed = time.perf_counter() - start
     assert federated >= 0.95 * centralized, (
@@ -491,7 +491,7 @@ def test_criterion_09_trend_reproduction(simulated):
             cell = dict(base, scheme=scheme, seed=seed)
             if scheme != "async_dvw":
                 cell["trigger"] = {"kind": "fixed", "uf": 4}
-            log = simulated(config_from_dict(cell, apply_env=False))
+            log = simulated(config_from_dict(cell))
             finals[scheme] = log.rows[-1].test_top1
         async_wins += finals["async_dvw"] >= finals["async_fedavg"]
         sync_wins += finals["sync_dvw"] >= finals["sync_fedavg"]
@@ -518,24 +518,22 @@ def test_criterion_10_communication_accounting(simulated):
         cell = dict(base, scheme=scheme, seed=1990, time_budget=6.0)
         if scheme != "async_dvw":
             cell["trigger"] = {"kind": "fixed", "uf": 4}
-        last = simulated(config_from_dict(cell, apply_env=False)).rows[-1]
+        last = simulated(config_from_dict(cell)).rows[-1]
         assert last.models_exchanged_cum == factor * last.update_requests_cum
 
     sync_last = simulated(
         config_from_dict(
             dict(base, scheme="sync_fedavg", seed=1990, time_budget=6.0,
-                 trigger={"kind": "fixed", "uf": 4}),
-            apply_env=False,
+                 trigger={"kind": "fixed", "uf": 4})
         )
     ).rows[-1]
     assert sync_last.models_exchanged_cum == 2 * sync_last.update_requests_cum
 
     # adaptive DVW requests never exceed non-adaptive DVW on the same preset
-    adaptive = simulated(config_from_dict(dict(base, scheme="async_dvw", seed=1990), apply_env=False))
+    adaptive = simulated(config_from_dict(dict(base, scheme="async_dvw", seed=1990)))
     nonadaptive = simulated(
         config_from_dict(
-            dict(base, scheme="async_dvw", seed=1990, trigger={"kind": "fixed", "uf": 4}),
-            apply_env=False,
+            dict(base, scheme="async_dvw", seed=1990, trigger={"kind": "fixed", "uf": 4})
         )
     )
     req_a = adaptive.rows[-1].update_requests_cum
@@ -557,7 +555,7 @@ def test_criterion_11_preset_determinism(simulated):
     start = time.perf_counter()
     checked = 0
     for name in preset_names():
-        cfg = config_from_dict(get_preset(name), apply_env=False)
+        cfg = config_from_dict(get_preset(name))
         cells = (
             [cfg.with_scheme(s) for s in cfg.schemes] if cfg.schemes else [cfg]
         )

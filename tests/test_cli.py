@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from fedsim.cli import main
 from fedsim.config import get_preset
 from fedsim.simulator import MetricsLog
+from tests.test_data import write_idx_images, write_idx_labels
 
 
 SMALL_CONFIG = {
@@ -117,6 +119,67 @@ def test_seed_too_large_for_philox_exit_code(tmp_path, capsys, monkeypatch, sour
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "seed: must be < 2**128" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_env_seed_override(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, {"seed": 7})
+
+    def run_seed(out):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+        return json.loads((tmp_path / out / "manifest.json").read_text())["config"]["seed"]
+
+    assert run_seed("file") == 7
+    monkeypatch.setenv("FEDSIM_SEED", "123")
+    assert run_seed("env") == 123
+    monkeypatch.setenv("FEDSIM_SEED", "not-a-number")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+    assert "FEDSIM_SEED: not an integer" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"num_learners": 5, "size_distribution": {"kind": "uniform", "total": 3}},
+            "cannot spread 3 samples across 5 learners",
+        ),
+        (
+            {
+                "num_learners": 10,
+                "size_distribution": {"kind": "powerlaw", "total": 12, "exponent": 3},
+            },
+            "leaves a learner empty",
+        ),
+        (
+            {"dataset": dict(SMALL_CONFIG["dataset"], input_dim=1, num_classes=3)},
+            "1-D features admit at most two",
+        ),
+    ],
+    ids=["uniform-total-below-learners", "powerlaw-empty-learner", "1d-3-classes"],
+)
+def test_unbuildable_config_exit_code(tmp_path, capsys, overrides, message):
+    bad = write_config(tmp_path, overrides)
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_idx_test_set_of_another_width_exit_code(tmp_path, capsys):
+    # 2x2 training images and 3x3 test images: the build checks the test set
+    # once, like every slice, and names the width.
+    rng = np.random.default_rng(5)
+    files = {}
+    for part, side, n in (("train", 2, 90), ("test", 3, 30)):
+        files[f"{part}_images"] = str(tmp_path / f"{part}-images.idx")
+        files[f"{part}_labels"] = str(tmp_path / f"{part}-labels.idx")
+        write_idx_images(files[f"{part}_images"], rng.integers(0, 256, (n, side, side)))
+        write_idx_labels(files[f"{part}_labels"], np.arange(n) % 3)
+    cfg = write_config(
+        tmp_path, {"dataset": {"kind": "idx", **files}, "size_distribution": {"kind": "uniform"}}
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "feature dim 9 does not match input dim 4" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_code(tmp_path, capsys):

@@ -13,7 +13,7 @@ from fedsim.config import (
     parse_config,
     preset_names,
 )
-from fedsim.data import SIZE_KINDS
+from fedsim.data import SIZE_KINDS, SizeDistribution
 from fedsim.learner import AdaptivePolicy, FixedPolicy
 from fedsim.weighting import SCHEMES
 
@@ -127,31 +127,75 @@ def test_trigger_group_thresholds_resolve_per_learner():
     assert cfg.trigger.policy_for("sync_fedavg", "fast") == FixedPolicy(uf=4)
 
 
-def test_env_seed_override(monkeypatch, tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(MINIMAL, seed=7)))
-    assert parse_config(str(path)).seed == 7
-    monkeypatch.setenv("FEDSIM_SEED", "123")
-    assert parse_config(str(path)).seed == 123
-    monkeypatch.setenv("FEDSIM_SEED", "not-a-number")
-    with pytest.raises(ConfigError, match="FEDSIM_SEED"):
-        parse_config(str(path))
-
-
 @pytest.mark.parametrize("source", ["file", "env"])
 @pytest.mark.parametrize(
     "seed, fits", [(2**128 - 1, True), (2**128, False), (2**128 + 1, False)],
     ids=["2**128-1", "2**128", "2**128+1"],
 )
-def test_seed_must_fit_a_philox_key(monkeypatch, source, seed, fits):
-    raw = dict(MINIMAL, seed=seed) if source == "file" else dict(MINIMAL)
-    if source == "env":
-        monkeypatch.setenv("FEDSIM_SEED", str(seed))
+def test_seed_must_fit_a_philox_key(source, seed, fits):
+    raw = dict(MINIMAL, seed=seed)
+    if source == "env":  # how ``fedsim run`` applies FEDSIM_SEED: re-seed the resolved config
+        raw = dict(config_from_dict(MINIMAL).to_dict(), seed=seed)
     if fits:
         assert config_from_dict(raw).seed == seed
     else:
         with pytest.raises(ConfigError, match=r"^seed: must be < 2\*\*128$"):
             config_from_dict(raw)
+
+
+def test_parsing_ignores_the_seed_variable(monkeypatch, tmp_path):
+    # Only ``fedsim run`` reads FEDSIM_SEED (tests/test_cli.py).
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINIMAL, seed=7)))
+    for value in ("123", "not-a-number", str(2**128)):
+        monkeypatch.setenv("FEDSIM_SEED", value)
+        assert parse_config(str(path)).seed == 7
+        assert config_from_dict(MINIMAL).seed == 1990
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"num_learners": 5, "size_distribution": {"kind": "uniform", "total": 3}},
+            "size_distribution: cannot spread 3 samples across 5 learners",
+        ),
+        (
+            {
+                "num_learners": 10,
+                "size_distribution": {"kind": "powerlaw", "total": 12, "exponent": 3},
+            },
+            "size_distribution: powerlaw distribution over 10 learners leaves a learner "
+            "empty at total=12",
+        ),
+        (
+            {
+                "num_learners": 10,
+                "size_distribution": {"kind": "skewed", "total": 20, "decay": 0.1},
+            },
+            "size_distribution: skewed distribution over 10 learners leaves a learner "
+            "empty at total=20",
+        ),
+        (
+            {"dataset": dict(MINIMAL["dataset"], input_dim=1, num_classes=3)},
+            "dataset: 1-D features admit at most two distinct unit-norm class centers",
+        ),
+    ],
+    ids=["uniform-total-below-learners", "powerlaw-empty-learner", "skewed-empty-learner", "1d-3-classes"],
+)
+def test_unbuildable_sizes_and_blobs_rejected_at_parse(overrides, message):
+    with pytest.raises(ConfigError) as raised:
+        config_from_dict(dict(MINIMAL, **overrides))
+    assert str(raised.value) == message
+
+
+def test_sizes_from_the_whole_source_are_checked_at_build():
+    # Without a total the pool's size is known only once the source is
+    # loaded, so the parser accepts what the build may reject.
+    cfg = config_from_dict(dict(MINIMAL, num_learners=5, size_distribution={"kind": "uniform"}))
+    assert cfg.size_distribution.total is None
+    line = dict(MINIMAL["dataset"], input_dim=1, num_classes=2)  # two centers fit on a line
+    assert config_from_dict(dict(MINIMAL, dataset=line)).dataset.input_dim == 1
 
 
 def test_parse_config_missing_file():
@@ -168,7 +212,7 @@ def test_parse_config_invalid_json(tmp_path):
 
 def test_round_trip_dict():
     cfg = config_from_dict(get_preset("blobs-powerlaw-noniid"))
-    again = config_from_dict(cfg.to_dict(), apply_env=False)
+    again = config_from_dict(cfg.to_dict())
     assert again == cfg
     assert again.to_dict() == cfg.to_dict()
 
@@ -187,7 +231,7 @@ def test_presets_parse_and_are_known():
     names = preset_names()
     assert "blobs-powerlaw-noniid" in names
     for name in names:
-        cfg = config_from_dict(get_preset(name), apply_env=False)
+        cfg = config_from_dict(get_preset(name))
         assert cfg.name == name
     with pytest.raises(ConfigError, match="unknown preset"):
         get_preset("no-such-preset")
@@ -335,6 +379,16 @@ def per_group(values):
     return values | st.fixed_dictionaries({"fast": values, "slow": values})
 
 
+def splits(dist: dict, num_learners: int) -> bool:
+    """Whether a size distribution gives every learner a sample, which the
+    schema requires of an explicit total."""
+    try:
+        SizeDistribution(num_learners=num_learners, **dist)
+    except ValueError:
+        return False
+    return True
+
+
 @st.composite
 def valid_configs(draw):
     """Raw configs the schema accepts, covering every form of every section."""
@@ -393,7 +447,7 @@ def valid_configs(draw):
                     "decay": st.floats(1e-3, 1.0),
                     "exponent": POSITIVE,
                 },
-            )
+            ).filter(lambda dist: splits(dist, n))
         ),
         "class_assignment": draw(
             st.none()
@@ -448,9 +502,9 @@ def valid_configs(draw):
 @given(valid_configs())
 @settings(max_examples=200, deadline=None)
 def test_to_dict_round_trip_property(raw):
-    cfg = config_from_dict(raw, apply_env=False)
+    cfg = config_from_dict(raw)
     d = cfg.to_dict()
-    again = config_from_dict(d, apply_env=False)
+    again = config_from_dict(d)
     assert again == cfg
     assert again.to_dict() == d
     assert all(p.steps_per_second > 0 and p.eval_samples_per_second > 0 for p in cfg.profiles)

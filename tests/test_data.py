@@ -24,7 +24,7 @@ from fedsim.data import (
 )
 from fedsim.learner import Hyperparameters, new_learner, run_epoch, FixedPolicy
 from fedsim.controller import FederationController
-from fedsim.nn import ModelSpec, predict
+from fedsim.nn import ModelSpec, Workspace, predict
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -129,9 +129,9 @@ def test_blobs_trainable_by_centralized_softmax():
     controller = FederationController(spec)
     state = new_learner(0, controller.current_model(), FixedPolicy(1))
     hp = Hyperparameters(eta=0.5, gamma=0.5, batch_size=30)
-    steps = 0
+    ws, steps = Workspace(state.params.layout), 0
     while steps < 200:
-        steps += run_epoch([state], [ds], hp)
+        steps += run_epoch([state], [ds], hp, ws)
     acc = float(np.mean(predict(state.params, ds.features) == ds.labels))
     assert acc >= 0.99
 

@@ -39,7 +39,7 @@ def platform_key() -> str:
 def preset_cells():
     """(``<preset>/<scheme>``, config) for every cell of every shipped preset."""
     for name in preset_names():
-        cfg = config_from_dict(get_preset(name), apply_env=False)
+        cfg = config_from_dict(get_preset(name))
         for cell in [cfg.with_scheme(s) for s in cfg.schemes] if cfg.schemes else [cfg]:
             yield f"{name}/{cell.scheme}", cell
 
@@ -67,8 +67,7 @@ def cohort_cells():
     )
     for name, schemes, hyper in variants:
         cfg = config_from_dict(
-            dict(raw, name=name, hyperparameters={**raw["hyperparameters"], **hyper}),
-            apply_env=False,
+            dict(raw, name=name, hyperparameters={**raw["hyperparameters"], **hyper})
         )
         for scheme in schemes:
             yield f"{name}/{scheme}", cfg.with_scheme(scheme)

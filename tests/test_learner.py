@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fedsim import learner as learner_mod
 from fedsim.controller import CommunityModel, FederationController, UpdateRequest
-from fedsim.data import Dataset, generate_blobs
+from fedsim.data import generate_blobs
 from fedsim.learner import (
     BLAS_THREAD_VARS,
     COHORT_SCRATCH_BYTES,
@@ -37,6 +37,9 @@ from tests.conftest import params_equal, pinned_cpus
 
 SPEC = ModelSpec("softmax-regression", input_dim=4, num_classes=3, init_seed=1990)
 HP = Hyperparameters(eta=0.05, gamma=0.5, batch_size=100)
+# Scratch for SPEC's learners, shared by the tests: a workspace holds no state
+# that outlives a call.
+WS = Workspace(model_layout(SPEC))
 
 
 @pytest.fixture
@@ -61,7 +64,7 @@ def fresh_learner(controller, policy=None):
 def test_epoch_step_count_is_ceil(train_set, controller):
     # 252 samples at batch 100 -> 3 steps (100, 100, 52)
     state = fresh_learner(controller)
-    steps = run_epoch([state], [train_set], HP)
+    steps = run_epoch([state], [train_set], HP, WS)
     assert steps == 3
     assert state.S_k_local == 3
     assert state.current.epochs == 1
@@ -70,8 +73,8 @@ def test_epoch_step_count_is_ceil(train_set, controller):
 def test_epoch_is_deterministic(train_set, controller):
     a = fresh_learner(controller)
     b = fresh_learner(controller)
-    run_epoch([a], [train_set], HP)
-    run_epoch([b], [train_set], HP)
+    run_epoch([a], [train_set], HP, WS)
+    run_epoch([b], [train_set], HP, WS)
     assert params_equal(a.params, b.params)
 
 
@@ -82,8 +85,8 @@ def test_zero_mu_matches_plain_trajectory(train_set, controller):
     prox.anchor = ParameterSet((n, a + 100.0) for n, a in prox.anchor)
     hp = replace(HP, proximal_mu=0.0)
     for _ in range(3):
-        run_epoch([plain], [train_set], hp)
-        run_epoch([prox], [train_set], hp)
+        run_epoch([plain], [train_set], hp, WS)
+        run_epoch([prox], [train_set], hp, WS)
     assert params_equal(plain.params, prox.params)
 
 
@@ -91,8 +94,8 @@ def test_hp_gamma_is_what_trains(train_set, controller):
     # One multi-step epoch (252 samples at batch 100) from one community
     # model on the same data; only the run's gamma differs.
     slow, fast = fresh_learner(controller), fresh_learner(controller)
-    run_epoch([slow], [train_set], replace(HP, gamma=0.0))
-    run_epoch([fast], [train_set], replace(HP, gamma=0.9))
+    run_epoch([slow], [train_set], replace(HP, gamma=0.0), WS)
+    run_epoch([fast], [train_set], replace(HP, gamma=0.9), WS)
     assert not params_equal(slow.params, fast.params)
     assert not np.array_equal(slow.momentum.flat, fast.momentum.flat)
 
@@ -100,10 +103,10 @@ def test_hp_gamma_is_what_trains(train_set, controller):
 def test_zero_gamma_epoch_is_plain_sgd(controller):
     train = generate_blobs(4, 3, n_per_class=70, spread=0.3, seed=5)  # 210 -> 64,64,64,18
     state = fresh_learner(controller)
-    run_epoch([state], [train], Hyperparameters(eta=0.1, gamma=0.75, batch_size=64))
+    run_epoch([state], [train], Hyperparameters(eta=0.1, gamma=0.75, batch_size=64), WS)
     assert np.any(state.momentum.flat != 0)  # momentum that gamma = 0 must ignore
     plain_sgd = Hyperparameters(eta=0.1, gamma=0.0, batch_size=64)
-    assert_epoch_is_reference(state, train, plain_sgd, None)
+    assert_epoch_is_reference(state, train, plain_sgd, WS)
 
 
 def test_proximal_contracts_toward_anchor(controller):
@@ -119,7 +122,7 @@ def test_proximal_contracts_toward_anchor(controller):
     zero_feats = type(flat)(np.zeros_like(flat.features), flat.labels, flat.num_classes)
     hp = Hyperparameters(eta=0.01, gamma=0.0, batch_size=6, proximal_mu=10.0)
     before_gap = np.abs(state.params.array("W") - anchor.array("W")).max()
-    run_epoch([state], [zero_feats], hp)
+    run_epoch([state], [zero_feats], hp, WS)
     after_gap = np.abs(state.params.array("W") - anchor.array("W")).max()
     expected = (1 - hp.eta * hp.proximal_mu) * before_gap
     assert after_gap == pytest.approx(expected, rel=1e-9)
@@ -136,7 +139,7 @@ def test_large_mu_closed_form_single_step(controller):
     zero_feats = type(flat)(np.zeros_like(flat.features), flat.labels, flat.num_classes)
     w_before = state.params.array("W").copy()
     anchor_w = state.anchor.array("W")
-    run_epoch([state], [zero_feats], hp)
+    run_epoch([state], [zero_feats], hp, WS)
     expected = w_before - hp.eta * 1000.0 * (w_before - anchor_w)
     assert np.allclose(state.params.array("W"), expected, rtol=1e-12)
 
@@ -424,7 +427,7 @@ def test_adopt_twice_is_idempotent(controller):
 def test_adopt_keeps_one_staleness_sample_per_warmup_commit(train_set, controller):
     state = fresh_learner(controller, AdaptivePolicy(warmup_cycles=3))
     for round_no in range(1, 6):
-        run_epoch([state], [train_set], HP)
+        run_epoch([state], [train_set], HP, WS)
         req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
         model = controller.handle_async_update(req, lambda r: 1.0)
         adopt_community(state, model)
@@ -435,7 +438,7 @@ def test_adopt_keeps_one_staleness_sample_per_warmup_commit(train_set, controlle
 
 def test_fixed_learner_keeps_no_staleness_samples(train_set, controller):
     state = fresh_learner(controller)
-    run_epoch([state], [train_set], HP)
+    run_epoch([state], [train_set], HP, WS)
     req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
     adopt_community(state, controller.handle_async_update(req, lambda r: 1.0))
     assert state.warmup_staleness == [] and state.c3_threshold is None
@@ -443,7 +446,7 @@ def test_fixed_learner_keeps_no_staleness_samples(train_set, controller):
 
 def test_adopt_resets_counters_and_momentum(train_set, controller):
     state = fresh_learner(controller)
-    run_epoch([state], [train_set], HP)
+    run_epoch([state], [train_set], HP, WS)
     assert np.any(state.momentum.flat != 0)
     req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
     model = controller.handle_async_update(req, lambda r: 1.0)
@@ -458,7 +461,7 @@ def test_adopt_resets_counters_and_momentum(train_set, controller):
 def test_adopt_records_staleness_including_own_steps(train_set, controller):
     state = fresh_learner(controller, AdaptivePolicy())
     other = new_learner(1, controller.current_model(), FixedPolicy(4))
-    run_epoch([state], [train_set], HP)  # 3 steps
+    run_epoch([state], [train_set], HP, WS)  # 3 steps
     # another learner commits 7 steps in the meantime
     controller.handle_async_update(
         UpdateRequest(1, other.params.snapshot(), 7, train_set.n), lambda r: 1.0
@@ -472,8 +475,8 @@ def test_adopt_records_staleness_including_own_steps(train_set, controller):
 
 def test_validation_loss_recorded(train_set, controller):
     state = fresh_learner(controller, AdaptivePolicy())
-    run_epoch([state], [train_set], HP)
-    loss = local_validation_loss([state], [train_set])[0]
+    run_epoch([state], [train_set], HP, WS)
+    loss = local_validation_loss([state], [train_set], WS)[0]
     assert trigger_cause(state, loss, staleness_now=0) is None
     assert state.current.last_loss == loss
     assert loss > 0
@@ -496,14 +499,14 @@ def test_training_after_commit_leaves_cache_untouched(epochs_after, mu, gamma, d
     hp = Hyperparameters(eta=0.05, gamma=gamma, batch_size=32, proximal_mu=mu)
     ctrl = FederationController(SPEC)
     state = new_learner(0, ctrl.current_model(), FixedPolicy(4), data_seed)
-    run_epoch([state], [train], hp)
+    run_epoch([state], [train], hp, WS)
     req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train.n)
     committed = ctrl.handle_async_update(req, lambda r: 2.0)
     cached = req.params.flat.copy()
     audit = ctrl.audit_recompute().params
     adopt_community(state, committed)
     for _ in range(epochs_after):
-        run_epoch([state], [train], hp)
+        run_epoch([state], [train], hp, WS)
     assert not params_equal(state.params, committed.params)
     assert np.array_equal(req.params.flat, cached)
     assert params_equal(ctrl.audit_recompute().params, audit)
@@ -555,9 +558,10 @@ def test_in_place_epoch_matches_reference(kind, mu):
     spec = ModelSpec(kind, input_dim=4, num_classes=3, hidden_dim=6 if kind == "mlp-1hidden" else 0)
     ctrl = FederationController(spec)
     state = new_learner(2, ctrl.current_model(), FixedPolicy(4), data_seed=11)
-    run_epoch([state], [train], hp)  # a nonzero momentum and a drift from the anchor
+    ws = Workspace(model_layout(spec))
+    run_epoch([state], [train], hp, ws)  # a nonzero momentum and a drift from the anchor
     want_w, want_u = reference_epoch(state, train, hp)
-    run_epoch([state], [train], hp)
+    run_epoch([state], [train], hp, ws)
     assert all(np.array_equal(a, b) for a, b in zip(state.params.arrays, want_w))
     assert all(np.array_equal(a, b) for a, b in zip(state.momentum.arrays, want_u))
 
@@ -619,7 +623,7 @@ def numpy_key(seed, learner_id, epoch):
 
 def test_key_blocks_double_up_to_the_cap():
     ws = Workspace(model_layout(SPEC))
-    # Two data seeds in one workspace; a third learner joins at epoch 496,
+    # Two data seeds and one id; a third learner joins at epoch 496,
     # when the first two refill too, so one pass derives blocks of 256 and 16.
     a, b = shuffle_learner(3, 6, 0), shuffle_learner(2**40 + 1, 6, 0)
     late = shuffle_learner(3, 7, 496)
@@ -631,7 +635,7 @@ def test_key_blocks_double_up_to_the_cap():
         perms = learner_mod._shuffles(ws, cohort, 7)
         for learner, perm in zip(cohort, perms):
             assert np.array_equal(perm, numpy_shuffle(learner.data_seed, learner.id, epoch, 7))
-            first, block = ws.shuffle_keys[(learner.data_seed, learner.id)]
+            first, block = learner.shuffle_first, learner.shuffle_keys
             assert len(block) <= learner_mod.SHUFFLE_KEY_BLOCK_MAX
             history = blocks.setdefault((learner.data_seed, learner.id), [])
             if not history or history[-1][1] is not block:
@@ -691,11 +695,20 @@ def test_shuffle_keys_are_per_data_seed_in_a_shared_workspace(shuffle_case):
     assert not params_equal(a.params, b.params)
 
 
-def test_shuffle_without_a_workspace(shuffle_case):
-    train, hp, ctrl, _ = shuffle_case
+def test_shuffle_keys_follow_the_learner_across_workspaces(shuffle_case):
+    # Three epochs in one workspace, then three in another: the keys are the
+    # learner's own, so one derivation serves all six epochs.
+    train, hp, ctrl, ws = shuffle_case
     state = new_learner(4, ctrl.current_model(), FixedPolicy(4), data_seed=4294967297)
-    for _ in range(3):
-        assert_epoch_is_reference(state, train, hp, None)
+    with mock.patch.object(learner_mod, "_key_blocks", wraps=learner_mod._key_blocks) as derive:
+        for space in (ws, Workspace(ws.layout)):
+            for _ in range(3):
+                (perm,) = learner_mod._shuffles(space, [state], train.n)
+                want = numpy_shuffle(state.data_seed, state.id, state.epochs_total, train.n)
+                assert np.array_equal(perm, want)
+                assert_epoch_is_reference(state, train, hp, space)
+    assert derive.call_count == 1
+    assert state.epochs_total == 6
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +800,13 @@ def test_cohort_epoch_matches_each_member_alone(
     hp = Hyperparameters(eta=0.1, gamma=gamma, batch_size=batch, proximal_mu=mu)
     together, trains, validations = cohort_members(kind, hp, sizes, seed)
     alone, _, _ = cohort_members(kind, hp, sizes, seed)
+    ws = Workspace(together[0].params.layout)
     with capped_cohorts(kind, batch, per_cohort):
         for _ in range(2):
-            steps = run_epoch(together, trains, hp)
-            losses = local_validation_loss(together, validations)
-            want_steps = sum(run_epoch([s], [t], hp) for s, t in zip(alone, trains))
-            want_losses = [local_validation_loss([s], [v])[0] for s, v in zip(alone, validations)]
+            steps = run_epoch(together, trains, hp, ws)
+            losses = local_validation_loss(together, validations, ws)
+            want_steps = sum(run_epoch([s], [t], hp, ws) for s, t in zip(alone, trains))
+            want_losses = [local_validation_loss([s], [v], ws)[0] for s, v in zip(alone, validations)]
             assert steps == want_steps
             assert losses == want_losses
     for a, b in zip(together, alone):
@@ -817,6 +831,7 @@ def test_cohort_divergence_raises_like_sequential_training(
     hp = Hyperparameters(eta=0.1, gamma=gamma, batch_size=batch, proximal_mu=mu)
     together, trains, _ = cohort_members(kind, hp, sizes, seed, poison)
     alone, _, _ = cohort_members(kind, hp, sizes, seed, poison)
+    ws = Workspace(together[0].params.layout)
     # Where each poison strikes first, in rounds of one epoch per learner.
     strikes = []
     for k, when in poison.items():
@@ -835,10 +850,10 @@ def test_cohort_divergence_raises_like_sequential_training(
         with pytest.raises(ShapeError) as sequential:
             for _ in range(2):
                 for state, train in zip(alone, trains):
-                    run_epoch([state], [train], hp)
+                    run_epoch([state], [train], hp, ws)
         with pytest.raises(ShapeError) as stacked:
             for _ in range(2):
-                run_epoch(together, trains, hp)
+                run_epoch(together, trains, hp, ws)
     assert str(sequential.value) == expected
     assert str(stacked.value) == expected
 
@@ -857,7 +872,7 @@ def test_divergence_at_the_last_step_is_found_by_the_epoch_scan(kind, members):
         # buffer must end where reference_epoch ends it.
         wants = [reference_epoch(state, train, hp) for state, train in zip(states, trains)]
         with pytest.raises(ShapeError) as raised:
-            run_epoch(states, trains, hp)
+            run_epoch(states, trains, hp, Workspace(states[0].params.layout))
     last = states[-1]
     assert str(raised.value) == (
         f"learner {last.id}: parameters became non-finite at step 3 of epoch {last.epochs_total}"
@@ -868,19 +883,6 @@ def test_divergence_at_the_last_step_is_found_by_the_epoch_scan(kind, members):
         assert np.array_equal(got_w, np.concatenate([a.ravel() for a in want_w]), equal_nan=True)
         assert np.array_equal(got_u, np.concatenate([a.ravel() for a in want_u]), equal_nan=True)
         assert state.S_k_local == 0 and state.current.epochs == 0
-
-
-def test_labels_scanned_only_when_the_dataset_declares_more_classes(controller):
-    state = fresh_learner(controller)  # a 3-class model
-    features = np.zeros((4, 4))
-    fits = Dataset(features, np.array([0, 1, 2, 0]), 5)
-    run_epoch([state], [fits], HP)
-    local_validation_loss([state], [fits])
-    too_many = Dataset(features, np.array([0, 1, 4, 0]), 5)
-    with pytest.raises(ValueError, match="labels must lie"):
-        run_epoch([state], [too_many], HP)
-    with pytest.raises(ValueError, match="labels must lie"):
-        local_validation_loss([state], [too_many])
 
 
 # ---------------------------------------------------------------------------
@@ -952,9 +954,9 @@ def test_unstackable_cohorts_on_more_threads_than_cpus_train_alike():
     sizes = [(9, 3), (20, 3), (33, 4), (20, 3), (9, 3), (33, 4)]
     serial, trains, _ = cohort_members("mlp-1hidden", hp, sizes, 11, dims=(64, 256))
     threaded, _, _ = cohort_members("mlp-1hidden", hp, sizes, 11, dims=(64, 256))
-    for _ in range(3):
-        run_epoch(serial, trains, hp)
     ws, pool, interval = Workspace(serial[0].params.layout), CohortPool(), sys.getswitchinterval()
+    for _ in range(3):
+        run_epoch(serial, trains, hp, ws)
     sys.setswitchinterval(1e-6)
     try:
         with pinned_cpus(6):

@@ -16,6 +16,7 @@ from fedsim.nn import (
     ShapeError,
     Workspace,
     backward,
+    check_dataset,
     init_parameters,
     model_layout,
     momentum_update,
@@ -72,17 +73,22 @@ def test_init_weights_within_glorot_bound():
 # ---------------------------------------------------------------------------
 
 
+def one_hot(y, classes=3) -> np.ndarray:
+    return np.eye(classes)[np.asarray(y)]
+
+
 def loss_of(params, x, y) -> float:
-    """Mean cross-entropy of one model (a cohort of one) on ``x``, ``y``."""
+    """Mean cross-entropy of one model (a cohort of one) on ``x`` and labels ``y``."""
     ws = Workspace(params.layout)
-    return float(ws.loss(params.arrays, np.asarray(x, dtype=np.float64), np.asarray(y))[0])
+    t = one_hot(y, params.layout.entries[-1][2])
+    return float(ws.loss(params.arrays, np.asarray(x, dtype=np.float64), t)[0])
 
 
 def test_uniform_logits_loss_is_log_c():
     # Zero weights and bias produce uniform logits over C=4 classes.
     params = ParameterSet([("W", np.zeros((3, 4))), ("b", np.zeros((1, 4)))])
     ws = Workspace(params.layout)
-    loss = ws.loss(params.arrays, np.ones((5, 3)), np.array([0, 1, 2, 3, 0]))
+    loss = ws.loss(params.arrays, np.ones((5, 3)), one_hot([0, 1, 2, 3, 0], 4))
     assert loss.shape == (1,)
     assert ws.batch(1, 5).logits.shape == (5, 4)
     assert loss[0] == pytest.approx(math.log(4), abs=1e-12)
@@ -115,10 +121,19 @@ def test_loss_matches_scalar_evaluation():
     assert loss_of(params, x, y) == pytest.approx(expected, rel=1e-12)
 
 
-def test_forward_rejects_dim_mismatch(softmax_spec):
-    params = init_parameters(softmax_spec)
+def test_check_dataset_rejects_a_wrong_width(softmax_spec):
+    layout = model_layout(softmax_spec)
+    check_dataset(layout, Dataset(np.ones((2, 4)), np.array([0, 2]), 3))
     with pytest.raises(ShapeError, match="feature dim 7 does not match input dim 4"):
-        predict(params, np.ones((2, 7)))
+        check_dataset(layout, Dataset(np.ones((2, 7)), np.array([0, 2]), 3))
+
+
+def test_check_dataset_rejects_a_wrong_class_count(softmax_spec):
+    # Labels that a 3-class model could score do not make up for a dataset
+    # that declares more classes: a run has one class count.
+    data = Dataset(np.zeros((4, 4)), np.array([0, 1, 2, 0]), 5)
+    with pytest.raises(ShapeError, match="model predicts 3 classes, dataset declares 5"):
+        check_dataset(model_layout(softmax_spec), data)
 
 
 def test_loss_nonnegative_random(rng):
@@ -131,8 +146,8 @@ def test_loss_nonnegative_random(rng):
         ws = Workspace(models[0].layout)
         w = np.stack([m.flat for m in models])
         x = np.stack([x for x, _ in batches])
-        y = np.stack([y for _, y in batches])
-        assert ws.loss(ws.layout.views(w), x, y).tolist() == alone
+        t = one_hot(np.stack([y for _, y in batches]))
+        assert ws.loss(ws.layout.views(w), x, t).tolist() == alone
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +201,12 @@ def test_duplicated_sample_mean_invariance(rng):
     kind=st.sampled_from([SOFTMAX_REGRESSION, MLP_1HIDDEN]),
     members=st.integers(1, 8),
     classes=st.integers(2, 12),
-    declared=st.integers(0, 3),  # classes the datasets declare beyond the model's
     rows=st.integers(1, 130),
     dim=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_kernels_match_the_reference_formulation(kind, members, classes, declared, rows, dim, seed):
+def test_kernels_match_the_reference_formulation(kind, members, classes, rows, dim, seed):
     rng = np.random.default_rng(seed)
     spec = ModelSpec(kind, dim, classes, hidden_dim=rng.integers(1, 7) if kind == MLP_1HIDDEN else 0)
     layout = model_layout(spec)
@@ -203,13 +217,14 @@ def test_kernels_match_the_reference_formulation(kind, members, classes, declare
     s = ws.batch(members, rows)
     for x, t in zip(s.xs, s.ts):  # gathered as training gathers a batch
         n = rows + int(rng.integers(0, 20))
-        data = Dataset(rng.normal(size=(n, dim)), rng.integers(0, classes, n), classes + declared)
+        data = Dataset(rng.normal(size=(n, dim)), rng.integers(0, classes, n), classes)
         chunk = rng.permutation(n)[:rows]
         data.features.take(chunk, axis=0, out=x, mode="clip")
-        data.one_hot(classes).take(chunk, axis=0, out=t, mode="clip")
-    x, y = s.x.copy(), s.t.argmax(axis=-1)
+        data.one_hot().take(chunk, axis=0, out=t, mode="clip")
+    x, t, y = s.x.copy(), s.t.copy(), s.t.argmax(axis=-1)
     assert np.array_equal(ws.gradient(arrays, s), reference_gradient(arrays, x, y))
-    assert np.array_equal(ws.loss(arrays, x, y), reference_loss(arrays, x, y))
+    # The loss reads the one-hot targets that the gradient reads.
+    assert np.array_equal(ws.loss(arrays, x, t), reference_loss(arrays, x, y))
 
 
 # ---------------------------------------------------------------------------

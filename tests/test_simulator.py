@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedsim import learner as learner_mod
+from fedsim import nn as nn_mod
 from fedsim import simulator as simulator_mod
 from fedsim.config import config_from_dict, get_preset
 from fedsim.data import generate_blobs
@@ -373,24 +374,28 @@ def test_adaptive_run_scores_each_epoch_once_and_keeps_warmup_samples(monkeypatc
 @pytest.mark.parametrize("scheme", ["sync_dvw", "async_dvw"])
 def test_federation_checks_each_dataset_once(monkeypatch, scheme):
     checked = []
-    check = simulator_mod.check_dataset
+    check = nn_mod.check_dataset
 
     def counting(layout, data):
         checked.append(data)
         check(layout, data)
 
+    # Also nn's own name, so that predict, which dvw_weight and every test
+    # evaluation call, would be counted if it checked its input.
     monkeypatch.setattr(simulator_mod, "check_dataset", counting)
-    monkeypatch.setattr(learner_mod, "check_dataset", counting)
+    monkeypatch.setattr(nn_mod, "check_dataset", counting)
     calls = record_validation_losses(monkeypatch)
     trigger = {"kind": "adaptive"} if scheme == "async_dvw" else {"kind": "fixed", "uf": 2}
     res = run_simulation_detailed(blob_config(scheme=scheme, trigger=trigger))
     assert sum(state.epochs_total for state in res.learners) > 4 * len(res.learners)
     assert bool(calls) == (scheme == "async_dvw")
-    # Each learner's training and validation slice, checked when the
-    # federation is built and never again.
-    slices = [d for ls in res.split.per_learner for d in (ls.train, ls.validation)]
-    assert len(checked) == 2 * len(res.learners)
-    assert all(a is b for a, b in zip(checked, slices))
+    assert len(res.log) > 2  # commits, each scored (DVW) and tested
+    # Each learner's training and validation slice and the test set, checked
+    # when the federation is built and never again: 2N + 1 checks.
+    sets = [d for ls in res.split.per_learner for d in (ls.train, ls.validation)]
+    sets.append(res.split.test)
+    assert len(checked) == 2 * len(res.learners) + 1
+    assert all(a is b for a, b in zip(checked, sets))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +464,7 @@ def test_zero_validation_loss_does_not_abort_the_run(monkeypatch):
     raw.update(schemes=None, scheme="async_dvw")
     raw["hyperparameters"]["eta"] = 50.0
     calls = record_validation_losses(monkeypatch)
-    result = run_simulation_detailed(config_from_dict(raw, apply_env=False))
+    result = run_simulation_detailed(config_from_dict(raw))
     assert any(0.0 in losses for losses in calls)
     assert len(result.log) > 1
 

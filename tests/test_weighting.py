@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedsim.nn import ParameterSet, ShapeError
+from fedsim.nn import ParameterSet, ShapeError, check_dataset
 from fedsim.weighting import (
     FedAsyncParams,
     dvw_weight,
@@ -77,9 +77,12 @@ def test_pool_single_evaluator_identity():
 
 
 def test_pool_rejects_mismatched_classes():
+    # dvw_weight trusts its pool: a federation checks every validation slice
+    # against the model once, when it is built.
     data = one_hot_dataset([0, 1], [0, 1], 2)
-    with pytest.raises(ShapeError, match="3 classes"):
-        dvw_weight(random_params("softmax-regression", np.random.default_rng(0), 2, 3), data)
+    model = random_params("softmax-regression", np.random.default_rng(0), 2, 3)
+    with pytest.raises(ShapeError, match="model predicts 3 classes, dataset declares 2"):
+        check_dataset(model.layout, data)
 
 
 def test_micro_f1_diagonal_is_one():
