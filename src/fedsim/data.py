@@ -81,6 +81,13 @@ class Dataset:
             rows.setflags(write=False)
         return rows
 
+    def rows(self, start: int, stop: int) -> "Dataset":
+        """Samples ``start`` to ``stop`` as a dataset whose features and
+        one-hot rows are views of this one's, not copies."""
+        part = Dataset(self.features[start:stop], self.labels[start:stop], self.num_classes)
+        part.__dict__["_one_hot"] = self.one_hot()[start:stop]
+        return part
+
 
 def _read_idx_header(data: bytes, path: str, field: str, magic: int, ndims: int) -> tuple[int, ...]:
     header_len = 4 * (1 + ndims)
@@ -305,8 +312,9 @@ def assign_classes(
     dataset: Dataset,
     seed,
     learner_order: Sequence[int] | None = None,
-) -> list[Dataset]:
-    """Draw each learner's local training pool from the source dataset.
+) -> list[np.ndarray]:
+    """Draw each learner's local training pool from the source dataset, as
+    sorted row indices into it.
 
     ``sizes`` and ``assignment`` are indexed by descending-size rank;
     ``learner_order[rank]`` maps ranks to learner ids (identity when absent).
@@ -349,15 +357,14 @@ def assign_classes(
             )
 
     cursors: Counter = Counter()
-    out: list[Dataset | None] = [None] * n
+    out: list[np.ndarray | None] = [None] * n
     for rank in range(n):
         picked = []
         for c, take in takes_per_rank[rank].items():
             start = cursors[c]
             picked.append(pools[c][start : start + take])
             cursors[c] = start + take
-        indices = np.sort(np.concatenate(picked))
-        out[order[rank]] = dataset.subset(indices)
+        out[order[rank]] = np.sort(np.concatenate(picked))
     return out  # type: ignore[return-value]
 
 
@@ -365,8 +372,9 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def stratified_split(local: Dataset, fraction: float, seed) -> tuple[Dataset, Dataset]:
-    """Reserve a class-stratified validation slice of a local dataset.
+def validation_mask(labels: np.ndarray, fraction: float, seed) -> np.ndarray:
+    """The samples of a local dataset with ``labels`` that its
+    class-stratified validation slice reserves, as a boolean mask.
 
     Per class with n_c samples the validation side takes round(fraction*n_c)
     clamped to [1, n_c - 1]; singleton classes contribute nothing.
@@ -374,9 +382,9 @@ def stratified_split(local: Dataset, fraction: float, seed) -> tuple[Dataset, Da
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must lie strictly between 0 and 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    val_mask = np.zeros(local.n, dtype=bool)
-    for c in np.unique(local.labels):
-        idx = np.flatnonzero(local.labels == c)
+    val_mask = np.zeros(labels.size, dtype=bool)
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
         n_c = idx.size
         if n_c == 1:
             continue
@@ -385,9 +393,7 @@ def stratified_split(local: Dataset, fraction: float, seed) -> tuple[Dataset, Da
         val_mask[chosen] = True
     if not val_mask.any():
         raise ValueError("validation split is empty: every class holds a single sample")
-    train = local.subset(np.flatnonzero(~val_mask))
-    validation = local.subset(np.flatnonzero(val_mask))
-    return train, validation
+    return val_mask
 
 
 @dataclass(frozen=True)
@@ -398,8 +404,28 @@ class LearnerSplit:
 
 @dataclass(frozen=True)
 class FederatedSplit:
+    """Every learner's training and validation samples, pooled learner by
+    learner in id order (``train``, ``validation``), and the shared test set.
+    ``per_learner[k]`` holds views of learner k's rows of the two pools
+    (``Dataset.rows``), never copies."""
+
     per_learner: tuple[LearnerSplit, ...]
     test: Dataset
+    train: Dataset
+    validation: Dataset
+
+
+def pooled_split(
+    train: Dataset, validation: Dataset, test: Dataset, sizes: Sequence[tuple[int, int]]
+) -> FederatedSplit:
+    """The split in which learner k holds the next ``sizes[k]`` = (train n,
+    validation n) samples of the pools ``train`` and ``validation``."""
+    ends = np.cumsum(sizes, axis=0).tolist()
+    per_learner = tuple(
+        LearnerSplit(train.rows(a, b), validation.rows(c, d))
+        for (a, c), (b, d) in zip([[0, 0]] + ends[:-1], ends)
+    )
+    return FederatedSplit(per_learner, test, train, validation)
 
 
 def build_federated_split(
@@ -411,10 +437,18 @@ def build_federated_split(
     test: Dataset,
     learner_order: Sequence[int] | None = None,
 ) -> FederatedSplit:
-    """Assign local pools and carve out each learner's validation slice."""
-    trains = assign_classes(sizes, assignment, source, [seed, 1], learner_order)
-    splits = []
-    for lid, local in enumerate(trains):
-        train, validation = stratified_split(local, validation_fraction, [seed, 2, lid])
-        splits.append(LearnerSplit(train, validation))
-    return FederatedSplit(tuple(splits), test)
+    """Assign local pools and carve out each learner's validation slice.
+    Each pool is gathered from the source in one copy, so no sample is held
+    twice beside the source."""
+    trains, validations = [], []
+    picks = assign_classes(sizes, assignment, source, [seed, 1], learner_order)
+    for lid, idx in enumerate(picks):
+        val_mask = validation_mask(source.labels[idx], validation_fraction, [seed, 2, lid])
+        trains.append(idx[~val_mask])
+        validations.append(idx[val_mask])
+    return pooled_split(
+        source.subset(np.concatenate(trains)),
+        source.subset(np.concatenate(validations)),
+        test,
+        [(t.size, v.size) for t, v in zip(trains, validations)],
+    )

@@ -2,9 +2,11 @@
 
 A learner trains epoch by epoch on its private data (momentum SGD, optional
 proximal pull toward the last community model) and decides when to request a
-community update. Learners whose epochs end together train as one cohort,
-stacked along a leading member axis, with every member's arithmetic exactly
-as if it trained alone. The fixed policy triggers every ``uf`` epochs; the
+community update. A federation's learners live in one ``LearnerBank``: their
+models and momenta are rows of two arrays, and their data are row ranges of
+pooled training and validation sets. Learners whose epochs end together train
+as one cohort, gathered from the bank along a leading member axis, with every
+member's arithmetic exactly as if it trained alone. The fixed policy triggers every ``uf`` epochs; the
 adaptive policy watches the per-epoch change of the local validation loss
 (conditions C1/C2 with a tombstone allowance) and the learner's effective
 staleness against the median of its first ``warmup_cycles`` commits
@@ -25,8 +27,9 @@ from typing import TYPE_CHECKING, Callable, Sequence, Union
 import numpy as np
 
 from .controller import CommunityModel
-from .data import Dataset
+from .data import FederatedSplit
 from .nn import (
+    Layout,
     ParameterBuffer,
     ParameterSet,
     ShapeError,
@@ -65,7 +68,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 
 _WORD = 0xFFFFFFFF
 _POOL = 4  # SeedSequence's pool size in uint32 words
-_ZEROS4 = (0, 0, 0, 0)  # Python ints: Philox's state setter reads them fastest
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,8 @@ class LearnerState:
     """A learner's model and bookkeeping.
 
     ``params`` and ``momentum`` are buffers the learner owns and trains in
-    place; they are copied out only at the exchange boundary
+    place (in a federation, views of its ``LearnerBank`` rows); they are
+    copied out only at the exchange boundary
     (``params.snapshot()`` for an update request) and overwritten only by
     ``adopt_community``. ``anchor`` is the community model adopted at the
     last fetch, the target of the proximal pull. ``warmup_staleness`` and
@@ -178,13 +181,17 @@ def new_learner(
     community: CommunityModel,
     policy: TriggerPolicy,
     data_seed: int = 0,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LearnerState:
-    """Create a learner that has just adopted the broadcast community model."""
+    """Create a learner that has just adopted the broadcast community model.
+    It trains in ``buffers``, its model and momentum rows of a
+    ``LearnerBank``, or else in zero vectors of its own."""
     layout = community.params.layout
+    params, momentum = buffers or (None, None)
     state = LearnerState(
         id=learner_id,
-        params=ParameterBuffer(layout),
-        momentum=ParameterBuffer(layout),
+        params=ParameterBuffer(layout, params),
+        momentum=ParameterBuffer(layout, momentum),
         policy=policy,
         data_seed=data_seed,
     )
@@ -192,42 +199,55 @@ def new_learner(
     return state
 
 
-def _cohorts(
-    ws: Workspace, datasets: Sequence[Dataset], batch: int | None = None
-) -> list[list[int]]:
-    """Indices into ``datasets`` grouped by size (groups in order of first
-    appearance, members in index order), each group cut into runs whose
+class LearnerBank:
+    """A federation's learners with their models and data, one row each.
+
+    ``params`` and ``momentum`` are (N, layout.size) arrays, and the buffers
+    of learner ``states[r]`` are views of their row r. Row r trains on
+    samples ``train_start[r]`` to ``train_start[r] + train_n[r]`` of the
+    pooled ``split.train`` and is scored on its ``val_start``/``val_n``
+    range of ``split.validation``; ``split.per_learner[r]`` views the same
+    samples (``data.pooled_split``). Learners join with ``add``, row by row.
+    """
+
+    def __init__(self, layout: Layout, split: FederatedSplit) -> None:
+        self.layout = layout
+        self.split = split
+        sizes = np.array([(ls.train.n, ls.validation.n) for ls in split.per_learner], np.intp)
+        self.params = np.zeros((len(sizes), layout.size))
+        self.momentum = np.zeros((len(sizes), layout.size))
+        self.train_n, self.val_n = sizes.T
+        self.train_start, self.val_start = (np.cumsum(sizes, axis=0) - sizes).T
+        self.states: list[LearnerState] = []
+
+    def add(
+        self, learner_id: int, community: CommunityModel, policy: TriggerPolicy, data_seed: int = 0
+    ) -> LearnerState:
+        """A learner at the next free row (``new_learner``)."""
+        row = len(self.states)
+        buffers = (self.params[row], self.momentum[row])
+        self.states.append(new_learner(learner_id, community, policy, data_seed, buffers))
+        return self.states[-1]
+
+
+def _cohorts(ws: Workspace, sizes: np.ndarray, batch: int | None = None) -> list[np.ndarray]:
+    """Positions in ``sizes`` grouped by size (groups in order of first
+    appearance, members in position order), each group cut into runs whose
     scratch (``ws.member_bytes`` at batches of ``batch`` rows, or of the whole
-    set) stays within ``COHORT_SCRATCH_BYTES``."""
-    if len(datasets) == 1:
-        return [[0]]
-    groups: dict[int, list[int]] = {}
-    for i, data in enumerate(datasets):
-        groups.setdefault(data.n, []).append(i)
+    set) stays within ``COHORT_SCRATCH_BYTES``. One stable sort groups them."""
+    if sizes.size == 1:
+        return [np.zeros(1, np.intp)]
+    order = sizes.argsort(kind="stable")
+    ranked = sizes[order]
+    cuts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), sizes.size]
+    groups = sorted((order[a:b] for a, b in zip(cuts, cuts[1:])), key=lambda g: g[0])
     out = []
-    for n, members in groups.items():
+    for members in groups:
+        n = int(sizes[members[0]])
         rows = n if batch is None else min(batch, n)
         per = max(1, COHORT_SCRATCH_BYTES // ws.member_bytes(rows))
-        out.extend(members[j : j + per] for j in range(0, len(members), per))
+        out.extend(members[j : j + per] for j in range(0, members.size, per))
     return out
-
-
-def _stack(ws: Workspace, name: str, vectors: list[np.ndarray]) -> np.ndarray:
-    """The vectors as rows of an (M, size) array gathered into the workspace
-    buffer ``name``; a cohort of one keeps its own vector."""
-    if len(vectors) == 1:
-        return vectors[0]
-    out = ws.array(name, (len(vectors), ws.layout.size))
-    np.concatenate(vectors, out=out.reshape(-1))
-    return out
-
-
-def _stacked_models(ws: Workspace, states: list[LearnerState]):
-    """The learners' models stacked (``_stack``) and their entry views."""
-    if len(states) == 1:
-        return states[0].params.flat, states[0].params.arrays
-    w = _stack(ws, "w", [st.params.flat for st in states])
-    return w, ws.layout.views(w)
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -311,14 +331,16 @@ def _key_blocks(states: list[LearnerState], counts: list[int]) -> list[np.ndarra
     return [block.copy() for block in np.split(keys, ends[:-1])]
 
 
-def _shuffles(ws: Workspace, states: list[LearnerState], n: int) -> list[np.ndarray]:
-    """Each learner's order of its n samples for this epoch:
-    ``Generator(Philox(SeedSequence([data_seed, 5, id, epochs_total]))).permutation(n)``,
-    bit for bit. Keys come from the learners' own blocks; the members whose
-    block does not hold this epoch get new blocks, each twice as long as the
-    one it replaces (``SHUFFLE_KEY_BLOCK``), in one pass. Every permutation is
-    numpy's own, drawn by the workspace's one generator reseated with the
-    key, a zero counter and empty output buffers."""
+def _shuffles(ws: Workspace, states: list[LearnerState], n: int) -> np.ndarray:
+    """Each learner's order of its n samples for this epoch, as the rows of
+    an (M, n) view of the workspace's int buffer "perms": row k is
+    ``Generator(Philox(SeedSequence([data_seed, 5, id, epochs_total]))).permutation(n)``
+    of learner k, bit for bit. Keys come from the learners' own blocks; the
+    members whose block does not hold this epoch get new blocks, each twice
+    as long as the one it replaces (``SHUFFLE_KEY_BLOCK``), in one pass.
+    numpy's ``permutation(n)`` shuffles ``arange(n)`` in place, so each row
+    starts as ``arange(n)`` and is shuffled by the workspace's one generator,
+    reseated with the learner's key (``Workspace.seat``)."""
     stale = [
         st for st in states if not 0 <= st.epochs_total - st.shuffle_first < len(st.shuffle_keys)
     ]
@@ -327,18 +349,14 @@ def _shuffles(ws: Workspace, states: list[LearnerState], n: int) -> list[np.ndar
         counts = [max(SHUFFLE_KEY_BLOCK, min(2 * len(st.shuffle_keys), cap)) for st in stale]
         for st, block in zip(stale, _key_blocks(stale, counts)):
             st.shuffle_first, st.shuffle_keys = st.epochs_total, block
-    bits, perms = ws.shuffle.bit_generator, []
-    for st in states:
-        key = st.shuffle_keys[st.epochs_total - st.shuffle_first]
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZEROS4, "key": key.tolist()},
-            "buffer": _ZEROS4,
-            "buffer_pos": 4,  # past the end of Philox's 4-word output buffer: empty
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        perms.append(ws.shuffle.permutation(n))
+    perms = ws.array("perms", (len(states), n), np.intp)
+    perms[...] = np.arange(n)
+    bits, seat, shuffle = ws.shuffle.bit_generator, ws.seat, ws.shuffle.shuffle
+    philox = seat["state"]
+    for k, st in enumerate(states):
+        philox["key"] = st.shuffle_keys[st.epochs_total - st.shuffle_first].tolist()
+        bits.state = seat
+        shuffle(perms[k])
     return perms
 
 
@@ -347,18 +365,22 @@ def _steps(
     arrays: tuple[np.ndarray, ...],
     u: np.ndarray,
     anchor: np.ndarray | None,
-    batches: list[tuple[np.ndarray, np.ndarray]],
-    perms: list[np.ndarray],
+    features: np.ndarray,
+    targets: np.ndarray,
+    perms: np.ndarray,
     hp: Hyperparameters,
     ws: Workspace,
     bad: dict[int, int] | None = None,
 ) -> None:
     """One epoch of momentum SGD steps on the (stacked) models ``w`` (entry
-    views ``arrays``) and momenta ``u``, member k drawing its batches from
-    ``batches[k]`` (features, one-hot targets) in the order ``perms[k]``.
+    views ``arrays``) and momenta ``u``. Member k's batches are rows of
+    ``features`` and one-hot ``targets`` in the order of ``perms[k]`` (a
+    lone learner passes ``perms`` and ``w`` without the member axis), so
+    each step gathers the whole cohort's batch in two ``take`` calls.
     With a ``bad`` dict, ``w`` is checked after every step, and each member's
     first step that left it non-finite is recorded there."""
-    n, beta, members = perms[0].size, hp.batch_size, len(perms)
+    n, beta = perms.shape[-1], hp.batch_size
+    members = perms.shape[0] if perms.ndim == 2 else 1
     # The full batch first: a smaller one then fits in its buffers.
     head = ws.batch(members, min(beta, n))
     tail = ws.batch(members, n % beta) if n > beta and n % beta else head
@@ -367,12 +389,11 @@ def _steps(
     for start in range(0, n, beta):
         stop = start + beta
         s = head if stop <= n else tail
-        for (features, targets), perm, x, t in zip(batches, perms, s.xs, s.ts):
-            chunk = perm[start:stop]
-            # mode="clip" skips the bounds pass that buffers the gather; a
-            # permutation is always in range.
-            features.take(chunk, axis=0, out=x, mode="clip")
-            targets.take(chunk, axis=0, out=t, mode="clip")
+        chunk = perms[..., start:stop]
+        # mode="clip" skips the bounds pass that buffers the gather; every
+        # index lies within the member's own rows.
+        features.take(chunk, axis=0, out=s.x, mode="clip")
+        targets.take(chunk, axis=0, out=s.t, mode="clip")
         g = gradient(arrays, s)
         if anchor is not None:
             tmp = s.tmp
@@ -388,59 +409,74 @@ def _steps(
 
 
 def _train_cohort(
-    states: list[LearnerState], trains: list[Dataset], hp: Hyperparameters, ws: Workspace
+    bank: LearnerBank, members: np.ndarray, hp: Hyperparameters, ws: Workspace
 ) -> dict[int, int]:
-    """One epoch of learners with equal data sizes, stacked. Returns
-    {member: first step that left it non-finite}.
+    """One epoch of the learners at bank rows ``members``, whose training
+    sets have equal sizes. Returns {member: first step that left it
+    non-finite}.
 
-    Under these updates a non-finite entry of ``w`` never turns finite again,
-    so the steps run unchecked and one scan ends the epoch. Only when it
-    fails does the epoch replay from its start with a check after every
-    step, which leaves the same buffers. The start is the members' own
-    buffers for a stacked cohort, and a copy for a lone learner, which trains
-    in place."""
-    w, arrays = _stacked_models(ws, states)
-    u = _stack(ws, "u", [st.momentum.flat for st in states])
-    lone = len(states) == 1
+    A lone learner trains in place on its own row and data. A cohort of more
+    gathers its rows into the workspace with one ``take`` each, trains them
+    stacked on batches gathered from the pooled training set, and writes
+    them back with one assignment each. Under these updates a non-finite
+    entry of ``w`` never turns finite again, so the steps run unchecked and
+    one scan ends the epoch. Only when it fails does the epoch replay from
+    its start with a check after every step, which leaves the same buffers.
+    The start is the bank's rows for a stacked cohort, and a copy for a lone
+    learner."""
+    rows = members.tolist()
+    states = [bank.states[r] for r in rows]
+    lone = len(rows) == 1
     if lone:
+        state, data = states[0], bank.split.per_learner[rows[0]].train
+        w, arrays, u = state.params.flat, state.params.arrays, state.momentum.flat
         start = ws.array("start", (2 * w.size,))
         np.concatenate((w, u), out=start)
+        features, targets = data.features, data.one_hot()
+        perms = _shuffles(ws, states, data.n)[0]
+    else:
+        w = bank.params.take(members, axis=0, out=ws.array("w", (len(states), ws.layout.size)))
+        u = bank.momentum.take(members, axis=0, out=ws.array("u", w.shape))
+        arrays = ws.layout.views(w)
+        features, targets = bank.split.train.features, bank.split.train.one_hot()
+        perms = _shuffles(ws, states, int(bank.train_n[members[0]]))
+        perms += bank.train_start[members][:, None]
     anchor = None
     if hp.proximal_mu > 0.0:
-        anchor = _stack(ws, "anchor", [st.anchor.flat for st in states])
-    batches = [(train.features, train.one_hot()) for train in trains]
-    perms = _shuffles(ws, states, trains[0].n)
-    _steps(w, arrays, u, anchor, batches, perms, hp, ws)
+        anchor = states[0].anchor.flat
+        if not lone:
+            anchor = ws.array("anchor", w.shape)
+            np.concatenate([st.anchor.flat for st in states], out=anchor.reshape(-1))
+    _steps(w, arrays, u, anchor, features, targets, perms, hp, ws)
     bad: dict[int, int] = {}
     if not np.isfinite(w).all():
         if lone:
             np.copyto(w, start[: w.size])
             np.copyto(u, start[w.size :])
         else:
-            np.concatenate([st.params.flat for st in states], out=w.reshape(-1))
-            np.concatenate([st.momentum.flat for st in states], out=u.reshape(-1))
-        _steps(w, arrays, u, anchor, batches, perms, hp, ws, bad)
+            bank.params.take(members, axis=0, out=w)
+            bank.momentum.take(members, axis=0, out=u)
+        _steps(w, arrays, u, anchor, features, targets, perms, hp, ws, bad)
     if not lone:
-        for st, w_row, u_row in zip(states, w, u):
-            np.copyto(st.params.flat, w_row)
-            np.copyto(st.momentum.flat, u_row)
+        bank.params[members] = w
+        bank.momentum[members] = u
     return bad
 
 
 def _train(
-    states: Sequence[LearnerState],
-    trains: Sequence[Dataset],
+    bank: LearnerBank,
+    rows: np.ndarray,
     hp: Hyperparameters,
     ws: Workspace,
-    cohorts: list[list[int]],
+    cohorts: list[np.ndarray],
 ) -> list[tuple[int, int]]:
-    """One epoch of each cohort (indices into ``states``), one after another
-    in ``ws``. Returns (index, first non-finite step) of every member whose
-    parameters diverged."""
+    """One epoch of each cohort (positions in ``rows``), one after another
+    in ``ws``. Returns (position, first non-finite step) of every member
+    whose parameters diverged."""
     failures = []
-    for members in cohorts:
-        bad = _train_cohort([states[i] for i in members], [trains[i] for i in members], hp, ws)
-        failures.extend((members[i], step) for i, step in bad.items())
+    for positions in cohorts:
+        bad = _train_cohort(bank, rows[positions], hp, ws)
+        failures.extend((int(positions[i]), step) for i, step in bad.items())
     return failures
 
 
@@ -468,18 +504,19 @@ def worker_count(cohorts: int) -> int:
 
 
 def _shares(
-    cohorts: list[list[int]], trains: Sequence[Dataset], workers: int
-) -> list[list[list[int]]]:
-    """The cohorts dealt into ``workers`` shares of about equal samples: the
-    largest cohort first, each to the share holding the fewest so far. The
-    deal depends only on the sizes; a learner's shuffle keys are its own, so
-    they serve it in whichever share it lands."""
-    shares: list[list[list[int]]] = [[] for _ in range(workers)]
+    cohorts: list[np.ndarray], sizes: np.ndarray, workers: int
+) -> list[list[np.ndarray]]:
+    """The cohorts (positions in ``sizes``, the training-set sizes) dealt
+    into ``workers`` shares of about equal samples: the largest cohort
+    first, each to the share holding the fewest so far. The deal depends
+    only on the sizes; a learner's shuffle keys are its own, so they serve
+    it in whichever share it lands."""
+    shares: list[list[np.ndarray]] = [[] for _ in range(workers)]
     loads = [0] * workers
-    for members in sorted(cohorts, key=lambda m: -len(m) * trains[m[0]].n):
+    for members in sorted(cohorts, key=lambda m: -len(m) * int(sizes[m[0]])):
         j = loads.index(min(loads))
         shares[j].append(members)
-        loads[j] += len(members) * trains[members[0]].n
+        loads[j] += len(members) * int(sizes[members[0]])
     return shares
 
 
@@ -535,14 +572,14 @@ class CohortPool:
 
 
 def run_epoch(
-    states: Sequence[LearnerState],
-    trains: Sequence[Dataset],
+    bank: LearnerBank,
+    rows: Sequence[int] | np.ndarray,
     hp: Hyperparameters,
     workspace: Workspace,
     pool: CohortPool | None = None,
 ) -> int:
-    """Train one epoch of each learner on its own training set (``trains[k]``
-    for ``states[k]``); returns the steps taken by all of them.
+    """Train one epoch of the learners at bank ``rows``, each on its own
+    training set; returns the steps taken by all of them.
 
     Each learner shuffles in its own seed-determined order, and each step
     works in place on its buffers: the data gradient, plus mu * (w - w_anchor)
@@ -551,40 +588,40 @@ def run_epoch(
     w <- w - eta*u. eta, gamma and mu are the run's and come only from ``hp``;
     each learner keeps its own shuffle and anchor. Learners with equal data
     sizes train as one stacked cohort, which gives every one of them the same
-    bits as training alone; a lone learner trains on views of its own buffers.
+    bits as training alone (``_train_cohort``).
     ``workspace`` holds the scratch; a federation passes one shared by all its
     learners, and has checked their datasets (``check_dataset``) once, when
     it was built. When the model is too large to stack (every cohort is cut
     to one member, ``COHORT_SCRATCH_BYTES``), ``pool`` trains the cohorts in
     ``worker_count`` shares side by side, the first on this thread in
     ``workspace``; every learner gets the same bits either way.
-    Raises ``ShapeError`` for the first learner in ``states`` that a step
+    Raises ``ShapeError`` for the first learner in ``rows`` that a step
     left with a non-finite parameter, naming that step.
     """
-    if len(states) != len(trains):
-        raise ValueError("run_epoch needs one training set per learner")
-    cohorts = _cohorts(workspace, trains, hp.batch_size)
+    rows = np.asarray(rows, dtype=np.intp)
+    sizes = bank.train_n[rows]
+    cohorts = _cohorts(workspace, sizes, hp.batch_size)
     workers = 1
     if pool is not None and len(cohorts) > 1:
-        rows = min(hp.batch_size, *(trains[members[0]].n for members in cohorts))
-        if workspace.member_bytes(rows) > COHORT_SCRATCH_BYTES:
+        if workspace.member_bytes(min(hp.batch_size, int(sizes.min()))) > COHORT_SCRATCH_BYTES:
             workers = worker_count(len(cohorts))
     if workers > 1:
-        train = partial(_train, states, trains, hp)
-        parts = pool.map(train, workspace, _shares(cohorts, trains, workers))
+        train = partial(_train, bank, rows, hp)
+        parts = pool.map(train, workspace, _shares(cohorts, sizes, workers))
         failures = [failure for part in parts for failure in part]
     else:
-        failures = _train(states, trains, hp, workspace, cohorts)
+        failures = _train(bank, rows, hp, workspace, cohorts)
     if failures:
         first, step = min(failures)
-        state = states[first]
+        state = bank.states[rows[first]]
         raise ShapeError(
             f"learner {state.id}: parameters became non-finite at step {step} "
             f"of epoch {state.epochs_total}"
         )
     total = 0
-    for state, train in zip(states, trains):
-        steps = -(-train.n // hp.batch_size)
+    for row, n in zip(rows.tolist(), sizes.tolist()):
+        steps = -(-n // hp.batch_size)
+        state = bank.states[row]
         state.S_k_local += steps
         state.epochs_total += 1
         state.current.epochs += 1
@@ -593,25 +630,33 @@ def run_epoch(
 
 
 def local_validation_loss(
-    states: Sequence[LearnerState], validations: Sequence[Dataset], workspace: Workspace
+    bank: LearnerBank, rows: Sequence[int] | np.ndarray, workspace: Workspace
 ) -> list[float]:
-    """Mean cross-entropy of each learner's model on its validation set;
-    learners whose sets have equal sizes are scored as one stacked cohort in
-    ``workspace``. The sets are checked as ``run_epoch``'s are: once, by the
+    """Mean cross-entropy of the models at bank ``rows`` on their validation
+    sets. Learners whose sets have equal sizes are scored as one stacked
+    cohort in ``workspace``, their models and samples gathered from the bank
+    with one ``take`` each; a lone learner is scored on its own row and
+    slice. The sets are checked as ``run_epoch``'s are: once, by the
     federation that owns the workspace."""
-    if len(states) != len(validations):
-        raise ValueError("local_validation_loss needs one validation set per learner")
-    losses = [0.0] * len(states)
-    for members in _cohorts(workspace, validations):
-        _, arrays = _stacked_models(workspace, [states[i] for i in members])
-        sets = [validations[i] for i in members]
-        x, t = sets[0].features, sets[0].one_hot()
-        if len(sets) > 1:
-            s = workspace.batch(len(sets), sets[0].n)
-            x, t = s.x, s.t
-            np.concatenate([v.features for v in sets], out=x.reshape(-1, x.shape[2]))
-            np.concatenate([v.one_hot() for v in sets], out=t.reshape(-1, t.shape[2]))
-        for i, loss in zip(members, workspace.loss(arrays, x, t).tolist()):
+    rows = np.asarray(rows, dtype=np.intp)
+    sizes = bank.val_n[rows]
+    pooled, layout = bank.split.validation, workspace.layout
+    losses = [0.0] * rows.size
+    for positions in _cohorts(workspace, sizes):
+        members = rows[positions]
+        if members.size == 1:
+            data = bank.split.per_learner[members[0]].validation
+            arrays, x, t = bank.states[members[0]].params.arrays, data.features, data.one_hot()
+        else:
+            m, n = members.size, int(sizes[positions[0]])
+            w = bank.params.take(members, axis=0, out=workspace.array("w", (m, layout.size)))
+            arrays = layout.views(w)
+            index = workspace.array("index", (m, n), np.intp)
+            np.add(bank.val_start[members][:, None], np.arange(n), out=index)
+            s = workspace.batch(m, n)
+            x = pooled.features.take(index, axis=0, out=s.x, mode="clip")
+            t = pooled.one_hot().take(index, axis=0, out=s.t, mode="clip")
+        for i, loss in zip(positions.tolist(), workspace.loss(arrays, x, t).tolist()):
             losses[i] = loss
     return losses
 

@@ -197,7 +197,9 @@ class ParameterSet(_FlatParameters):
 
 
 class ParameterBuffer(_FlatParameters):
-    """A writable parameter vector, zero on creation, owned by one mutator.
+    """A writable parameter vector owned by one mutator: ``flat``, a
+    C-contiguous float64 vector of ``layout.size`` values such as a row of a
+    learner bank, or a fresh zero vector.
 
     Learners train their model and momentum in place here; ``snapshot``
     copies it out as a ``ParameterSet`` at the exchange boundary.
@@ -205,10 +207,12 @@ class ParameterBuffer(_FlatParameters):
 
     __slots__ = ()
 
-    def __init__(self, layout: Layout) -> None:
+    def __init__(self, layout: Layout, flat: np.ndarray | None = None) -> None:
+        if flat is None:
+            flat = np.zeros(layout.size)
         self._layout = layout
-        self._flat = np.zeros(layout.size)
-        self._arrays = layout.views(self._flat)
+        self._flat = flat
+        self._arrays = layout.views(flat)
 
     def load(self, params: ParameterSet) -> None:
         _require_same_layout(self, params, "load")
@@ -338,7 +342,9 @@ class Workspace:
     one thread train one at a time, so one workspace serves all of a
     federation's training on that thread. ``shuffle`` is the one generator
     that the learners' epoch shuffles reseat with a key before each
-    permutation; the keys are the learners' own.
+    permutation: ``seat`` is the Philox state it is reseated with, a zero
+    counter and empty output buffers, whose key alone each shuffle swaps.
+    The keys are the learners' own.
     """
 
     def __init__(self, layout: Layout) -> None:
@@ -347,6 +353,15 @@ class Workspace:
         self._store: dict[str, np.ndarray] = {}
         self._shapes: dict[tuple[int, int], _CohortScratch] = {}
         self.shuffle = np.random.Generator(np.random.Philox(0))
+        zeros = (0, 0, 0, 0)  # Python ints: Philox's state setter reads them fastest
+        self.seat = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": [0, 0]},
+            "buffer": zeros,
+            "buffer_pos": 4,  # past the end of Philox's 4-word output buffer: empty
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def member_bytes(self, rows: int) -> int:
         """Scratch bytes one cohort member adds at batches of ``rows``
@@ -356,13 +371,13 @@ class Workspace:
         width = entries[0][2] if self.layout.kind == MLP_1HIDDEN else 0
         return 8 * (5 * self.layout.size + rows * (dim + 1 + 4 * classes + 3 * width))
 
-    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A C-contiguous view of the shared buffer ``name``; its contents
-        are whatever the last user left there."""
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A C-contiguous view of the shared buffer ``name`` (one dtype per
+        name); its contents are whatever the last user left there."""
         size = math.prod(shape)
         buf = self._store.get(name)
         if buf is None or buf.size < size:
-            buf = self._store[name] = np.empty(size)
+            buf = self._store[name] = np.empty(size, dtype)
             self._shapes.clear()  # drop views that keep the old buffer alive
         return buf[:size].reshape(shape)
 
@@ -425,12 +440,11 @@ class Workspace:
 
 class _CohortScratch:
     """C-contiguous views of a workspace's buffers for one (members, rows)
-    cohort shape: the batch of features ``x`` and one-hot targets ``t``
-    (``xs[k]`` and ``ts[k]`` are member k's part), the forward and backward
-    intermediates, the gradient and a free array of the same shape
-    (``tmp``). Every array has a leading member axis, except for a cohort of
-    one. ``columns`` holds the logits' column views when the row max is taken
-    column by column, else it is empty."""
+    cohort shape: the batch of features ``x`` and one-hot targets ``t``, the
+    forward and backward intermediates, the gradient and a free array of the
+    same shape (``tmp``). Every array has a leading member axis, except for a
+    cohort of one. ``columns`` holds the logits' column views when the row
+    max is taken column by column, else it is empty."""
 
     def __init__(self, ws: Workspace, members: int, rows: int) -> None:
         entries = ws.layout.entries
@@ -440,7 +454,6 @@ class _CohortScratch:
         self.x = ws.array("x", (*lead, rows, dim))
         self.x_t = self.x.swapaxes(-1, -2)
         self.t = ws.array("t", (*lead, rows, classes))
-        self.xs, self.ts = (list(self.x), list(self.t)) if lead else ([self.x], [self.t])
         self.logits = ws.array("logits", (*lead, rows, classes))
         self.columns = ()
         if 1 < classes <= _COLUMN_MAX_CLASSES:

@@ -45,11 +45,11 @@ from .learner import (
     CAUSE_FIXED,
     AdaptivePolicy,
     CohortPool,
+    LearnerBank,
     LearnerState,
     adopt_community,
     effective_staleness,
     local_validation_loss,
-    new_learner,
     run_epoch,
     trigger_cause,
 )
@@ -211,7 +211,9 @@ def build_datasets(cfg: config_mod.ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 def build_federation(cfg: config_mod.ExperimentConfig):
-    """Wire data plane, model, controller and learners for one run."""
+    """Wire data plane, model, controller and learners for one run. Returns
+    (model spec, split, sizes, learner bank, controller); learner k is the
+    bank's row k."""
     source, test = build_datasets(cfg)
     model_spec = ModelSpec(
         kind=cfg.model.kind,
@@ -240,31 +242,10 @@ def build_federation(cfg: config_mod.ExperimentConfig):
     else:
         controller = FederationController(model_spec)
     community = controller.current_model()
-
-    slots = []
+    bank = LearnerBank(layout, split)
     for lid in range(cfg.num_learners):
-        policy = cfg.trigger.policy_for(cfg.scheme, groups[lid])
-        state = new_learner(lid, community, policy, data_seed=cfg.seed)
-        lsplit = split.per_learner[lid]
-        steps_per_epoch = math.ceil(lsplit.train.n / cfg.hyperparameters.batch_size)
-        slots.append(
-            _LearnerSlot(
-                state=state,
-                split=lsplit,
-                profile=cfg.profiles[lid],
-                epoch_duration=steps_per_epoch / cfg.profiles[lid].steps_per_second,
-            )
-        )
-    return model_spec, split, sizes, slots, controller
-
-
-def _pooled_validation(split: FederatedSplit) -> Dataset:
-    slices = [ls.validation for ls in split.per_learner]
-    return Dataset(
-        np.concatenate([v.features for v in slices]),
-        np.concatenate([v.labels for v in slices]),
-        slices[0].num_classes,
-    )
+        bank.add(lid, community, cfg.trigger.policy_for(cfg.scheme, groups[lid]), cfg.seed)
+    return model_spec, split, sizes, bank, controller
 
 
 class _Simulation:
@@ -272,11 +253,21 @@ class _Simulation:
         self.cfg = cfg
         self.scheme = cfg.scheme
         self.hp = cfg.hyperparameters
-        model_spec, split, sizes, slots, controller = build_federation(cfg)
+        model_spec, split, sizes, bank, controller = build_federation(cfg)
         self.model_spec = model_spec
         self.split = split
         self.sizes = sizes
-        self.slots = slots
+        self.bank = bank
+        self.slots = [
+            _LearnerSlot(
+                state=state,
+                split=lsplit,
+                profile=profile,
+                epoch_duration=math.ceil(lsplit.train.n / self.hp.batch_size)
+                / profile.steps_per_second,
+            )
+            for state, lsplit, profile in zip(bank.states, split.per_learner, cfg.profiles)
+        ]
         self.controller = controller
         # The event loop's thread trains in this workspace; the pool's
         # workers, which start only for models too large to stack, in theirs.
@@ -290,12 +281,9 @@ class _Simulation:
         self._heap: list[Event] = []
         self._seq = 0
         self.is_dvw = self.scheme in DVW_SCHEMES
-        # Every learner's validation slice in learner-id order. The virtual
-        # clock still charges each evaluator's own pass (_eval_fanout_duration).
-        self.pooled_validation = _pooled_validation(split) if self.is_dvw else None
         # 1 upload + 1 community pull, plus one evaluator ship per other
         # learner when the commit is validation-weighted.
-        self.models_per_request = len(slots) + 1 if self.is_dvw else 2
+        self.models_per_request = len(self.slots) + 1 if self.is_dvw else 2
         initial = controller.current_model()
         self.initial_accuracy = evaluate_test_accuracy(initial.params, split.test)
         self.log.append(
@@ -316,9 +304,11 @@ class _Simulation:
     def _weight(self, req: UpdateRequest) -> float:
         """A request's contribution value. Under DVW: its model's accuracy on
         every learner's validation slice, its own included, in one pass over
-        the pooled set. Otherwise: its training-set size."""
+        the split's pooled validation set, which the slices are views of. The
+        virtual clock still charges each evaluator's own pass
+        (``_eval_fanout_duration``). Otherwise: its training-set size."""
         if self.is_dvw:
-            return dvw_weight(req.params, self.pooled_validation)
+            return dvw_weight(req.params, self.split.validation)
         return fedavg_weight(req.local_train_size)
 
     def _init_fanout(self) -> None:
@@ -389,8 +379,7 @@ class _Simulation:
                 for slot in self.slots
             )
         round_duration = train_phase + eval_phase
-        states = [slot.state for slot in self.slots]
-        trains = [slot.split.train for slot in self.slots]
+        rows = np.arange(n)
         while True:
             if cfg.max_versions is not None and self.controller.version >= cfg.max_versions:
                 break
@@ -398,7 +387,7 @@ class _Simulation:
             if t_end > cfg.time_budget:
                 break
             for _ in range(uf):
-                run_epoch(states, trains, self.hp, self.workspace, self.pool)
+                run_epoch(self.bank, rows, self.hp, self.workspace, self.pool)
             requests = [self._update_request(slot) for slot in self.slots]
             community = self.controller.handle_sync_round(requests, self._weight)
             self.clock = t_end
@@ -453,16 +442,12 @@ class _Simulation:
     def _on_epochs_done(self, slots: list[_LearnerSlot], t: float) -> None:
         """Train the cohort one epoch, score the validation loss of the
         members whose adaptive trigger reads it, then check each trigger."""
-        states = [slot.state for slot in slots]
-        run_epoch(states, [slot.split.train for slot in slots], self.hp, self.workspace, self.pool)
+        rows = [slot.state.id for slot in slots]
+        run_epoch(self.bank, rows, self.hp, self.workspace, self.pool)
         losses: list[float | None] = [None] * len(slots)
-        scored = [i for i, st in enumerate(states) if isinstance(st.policy, AdaptivePolicy)]
+        scored = [i for i, slot in enumerate(slots) if isinstance(slot.state.policy, AdaptivePolicy)]
         if scored:
-            values = local_validation_loss(
-                [states[i] for i in scored],
-                [slots[i].split.validation for i in scored],
-                self.workspace,
-            )
+            values = local_validation_loss(self.bank, [rows[i] for i in scored], self.workspace)
             for i, loss in zip(scored, values):
                 losses[i] = loss
         for slot, loss in zip(slots, losses):
@@ -509,7 +494,7 @@ class _Simulation:
             self.pool.close()
         return SimulationResult(
             log=self.log,
-            learners=[slot.state for slot in self.slots],
+            learners=self.bank.states,
             groups={slot.state.id: slot.profile.group for slot in self.slots},
             split=self.split,
             model_spec=self.model_spec,

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from fedsim import learner as learner_mod
-from fedsim.controller import FederationController
-from fedsim.data import Dataset
+from fedsim.controller import CommunityModel, FederationController
+from fedsim.data import Dataset, pooled_split
+from fedsim.learner import FixedPolicy, LearnerBank
 from fedsim.nn import MLP_1HIDDEN, SOFTMAX_REGRESSION, ModelSpec, ParameterSet
 from fedsim.simulator import run_simulation
 
@@ -37,6 +38,29 @@ def pinned_cpus(cpus: int):
     with mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": "1"}):
         with mock.patch.object(learner_mod, "cpu_count", return_value=cpus):
             yield
+
+
+def learner_bank(
+    community: CommunityModel, trains, validations=None, ids=None, policy=None, data_seed=0
+) -> LearnerBank:
+    """A bank of learners that have just adopted ``community``: row k has id
+    ``ids[k]`` (default 0) and trains on ``trains[k]``, and is scored on
+    ``validations[k]`` (default: its training set). The sets are copied into
+    the bank's pools, learner by learner."""
+    validations = validations or trains
+    pools = [
+        Dataset(
+            np.concatenate([d.features for d in sets]),
+            np.concatenate([d.labels for d in sets]),
+            sets[0].num_classes,
+        )
+        for sets in (trains, validations)
+    ]
+    sizes = [(t.n, v.n) for t, v in zip(trains, validations)]
+    bank = LearnerBank(community.params.layout, pooled_split(*pools, pools[1], sizes))
+    for k in range(len(trains)):
+        bank.add(ids[k] if ids else 0, community, policy or FixedPolicy(4), data_seed)
+    return bank
 
 
 def params_allclose(a, b, rtol: float = 1e-9, atol: float = 0.0) -> bool:

@@ -25,7 +25,14 @@ from fedsim.learner import (
 from fedsim.nn import ModelSpec, ParameterSet, Workspace, momentum_update
 from fedsim.simulator import evaluate_test_accuracy, run_simulation, run_simulation_detailed
 from fedsim.weighting import dvw_weight
-from tests.conftest import controller_from, identity_model, one_hot_dataset, random_batch, random_params
+from tests.conftest import (
+    controller_from,
+    identity_model,
+    learner_bank,
+    one_hot_dataset,
+    random_batch,
+    random_params,
+)
 
 
 def report(criterion: int, message: str) -> None:
@@ -451,11 +458,12 @@ def test_criterion_08_convergence_sanity():
         4,
     )
     ctrl = FederationController(result.model_spec)
-    state = new_learner(0, ctrl.current_model(), FixedPolicy(1))
+    bank = learner_bank(ctrl.current_model(), [union], policy=FixedPolicy(1))
+    state = bank.states[0]
     hp = Hyperparameters(eta=0.05, gamma=0.75, batch_size=100)
     ws = Workspace(state.params.layout)
     for _ in range(200):
-        run_epoch([state], [union], hp, ws)
+        run_epoch(bank, [0], hp, ws)
     centralized = evaluate_test_accuracy(state.params, result.split.test)
     elapsed = time.perf_counter() - start
     assert federated >= 0.95 * centralized, (

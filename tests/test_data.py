@@ -20,11 +20,12 @@ from fedsim.data import (
     iid_assignment,
     load_idx,
     rotation_assignment,
-    stratified_split,
+    validation_mask,
 )
-from fedsim.learner import Hyperparameters, new_learner, run_epoch, FixedPolicy
+from fedsim.learner import Hyperparameters, run_epoch, FixedPolicy
 from fedsim.controller import FederationController
 from fedsim.nn import ModelSpec, Workspace, predict
+from tests.conftest import learner_bank
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -127,11 +128,12 @@ def test_blobs_trainable_by_centralized_softmax():
     ds = generate_blobs(2, 3, n_per_class=60, spread=0.1, seed=1990)
     spec = ModelSpec("softmax-regression", input_dim=2, num_classes=3, init_seed=1990)
     controller = FederationController(spec)
-    state = new_learner(0, controller.current_model(), FixedPolicy(1))
+    bank = learner_bank(controller.current_model(), [ds], policy=FixedPolicy(1))
+    state = bank.states[0]
     hp = Hyperparameters(eta=0.5, gamma=0.5, batch_size=30)
     ws, steps = Workspace(state.params.layout), 0
     while steps < 200:
-        steps += run_epoch([state], [ds], hp, ws)
+        steps += run_epoch(bank, [0], hp, ws)
     acc = float(np.mean(predict(state.params, ds.features) == ds.labels))
     assert acc >= 0.99
 
@@ -222,10 +224,23 @@ def _balanced_source(n_per_class=100, num_classes=4, dim=3, seed=5):
     return generate_blobs(dim, num_classes, n_per_class, 0.2, seed)
 
 
+def assigned(sizes, assignment, source, seed, learner_order=None):
+    """Each learner's local pool, drawn from ``source`` as ``assign_classes``
+    picks it."""
+    picks = assign_classes(sizes, assignment, source, seed, learner_order)
+    return [source.subset(idx) for idx in picks]
+
+
+def stratified_split(local, fraction, seed):
+    """(train, validation) of a local dataset, as ``validation_mask`` splits it."""
+    mask = validation_mask(local.labels, fraction, seed)
+    return local.subset(np.flatnonzero(~mask)), local.subset(np.flatnonzero(mask))
+
+
 def test_assign_iid_uniform_flat_histogram():
     source = _balanced_source()
     sizes = [40] * 4
-    parts = assign_classes(sizes, iid_assignment(4, 4), source, seed=9)
+    parts = assigned(sizes, iid_assignment(4, 4), source, seed=9)
     for part in parts:
         hist = part.class_histogram()
         assert part.n == 40
@@ -236,7 +251,7 @@ def test_assign_noniid_exact_classes():
     source = _balanced_source()
     sizes = [30] * 4
     assignment = rotation_assignment(4, 2, 4)
-    parts = assign_classes(sizes, assignment, source, seed=9)
+    parts = assigned(sizes, assignment, source, seed=9)
     for part, classes in zip(parts, assignment.per_learner_classes):
         present = set(np.unique(part.labels))
         assert present == set(classes)
@@ -245,7 +260,7 @@ def test_assign_noniid_exact_classes():
 def test_assign_no_sample_reuse():
     source = _balanced_source()
     sizes = [50, 40, 30, 20]
-    parts = assign_classes(sizes, iid_assignment(4, 4), source, seed=11)
+    parts = assigned(sizes, iid_assignment(4, 4), source, seed=11)
     seen = []
     for part in parts:
         seen.extend(map(tuple, part.features))
@@ -256,14 +271,14 @@ def test_assign_capacity_error_names_class():
     source = _balanced_source(n_per_class=10)
     sizes = [30, 30, 30, 30]  # demands 30 per class, only 10 exist
     with pytest.raises(CapacityError, match="class 0"):
-        assign_classes(sizes, rotation_assignment(4, 1, 4), source, seed=3)
+        assigned(sizes, rotation_assignment(4, 1, 4), source, seed=3)
 
 
 def test_assign_respects_learner_order():
     source = _balanced_source()
     sizes = [60, 30, 20, 10]
     order = [2, 0, 3, 1]  # rank 0 (60 samples) goes to learner 2
-    parts = assign_classes(sizes, iid_assignment(4, 4), source, seed=1, learner_order=order)
+    parts = assigned(sizes, iid_assignment(4, 4), source, seed=1, learner_order=order)
     assert [p.n for p in parts] == [30, 10, 60, 20]
 
 
@@ -284,7 +299,7 @@ def test_dataset_rejects_out_of_range_labels(labels):
 
 
 # ---------------------------------------------------------------------------
-# stratified_split
+# validation_mask
 # ---------------------------------------------------------------------------
 
 

@@ -33,7 +33,7 @@ from fedsim.learner import (
     worker_count,
 )
 from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace, model_layout
-from tests.conftest import params_equal, pinned_cpus
+from tests.conftest import learner_bank, params_equal, pinned_cpus
 
 SPEC = ModelSpec("softmax-regression", input_dim=4, num_classes=3, init_seed=1990)
 HP = Hyperparameters(eta=0.05, gamma=0.5, batch_size=100)
@@ -56,6 +56,12 @@ def fresh_learner(controller, policy=None):
     return new_learner(0, controller.current_model(), policy or FixedPolicy(4))
 
 
+def solo(controller, train, policy=None, learner_id=0, data_seed=0):
+    """A bank whose one row is a fresh learner that trains on ``train``."""
+    model = controller.current_model()
+    return learner_bank(model, [train], ids=[learner_id], policy=policy, data_seed=data_seed)
+
+
 # ---------------------------------------------------------------------------
 # run_epoch
 # ---------------------------------------------------------------------------
@@ -63,83 +69,87 @@ def fresh_learner(controller, policy=None):
 
 def test_epoch_step_count_is_ceil(train_set, controller):
     # 252 samples at batch 100 -> 3 steps (100, 100, 52)
-    state = fresh_learner(controller)
-    steps = run_epoch([state], [train_set], HP, WS)
+    bank = solo(controller, train_set)
+    state = bank.states[0]
+    steps = run_epoch(bank, [0], HP, WS)
     assert steps == 3
     assert state.S_k_local == 3
     assert state.current.epochs == 1
 
 
 def test_epoch_is_deterministic(train_set, controller):
-    a = fresh_learner(controller)
-    b = fresh_learner(controller)
-    run_epoch([a], [train_set], HP, WS)
-    run_epoch([b], [train_set], HP, WS)
+    bank = learner_bank(controller.current_model(), [train_set, train_set])
+    a, b = bank.states
+    run_epoch(bank, [0], HP, WS)
+    run_epoch(bank, [1], HP, WS)
     assert params_equal(a.params, b.params)
 
 
 def test_zero_mu_matches_plain_trajectory(train_set, controller):
     # With mu = 0 the anchor is never read: moving it changes nothing.
-    plain = fresh_learner(controller)
-    prox = fresh_learner(controller)
+    bank = learner_bank(controller.current_model(), [train_set, train_set])
+    plain, prox = bank.states
     prox.anchor = ParameterSet((n, a + 100.0) for n, a in prox.anchor)
     hp = replace(HP, proximal_mu=0.0)
     for _ in range(3):
-        run_epoch([plain], [train_set], hp, WS)
-        run_epoch([prox], [train_set], hp, WS)
+        run_epoch(bank, [0], hp, WS)
+        run_epoch(bank, [1], hp, WS)
     assert params_equal(plain.params, prox.params)
 
 
 def test_hp_gamma_is_what_trains(train_set, controller):
     # One multi-step epoch (252 samples at batch 100) from one community
     # model on the same data; only the run's gamma differs.
-    slow, fast = fresh_learner(controller), fresh_learner(controller)
-    run_epoch([slow], [train_set], replace(HP, gamma=0.0), WS)
-    run_epoch([fast], [train_set], replace(HP, gamma=0.9), WS)
+    bank = learner_bank(controller.current_model(), [train_set, train_set])
+    slow, fast = bank.states
+    run_epoch(bank, [0], replace(HP, gamma=0.0), WS)
+    run_epoch(bank, [1], replace(HP, gamma=0.9), WS)
     assert not params_equal(slow.params, fast.params)
     assert not np.array_equal(slow.momentum.flat, fast.momentum.flat)
 
 
 def test_zero_gamma_epoch_is_plain_sgd(controller):
     train = generate_blobs(4, 3, n_per_class=70, spread=0.3, seed=5)  # 210 -> 64,64,64,18
-    state = fresh_learner(controller)
-    run_epoch([state], [train], Hyperparameters(eta=0.1, gamma=0.75, batch_size=64), WS)
-    assert np.any(state.momentum.flat != 0)  # momentum that gamma = 0 must ignore
+    bank = solo(controller, train)
+    run_epoch(bank, [0], Hyperparameters(eta=0.1, gamma=0.75, batch_size=64), WS)
+    assert np.any(bank.states[0].momentum.flat != 0)  # momentum that gamma = 0 must ignore
     plain_sgd = Hyperparameters(eta=0.1, gamma=0.0, batch_size=64)
-    assert_epoch_is_reference(state, train, plain_sgd, WS)
+    assert_epoch_is_reference(bank, plain_sgd, WS)
 
 
 def test_proximal_contracts_toward_anchor(controller):
     # With zero data gradient the update is w' = w - eta*mu*(w - anchor):
     # a pure contraction toward the community model.
-    state = fresh_learner(controller)
+    flat = generate_blobs(4, 3, n_per_class=2, spread=0.0, seed=1)
+    zero_feats = type(flat)(np.zeros_like(flat.features), flat.labels, flat.num_classes)
+    bank = solo(controller, zero_feats)
+    state = bank.states[0]
     anchor = state.anchor
     drifted = ParameterSet((n, a + 1.0) for n, a in state.params)
     state.params.load(drifted)
     # dataset with zero features still produces a data gradient on biases;
     # isolate the proximal term by checking the weight matrix only.
-    flat = generate_blobs(4, 3, n_per_class=2, spread=0.0, seed=1)
-    zero_feats = type(flat)(np.zeros_like(flat.features), flat.labels, flat.num_classes)
     hp = Hyperparameters(eta=0.01, gamma=0.0, batch_size=6, proximal_mu=10.0)
     before_gap = np.abs(state.params.array("W") - anchor.array("W")).max()
-    run_epoch([state], [zero_feats], hp, WS)
+    run_epoch(bank, [0], hp, WS)
     after_gap = np.abs(state.params.array("W") - anchor.array("W")).max()
     expected = (1 - hp.eta * hp.proximal_mu) * before_gap
     assert after_gap == pytest.approx(expected, rel=1e-9)
 
 
 def test_large_mu_closed_form_single_step(controller):
-    state = fresh_learner(controller)
+    flat = generate_blobs(4, 3, n_per_class=2, spread=0.0, seed=1)
+    zero_feats = type(flat)(np.zeros_like(flat.features), flat.labels, flat.num_classes)
+    bank = solo(controller, zero_feats)
+    state = bank.states[0]
     # hand-run one proximal-only step on the weight entry
     drift = 0.5
     state.params.load(ParameterSet((n, a + drift) for n, a in state.params))
     # one step per epoch
     hp = Hyperparameters(eta=0.0005, gamma=0.0, batch_size=6, proximal_mu=1000.0)
-    flat = generate_blobs(4, 3, n_per_class=2, spread=0.0, seed=1)
-    zero_feats = type(flat)(np.zeros_like(flat.features), flat.labels, flat.num_classes)
     w_before = state.params.array("W").copy()
     anchor_w = state.anchor.array("W")
-    run_epoch([state], [zero_feats], hp, WS)
+    run_epoch(bank, [0], hp, WS)
     expected = w_before - hp.eta * 1000.0 * (w_before - anchor_w)
     assert np.allclose(state.params.array("W"), expected, rtol=1e-12)
 
@@ -425,9 +435,10 @@ def test_adopt_twice_is_idempotent(controller):
 
 
 def test_adopt_keeps_one_staleness_sample_per_warmup_commit(train_set, controller):
-    state = fresh_learner(controller, AdaptivePolicy(warmup_cycles=3))
+    bank = solo(controller, train_set, AdaptivePolicy(warmup_cycles=3))
+    state = bank.states[0]
     for round_no in range(1, 6):
-        run_epoch([state], [train_set], HP, WS)
+        run_epoch(bank, [0], HP, WS)
         req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
         model = controller.handle_async_update(req, lambda r: 1.0)
         adopt_community(state, model)
@@ -437,16 +448,18 @@ def test_adopt_keeps_one_staleness_sample_per_warmup_commit(train_set, controlle
 
 
 def test_fixed_learner_keeps_no_staleness_samples(train_set, controller):
-    state = fresh_learner(controller)
-    run_epoch([state], [train_set], HP, WS)
+    bank = solo(controller, train_set)
+    state = bank.states[0]
+    run_epoch(bank, [0], HP, WS)
     req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
     adopt_community(state, controller.handle_async_update(req, lambda r: 1.0))
     assert state.warmup_staleness == [] and state.c3_threshold is None
 
 
 def test_adopt_resets_counters_and_momentum(train_set, controller):
-    state = fresh_learner(controller)
-    run_epoch([state], [train_set], HP, WS)
+    bank = solo(controller, train_set)
+    state = bank.states[0]
+    run_epoch(bank, [0], HP, WS)
     assert np.any(state.momentum.flat != 0)
     req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
     model = controller.handle_async_update(req, lambda r: 1.0)
@@ -459,9 +472,10 @@ def test_adopt_resets_counters_and_momentum(train_set, controller):
 
 
 def test_adopt_records_staleness_including_own_steps(train_set, controller):
-    state = fresh_learner(controller, AdaptivePolicy())
+    bank = solo(controller, train_set, AdaptivePolicy())
+    state = bank.states[0]
     other = new_learner(1, controller.current_model(), FixedPolicy(4))
-    run_epoch([state], [train_set], HP, WS)  # 3 steps
+    run_epoch(bank, [0], HP, WS)  # 3 steps
     # another learner commits 7 steps in the meantime
     controller.handle_async_update(
         UpdateRequest(1, other.params.snapshot(), 7, train_set.n), lambda r: 1.0
@@ -474,9 +488,10 @@ def test_adopt_records_staleness_including_own_steps(train_set, controller):
 
 
 def test_validation_loss_recorded(train_set, controller):
-    state = fresh_learner(controller, AdaptivePolicy())
-    run_epoch([state], [train_set], HP, WS)
-    loss = local_validation_loss([state], [train_set], WS)[0]
+    bank = solo(controller, train_set, AdaptivePolicy())
+    state = bank.states[0]
+    run_epoch(bank, [0], HP, WS)
+    loss = local_validation_loss(bank, [0], WS)[0]
     assert trigger_cause(state, loss, staleness_now=0) is None
     assert state.current.last_loss == loss
     assert loss > 0
@@ -498,15 +513,16 @@ def test_training_after_commit_leaves_cache_untouched(epochs_after, mu, gamma, d
     train = generate_blobs(4, 3, n_per_class=40, spread=0.3, seed=77)
     hp = Hyperparameters(eta=0.05, gamma=gamma, batch_size=32, proximal_mu=mu)
     ctrl = FederationController(SPEC)
-    state = new_learner(0, ctrl.current_model(), FixedPolicy(4), data_seed)
-    run_epoch([state], [train], hp, WS)
+    bank = solo(ctrl, train, data_seed=data_seed)
+    state = bank.states[0]
+    run_epoch(bank, [0], hp, WS)
     req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train.n)
     committed = ctrl.handle_async_update(req, lambda r: 2.0)
     cached = req.params.flat.copy()
     audit = ctrl.audit_recompute().params
     adopt_community(state, committed)
     for _ in range(epochs_after):
-        run_epoch([state], [train], hp, WS)
+        run_epoch(bank, [0], hp, WS)
     assert not params_equal(state.params, committed.params)
     assert np.array_equal(req.params.flat, cached)
     assert params_equal(ctrl.audit_recompute().params, audit)
@@ -556,12 +572,12 @@ def test_in_place_epoch_matches_reference(kind, mu):
     train = generate_blobs(4, 3, n_per_class=70, spread=0.3, seed=5)  # 210 -> 64,64,64,18
     hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=64, proximal_mu=mu)
     spec = ModelSpec(kind, input_dim=4, num_classes=3, hidden_dim=6 if kind == "mlp-1hidden" else 0)
-    ctrl = FederationController(spec)
-    state = new_learner(2, ctrl.current_model(), FixedPolicy(4), data_seed=11)
+    bank = solo(FederationController(spec), train, learner_id=2, data_seed=11)
+    state = bank.states[0]
     ws = Workspace(model_layout(spec))
-    run_epoch([state], [train], hp, ws)  # a nonzero momentum and a drift from the anchor
+    run_epoch(bank, [0], hp, ws)  # a nonzero momentum and a drift from the anchor
     want_w, want_u = reference_epoch(state, train, hp)
-    run_epoch([state], [train], hp, ws)
+    run_epoch(bank, [0], hp, ws)
     assert all(np.array_equal(a, b) for a, b in zip(state.params.arrays, want_w))
     assert all(np.array_equal(a, b) for a, b in zip(state.momentum.arrays, want_u))
 
@@ -661,52 +677,55 @@ def shuffle_case():
     return train, hp, FederationController(SPEC), Workspace(model_layout(SPEC))
 
 
-def assert_epoch_is_reference(state, train, hp, ws):
+def assert_epoch_is_reference(bank, hp, ws, row=0):
+    """One epoch of the learner at ``row`` alone equals ``reference_epoch``."""
+    state, train = bank.states[row], bank.split.per_learner[row].train
     want_w, want_u = reference_epoch(state, train, hp)
-    run_epoch([state], [train], hp, ws)
+    run_epoch(bank, [row], hp, ws)
     assert np.array_equal(state.params.flat, np.concatenate([a.ravel() for a in want_w]))
     assert np.array_equal(state.momentum.flat, np.concatenate([a.ravel() for a in want_u]))
 
 
 def test_shuffle_across_a_key_block_boundary(shuffle_case):
     train, hp, ctrl, ws = shuffle_case
-    state = new_learner(4, ctrl.current_model(), FixedPolicy(4), data_seed=2**70 + 3)
+    bank = solo(ctrl, train, learner_id=4, data_seed=2**70 + 3)
+    state = bank.states[0]
     state.epochs_total = learner_mod.SHUFFLE_KEY_BLOCK - 2
     for _ in range(5):
-        assert_epoch_is_reference(state, train, hp, ws)
+        assert_epoch_is_reference(bank, hp, ws)
     assert state.epochs_total == learner_mod.SHUFFLE_KEY_BLOCK + 3
 
 
 def test_shuffle_after_epochs_total_is_set_backwards(shuffle_case):
     train, hp, ctrl, ws = shuffle_case
-    state = new_learner(4, ctrl.current_model(), FixedPolicy(4), data_seed=9)
+    bank = solo(ctrl, train, learner_id=4, data_seed=9)
     for epoch in [7, 8, 6, 3, 7 + learner_mod.SHUFFLE_KEY_BLOCK, 8]:
-        state.epochs_total = epoch
-        assert_epoch_is_reference(state, train, hp, ws)
+        bank.states[0].epochs_total = epoch
+        assert_epoch_is_reference(bank, hp, ws)
 
 
 def test_shuffle_keys_are_per_data_seed_in_a_shared_workspace(shuffle_case):
     train, hp, ctrl, ws = shuffle_case
-    a = new_learner(4, ctrl.current_model(), FixedPolicy(4), data_seed=1)
-    b = new_learner(4, ctrl.current_model(), FixedPolicy(4), data_seed=2)
+    a, b = (solo(ctrl, train, learner_id=4, data_seed=seed) for seed in (1, 2))
     for _ in range(3):
-        assert_epoch_is_reference(a, train, hp, ws)
-        assert_epoch_is_reference(b, train, hp, ws)
-    assert not params_equal(a.params, b.params)
+        assert_epoch_is_reference(a, hp, ws)
+        assert_epoch_is_reference(b, hp, ws)
+    assert not params_equal(a.states[0].params, b.states[0].params)
 
 
 def test_shuffle_keys_follow_the_learner_across_workspaces(shuffle_case):
     # Three epochs in one workspace, then three in another: the keys are the
     # learner's own, so one derivation serves all six epochs.
     train, hp, ctrl, ws = shuffle_case
-    state = new_learner(4, ctrl.current_model(), FixedPolicy(4), data_seed=4294967297)
+    bank = solo(ctrl, train, learner_id=4, data_seed=4294967297)
+    state = bank.states[0]
     with mock.patch.object(learner_mod, "_key_blocks", wraps=learner_mod._key_blocks) as derive:
         for space in (ws, Workspace(ws.layout)):
             for _ in range(3):
                 (perm,) = learner_mod._shuffles(space, [state], train.n)
                 want = numpy_shuffle(state.data_seed, state.id, state.epochs_total, train.n)
                 assert np.array_equal(perm, want)
-                assert_epoch_is_reference(state, train, hp, space)
+                assert_epoch_is_reference(bank, hp, space)
     assert derive.call_count == 1
     assert state.epochs_total == 6
 
@@ -740,34 +759,48 @@ def overflow_start(hp, step):
 
 
 def cohort_members(kind, hp, sizes, seed, poison=None, dims=(4, 5)):
-    """Learners with their own ids, data, epoch counts, models, momenta and
-    anchors; ``sizes[k]`` is (train n, validation n) of learner k, and
-    ``dims`` the model's input and hidden widths. A learner in ``poison``
-    diverges through its parameters and momentum: "step1" at its first
-    step, "step2" at its second, "step3" at its third (``overflow_start``)."""
+    """A bank that holds a cohort among bystanders, and the cohort's rows.
+
+    Every learner has its own id, data, epoch count, model, momentum and
+    anchor, and ``dims`` are the model's input and hidden widths. Member k
+    has (train n, validation n) ``sizes[k]``; the members sit at the odd rows,
+    in a random order, so that the cohort's rows are unsorted and apart, and
+    bystanders of random sizes fill the even rows. A member in ``poison``
+    diverges through its parameters and momentum: "step1" at its first step,
+    "step2" at its second, "step3" at its third (``overflow_start``). Equal
+    arguments give equal banks."""
     dim, hidden = dims
     spec = ModelSpec(kind, dim, 3, hidden_dim=hidden if kind == "mlp-1hidden" else 0, init_seed=seed)
     ctrl = FederationController(spec)
     layout = ctrl.current_model().params.layout
     rng = np.random.default_rng(seed)
-    poison = poison or {}
-    states, trains, validations = [], [], []
-    for k, (n, nv) in enumerate(sizes):
-        state = new_learner(3 * k + 1, ctrl.current_model(), FixedPolicy(4), seed)
+    rows = rng.permutation(np.arange(1, 2 * len(sizes), 2))
+    row_sizes = [(int(rng.integers(5, 30)), int(rng.integers(1, 5))) for _ in range(2 * len(sizes) + 1)]
+    for k, row in enumerate(rows):
+        row_sizes[row] = sizes[k]
+    trains, validations = [], []
+    for row, (n, nv) in enumerate(row_sizes):
+        data = generate_blobs(dim, 3, n_per_class=(n + nv) // 3 + 1, spread=0.3, seed=[seed, row])
+        data = data.subset(rng.permutation(data.n)[: n + nv])
+        trains.append(data.subset(np.arange(n)))
+        validations.append(data.subset(np.arange(n, n + nv)))
+    ids = [3 * row + 1 for row in range(len(row_sizes))]
+    bank = learner_bank(ctrl.current_model(), trains, validations, ids, data_seed=seed)
+    for state in bank.states:
         state.params.load(ParameterSet(rng.normal(size=layout.size), layout))
         state.momentum.flat[:] = rng.normal(size=layout.size)
         state.anchor = ParameterSet(rng.normal(size=layout.size), layout)
         state.epochs_total = int(rng.integers(0, 5))
-        data = generate_blobs(dim, 3, n_per_class=(n + nv) // 3 + 1, spread=0.3, seed=[seed, k])
-        data = data.subset(rng.permutation(data.n)[: n + nv])
-        if k in poison:
-            start = overflow_start(hp, int(poison[k][-1]))
-            big = np.finfo(np.float64).max
-            state.params.flat[-1], state.momentum.flat[-1] = start * big, -big
-        states.append(state)
-        trains.append(data.subset(np.arange(n)))
-        validations.append(data.subset(np.arange(n, n + nv)))
-    return states, trains, validations
+    for k, when in (poison or {}).items():
+        state = bank.states[rows[k]]
+        start = overflow_start(hp, int(when[-1]))
+        big = np.finfo(np.float64).max
+        state.params.flat[-1], state.momentum.flat[-1] = start * big, -big
+    return bank, rows
+
+
+def counters(bank):
+    return [(s.S_k_local, s.epochs_total, s.current.epochs) for s in bank.states]
 
 
 cohort_cases = dict(
@@ -798,23 +831,25 @@ def test_cohort_epoch_matches_each_member_alone(
     kind, gamma, mu, sizes, batch, per_cohort, seed
 ):
     hp = Hyperparameters(eta=0.1, gamma=gamma, batch_size=batch, proximal_mu=mu)
-    together, trains, validations = cohort_members(kind, hp, sizes, seed)
-    alone, _, _ = cohort_members(kind, hp, sizes, seed)
-    ws = Workspace(together[0].params.layout)
+    together, rows = cohort_members(kind, hp, sizes, seed)
+    alone, _ = cohort_members(kind, hp, sizes, seed)
+    others = np.setdiff1d(np.arange(len(together.states)), rows)
+    bystanders = together.params[others].copy(), together.momentum[others].copy()
+    ws = Workspace(together.layout)
     with capped_cohorts(kind, batch, per_cohort):
         for _ in range(2):
-            steps = run_epoch(together, trains, hp, ws)
-            losses = local_validation_loss(together, validations, ws)
-            want_steps = sum(run_epoch([s], [t], hp, ws) for s, t in zip(alone, trains))
-            want_losses = [local_validation_loss([s], [v], ws)[0] for s, v in zip(alone, validations)]
+            steps = run_epoch(together, rows, hp, ws)
+            losses = local_validation_loss(together, rows, ws)
+            want_steps = sum(run_epoch(alone, [row], hp, ws) for row in rows)
+            want_losses = [local_validation_loss(alone, [row], ws)[0] for row in rows]
             assert steps == want_steps
             assert losses == want_losses
-    for a, b in zip(together, alone):
-        assert np.array_equal(a.params.flat, b.params.flat)
-        assert np.array_equal(a.momentum.flat, b.momentum.flat)
-        assert (a.S_k_local, a.epochs_total, a.current.epochs) == (
-            b.S_k_local, b.epochs_total, b.current.epochs
-        )
+    # Every member has the bits it gets training alone, and no other row moved.
+    assert np.array_equal(together.params, alone.params)
+    assert np.array_equal(together.momentum, alone.momentum)
+    assert np.array_equal(together.params[others], bystanders[0])
+    assert np.array_equal(together.momentum[others], bystanders[1])
+    assert counters(together) == counters(alone)
 
 
 @given(
@@ -829,9 +864,11 @@ def test_cohort_divergence_raises_like_sequential_training(
     poison = {k: p for k, p in enumerate(poisons[: len(sizes)]) if p is not None}
     assume(poison)
     hp = Hyperparameters(eta=0.1, gamma=gamma, batch_size=batch, proximal_mu=mu)
-    together, trains, _ = cohort_members(kind, hp, sizes, seed, poison)
-    alone, _, _ = cohort_members(kind, hp, sizes, seed, poison)
-    ws = Workspace(together[0].params.layout)
+    together, rows = cohort_members(kind, hp, sizes, seed, poison)
+    alone, _ = cohort_members(kind, hp, sizes, seed, poison)
+    others = np.setdiff1d(np.arange(len(together.states)), rows)
+    bystanders = together.params[others].copy(), together.momentum[others].copy()
+    ws = Workspace(together.layout)
     # Where each poison strikes first, in rounds of one epoch per learner.
     strikes = []
     for k, when in poison.items():
@@ -842,20 +879,23 @@ def test_cohort_divergence_raises_like_sequential_training(
         else:  # one step per epoch: the second step is the next epoch's first
             strikes.append((1, k, 1))
     epoch, k, step = min(strikes)
+    learner = alone.states[rows[k]]
     expected = (
-        f"learner {alone[k].id}: parameters became non-finite at step {step} "
-        f"of epoch {alone[k].epochs_total + epoch}"
+        f"learner {learner.id}: parameters became non-finite at step {step} "
+        f"of epoch {learner.epochs_total + epoch}"
     )
     with np.errstate(all="ignore"), capped_cohorts(kind, batch, per_cohort):
         with pytest.raises(ShapeError) as sequential:
             for _ in range(2):
-                for state, train in zip(alone, trains):
-                    run_epoch([state], [train], hp, ws)
+                for row in rows:
+                    run_epoch(alone, [row], hp, ws)
         with pytest.raises(ShapeError) as stacked:
             for _ in range(2):
-                run_epoch(together, trains, hp, ws)
+                run_epoch(together, rows, hp, ws)
     assert str(sequential.value) == expected
     assert str(stacked.value) == expected
+    assert np.array_equal(together.params[others], bystanders[0])
+    assert np.array_equal(together.momentum[others], bystanders[1])
 
 
 @pytest.mark.parametrize("kind", ["softmax-regression", "mlp-1hidden"])
@@ -866,19 +906,20 @@ def test_divergence_at_the_last_step_is_found_by_the_epoch_scan(kind, members):
     # to find the step.
     hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=8, proximal_mu=0.05)
     sizes = [(20, 3)] * members
-    states, trains, _ = cohort_members(kind, hp, sizes, 7, {members - 1: "step3"})
+    bank, rows = cohort_members(kind, hp, sizes, 7, {members - 1: "step3"})
     with np.errstate(all="ignore"):
         # Training that checks every step still finishes the epoch: every
         # buffer must end where reference_epoch ends it.
-        wants = [reference_epoch(state, train, hp) for state, train in zip(states, trains)]
+        wants = [reference_epoch(bank.states[r], bank.split.per_learner[r].train, hp) for r in rows]
         with pytest.raises(ShapeError) as raised:
-            run_epoch(states, trains, hp, Workspace(states[0].params.layout))
-    last = states[-1]
+            run_epoch(bank, rows, hp, Workspace(bank.layout))
+    last = bank.states[rows[-1]]
     assert str(raised.value) == (
         f"learner {last.id}: parameters became non-finite at step 3 of epoch {last.epochs_total}"
     )
     assert not np.isfinite(last.params.flat).all()
-    for state, (want_w, want_u) in zip(states, wants):
+    for row, (want_w, want_u) in zip(rows, wants):
+        state = bank.states[row]
         got_w, got_u = state.params.flat, state.momentum.flat
         assert np.array_equal(got_w, np.concatenate([a.ravel() for a in want_w]), equal_nan=True)
         assert np.array_equal(got_u, np.concatenate([a.ravel() for a in want_u]), equal_nan=True)
@@ -928,23 +969,23 @@ def test_unstackable_cohorts_train_alike_on_one_and_two_workers(sizes, mu, batch
     hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=batch, proximal_mu=mu)
     trained, maps = [], []
     for cpus in (1, 2):
-        states, trains, _ = cohort_members("mlp-1hidden", hp, sizes, seed, dims=(64, 256))
-        ws = Workspace(states[0].params.layout)
+        bank, rows = cohort_members("mlp-1hidden", hp, sizes, seed, dims=(64, 256))
+        ws = Workspace(bank.layout)
         assert ws.member_bytes(1) > COHORT_SCRATCH_BYTES  # every cohort has one member
         pool = CohortPool()
         try:
             with pinned_cpus(cpus), mock.patch.object(pool, "map", wraps=pool.map) as spy:
                 for _ in range(2):
-                    run_epoch(states, trains, hp, ws, pool)
+                    run_epoch(bank, rows, hp, ws, pool)
         finally:
             pool.close()
-        trained.append(states)
+        trained.append(bank)
         maps.append(spy.call_count)
     assert maps == [0, 2]
-    for one, two in zip(*trained):
-        assert np.array_equal(one.params.flat, two.params.flat)
-        assert np.array_equal(one.momentum.flat, two.momentum.flat)
-        assert (one.S_k_local, one.epochs_total) == (two.S_k_local, two.epochs_total)
+    one, two = trained
+    assert np.array_equal(one.params, two.params)
+    assert np.array_equal(one.momentum, two.momentum)
+    assert counters(one) == counters(two)
 
 
 def test_unstackable_cohorts_on_more_threads_than_cpus_train_alike():
@@ -952,19 +993,18 @@ def test_unstackable_cohorts_on_more_threads_than_cpus_train_alike():
     # allows: every learner must still end with the bits of a serial epoch.
     hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=8, proximal_mu=0.05)
     sizes = [(9, 3), (20, 3), (33, 4), (20, 3), (9, 3), (33, 4)]
-    serial, trains, _ = cohort_members("mlp-1hidden", hp, sizes, 11, dims=(64, 256))
-    threaded, _, _ = cohort_members("mlp-1hidden", hp, sizes, 11, dims=(64, 256))
-    ws, pool, interval = Workspace(serial[0].params.layout), CohortPool(), sys.getswitchinterval()
+    serial, rows = cohort_members("mlp-1hidden", hp, sizes, 11, dims=(64, 256))
+    threaded, _ = cohort_members("mlp-1hidden", hp, sizes, 11, dims=(64, 256))
+    ws, pool, interval = Workspace(serial.layout), CohortPool(), sys.getswitchinterval()
     for _ in range(3):
-        run_epoch(serial, trains, hp, ws)
+        run_epoch(serial, rows, hp, ws)
     sys.setswitchinterval(1e-6)
     try:
         with pinned_cpus(6):
             for _ in range(3):
-                run_epoch(threaded, trains, hp, ws, pool)
+                run_epoch(threaded, rows, hp, ws, pool)
     finally:
         sys.setswitchinterval(interval)
         pool.close()
-    for one, many in zip(serial, threaded):
-        assert np.array_equal(one.params.flat, many.params.flat)
-        assert np.array_equal(one.momentum.flat, many.momentum.flat)
+    assert np.array_equal(serial.params, threaded.params)
+    assert np.array_equal(serial.momentum, threaded.momentum)

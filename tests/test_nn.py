@@ -215,12 +215,15 @@ def test_kernels_match_the_reference_formulation(kind, members, classes, rows, d
     w = rng.normal(scale=rng.choice([0.1, 1.0, 30.0]), size=(*lead, layout.size))
     arrays = layout.views(w)
     s = ws.batch(members, rows)
-    for x, t in zip(s.xs, s.ts):  # gathered as training gathers a batch
-        n = rows + int(rng.integers(0, 20))
-        data = Dataset(rng.normal(size=(n, dim)), rng.integers(0, classes, n), classes)
-        chunk = rng.permutation(n)[:rows]
-        data.features.take(chunk, axis=0, out=x, mode="clip")
-        data.one_hot().take(chunk, axis=0, out=t, mode="clip")
+    # Gathered as training gathers a cohort's batch: each member's rows of
+    # one pooled set, in one take for the whole cohort.
+    sizes = rows + rng.integers(0, 20, members)
+    total = int(sizes.sum())
+    pool = Dataset(rng.normal(size=(total, dim)), rng.integers(0, classes, total), classes)
+    chunk = np.stack([rng.permutation(n)[:rows] for n in sizes]) + (np.cumsum(sizes) - sizes)[:, None]
+    chunk = chunk if lead else chunk[0]
+    pool.features.take(chunk, axis=0, out=s.x, mode="clip")
+    pool.one_hot().take(chunk, axis=0, out=s.t, mode="clip")
     x, t, y = s.x.copy(), s.t.copy(), s.t.argmax(axis=-1)
     assert np.array_equal(ws.gradient(arrays, s), reference_gradient(arrays, x, y))
     # The loss reads the one-hot targets that the gradient reads.

@@ -98,7 +98,7 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
     sim = _Simulation(cfg)
     num_classes = sim.model_spec.num_classes
     for slot in sim.slots:
-        run_epoch([slot.state], [slot.split.train], sim.hp, sim.workspace)
+        run_epoch(sim.bank, [slot.state.id], sim.hp, sim.workspace)
         req = sim._update_request(slot)
         # One confusion matrix per learner, counted sample by sample; the
         # committing learner's own slice is one of them, once.
@@ -114,7 +114,7 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
         fp = int((pooled.sum(axis=0) - np.diag(pooled)).sum())
         fn = int((pooled.sum(axis=1) - np.diag(pooled)).sum())
         assert sim._weight(req) == (2 * tp) / (2 * tp + fp + fn)
-        assert sim.pooled_validation.n == sum(other.split.validation.n for other in sim.slots)
+        assert sim.split.validation.n == sum(other.split.validation.n for other in sim.slots)
 
 
 @pytest.mark.parametrize(
@@ -176,9 +176,39 @@ def test_p_k_is_the_commits_contribution_value(scheme):
             assert 0.0 <= row.p_k <= len(train_sizes)
 
 
-def test_non_dvw_schemes_build_no_pooled_validation_set():
-    for scheme in ("sync_fedavg", "async_fedavg", "fedasync_poly"):
-        assert _Simulation(blob_config(scheme=scheme)).pooled_validation is None
+def test_learner_sets_are_views_of_the_bank_pools(monkeypatch):
+    scored = []
+    weight = simulator_mod.dvw_weight
+
+    def recording(params, validation):
+        scored.append(validation)
+        return weight(params, validation)
+
+    monkeypatch.setattr(simulator_mod, "dvw_weight", recording)
+    for scheme in ("sync_fedavg", "async_fedavg", "fedasync_poly", "sync_dvw", "async_dvw"):
+        cfg = blob_config(scheme=scheme, size_distribution={"kind": "powerlaw", "total": 400})
+        sim = _Simulation(cfg)
+        bank, split = sim.bank, sim.split
+        assert bank.split is split
+        # Each learner's sets are views of its rows of the two pools.
+        for row, ls in enumerate(split.per_learner):
+            for data, pool, start, n in (
+                (ls.train, split.train, bank.train_start, bank.train_n),
+                (ls.validation, split.validation, bank.val_start, bank.val_n),
+            ):
+                assert data.n == n[row]
+                assert np.shares_memory(data.features, pool.features)
+                assert np.shares_memory(data.one_hot(), pool.one_hot())
+                assert np.array_equal(data.features, pool.features[start[row] : start[row] + n[row]])
+        # Each learner trains in place on its row of the bank.
+        for row, state in enumerate(bank.states):
+            assert np.shares_memory(state.params.flat, bank.params[row])
+            assert np.shares_memory(state.momentum.flat, bank.momentum[row])
+        scored.clear()
+        sim.run()
+        # DVW scores every commit on the pooled validation set itself.
+        assert bool(scored) == (scheme in ("sync_dvw", "async_dvw"))
+        assert all(data is split.validation for data in scored)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +372,8 @@ def record_validation_losses(monkeypatch) -> list[list[float]]:
     calls = []
     score = simulator_mod.local_validation_loss
 
-    def recording(states, validations, workspace=None):
-        calls.append(score(states, validations, workspace))
+    def recording(bank, rows, workspace):
+        calls.append(score(bank, rows, workspace))
         return calls[-1]
 
     monkeypatch.setattr(simulator_mod, "local_validation_loss", recording)
