@@ -24,6 +24,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import (
     ConfigError,
@@ -114,16 +116,12 @@ def _format_table(rows: list[dict]) -> str:
     return "\n".join(out)
 
 
-def run_single(cfg: ExperimentConfig, out_dir: Path) -> tuple[MetricsLog, dict]:
-    """Execute one configuration cell and persist its artifacts."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    wall_start = time.perf_counter()
-    result = run_simulation_detailed(cfg)
-    wall = time.perf_counter() - wall_start
-
-    result.log.write_csv(out_dir / "metrics.csv")
-
-    manifest = {
+def manifest(cfg: ExperimentConfig, result: SimulationResult) -> dict:
+    """The deterministic fields of a run's ``manifest.json``: all but its
+    wall-clock seconds."""
+    bank = result.bank
+    train = bank.split.train
+    return {
         "package_version": __version__,
         "config": cfg.to_dict(),
         "test_fingerprint": _dataset_fingerprint(result),
@@ -133,17 +131,30 @@ def run_single(cfg: ExperimentConfig, out_dir: Path) -> tuple[MetricsLog, dict]:
             {
                 "id": state.id,
                 "group": result.groups[state.id],
-                "train_size": split.train.n,
-                "validation_size": split.validation.n,
-                "class_histogram": split.train.class_histogram().tolist(),
+                "train_size": n,
+                "validation_size": v,
+                "class_histogram": np.bincount(
+                    train.labels[a : a + n], minlength=train.num_classes
+                ).tolist(),
             }
-            for state, split in zip(result.learners, result.split.per_learner)
+            for state, a, n, v in zip(
+                bank.states, bank.train_start.tolist(), bank.train_n.tolist(), bank.val_n.tolist()
+            )
         ],
         "virtual_duration": result.virtual_duration,
-        "wall_duration_seconds": wall,
     }
+
+
+def run_single(cfg: ExperimentConfig, out_dir: Path) -> tuple[MetricsLog, dict]:
+    """Execute one configuration cell and persist its artifacts."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    wall_start = time.perf_counter()
+    result = run_simulation_detailed(cfg)
+    wall = time.perf_counter() - wall_start
+
+    result.log.write_csv(out_dir / "metrics.csv")
     with open(out_dir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2)
+        json.dump(dict(manifest(cfg, result), wall_duration_seconds=wall), f, indent=2)
         f.write("\n")
 
     summary = summarize(result.log, cfg.summary_times, cfg.summary_rounds)

@@ -9,10 +9,11 @@ run manifest stores so any run can be reproduced byte-for-byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Mapping, Union
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import Any, Mapping, Union, get_args, get_type_hints
 
 from .data import (
     ClassAssignment,
@@ -67,6 +68,19 @@ def _typed(where: str, value: Any, types):
     return value
 
 
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, type, bool], ...]:
+    """(name, JSON type, required) of each field of dataclass ``cls``, in
+    field order; ``X | None`` reads as ``X``, and a field without a default
+    is required. Cached: type hints are costly to resolve."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        args = [t for t in get_args(hints[f.name]) if t is not type(None)]
+        out.append((f.name, args[0] if args else hints[f.name], f.default is MISSING))
+    return tuple(out)
+
+
 class _Section:
     """Dict wrapper that tracks consumed keys and builds field-path errors."""
 
@@ -117,6 +131,16 @@ class _Section:
             where = f"{self.path}.{key}" if key else self.path
             raise ConfigError(f"{where}: {exc}") from exc
 
+    def read(self, cls, key: str = "", /, **values):
+        """``build`` ``cls`` with each field that ``values`` does not set
+        read under its own name as its annotated type (``_schema``). A class
+        of one field may be read under ``key``, where its errors are then
+        reported."""
+        for name, types, required in _schema(cls):
+            if name not in values:
+                values[name] = self.take(key or name, types, required=required)
+        return self.build(cls, key, **values)
+
 
 @dataclass(frozen=True)
 class BlobsSpec:
@@ -149,6 +173,10 @@ class IdxSpec:
     test_images: str
     test_labels: str
     num_classes: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.num_classes is not None and self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
 
     def to_dict(self) -> dict:
         return {"kind": "idx", **asdict(self)}
@@ -337,33 +365,13 @@ class ExperimentConfig:
 
 def _parse_dataset(sec: _Section) -> DatasetSpec:
     kind = sec.take("kind", str, required=True)
-    if kind == "blobs":
-        return sec.build(
-            BlobsSpec,
-            input_dim=sec.take("input_dim", int, required=True),
-            num_classes=sec.take("num_classes", int, required=True),
-            train_samples_per_class=sec.take("train_samples_per_class", int, required=True),
-            test_samples_per_class=sec.take("test_samples_per_class", int),
-            spread=sec.take("spread", float),
-        )
-    if kind == "idx":
-        return sec.build(
-            IdxSpec,
-            train_images=sec.take("train_images", str, required=True),
-            train_labels=sec.take("train_labels", str, required=True),
-            test_images=sec.take("test_images", str, required=True),
-            test_labels=sec.take("test_labels", str, required=True),
-            num_classes=sec.take("num_classes", int),
-        )
+    if kind in ("blobs", "idx"):
+        return sec.read(BlobsSpec if kind == "blobs" else IdxSpec)
     raise ConfigError(f"dataset.kind: expected 'blobs' or 'idx', got {kind!r}")
 
 
 def _parse_model(sec: _Section | None) -> ModelConfig:
-    if sec is None:
-        return ModelConfig()
-    return sec.build(
-        ModelConfig, kind=sec.take("kind", str), hidden_dim=sec.take("hidden_dim", int)
-    )
+    return ModelConfig() if sec is None else sec.read(ModelConfig)
 
 
 def _parse_profiles(raw: Any, num_learners: int) -> tuple[SpeedProfile, ...]:
@@ -381,20 +389,7 @@ def _parse_profiles(raw: Any, num_learners: int) -> tuple[SpeedProfile, ...]:
         return tuple(fast if i < num_fast else slow for i in range(num_learners))
     if len(raw) != num_learners:
         raise ConfigError(f"{path}: {len(raw)} profiles for {num_learners} learners")
-    out = []
-    for i, item in enumerate(raw):
-        sec = _Section(item, f"{path}[{i}]")
-        out.append(
-            sec.build(
-                SpeedProfile,
-                group=sec.take("group", str, required=True),
-                steps_per_second=sec.take("steps_per_second", float, required=True),
-                eval_samples_per_second=sec.take(
-                    "eval_samples_per_second", float, required=True
-                ),
-            )
-        )
-    return tuple(out)
+    return tuple(_Section(item, f"{path}[{i}]").read(SpeedProfile) for i, item in enumerate(raw))
 
 
 def _group_profile(sec: _Section | None, group: str) -> SpeedProfile:
@@ -409,14 +404,7 @@ def _group_profile(sec: _Section | None, group: str) -> SpeedProfile:
 def _parse_size_distribution(sec: _Section | None, num_learners: int) -> SizeDistribution:
     if sec is None:
         return SizeDistribution("uniform", num_learners)
-    return sec.build(
-        SizeDistribution,
-        kind=sec.take("kind", str, required=True),
-        num_learners=num_learners,
-        total=sec.take("total", int),
-        decay=sec.take("decay", float),
-        exponent=sec.take("exponent", float),
-    )
+    return sec.read(SizeDistribution, num_learners=num_learners)
 
 
 def _parse_class_assignment(sec: _Section | None) -> ClassAssignmentSpec:
@@ -474,14 +462,14 @@ def _parse_trigger(sec: _Section | None, scheme: str, schemes) -> TriggerSpec:
         return TriggerSpec("fixed", FixedPolicy())
     kind = sec.take("kind", str, required=True)
     if kind == "fixed":
-        return TriggerSpec("fixed", sec.build(FixedPolicy, uf=sec.take("uf", int)))
+        return TriggerSpec("fixed", sec.read(FixedPolicy))
     if kind != "adaptive":
         raise ConfigError(f"trigger.kind: expected 'fixed' or 'adaptive', got {kind!r}")
     vc_loss = _parse_group_value(sec, "vc_loss", float)
     vc_tomb = _parse_group_value(sec, "vc_tomb", int)
     warmup = sec.take("warmup_cycles", int)
     cap = sec.take("max_epochs_per_cycle", int)
-    fixed = sec.build(FixedPolicy, "fixed_uf", uf=sec.take("fixed_uf", int))
+    fixed = sec.read(FixedPolicy, "fixed_uf")
     adaptive = {
         group: sec.build(
             AdaptivePolicy,
@@ -548,19 +536,11 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     trigger = _parse_trigger(root.section("trigger"), scheme, schemes)
 
     hp_sec = root.section("hyperparameters")
-    hp = Hyperparameters() if hp_sec is None else hp_sec.build(
-        Hyperparameters,
-        eta=hp_sec.take("eta", float),
-        gamma=hp_sec.take("gamma", float),
-        batch_size=hp_sec.take("beta", int),
+    hp = Hyperparameters() if hp_sec is None else hp_sec.read(
+        Hyperparameters, batch_size=hp_sec.take("beta", int), proximal_mu=None
     )
     fa_sec = root.section("fedasync")
-    fedasync = FedAsyncParams() if fa_sec is None else fa_sec.build(
-        FedAsyncParams,
-        alpha=fa_sec.take("alpha", float),
-        a=fa_sec.take("a", float),
-        rho=fa_sec.take("rho", float),
-    )
+    fedasync = FedAsyncParams() if fa_sec is None else fa_sec.read(FedAsyncParams)
 
     # FedAsync brings its own divergence regularizer, rho; an explicit
     # proximal_mu wins.

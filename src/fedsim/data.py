@@ -81,13 +81,6 @@ class Dataset:
             rows.setflags(write=False)
         return rows
 
-    def rows(self, start: int, stop: int) -> "Dataset":
-        """Samples ``start`` to ``stop`` as a dataset whose features and
-        one-hot rows are views of this one's, not copies."""
-        part = Dataset(self.features[start:stop], self.labels[start:stop], self.num_classes)
-        part.__dict__["_one_hot"] = self.one_hot()[start:stop]
-        return part
-
 
 def _read_idx_header(data: bytes, path: str, field: str, magic: int, ndims: int) -> tuple[int, ...]:
     header_len = 4 * (1 + ndims)
@@ -397,35 +390,16 @@ def validation_mask(labels: np.ndarray, fraction: float, seed) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LearnerSplit:
-    train: Dataset
-    validation: Dataset
-
-
-@dataclass(frozen=True)
 class FederatedSplit:
     """Every learner's training and validation samples, pooled learner by
     learner in id order (``train``, ``validation``), and the shared test set.
-    ``per_learner[k]`` holds views of learner k's rows of the two pools
-    (``Dataset.rows``), never copies."""
+    Learner k holds the next ``learner_sizes[k]`` = (train n, validation n)
+    samples of the two pools (``learner.LearnerBank`` keeps the offsets)."""
 
-    per_learner: tuple[LearnerSplit, ...]
-    test: Dataset
     train: Dataset
     validation: Dataset
-
-
-def pooled_split(
-    train: Dataset, validation: Dataset, test: Dataset, sizes: Sequence[tuple[int, int]]
-) -> FederatedSplit:
-    """The split in which learner k holds the next ``sizes[k]`` = (train n,
-    validation n) samples of the pools ``train`` and ``validation``."""
-    ends = np.cumsum(sizes, axis=0).tolist()
-    per_learner = tuple(
-        LearnerSplit(train.rows(a, b), validation.rows(c, d))
-        for (a, c), (b, d) in zip([[0, 0]] + ends[:-1], ends)
-    )
-    return FederatedSplit(per_learner, test, train, validation)
+    test: Dataset
+    learner_sizes: tuple[tuple[int, int], ...]
 
 
 def build_federated_split(
@@ -446,9 +420,9 @@ def build_federated_split(
         val_mask = validation_mask(source.labels[idx], validation_fraction, [seed, 2, lid])
         trains.append(idx[~val_mask])
         validations.append(idx[val_mask])
-    return pooled_split(
+    return FederatedSplit(
         source.subset(np.concatenate(trains)),
         source.subset(np.concatenate(validations)),
         test,
-        [(t.size, v.size) for t, v in zip(trains, validations)],
+        tuple((t.size, v.size) for t, v in zip(trains, validations)),
     )

@@ -206,14 +206,14 @@ class LearnerBank:
     of learner ``states[r]`` are views of their row r. Row r trains on
     samples ``train_start[r]`` to ``train_start[r] + train_n[r]`` of the
     pooled ``split.train`` and is scored on its ``val_start``/``val_n``
-    range of ``split.validation``; ``split.per_learner[r]`` views the same
-    samples (``data.pooled_split``). Learners join with ``add``, row by row.
+    range of ``split.validation``, the sizes ``split.learner_sizes[r]``.
+    Learners join with ``add``, row by row.
     """
 
     def __init__(self, layout: Layout, split: FederatedSplit) -> None:
         self.layout = layout
         self.split = split
-        sizes = np.array([(ls.train.n, ls.validation.n) for ls in split.per_learner], np.intp)
+        sizes = np.array(split.learner_sizes, np.intp)
         self.params = np.zeros((len(sizes), layout.size))
         self.momentum = np.zeros((len(sizes), layout.size))
         self.train_n, self.val_n = sizes.T
@@ -415,32 +415,29 @@ def _train_cohort(
     sets have equal sizes. Returns {member: first step that left it
     non-finite}.
 
-    A lone learner trains in place on its own row and data. A cohort of more
+    Batches are gathered from the pooled training set at each member's
+    offset. A lone learner trains in place on its own row. A cohort of more
     gathers its rows into the workspace with one ``take`` each, trains them
-    stacked on batches gathered from the pooled training set, and writes
-    them back with one assignment each. Under these updates a non-finite
-    entry of ``w`` never turns finite again, so the steps run unchecked and
-    one scan ends the epoch. Only when it fails does the epoch replay from
-    its start with a check after every step, which leaves the same buffers.
-    The start is the bank's rows for a stacked cohort, and a copy for a lone
-    learner."""
-    rows = members.tolist()
-    states = [bank.states[r] for r in rows]
-    lone = len(rows) == 1
+    stacked, and writes them back with one assignment each. Under these
+    updates a non-finite entry of ``w`` never turns finite again, so the
+    steps run unchecked and one scan ends the epoch. Only when it fails does
+    the epoch replay from its start with a check after every step, which
+    leaves the same buffers. The start is the bank's rows for a stacked
+    cohort, and a copy for a lone learner."""
+    states = [bank.states[r] for r in members.tolist()]
+    lone = len(states) == 1
+    features, targets = bank.split.train.features, bank.split.train.one_hot()
+    perms = _shuffles(ws, states, int(bank.train_n[members[0]]))
+    perms += bank.train_start[members][:, None]
     if lone:
-        state, data = states[0], bank.split.per_learner[rows[0]].train
-        w, arrays, u = state.params.flat, state.params.arrays, state.momentum.flat
+        w, arrays, u = states[0].params.flat, states[0].params.arrays, states[0].momentum.flat
         start = ws.array("start", (2 * w.size,))
         np.concatenate((w, u), out=start)
-        features, targets = data.features, data.one_hot()
-        perms = _shuffles(ws, states, data.n)[0]
+        perms = perms[0]
     else:
         w = bank.params.take(members, axis=0, out=ws.array("w", (len(states), ws.layout.size)))
         u = bank.momentum.take(members, axis=0, out=ws.array("u", w.shape))
         arrays = ws.layout.views(w)
-        features, targets = bank.split.train.features, bank.split.train.one_hot()
-        perms = _shuffles(ws, states, int(bank.train_n[members[0]]))
-        perms += bank.train_start[members][:, None]
     anchor = None
     if hp.proximal_mu > 0.0:
         anchor = states[0].anchor.flat
@@ -635,20 +632,21 @@ def local_validation_loss(
     """Mean cross-entropy of the models at bank ``rows`` on their validation
     sets. Learners whose sets have equal sizes are scored as one stacked
     cohort in ``workspace``, their models and samples gathered from the bank
-    with one ``take`` each; a lone learner is scored on its own row and
-    slice. The sets are checked as ``run_epoch``'s are: once, by the
-    federation that owns the workspace."""
+    with one ``take`` each; a lone learner is scored on its own row and a
+    slice of the pool. The sets are checked as ``run_epoch``'s are: once, by
+    the federation that owns the workspace."""
     rows = np.asarray(rows, dtype=np.intp)
     sizes = bank.val_n[rows]
     pooled, layout = bank.split.validation, workspace.layout
     losses = [0.0] * rows.size
     for positions in _cohorts(workspace, sizes):
         members = rows[positions]
-        if members.size == 1:
-            data = bank.split.per_learner[members[0]].validation
-            arrays, x, t = bank.states[members[0]].params.arrays, data.features, data.one_hot()
+        m, n = members.size, int(sizes[positions[0]])
+        if m == 1:
+            a = int(bank.val_start[members[0]])
+            arrays = bank.states[members[0]].params.arrays
+            x, t = pooled.features[a : a + n], pooled.one_hot()[a : a + n]
         else:
-            m, n = members.size, int(sizes[positions[0]])
             w = bank.params.take(members, axis=0, out=workspace.array("w", (m, layout.size)))
             arrays = layout.views(w)
             index = workspace.array("index", (m, n), np.intp)

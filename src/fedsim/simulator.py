@@ -22,8 +22,6 @@ import statistics
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, NamedTuple, Sequence, get_type_hints
 
-import numpy as np
-
 from . import config as config_mod
 from .controller import (
     CommunityModel,
@@ -34,7 +32,6 @@ from .controller import (
 from .data import (
     Dataset,
     FederatedSplit,
-    LearnerSplit,
     alternating_order,
     build_federated_split,
     compute_sizes,
@@ -174,24 +171,22 @@ def evaluate_test_accuracy(params: ParameterSet, test: Dataset) -> float:
 
 
 @dataclass
-class _LearnerSlot:
-    state: LearnerState
-    split: LearnerSplit
-    profile: config_mod.SpeedProfile
-    epoch_duration: float
-    pending_cause: str | None = None
-
-
-@dataclass
 class SimulationResult:
     log: MetricsLog
-    learners: list[LearnerState]
+    bank: LearnerBank
     groups: dict[int, str]
-    split: FederatedSplit
     model_spec: ModelSpec
     initial_accuracy: float
     sizes: list[int]
     virtual_duration: float
+
+    @property
+    def learners(self) -> list[LearnerState]:
+        return self.bank.states
+
+    @property
+    def split(self) -> FederatedSplit:
+        return self.bank.split
 
 
 def build_datasets(cfg: config_mod.ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -230,12 +225,11 @@ def build_federation(cfg: config_mod.ExperimentConfig):
     split = build_federated_split(
         source, sizes, assignment, cfg.validation_fraction, cfg.seed, test, order
     )
-    # Once per run: training, scoring and testing take these sets as checked.
+    # Once per run: training, scoring and testing take these sets, and every
+    # learner's rows of the pools, as checked.
     layout = model_layout(model_spec)
-    for lsplit in split.per_learner:
-        check_dataset(layout, lsplit.train)
-        check_dataset(layout, lsplit.validation)
-    check_dataset(layout, test)
+    for data in (split.train, split.validation, test):
+        check_dataset(layout, data)
 
     if cfg.scheme == "fedasync_poly":
         controller = FedAsyncController(model_spec, cfg.fedasync)
@@ -258,16 +252,13 @@ class _Simulation:
         self.split = split
         self.sizes = sizes
         self.bank = bank
-        self.slots = [
-            _LearnerSlot(
-                state=state,
-                split=lsplit,
-                profile=profile,
-                epoch_duration=math.ceil(lsplit.train.n / self.hp.batch_size)
-                / profile.steps_per_second,
-            )
-            for state, lsplit, profile in zip(bank.states, split.per_learner, cfg.profiles)
+        # Learner k is bank row k and runs at cfg.profiles[k]; only its epoch
+        # duration and the cause of its pending commit are kept here.
+        self.epoch_durations = [
+            math.ceil(n / self.hp.batch_size) / profile.steps_per_second
+            for n, profile in zip(bank.train_n.tolist(), cfg.profiles)
         ]
+        self.pending_causes: list[str | None] = [None] * cfg.num_learners
         self.controller = controller
         # The event loop's thread trains in this workspace; the pool's
         # workers, which start only for models too large to stack, in theirs.
@@ -283,7 +274,7 @@ class _Simulation:
         self.is_dvw = self.scheme in DVW_SCHEMES
         # 1 upload + 1 community pull, plus one evaluator ship per other
         # learner when the commit is validation-weighted.
-        self.models_per_request = len(self.slots) + 1 if self.is_dvw else 2
+        self.models_per_request = cfg.num_learners + 1 if self.is_dvw else 2
         initial = controller.current_model()
         self.initial_accuracy = evaluate_test_accuracy(initial.params, split.test)
         self.log.append(
@@ -292,19 +283,20 @@ class _Simulation:
 
     # -- shared helpers -------------------------------------------------
 
-    def _update_request(self, slot: _LearnerSlot) -> UpdateRequest:
+    def _update_request(self, learner_id: int) -> UpdateRequest:
         """Snapshot the learner's model into a request."""
+        state = self.bank.states[learner_id]
         return UpdateRequest(
-            learner_id=slot.state.id,
-            params=slot.state.params.snapshot(),
-            local_steps=slot.state.S_k_local,
-            local_train_size=slot.split.train.n,
+            learner_id=learner_id,
+            params=state.params.snapshot(),
+            local_steps=state.S_k_local,
+            local_train_size=int(self.bank.train_n[learner_id]),
         )
 
     def _weight(self, req: UpdateRequest) -> float:
         """A request's contribution value. Under DVW: its model's accuracy on
         every learner's validation slice, its own included, in one pass over
-        the split's pooled validation set, which the slices are views of. The
+        the split's pooled validation set, which holds the slices. The
         virtual clock still charges each evaluator's own pass
         (``_eval_fanout_duration``). Otherwise: its training-set size."""
         if self.is_dvw:
@@ -316,7 +308,8 @@ class _Simulation:
         fan-out's length is the largest of them, or the runner-up when the
         committing learner holds the largest."""
         durations = [
-            slot.split.validation.n / slot.profile.eval_samples_per_second for slot in self.slots
+            v / profile.eval_samples_per_second
+            for v, profile in zip(self.bank.val_n.tolist(), self.cfg.profiles)
         ]
         self._fanout_top = max(range(len(durations)), key=durations.__getitem__)
         self._fanout_max = durations[self._fanout_top]
@@ -333,7 +326,7 @@ class _Simulation:
         self,
         t: float,
         community: CommunityModel,
-        committers: Sequence[_LearnerSlot],
+        committers: Sequence[int],
         learner_id: int,
         p: float,
         staleness: int,
@@ -358,8 +351,8 @@ class _Simulation:
                 self.requests,
             )
         )
-        for slot in committers:
-            adopt_community(slot.state, community)
+        for k in committers:
+            adopt_community(self.bank.states[k], community)
 
     # -- synchronous rounds ---------------------------------------------
 
@@ -369,17 +362,17 @@ class _Simulation:
         A learner whose parameters turn non-finite ends the run at the
         earliest such epoch, naming the lowest learner id in it."""
         cfg = self.cfg
-        n = len(self.slots)
+        n = cfg.num_learners
         uf = cfg.trigger.fixed.uf  # every learner's policy in a sync scheme
-        train_phase = uf * max(slot.epoch_duration for slot in self.slots)
+        train_phase = uf * max(self.epoch_durations)
         eval_phase = 0.0
         if self.is_dvw and n > 1:
             eval_phase = max(
-                (n - 1) * slot.split.validation.n / slot.profile.eval_samples_per_second
-                for slot in self.slots
+                (n - 1) * v / profile.eval_samples_per_second
+                for v, profile in zip(self.bank.val_n.tolist(), cfg.profiles)
             )
         round_duration = train_phase + eval_phase
-        rows = np.arange(n)
+        rows = range(n)
         while True:
             if cfg.max_versions is not None and self.controller.version >= cfg.max_versions:
                 break
@@ -388,12 +381,10 @@ class _Simulation:
                 break
             for _ in range(uf):
                 run_epoch(self.bank, rows, self.hp, self.workspace, self.pool)
-            requests = [self._update_request(slot) for slot in self.slots]
+            requests = [self._update_request(k) for k in rows]
             community = self.controller.handle_sync_round(requests, self._weight)
             self.clock = t_end
-            self._record(
-                t_end, community, self.slots, -1, self.controller.normalizer, 0, CAUSE_FIXED
-            )
+            self._record(t_end, community, rows, -1, self.controller.normalizer, 0, CAUSE_FIXED)
 
     # -- asynchronous event loop ------------------------------------------
 
@@ -405,8 +396,8 @@ class _Simulation:
 
     def run_async(self) -> None:
         cfg = self.cfg
-        for slot in self.slots:
-            self._schedule(slot.epoch_duration, slot.state.id, EVENT_EPOCH_DONE)
+        for learner_id, duration in enumerate(self.epoch_durations):
+            self._schedule(duration, learner_id, EVENT_EPOCH_DONE)
         while self._heap:
             ev = heapq.heappop(self._heap)
             t = ev.time
@@ -424,7 +415,7 @@ class _Simulation:
             else:  # pragma: no cover - exhaustive kinds
                 raise RuntimeError(f"unknown event kind {ev.kind!r}")
 
-    def _epoch_run(self, first: Event) -> list[_LearnerSlot]:
+    def _epoch_run(self, first: Event) -> list[int]:
         """``first`` and the EPOCH_DONE events queued right behind it at the
         same virtual time, popped.
 
@@ -433,46 +424,44 @@ class _Simulation:
         state, and everything the run's trigger checks schedule lands after
         the run (later in time, or at the same time with a larger seq).
         """
-        run = [self.slots[first.learner_id]]
+        run = [first.learner_id]
         heap = self._heap
         while heap and heap[0].time == first.time and heap[0].kind == EVENT_EPOCH_DONE:
-            run.append(self.slots[heapq.heappop(heap).learner_id])
+            run.append(heapq.heappop(heap).learner_id)
         return run
 
-    def _on_epochs_done(self, slots: list[_LearnerSlot], t: float) -> None:
+    def _on_epochs_done(self, rows: list[int], t: float) -> None:
         """Train the cohort one epoch, score the validation loss of the
         members whose adaptive trigger reads it, then check each trigger."""
-        rows = [slot.state.id for slot in slots]
         run_epoch(self.bank, rows, self.hp, self.workspace, self.pool)
-        losses: list[float | None] = [None] * len(slots)
-        scored = [i for i, slot in enumerate(slots) if isinstance(slot.state.policy, AdaptivePolicy)]
+        states = self.bank.states
+        losses: list[float | None] = [None] * len(rows)
+        scored = [i for i, k in enumerate(rows) if isinstance(states[k].policy, AdaptivePolicy)]
         if scored:
             values = local_validation_loss(self.bank, [rows[i] for i in scored], self.workspace)
             for i, loss in zip(scored, values):
                 losses[i] = loss
-        for slot, loss in zip(slots, losses):
-            self._check_trigger(slot, t, loss)
+        for learner_id, loss in zip(rows, losses):
+            self._check_trigger(learner_id, t, loss)
 
-    def _check_trigger(self, slot: _LearnerSlot, t: float, loss: float | None) -> None:
-        state = slot.state
-        learner_id = state.id
+    def _check_trigger(self, learner_id: int, t: float, loss: float | None) -> None:
+        state = self.bank.states[learner_id]
         staleness_now = effective_staleness(self.controller.committed_steps(), state)
         cause = trigger_cause(state, loss, staleness_now)
         if cause is None:
-            self._schedule(t + slot.epoch_duration, learner_id, EVENT_EPOCH_DONE)
+            self._schedule(t + self.epoch_durations[learner_id], learner_id, EVENT_EPOCH_DONE)
             return
-        slot.pending_cause = cause
+        self.pending_causes[learner_id] = cause
         if self.is_dvw:
             self._schedule(t + self._eval_fanout_duration(learner_id), learner_id, EVENT_EVAL_DONE)
         else:
             self._schedule(t, learner_id, EVENT_UPDATE_COMMIT)
 
     def _on_commit(self, learner_id: int, t: float) -> None:
-        slot = self.slots[learner_id]
-        state = slot.state
-        cause = slot.pending_cause
-        slot.pending_cause = None
-        req = self._update_request(slot)
+        state = self.bank.states[learner_id]
+        cause = self.pending_causes[learner_id]
+        self.pending_causes[learner_id] = None
+        req = self._update_request(learner_id)
         staleness = effective_staleness(self.controller.committed_steps(), state)
         if self.scheme == "fedasync_poly":
             version_staleness = self.controller.version - state.version_at_fetch
@@ -481,8 +470,8 @@ class _Simulation:
         else:
             p = self._weight(req)
             community = self.controller.handle_async_update(req, lambda _r: p)
-        self._record(t, community, [slot], learner_id, p, staleness, cause)
-        self._schedule(t + slot.epoch_duration, learner_id, EVENT_EPOCH_DONE)
+        self._record(t, community, [learner_id], learner_id, p, staleness, cause)
+        self._schedule(t + self.epoch_durations[learner_id], learner_id, EVENT_EPOCH_DONE)
 
     def run(self) -> SimulationResult:
         try:
@@ -494,9 +483,8 @@ class _Simulation:
             self.pool.close()
         return SimulationResult(
             log=self.log,
-            learners=self.bank.states,
-            groups={slot.state.id: slot.profile.group for slot in self.slots},
-            split=self.split,
+            bank=self.bank,
+            groups={k: profile.group for k, profile in enumerate(self.cfg.profiles)},
             model_spec=self.model_spec,
             initial_accuracy=self.initial_accuracy,
             sizes=self.sizes,

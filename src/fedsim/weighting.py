@@ -33,7 +33,7 @@ def dvw_weight(params: ParameterSet, validation: Dataset) -> float:
     negative, so this equals the micro-F1 of the pooled confusion matrix,
     2TP / (2TP + FP + FN) = TP / n, exactly: the hit count is an integer and
     only the final ratio is a float division. The federation has checked the
-    validation slices against the model (``check_dataset``).
+    pooled validation set against the model (``check_dataset``).
     """
     return accuracy(params, validation)
 

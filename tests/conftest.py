@@ -8,10 +8,10 @@ import pytest
 
 from fedsim import learner as learner_mod
 from fedsim.controller import CommunityModel, FederationController
-from fedsim.data import Dataset, pooled_split
+from fedsim.data import Dataset, FederatedSplit
 from fedsim.learner import FixedPolicy, LearnerBank
 from fedsim.nn import MLP_1HIDDEN, SOFTMAX_REGRESSION, ModelSpec, ParameterSet
-from fedsim.simulator import run_simulation
+from fedsim.simulator import run_simulation_detailed
 
 
 def params_equal(a, b) -> bool:
@@ -56,8 +56,8 @@ def learner_bank(
         )
         for sets in (trains, validations)
     ]
-    sizes = [(t.n, v.n) for t, v in zip(trains, validations)]
-    bank = LearnerBank(community.params.layout, pooled_split(*pools, pools[1], sizes))
+    sizes = tuple((t.n, v.n) for t, v in zip(trains, validations))
+    bank = LearnerBank(community.params.layout, FederatedSplit(*pools, pools[1], sizes))
     for k in range(len(trains)):
         bank.add(ids[k] if ids else 0, community, policy or FixedPolicy(4), data_seed)
     return bank
@@ -124,16 +124,22 @@ def mlp_spec():
 
 
 @pytest.fixture(scope="session")
-def simulated():
-    """``run_simulation`` memoized for the test session by the config's
-    canonical dict, so checks that read the same cell share one run. The
-    returned logs are shared: read them, do not append to them."""
+def simulated_result():
+    """``run_simulation_detailed`` memoized for the test session by the
+    config's canonical dict, so checks that read the same cell share one run.
+    The returned results are shared: read them, do not change them."""
     memo = {}
 
     def run(cfg):
         key = json.dumps(cfg.to_dict(), sort_keys=True)
         if key not in memo:
-            memo[key] = run_simulation(cfg)
+            memo[key] = run_simulation_detailed(cfg)
         return memo[key]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def simulated(simulated_result):
+    """The metrics log of ``simulated_result``'s shared run of a cell."""
+    return lambda cfg: simulated_result(cfg).log

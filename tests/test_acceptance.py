@@ -11,7 +11,6 @@ import numpy as np
 
 from fedsim.config import config_from_dict, get_preset, preset_names
 from fedsim.controller import CommunityModel, FederationController, UpdateRequest
-from fedsim.data import Dataset
 from fedsim.learner import (
     AdaptivePolicy,
     FixedPolicy,
@@ -452,11 +451,7 @@ def test_criterion_08_convergence_sanity():
     federated = result.log.rows[-1].test_top1
 
     # centralized oracle: same architecture trained on the pooled train data
-    union = Dataset(
-        np.vstack([ls.train.features for ls in result.split.per_learner]),
-        np.concatenate([ls.train.labels for ls in result.split.per_learner]),
-        4,
-    )
+    union = result.split.train
     ctrl = FederationController(result.model_spec)
     bank = learner_bank(ctrl.current_model(), [union], policy=FixedPolicy(1))
     state = bank.states[0]

@@ -165,9 +165,23 @@ def test_unbuildable_config_exit_code(tmp_path, capsys, overrides, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("num_classes", [0, 1, -3])
+def test_idx_num_classes_below_two_exit_code(tmp_path, capsys, num_classes):
+    # Rejected at parse, before any of the (absent) IDX files is read.
+    files = {
+        f"{part}_{kind}": str(tmp_path / f"{part}-{kind}.idx")
+        for part in ("train", "test")
+        for kind in ("images", "labels")
+    }
+    bad = write_config(tmp_path, {"dataset": {"kind": "idx", "num_classes": num_classes, **files}})
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: dataset: num_classes must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_idx_test_set_of_another_width_exit_code(tmp_path, capsys):
     # 2x2 training images and 3x3 test images: the build checks the test set
-    # once, like every slice, and names the width.
+    # once, like each pool, and names the width.
     rng = np.random.default_rng(5)
     files = {}
     for part, side, n in (("train", 2, 90), ("test", 3, 30)):

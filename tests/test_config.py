@@ -27,6 +27,13 @@ MINIMAL = {
         "train_samples_per_class": 500,
     },
 }
+IDX_DATASET = {
+    "kind": "idx",
+    "train_images": "train-images.idx",
+    "train_labels": "train-labels.idx",
+    "test_images": "test-images.idx",
+    "test_labels": "test-labels.idx",
+}
 
 
 def test_minimal_config_defaults():
@@ -48,6 +55,43 @@ def test_unknown_keys_rejected():
         config_from_dict(
             dict(MINIMAL, dataset=dict(MINIMAL["dataset"], extra_field=2))
         )
+
+
+@pytest.mark.parametrize("num_classes", [0, 1, -3])
+def test_idx_num_classes_below_two_rejected(num_classes):
+    with pytest.raises(ConfigError, match=r"^dataset: num_classes must be >= 2$"):
+        config_from_dict(dict(MINIMAL, dataset=dict(IDX_DATASET, num_classes=num_classes)))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"dataset": {"kind": "idx"}}, "dataset.train_images: missing required field"),
+        ({"dataset": dict(IDX_DATASET, num_classes=2.5)}, "dataset.num_classes: expected int"),
+        ({"model": {"hidden_dim": "8"}}, "model.hidden_dim: expected int, got str"),
+        (
+            {"num_learners": 2, "speed_profiles": [{"group": "fast"}, {}]},
+            r"speed_profiles\[0\]\.steps_per_second: missing required field",
+        ),
+        ({"size_distribution": {"total": 40}}, "size_distribution.kind: missing required field"),
+        ({"size_distribution": {"kind": "skewed", "decay": 2}}, "size_distribution: skew decay"),
+        ({"trigger": {"kind": "fixed", "uf": 0}}, "trigger: update frequency uf must be >= 1"),
+        (
+            {"scheme": "async_dvw", "trigger": {"kind": "adaptive", "fixed_uf": True}},
+            "trigger.fixed_uf: expected an integer, got a boolean",
+        ),
+        (
+            {"scheme": "async_dvw", "trigger": {"kind": "adaptive", "fixed_uf": 0}},
+            "trigger.fixed_uf: update frequency uf must be >= 1",
+        ),
+        ({"hyperparameters": {"beta": 0}}, "hyperparameters: batch size beta must be >= 1"),
+        ({"hyperparameters": {"batch_size": 10}}, r"hyperparameters: unknown keys \['batch_size'\]"),
+        ({"fedasync": {"alpha": 0}}, r"fedasync: alpha must lie in \(0, 1\]"),
+    ],
+)
+def test_section_fields_are_read_at_their_paths(overrides, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        config_from_dict(dict(MINIMAL, **overrides))
 
 
 def test_validation_fraction_range_check():
@@ -366,13 +410,6 @@ POSITIVE = st.floats(min_value=1e-3, max_value=1e4)
 RATES = st.fixed_dictionaries(
     {}, optional={"steps_per_second": POSITIVE, "eval_samples_per_second": POSITIVE}
 )
-IDX_DATASET = {
-    "kind": "idx",
-    "train_images": "train-images.idx",
-    "train_labels": "train-labels.idx",
-    "test_images": "test-images.idx",
-    "test_labels": "test-labels.idx",
-}
 
 
 def per_group(values):

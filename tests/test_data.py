@@ -22,9 +22,9 @@ from fedsim.data import (
     rotation_assignment,
     validation_mask,
 )
-from fedsim.learner import Hyperparameters, run_epoch, FixedPolicy
+from fedsim.learner import FixedPolicy, Hyperparameters, LearnerBank, run_epoch
 from fedsim.controller import FederationController
-from fedsim.nn import ModelSpec, Workspace, predict
+from fedsim.nn import ModelSpec, Workspace, model_layout, predict
 from tests.conftest import learner_bank
 
 
@@ -374,12 +374,17 @@ def test_federated_split_partition_totality():
     sizes = compute_sizes(SizeDistribution("powerlaw", num_learners=5), 500)
     assignment = iid_assignment(5, 4)
     split = build_federated_split(source, sizes, assignment, 0.05, 123, test)
-    drawn = sum(ls.train.n + ls.validation.n for ls in split.per_learner)
+    bank = LearnerBank(model_layout(ModelSpec("softmax-regression", 3, 4)), split)
+    drawn = sum(n + v for n, v in split.learner_sizes)
     assert drawn == 500
+    # The bank's offsets tile both pools in id order.
     all_rows = []
-    for ls in split.per_learner:
-        all_rows.extend(map(tuple, ls.train.features))
-        all_rows.extend(map(tuple, ls.validation.features))
+    for pool, start, n in (
+        (split.train, bank.train_start, bank.train_n),
+        (split.validation, bank.val_start, bank.val_n),
+    ):
+        assert start[0] == 0 and np.array_equal(start[1:], (start + n)[:-1])
+        assert start[-1] + n[-1] == pool.n
+        all_rows.extend(map(tuple, pool.features))
     assert len(all_rows) == len(set(all_rows))
-    for ls in split.per_learner:
-        assert ls.validation.n >= 1
+    assert (bank.val_n >= 1).all()

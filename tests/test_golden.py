@@ -7,8 +7,14 @@ byte. This test carries that proof across code changes: every golden cell's
 ``tests/golden/metrics_sha256.json``. The file also keeps one short digest per
 CSV line, so a mismatch names the cell and the first row that differs.
 
+``tests/golden/manifest_sha256.json`` pins each golden cell's
+``manifest.json`` the same way, without its wall-clock seconds: the resolved
+config, the test-set fingerprint, the sizes and every learner's sizes and
+class histogram. It keeps one short digest per field, so a mismatch names the
+field. Both checks read the same simulated runs.
+
 The digests are pinned to the numpy and BLAS build they were recorded with
-(the ``platform`` field of the JSON file): a different BLAS may round matrix
+(the ``platform`` field of the JSON files): a different BLAS may round matrix
 products differently and move every row. Re-record only for a declared
 behaviour change or a new platform:
 
@@ -24,10 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
+from fedsim.cli import manifest
 from fedsim.config import config_from_dict, get_preset, preset_names
-from fedsim.simulator import run_simulation
+from fedsim.simulator import run_simulation_detailed
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "metrics_sha256.json"
+MANIFEST_GOLDEN_PATH = GOLDEN_PATH.with_name("manifest_sha256.json")
 ROW_DIGEST_CHARS = 16
 
 
@@ -88,6 +96,19 @@ def digest(text: str) -> dict:
     }
 
 
+def manifest_digest(cfg, result) -> dict:
+    """Digests of ``manifest.json`` as ``fedsim run`` writes it, without its
+    wall-clock seconds, and of each of its fields."""
+    fields = manifest(cfg, result)
+    return {
+        "sha256": hashlib.sha256((json.dumps(fields, indent=2) + "\n").encode()).hexdigest(),
+        "fields": {
+            name: hashlib.sha256(json.dumps(value).encode()).hexdigest()[:ROW_DIGEST_CHARS]
+            for name, value in fields.items()
+        },
+    }
+
+
 def first_difference(got: dict, want: dict, text: str) -> str:
     for row, (g, w) in enumerate(zip(got["rows"], want["rows"])):
         if g != w:
@@ -111,12 +132,33 @@ def test_preset_metrics_match_golden_digests(simulated):
     )
 
 
+def test_manifests_match_golden_digests(simulated_result):
+    golden = json.loads(MANIFEST_GOLDEN_PATH.read_text())
+    cells = dict(golden_cells())
+    assert sorted(cells) == sorted(golden["cells"]), "cells differ from the golden set"
+    failures = []
+    for key, cfg in cells.items():
+        got, want = manifest_digest(cfg, simulated_result(cfg)), golden["cells"][key]
+        if got["sha256"] != want["sha256"]:
+            moved = [name for name in want["fields"] if got["fields"].get(name) != want["fields"][name]]
+            failures.append(f"{key}: fields {moved or sorted(got['fields'])} differ")
+    assert not failures, (
+        f"manifest.json digests moved (recorded on {golden['platform']!r}, "
+        f"running on {platform_key()!r}):\n" + "\n".join(failures)
+    )
+
+
 def record() -> None:
-    cells = {key: digest(run_simulation(cfg).to_csv()) for key, cfg in golden_cells()}
+    metrics, manifests = {}, {}
+    for key, cfg in golden_cells():
+        result = run_simulation_detailed(cfg)
+        metrics[key] = digest(result.log.to_csv())
+        manifests[key] = manifest_digest(cfg, result)
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    golden = {"platform": platform_key(), "cells": cells}
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
-    print(f"recorded {len(cells)} cells to {GOLDEN_PATH}")
+    for path, cells in ((GOLDEN_PATH, metrics), (MANIFEST_GOLDEN_PATH, manifests)):
+        golden = {"platform": platform_key(), "cells": cells}
+        path.write_text(json.dumps(golden, indent=1) + "\n")
+        print(f"recorded {len(cells)} cells to {path}")
 
 
 if __name__ == "__main__":

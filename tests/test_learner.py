@@ -677,9 +677,15 @@ def shuffle_case():
     return train, hp, FederationController(SPEC), Workspace(model_layout(SPEC))
 
 
+def learner_train(bank, row):
+    """The training set of the learner at bank ``row``: its rows of the pool."""
+    start, n = bank.train_start[row], bank.train_n[row]
+    return bank.split.train.subset(np.arange(start, start + n))
+
+
 def assert_epoch_is_reference(bank, hp, ws, row=0):
     """One epoch of the learner at ``row`` alone equals ``reference_epoch``."""
-    state, train = bank.states[row], bank.split.per_learner[row].train
+    state, train = bank.states[row], learner_train(bank, row)
     want_w, want_u = reference_epoch(state, train, hp)
     run_epoch(bank, [row], hp, ws)
     assert np.array_equal(state.params.flat, np.concatenate([a.ravel() for a in want_w]))
@@ -910,7 +916,7 @@ def test_divergence_at_the_last_step_is_found_by_the_epoch_scan(kind, members):
     with np.errstate(all="ignore"):
         # Training that checks every step still finishes the epoch: every
         # buffer must end where reference_epoch ends it.
-        wants = [reference_epoch(bank.states[r], bank.split.per_learner[r].train, hp) for r in rows]
+        wants = [reference_epoch(bank.states[r], learner_train(bank, r), hp) for r in rows]
         with pytest.raises(ShapeError) as raised:
             run_epoch(bank, rows, hp, Workspace(bank.layout))
     last = bank.states[rows[-1]]

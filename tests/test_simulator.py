@@ -97,16 +97,16 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
     )
     sim = _Simulation(cfg)
     num_classes = sim.model_spec.num_classes
-    for slot in sim.slots:
-        run_epoch(sim.bank, [slot.state.id], sim.hp, sim.workspace)
-        req = sim._update_request(slot)
+    bank, val = sim.bank, sim.split.validation
+    for learner_id in range(num_learners):
+        run_epoch(bank, [learner_id], sim.hp, sim.workspace)
+        req = sim._update_request(learner_id)
         # One confusion matrix per learner, counted sample by sample; the
         # committing learner's own slice is one of them, once.
         cms = []
-        for other in sim.slots:
-            val = other.split.validation
+        for a, n in zip(bank.val_start.tolist(), bank.val_n.tolist()):
             cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-            for x, y in zip(val.features, val.labels):
+            for x, y in zip(val.features[a : a + n], val.labels[a : a + n]):
                 cm[y, predict(req.params, x[None])[0]] += 1
             cms.append(cm)
         pooled = sum(cms)
@@ -114,7 +114,7 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
         fp = int((pooled.sum(axis=0) - np.diag(pooled)).sum())
         fn = int((pooled.sum(axis=1) - np.diag(pooled)).sum())
         assert sim._weight(req) == (2 * tp) / (2 * tp + fp + fn)
-        assert sim.split.validation.n == sum(other.split.validation.n for other in sim.slots)
+        assert val.n == sum(bank.val_n)
 
 
 @pytest.mark.parametrize(
@@ -141,12 +141,13 @@ def test_eval_fanout_duration_is_the_slowest_other_evaluator(eval_rates, sizes):
         trigger={"kind": "adaptive"},
     )
     sim = _Simulation(cfg)
-    for committing in range(len(sim.slots)):
+    val_n = sim.bank.val_n.tolist()
+    for committing in range(len(val_n)):
         brute = max(
             (
-                slot.split.validation.n / slot.profile.eval_samples_per_second
-                for slot in sim.slots
-                if slot.state.id != committing
+                n / profile.eval_samples_per_second
+                for k, (n, profile) in enumerate(zip(val_n, cfg.profiles))
+                if k != committing
             ),
             default=0.0,
         )
@@ -161,7 +162,7 @@ def test_p_k_is_the_commits_contribution_value(scheme):
         size_distribution={"kind": "powerlaw", "total": 400},
     )
     res = run_simulation_detailed(cfg)
-    train_sizes = [ls.train.n for ls in res.split.per_learner]
+    train_sizes = res.bank.train_n.tolist()
     assert len(set(train_sizes)) > 1
     commits = [row for row in res.log if row.version >= 1]
     assert commits
@@ -190,16 +191,15 @@ def test_learner_sets_are_views_of_the_bank_pools(monkeypatch):
         sim = _Simulation(cfg)
         bank, split = sim.bank, sim.split
         assert bank.split is split
-        # Each learner's sets are views of its rows of the two pools.
-        for row, ls in enumerate(split.per_learner):
-            for data, pool, start, n in (
-                (ls.train, split.train, bank.train_start, bank.train_n),
-                (ls.validation, split.validation, bank.val_start, bank.val_n),
-            ):
-                assert data.n == n[row]
-                assert np.shares_memory(data.features, pool.features)
-                assert np.shares_memory(data.one_hot(), pool.one_hot())
-                assert np.array_equal(data.features, pool.features[start[row] : start[row] + n[row]])
+        # The bank's offsets tile both pools in id order, at the split's sizes.
+        assert split.learner_sizes == tuple(zip(bank.train_n.tolist(), bank.val_n.tolist()))
+        for pool, start, n in (
+            (split.train, bank.train_start, bank.train_n),
+            (split.validation, bank.val_start, bank.val_n),
+        ):
+            assert (n >= 1).all()
+            assert start[0] == 0 and np.array_equal(start[1:], (start + n)[:-1])
+            assert start[-1] + n[-1] == pool.n
         # Each learner trains in place on its row of the bank.
         for row, state in enumerate(bank.states):
             assert np.shares_memory(state.params.flat, bank.params[row])
@@ -420,11 +420,10 @@ def test_federation_checks_each_dataset_once(monkeypatch, scheme):
     assert sum(state.epochs_total for state in res.learners) > 4 * len(res.learners)
     assert bool(calls) == (scheme == "async_dvw")
     assert len(res.log) > 2  # commits, each scored (DVW) and tested
-    # Each learner's training and validation slice and the test set, checked
-    # when the federation is built and never again: 2N + 1 checks.
-    sets = [d for ls in res.split.per_learner for d in (ls.train, ls.validation)]
-    sets.append(res.split.test)
-    assert len(checked) == 2 * len(res.learners) + 1
+    # The two pools, which hold every learner's slices, and the test set,
+    # checked when the federation is built and never again: 3 checks.
+    sets = [res.split.train, res.split.validation, res.split.test]
+    assert len(checked) == 3
     assert all(a is b for a, b in zip(checked, sets))
 
 
@@ -541,7 +540,7 @@ def test_unstackable_sync_run_writes_the_same_csv_on_one_and_two_workers():
     assert csvs[0] == csvs[1]
 
 
-def poison(slot, hp, step):
+def poison(state, hp, step):
     """Set the learner's last output bias and its momentum so that, at
     ``hp.proximal_mu`` 0, the bias first overflows at ``step`` of its
     training. From u = -F (the largest float), the bias follows
@@ -549,8 +548,8 @@ def poison(slot, hp, step):
     away. The bias starts half of step ``step``'s rise below F."""
     big = np.finfo(np.float64).max
     rise = hp.eta * sum(hp.gamma**i for i in range(1, step))
-    slot.state.params.flat[-1] = (1.0 - rise - hp.eta * hp.gamma**step / 2) * big
-    slot.state.momentum.flat[-1] = -big
+    state.params.flat[-1] = (1.0 - rise - hp.eta * hp.gamma**step / 2) * big
+    state.momentum.flat[-1] = -big
 
 
 @pytest.mark.parametrize("unstackable, cpus", [(False, 1), (True, 2)])
@@ -561,8 +560,9 @@ def test_sync_round_reports_the_earliest_diverging_epoch_first(unstackable, cpus
     cfg = unstackable_config() if unstackable else blob_config()
     with pinned_cpus(cpus):
         sim = _Simulation(cfg)
-        first, second = sim.slots[:2]
-        poison(first, cfg.hyperparameters, math.ceil(first.split.train.n / cfg.hyperparameters.batch_size) + 1)
+        first, second = sim.bank.states[:2]
+        steps = math.ceil(sim.bank.train_n[0] / cfg.hyperparameters.batch_size)
+        poison(first, cfg.hyperparameters, steps + 1)
         poison(second, cfg.hyperparameters, 1)
         with np.errstate(all="ignore"), pytest.raises(ShapeError) as raised:
             sim.run()
@@ -576,7 +576,7 @@ def test_runs_leave_no_worker_thread_behind():
         assert spy.call_count > 0
         assert threading.active_count() == threads
         sim = _Simulation(unstackable_config())
-        poison(sim.slots[1], sim.hp, 1)
+        poison(sim.bank.states[1], sim.hp, 1)
         calls = spy.call_count
         with np.errstate(all="ignore"), pytest.raises(ShapeError):
             sim.run()
