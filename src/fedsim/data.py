@@ -52,10 +52,7 @@ class Dataset:
             raise ValueError("labels must be one per feature row")
         if f.shape[0] < 1:
             raise ValueError("dataset must hold at least one sample")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        if y.min() < 0 or y.max() >= self.num_classes:
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
+        _check_labels(y, self.num_classes)
         y.setflags(write=False)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", y)
@@ -82,6 +79,35 @@ class Dataset:
         return rows
 
 
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    if num_classes < 1:
+        raise ValueError("num_classes must be >= 1")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"labels must lie in [0, {num_classes})")
+
+
+@dataclass(frozen=True)
+class IdxPixels:
+    """An IDX file pair as read: uint8 pixel rows (n x rows*cols), labels and
+    the class count. ``subset`` scales only the rows it gathers to [0, 1], bit
+    for bit as scaling the whole file would; ``features`` scales every row."""
+
+    pixels: np.ndarray
+    labels: np.ndarray
+    num_classes: int
+
+    @property
+    def n(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.pixels / 255.0
+
+    def subset(self, indices: np.ndarray) -> Dataset:
+        return Dataset(self.pixels[indices] / 255.0, self.labels[indices], self.num_classes)
+
+
 def _read_idx_header(data: bytes, path: str, field: str, magic: int, ndims: int) -> tuple[int, ...]:
     header_len = 4 * (1 + ndims)
     if len(data) < header_len:
@@ -94,11 +120,13 @@ def _read_idx_header(data: bytes, path: str, field: str, magic: int, ndims: int)
     return struct.unpack(">" + "I" * ndims, data[4:header_len])
 
 
-def load_idx(images_path: str, labels_path: str, num_classes: int | None = None) -> Dataset:
-    """Load an IDX image/label file pair; pixel bytes are scaled to [0, 1]."""
+def load_idx(images_path: str, labels_path: str, num_classes: int | None = None) -> IdxPixels:
+    """Load an IDX image/label file pair; the pixel bytes stay uint8."""
     with open(images_path, "rb") as f:
         img_data = f.read()
     n_img, rows, cols = _read_idx_header(img_data, images_path, "images", IDX_IMAGES_MAGIC, 3)
+    if n_img == 0:
+        raise IdxFormatError(f"images item count: file {images_path!r} holds no images")
     expected = 16 + n_img * rows * cols
     if len(img_data) != expected:
         raise IdxFormatError(
@@ -113,12 +141,12 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
         )
     if n_img != n_lbl:
         raise IdxFormatError(f"item count: {n_img} images but {n_lbl} labels")
-    pixels = np.frombuffer(img_data, dtype=np.uint8, offset=16)
-    features = pixels.reshape(n_img, rows * cols).astype(np.float64) / 255.0
+    pixels = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(n_img, rows * cols)
     labels = np.frombuffer(lbl_data, dtype=np.uint8, offset=8).astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
-    return Dataset(features, labels, num_classes)
+    _check_labels(labels, num_classes)
+    return IdxPixels(pixels, labels, num_classes)
 
 
 _CENTER_STREAM_TAG = 314159265
@@ -302,7 +330,7 @@ def alternating_order(groups: Sequence[str]) -> list[int]:
 def assign_classes(
     sizes: Sequence[int],
     assignment: ClassAssignment,
-    dataset: Dataset,
+    dataset: Dataset | IdxPixels,
     seed,
     learner_order: Sequence[int] | None = None,
 ) -> list[np.ndarray]:
@@ -403,7 +431,7 @@ class FederatedSplit:
 
 
 def build_federated_split(
-    source: Dataset,
+    source: Dataset | IdxPixels,
     sizes: Sequence[int],
     assignment: ClassAssignment,
     validation_fraction: float,
@@ -412,8 +440,8 @@ def build_federated_split(
     learner_order: Sequence[int] | None = None,
 ) -> FederatedSplit:
     """Assign local pools and carve out each learner's validation slice.
-    Each pool is gathered from the source in one copy, so no sample is held
-    twice beside the source."""
+    Each pool is gathered from the source in one copy (from an IDX source's
+    uint8 pixels, then scaled), so no sample is held twice beside it."""
     trains, validations = [], []
     picks = assign_classes(sizes, assignment, source, [seed, 1], learner_order)
     for lid, idx in enumerate(picks):

@@ -32,6 +32,7 @@ from .controller import (
 from .data import (
     Dataset,
     FederatedSplit,
+    IdxPixels,
     alternating_order,
     build_federated_split,
     compute_sizes,
@@ -189,8 +190,8 @@ class SimulationResult:
         return self.bank.split
 
 
-def build_datasets(cfg: config_mod.ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Materialize the training source and the shared global test set."""
+def build_datasets(cfg: config_mod.ExperimentConfig) -> tuple[Dataset | IdxPixels, Dataset]:
+    """Materialize the training source (IDX: its uint8 pixels) and the test set."""
     ds = cfg.dataset
     if isinstance(ds, config_mod.BlobsSpec):
         source = generate_blobs(
@@ -202,7 +203,7 @@ def build_datasets(cfg: config_mod.ExperimentConfig) -> tuple[Dataset, Dataset]:
         return source, test
     source = load_idx(ds.train_images, ds.train_labels, ds.num_classes)
     test = load_idx(ds.test_images, ds.test_labels, source.num_classes)
-    return source, test
+    return source, Dataset(test.features, test.labels, test.num_classes)
 
 
 def build_federation(cfg: config_mod.ExperimentConfig):
@@ -210,9 +211,10 @@ def build_federation(cfg: config_mod.ExperimentConfig):
     (model spec, split, sizes, learner bank, controller); learner k is the
     bank's row k."""
     source, test = build_datasets(cfg)
+    rows = source.pixels if isinstance(source, IdxPixels) else source.features
     model_spec = ModelSpec(
         kind=cfg.model.kind,
-        input_dim=source.features.shape[1],
+        input_dim=rows.shape[1],
         num_classes=source.num_classes,
         hidden_dim=cfg.model.hidden_dim,
         init_seed=cfg.seed,

@@ -196,6 +196,25 @@ def test_idx_test_set_of_another_width_exit_code(tmp_path, capsys):
     assert "feature dim 9 does not match input dim 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("num_classes", [None, 3])
+def test_idx_empty_training_file_exit_code(tmp_path, capsys, num_classes):
+    # The training images' header counts 0 items: the build names the file.
+    files = {}
+    for part, n in (("train", 0), ("test", 6)):
+        files[f"{part}_images"] = str(tmp_path / f"{part}-images.idx")
+        files[f"{part}_labels"] = str(tmp_path / f"{part}-labels.idx")
+        write_idx_images(files[f"{part}_images"], np.zeros((n, 2, 2)))
+        write_idx_labels(files[f"{part}_labels"], np.arange(n) % 3)
+    dataset = {"kind": "idx", **files}
+    if num_classes is not None:
+        dataset["num_classes"] = num_classes
+    cfg = write_config(tmp_path, {"dataset": dataset, "size_distribution": {"kind": "uniform"}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"images item count: file {files['train_images']!r} holds no images" in err
+    assert "zero-size array" not in err
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

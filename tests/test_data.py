@@ -1,15 +1,18 @@
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedsim.data import (
     CapacityError,
     Dataset,
     IdxFormatError,
+    IdxPixels,
     SizeDistribution,
     alternating_order,
     assign_classes,
@@ -94,6 +97,61 @@ def test_load_idx_rejects_count_mismatch(tmp_path):
     write_idx_labels(lbl_path, np.zeros(3, dtype=np.uint8))
     with pytest.raises(IdxFormatError, match="item count"):
         load_idx(str(img_path), str(lbl_path))
+
+
+@pytest.mark.parametrize("num_classes", [None, 3])
+def test_load_idx_rejects_an_empty_images_file(tmp_path, num_classes):
+    # The header counts 0 items: the error names the images file and its
+    # item count, before the class count is derived from the labels.
+    img_path, lbl_path = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    write_idx_images(img_path, np.zeros((0, 2, 2), dtype=np.uint8))
+    write_idx_labels(lbl_path, np.zeros(0, dtype=np.uint8))
+    message = f"images item count: file {str(img_path)!r} holds no images"
+    with pytest.raises(IdxFormatError, match=re.escape(message)):
+        load_idx(str(img_path), str(lbl_path), num_classes)
+
+
+def test_load_idx_rejects_labels_outside_the_declared_classes(tmp_path):
+    img_path, lbl_path = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    write_idx_images(img_path, np.zeros((3, 2, 2), dtype=np.uint8))
+    write_idx_labels(lbl_path, np.array([0, 3, 1]))
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+        load_idx(str(img_path), str(lbl_path), 3)
+
+
+def test_load_idx_keeps_the_pixel_bytes(tmp_path):
+    images = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
+    img_path, lbl_path = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    write_idx_images(img_path, images)
+    write_idx_labels(lbl_path, np.array([1, 0]))
+    ds = load_idx(str(img_path), str(lbl_path))
+    assert ds.pixels.dtype == np.uint8
+    assert np.array_equal(ds.pixels, images.reshape(2, 12))
+    # features scales the whole file into a new, writable matrix each time
+    assert ds.features is not ds.features and ds.features.flags.writeable
+
+
+@given(
+    arrays(np.uint8, st.tuples(st.integers(1, 30), st.integers(1, 16))),
+    st.data(),
+)
+@example(np.arange(256, dtype=np.uint8).reshape(16, 16), None)
+@settings(max_examples=60, deadline=None)
+def test_idx_subset_scales_the_gathered_pixels_like_the_whole_file(pixels, data):
+    n = pixels.shape[0]
+    if data is None:  # every byte value, each row once
+        idx = np.arange(n)
+    else:
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=50)))
+    labels = np.arange(n) % 3
+    pool = IdxPixels(pixels, labels, 3).subset(idx)
+    # The formula of scaling the whole file first, then gathering.
+    reference = pixels.astype(np.float64)[idx] / 255.0
+    assert pool.features.dtype == np.float64
+    assert pool.features.tobytes() == reference.tobytes()
+    assert pool.labels.tolist() == labels[idx].tolist()
+    whole = IdxPixels(pixels, labels, 3).features
+    assert whole.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
 
 
 # ---------------------------------------------------------------------------

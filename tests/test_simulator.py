@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,12 +17,14 @@ from fedsim.simulator import (
     MetricsLog,
     MetricsRow,
     _Simulation,
+    build_federation,
     evaluate_test_accuracy,
     run_simulation,
     run_simulation_detailed,
     staleness_report,
 )
 from tests.conftest import pinned_cpus
+from tests.test_data import write_idx_images, write_idx_labels
 
 
 def blob_config(**overrides):
@@ -354,6 +357,38 @@ def test_mlp_model_runs_end_to_end():
     log = run_simulation(cfg)
     assert len(log) > 1
     assert all(0.0 <= r.test_top1 <= 1.0 for r in log)
+
+
+def test_idx_federation_builds_no_float64_copy_of_the_source(tmp_path):
+    # 2,000 MNIST-shaped training images and a 784-16-10 MLP. The pools are
+    # gathered from the uint8 pixels and scaled once, so set-up never holds
+    # a float64 copy of the whole training file beside them.
+    rng = np.random.default_rng(11)
+    files = {}
+    for part, n in (("train", 2000), ("test", 300)):
+        files[f"{part}_images"] = str(tmp_path / f"{part}-images.idx")
+        files[f"{part}_labels"] = str(tmp_path / f"{part}-labels.idx")
+        write_idx_images(files[f"{part}_images"], rng.integers(0, 256, (n, 28, 28)))
+        write_idx_labels(files[f"{part}_labels"], np.arange(n) % 10)
+    cfg = blob_config(
+        num_learners=10,
+        dataset={"kind": "idx", "num_classes": 10, **files},
+        model={"kind": "mlp-1hidden", "hidden_dim": 16},
+        size_distribution={"kind": "uniform"},
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, split, _, bank, _ = build_federation(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    sets = (split.train, split.validation, split.test)
+    held = sum(d.features.nbytes + d.labels.nbytes for d in sets)
+    held += bank.params.nbytes + bank.momentum.nbytes
+    source_float64 = 2000 * 28 * 28 * 8
+    assert split.train.n + split.validation.n == 2000
+    assert peak < held + source_float64 // 2, (peak, held)
 
 
 def test_fixed_policy_cycles_have_exact_uf_epochs():
