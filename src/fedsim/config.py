@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from typing import Any, Mapping, Union, get_args, get_type_hints
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .data import (
     ClassAssignment,
@@ -25,11 +26,6 @@ from .data import (
 from .learner import AdaptivePolicy, FixedPolicy, Hyperparameters, TriggerPolicy
 from .nn import MLP_1HIDDEN, MODEL_KINDS, SOFTMAX_REGRESSION
 from .weighting import SCHEMES, FedAsyncParams
-
-DEFAULT_SEED = 1990
-DEFAULT_VALIDATION_FRACTION = 0.05
-DEFAULT_SCHEME = "sync_fedavg"
-DEFAULT_TIME_BUDGET = 60.0
 
 SPEED_GROUPS = ("fast", "slow")
 DEFAULT_RATES = {
@@ -51,9 +47,17 @@ class ConfigError(ValueError):
 
 
 def _typed(where: str, value: Any, types):
-    """``value`` if it is one of ``types``; an integer stands for a float.
+    """``value`` read as ``types``: a JSON type or a tuple of them, a
+    dataclass or ``_Section`` (read from an object), or ``[X]``, a list read
+    element by element as ``X`` into a tuple. An integer stands for a float.
     Booleans are not integers, and floats must be finite: Python's JSON
     reader accepts ``NaN`` and ``Infinity``, which pass every range check."""
+    if isinstance(types, list):
+        items = _typed(where, value, list)
+        return tuple(_typed(f"{where}[{i}]", v, types[0]) for i, v in enumerate(items))
+    if types is _Section or hasattr(types, "__dataclass_fields__"):
+        sec = _Section(value, where)
+        return sec if types is _Section else sec.read(types)
     if types is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if types is int and isinstance(value, bool):
@@ -68,17 +72,22 @@ def _typed(where: str, value: Any, types):
     return value
 
 
+def _json_type(hint):
+    """The type ``_typed`` reads for a field annotated ``hint``: ``X | None``
+    reads as ``X``, and ``tuple[X, ...]`` as ``[X]``."""
+    args = [t for t in get_args(hint) if t is not type(None)]
+    if get_origin(hint) is tuple:
+        return [_json_type(args[0])]
+    return _json_type(args[0]) if len(args) == 1 else hint
+
+
 @functools.cache
-def _schema(cls) -> tuple[tuple[str, type, bool], ...]:
-    """(name, JSON type, required) of each field of dataclass ``cls``, in
-    field order; ``X | None`` reads as ``X``, and a field without a default
-    is required. Cached: type hints are costly to resolve."""
+def _schema(cls) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, type read, required) of each field of dataclass ``cls``, in
+    field order (``_json_type``); a field without a default is required.
+    Cached: type hints are costly to resolve."""
     hints = get_type_hints(cls)
-    out = []
-    for f in fields(cls):
-        args = [t for t in get_args(hints[f.name]) if t is not type(None)]
-        out.append((f.name, args[0] if args else hints[f.name], f.default is MISSING))
-    return tuple(out)
+    return tuple((f.name, _json_type(hints[f.name]), f.default is MISSING) for f in fields(cls))
 
 
 class _Section:
@@ -94,25 +103,17 @@ class _Section:
     def where(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def _fail(self, key: str, message: str) -> ConfigError:
-        return ConfigError(f"{self.where(key)}: {message}")
-
     def take(self, key: str, types, default=..., required: bool = False):
         self._seen.add(key)
         value = self.raw.get(key)
         if value is None:  # absent and explicit JSON null are equivalent
             if required:
-                raise self._fail(key, "missing required field")
+                raise ConfigError(f"{self.where(key)}: missing required field")
             return None if default is ... else default
         return _typed(self.where(key), value, types)
 
     def section(self, key: str, required: bool = False) -> "_Section | None":
-        self._seen.add(key)
-        if key not in self.raw:
-            if required:
-                raise self._fail(key, "missing required field")
-            return None
-        return _Section(self.raw[key], self.where(key))
+        return self.take(key, _Section, required=required)
 
     def finish(self) -> None:
         unknown = sorted(set(self.raw) - self._seen)
@@ -123,13 +124,19 @@ class _Section:
     def build(self, cls, key: str = "", /, **values):
         """Finish the section and construct ``cls`` from the values the JSON
         set; ``cls`` supplies the defaults and the range checks. Its
-        ``ValueError`` is reported at this section's path (or at ``key``)."""
+        ``ValueError`` is reported at this section's path (or at ``key``),
+        or at a field of ``cls`` that the message starts with
+        (``"name: ..."``, ``"per_learner_classes[1]: ..."``)."""
         self.finish()
         try:
             return cls(**{name: v for name, v in values.items() if v is not None})
         except ValueError as exc:
-            where = f"{self.path}.{key}" if key else self.path
-            raise ConfigError(f"{where}: {exc}") from exc
+            message = str(exc)
+            head = message.partition(":")[0].partition("[")[0]
+            if any(head == name for name, _, _ in _schema(cls)):
+                raise ConfigError(self.where(message)) from exc
+            where = self.where(key) if key else self.path
+            raise ConfigError(f"{where}: {message}" if where else message) from exc
 
     def read(self, cls, key: str = "", /, **values):
         """``build`` ``cls`` with each field that ``values`` does not set
@@ -224,54 +231,65 @@ def _size_distribution_dict(dist: SizeDistribution) -> dict:
     return d
 
 
+# The key each class-assignment kind reads besides "kind".
+_ASSIGNMENT_KEYS = {
+    "iid": None,
+    "noniid": "classes_per_learner",
+    "preset": "name",
+    "explicit": "per_learner_classes",
+}
+
+
 @dataclass(frozen=True)
 class ClassAssignmentSpec:
-    kind: str  # iid | noniid | preset | explicit
+    """Each learner's classes: all of them (iid), a rotation of
+    ``classes_per_learner`` (noniid), the named per-rank class counts of
+    ``CLASS_COUNT_PRESETS`` (preset) or ``per_learner_classes`` (explicit).
+    ``ExperimentConfig`` checks the learner count; checks against the
+    dataset's class count run when ``resolve`` builds the assignment."""
+
+    kind: str
     classes_per_learner: int | None = None
-    preset: str | None = None
+    name: str | None = None
     per_learner_classes: tuple[tuple[int, ...], ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _ASSIGNMENT_KEYS:
+            raise ValueError(f"kind: expected iid/noniid/preset/explicit, got {self.kind!r}")
+        key = _ASSIGNMENT_KEYS[self.kind]
+        if key and getattr(self, key) is None:
+            raise ValueError(f"{key}: missing required field")
+        unread = [
+            k for k in _ASSIGNMENT_KEYS.values() if k and k != key and getattr(self, k) is not None
+        ]
+        if unread:
+            raise ValueError(f"unknown keys {sorted(unread)}")
+        if self.kind == "noniid" and self.classes_per_learner < 1:
+            raise ValueError("classes_per_learner: must be >= 1")
+        if self.kind == "preset" and self.name not in CLASS_COUNT_PRESETS:
+            raise ValueError(
+                f"name: unknown preset {self.name!r}; available: {sorted(CLASS_COUNT_PRESETS)}"
+            )
+        if self.kind == "explicit":
+            ClassAssignment(self.per_learner_classes)  # no empty list, no negative class
 
     def resolve(self, num_learners: int, num_classes: int) -> ClassAssignment:
         if self.kind == "iid":
             return iid_assignment(num_learners, num_classes)
         if self.kind == "noniid":
-            try:
-                return rotation_assignment(num_learners, self.classes_per_learner, num_classes)
-            except ValueError as exc:
-                raise ConfigError(f"class_assignment.classes_per_learner: {exc}") from exc
+            return rotation_assignment(num_learners, self.classes_per_learner, num_classes)
         if self.kind == "preset":
-            counts = CLASS_COUNT_PRESETS[self.preset]
-            if len(counts) != num_learners:
-                raise ConfigError(
-                    f"class_assignment.preset: {self.preset!r} defines {len(counts)} "
-                    f"learners but num_learners={num_learners}"
-                )
-            try:
-                return assignment_from_class_counts(counts, num_classes)
-            except ValueError as exc:
-                raise ConfigError(f"class_assignment.preset: {exc}") from exc
-        lists = self.per_learner_classes
-        if len(lists) != num_learners:
-            raise ConfigError(
-                f"class_assignment.per_learner_classes: {len(lists)} lists for "
-                f"{num_learners} learners"
-            )
-        try:
-            return ClassAssignment(lists)
-        except ValueError as exc:
-            raise ConfigError(f"class_assignment.per_learner_classes: {exc}") from exc
+            return assignment_from_class_counts(CLASS_COUNT_PRESETS[self.name], num_classes)
+        return ClassAssignment(self.per_learner_classes)
 
     def to_dict(self) -> dict:
-        if self.kind == "iid":
-            return {"kind": "iid"}
-        if self.kind == "noniid":
-            return {"kind": "noniid", "classes_per_learner": self.classes_per_learner}
-        if self.kind == "preset":
-            return {"kind": "preset", "name": self.preset}
-        return {
-            "kind": "explicit",
-            "per_learner_classes": [list(c) for c in self.per_learner_classes],
-        }
+        key = _ASSIGNMENT_KEYS[self.kind]
+        if key is None:
+            return {"kind": self.kind}
+        value = getattr(self, key)
+        if self.kind == "explicit":
+            value = [list(c) for c in value]
+        return {"kind": self.kind, key: value}
 
 
 @dataclass(frozen=True)
@@ -305,25 +323,80 @@ class TriggerSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    name: str
-    seed: int
+    """A resolved experiment. ``config_from_dict`` reads each field from the
+    JSON key of its name (``profiles`` from ``speed_profiles``); the root's
+    range checks run here, and fields left unset take their defaults."""
+
     num_learners: int
     dataset: DatasetSpec
-    model: ModelConfig
-    profiles: tuple[SpeedProfile, ...]
-    size_distribution: SizeDistribution
-    class_assignment: ClassAssignmentSpec
-    validation_fraction: float
-    scheme: str
-    schemes: tuple[str, ...] | None
-    trigger: TriggerSpec
-    hyperparameters: Hyperparameters
-    fedasync: FedAsyncParams
-    proximal_mu: float  # as written; hyperparameters.proximal_mu is what trains
-    time_budget: float
-    max_versions: int | None
-    summary_times: tuple[float, ...]
-    summary_rounds: tuple[int, ...]
+    name: str = "experiment"
+    seed: int = 1990
+    model: ModelConfig = ModelConfig()
+    profiles: tuple[SpeedProfile, ...] | None = None  # unset: all fast, default rates
+    size_distribution: SizeDistribution | None = None  # unset: uniform
+    class_assignment: ClassAssignmentSpec = ClassAssignmentSpec("iid")
+    validation_fraction: float = 0.05
+    scheme: str = "sync_fedavg"
+    schemes: tuple[str, ...] | None = None
+    trigger: TriggerSpec = TriggerSpec("fixed", FixedPolicy())
+    hyperparameters: Hyperparameters = Hyperparameters()
+    fedasync: FedAsyncParams = FedAsyncParams()
+    proximal_mu: float = 0.0  # as written; hyperparameters.proximal_mu is what trains
+    time_budget: float = 60.0
+    max_versions: int | None = None
+    summary_times: tuple[float, ...] | None = None  # unset: (time_budget,)
+    summary_rounds: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed: must be non-negative")
+        if self.seed >= 2**128:  # the model's initial weights come from Philox(key=seed)
+            raise ValueError("seed: must be < 2**128")
+        if self.num_learners < 1:
+            raise ValueError("num_learners: must be >= 1")
+        if not (0.0 < self.validation_fraction < 1.0):
+            raise ValueError("validation_fraction: must lie strictly between 0 and 1")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme: expected one of {list(SCHEMES)}, got {self.scheme!r}")
+        if self.schemes == ():
+            raise ValueError("schemes: must list at least one scheme")
+        for s in self.schemes or ():
+            if s not in SCHEMES:
+                raise ValueError(f"schemes: unknown scheme {s!r}")
+        if self.schemes and len(set(self.schemes)) != len(self.schemes):
+            raise ValueError("schemes: duplicate entries")
+        if self.trigger.kind == "adaptive" and self.schemes is None and self.scheme != "async_dvw":
+            raise ValueError(
+                "trigger.kind: the adaptive policy requires scheme 'async_dvw' "
+                f"(got {self.scheme!r})"
+            )
+        if self.time_budget <= 0:
+            raise ValueError("time_budget: must be positive")
+        if self.max_versions is not None and self.max_versions < 1:
+            raise ValueError("max_versions: must be >= 1")
+        assignment, n = self.class_assignment, self.num_learners
+        if assignment.kind == "preset" and len(CLASS_COUNT_PRESETS[assignment.name]) != n:
+            raise ValueError(
+                f"class_assignment.name: {assignment.name!r} defines "
+                f"{len(CLASS_COUNT_PRESETS[assignment.name])} learners but num_learners={n}"
+            )
+        if assignment.kind == "explicit" and len(assignment.per_learner_classes) != n:
+            raise ValueError(
+                f"class_assignment.per_learner_classes: "
+                f"{len(assignment.per_learner_classes)} lists for {n} learners"
+            )
+        # FedAsync brings its own divergence regularizer, rho; an explicit
+        # proximal_mu wins.
+        mu = self.proximal_mu or (self.fedasync.rho if self.scheme == "fedasync_poly" else 0.0)
+        derived = {"hyperparameters": replace(self.hyperparameters, proximal_mu=mu)}
+        if self.profiles is None:
+            derived["profiles"] = (SpeedProfile("fast", **DEFAULT_RATES["fast"]),) * n
+        if self.size_distribution is None:
+            derived["size_distribution"] = SizeDistribution("uniform", n)
+        if self.summary_times is None:
+            derived["summary_times"] = (self.time_budget,)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def with_scheme(self, scheme: str) -> "ExperimentConfig":
         d = self.to_dict()
@@ -370,26 +443,24 @@ def _parse_dataset(sec: _Section) -> DatasetSpec:
     raise ConfigError(f"dataset.kind: expected 'blobs' or 'idx', got {kind!r}")
 
 
-def _parse_model(sec: _Section | None) -> ModelConfig:
-    return ModelConfig() if sec is None else sec.read(ModelConfig)
-
-
-def _parse_profiles(raw: Any, num_learners: int) -> tuple[SpeedProfile, ...]:
+def _parse_profiles(raw: Any, num_learners: int) -> tuple[SpeedProfile, ...] | None:
     path = "speed_profiles"
-    if not isinstance(raw, list):  # absent: all fast, default rates
-        sec = _Section(raw or {}, path)
-        num_fast = sec.take("num_fast", int, default=num_learners)
-        group_secs = {group: sec.section(group) for group in SPEED_GROUPS}
-        sec.finish()
-        if not (0 <= num_fast <= num_learners):
-            raise ConfigError(f"{path}.num_fast: must lie in [0, num_learners]")
-        fast, slow = (
-            _group_profile(group_secs[group], group) for group in SPEED_GROUPS
-        )
-        return tuple(fast if i < num_fast else slow for i in range(num_learners))
-    if len(raw) != num_learners:
-        raise ConfigError(f"{path}: {len(raw)} profiles for {num_learners} learners")
-    return tuple(_Section(item, f"{path}[{i}]").read(SpeedProfile) for i, item in enumerate(raw))
+    if isinstance(raw, list):
+        if len(raw) != num_learners:
+            raise ConfigError(f"{path}: {len(raw)} profiles for {num_learners} learners")
+        return _typed(path, raw, [SpeedProfile])
+    if raw is None:
+        return None
+    sec = _Section(raw, path)
+    num_fast = sec.take("num_fast", int, default=num_learners)
+    group_secs = {group: sec.section(group) for group in SPEED_GROUPS}
+    sec.finish()
+    if not (0 <= num_fast <= num_learners):
+        raise ConfigError(f"{path}.num_fast: must lie in [0, num_learners]")
+    fast, slow = (
+        _group_profile(group_secs[group], group) for group in SPEED_GROUPS
+    )
+    return tuple(fast if i < num_fast else slow for i in range(num_learners))
 
 
 def _group_profile(sec: _Section | None, group: str) -> SpeedProfile:
@@ -401,65 +472,19 @@ def _group_profile(sec: _Section | None, group: str) -> SpeedProfile:
     return sec.build(SpeedProfile, group=group, **rates)
 
 
-def _parse_size_distribution(sec: _Section | None, num_learners: int) -> SizeDistribution:
-    if sec is None:
-        return SizeDistribution("uniform", num_learners)
-    return sec.read(SizeDistribution, num_learners=num_learners)
-
-
-def _parse_class_assignment(sec: _Section | None) -> ClassAssignmentSpec:
-    if sec is None:
-        return ClassAssignmentSpec("iid")
-    kind = sec.take("kind", str, required=True)
-    if kind == "iid":
-        sec.finish()
-        return ClassAssignmentSpec("iid")
-    if kind == "noniid":
-        x = sec.take("classes_per_learner", int, required=True)
-        sec.finish()
-        if x < 1:
-            raise ConfigError("class_assignment.classes_per_learner: must be >= 1")
-        return ClassAssignmentSpec("noniid", classes_per_learner=x)
-    if kind == "preset":
-        name = sec.take("name", str, required=True)
-        sec.finish()
-        if name not in CLASS_COUNT_PRESETS:
-            raise ConfigError(
-                f"class_assignment.name: unknown preset {name!r}; "
-                f"available: {sorted(CLASS_COUNT_PRESETS)}"
-            )
-        return ClassAssignmentSpec("preset", preset=name)
-    if kind == "explicit":
-        lists = sec.take("per_learner_classes", list, required=True)
-        sec.finish()
-        for i, classes in enumerate(lists):
-            # type(c) is int also rejects booleans, which JSON keeps apart.
-            if not isinstance(classes, list) or any(type(c) is not int for c in classes):
-                raise ConfigError(
-                    f"class_assignment.per_learner_classes[{i}]: expected a list of integers"
-                )
-        return ClassAssignmentSpec(
-            "explicit", per_learner_classes=tuple(tuple(classes) for classes in lists)
-        )
-    raise ConfigError(
-        f"class_assignment.kind: expected iid/noniid/preset/explicit, got {kind!r}"
-    )
-
-
 def _parse_group_value(sec: _Section, key: str, types) -> dict[str, Any]:
     """A per-group threshold: a fast/slow object, or one value for both."""
     value = sec.take(key, (dict, float, int))
-    if not isinstance(value, dict):
-        value = {group: value for group in SPEED_GROUPS}
-    child = _Section(value, f"{sec.path}.{key}")
-    values = {group: child.take(group, types, required=key in sec.raw) for group in SPEED_GROUPS}
+    per_group = value if isinstance(value, dict) else {group: value for group in SPEED_GROUPS}
+    child = _Section(per_group, f"{sec.path}.{key}")
+    values = {group: child.take(group, types, required=value is not None) for group in SPEED_GROUPS}
     child.finish()
     return values
 
 
-def _parse_trigger(sec: _Section | None, scheme: str, schemes) -> TriggerSpec:
+def _parse_trigger(sec: _Section | None) -> TriggerSpec | None:
     if sec is None:
-        return TriggerSpec("fixed", FixedPolicy())
+        return None
     kind = sec.take("kind", str, required=True)
     if kind == "fixed":
         return TriggerSpec("fixed", sec.read(FixedPolicy))
@@ -480,108 +505,29 @@ def _parse_trigger(sec: _Section | None, scheme: str, schemes) -> TriggerSpec:
         )
         for group in SPEED_GROUPS
     }
-    if schemes is None and scheme != "async_dvw":
-        raise ConfigError(
-            "trigger.kind: the adaptive policy requires scheme 'async_dvw' "
-            f"(got {scheme!r})"
-        )
     return TriggerSpec("adaptive", fixed, adaptive)
 
 
-def _typed_list(sec: _Section, key: str, types, default: tuple) -> tuple:
-    values = sec.take(key, list)
-    if values is None:
-        return default
-    return tuple(_typed(f"{sec.where(key)}[{i}]", v, types) for i, v in enumerate(values))
-
-
 def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
+    """Read a JSON config into ``ExperimentConfig``. Each field is read under
+    its own key (``_Section.read``); only the sections that are not one key
+    per field are read here."""
     root = _Section(raw, "")
-    name = root.take("name", str, default="experiment")
-    seed = root.take("seed", int, default=DEFAULT_SEED)
-    if seed < 0:
-        raise ConfigError("seed: must be non-negative")
-    if seed >= 2**128:  # the model's initial weights come from Philox(key=seed)
-        raise ConfigError("seed: must be < 2**128")
-
     num_learners = root.take("num_learners", int, required=True)
-    if num_learners < 1:
-        raise ConfigError("num_learners: must be >= 1")
-
-    dataset = _parse_dataset(root.section("dataset", required=True))
-    model = _parse_model(root.section("model"))
-    profiles = _parse_profiles(root.take("speed_profiles", (dict, list)), num_learners)
-    size_dist = _parse_size_distribution(root.section("size_distribution"), num_learners)
-    class_assignment = _parse_class_assignment(root.section("class_assignment"))
-
-    validation_fraction = root.take("validation_fraction", float, default=DEFAULT_VALIDATION_FRACTION)
-    if not (0.0 < validation_fraction < 1.0):
-        raise ConfigError("validation_fraction: must lie strictly between 0 and 1")
-
-    scheme = root.take("scheme", str, default=DEFAULT_SCHEME)
-    if scheme not in SCHEMES:
-        raise ConfigError(f"scheme: expected one of {list(SCHEMES)}, got {scheme!r}")
-    schemes_raw = root.take("schemes", list, default=None)
-    schemes = None
-    if schemes_raw is not None:
-        if not schemes_raw:
-            raise ConfigError("schemes: must list at least one scheme")
-        for s in schemes_raw:
-            if s not in SCHEMES:
-                raise ConfigError(f"schemes: unknown scheme {s!r}")
-        if len(set(schemes_raw)) != len(schemes_raw):
-            raise ConfigError("schemes: duplicate entries")
-        schemes = tuple(schemes_raw)
-
-    trigger = _parse_trigger(root.section("trigger"), scheme, schemes)
-
+    size_sec = root.section("size_distribution")
     hp_sec = root.section("hyperparameters")
-    hp = Hyperparameters() if hp_sec is None else hp_sec.read(
-        Hyperparameters, batch_size=hp_sec.take("beta", int), proximal_mu=None
-    )
-    fa_sec = root.section("fedasync")
-    fedasync = FedAsyncParams() if fa_sec is None else fa_sec.read(FedAsyncParams)
-
-    # FedAsync brings its own divergence regularizer, rho; an explicit
-    # proximal_mu wins.
-    proximal_mu = root.take("proximal_mu", float, default=0.0)
-    mu = proximal_mu or (fedasync.rho if scheme == "fedasync_poly" else 0.0)
-    try:
-        hp = replace(hp, proximal_mu=mu)
-    except ValueError as exc:  # the message starts with the field's name
-        raise ConfigError(str(exc)) from exc
-
-    time_budget = root.take("time_budget", float, default=DEFAULT_TIME_BUDGET)
-    if time_budget <= 0:
-        raise ConfigError("time_budget: must be positive")
-    max_versions = root.take("max_versions", int, default=None)
-    if max_versions is not None and max_versions < 1:
-        raise ConfigError("max_versions: must be >= 1")
-
-    summary_times = _typed_list(root, "summary_times", float, default=(time_budget,))
-    summary_rounds = _typed_list(root, "summary_rounds", int, default=())
-
-    root.finish()
-    return ExperimentConfig(
-        name=name,
-        seed=seed,
+    return root.read(
+        ExperimentConfig,
         num_learners=num_learners,
-        dataset=dataset,
-        model=model,
-        profiles=profiles,
-        size_distribution=size_dist,
-        class_assignment=class_assignment,
-        validation_fraction=validation_fraction,
-        scheme=scheme,
-        schemes=schemes,
-        trigger=trigger,
-        hyperparameters=hp,
-        fedasync=fedasync,
-        proximal_mu=proximal_mu,
-        time_budget=time_budget,
-        max_versions=max_versions,
-        summary_times=summary_times,
-        summary_rounds=summary_rounds,
+        dataset=_parse_dataset(root.section("dataset", required=True)),
+        profiles=_parse_profiles(root.take("speed_profiles", (dict, list)), num_learners),
+        size_distribution=None if size_sec is None else size_sec.read(
+            SizeDistribution, num_learners=num_learners
+        ),
+        trigger=_parse_trigger(root.section("trigger")),
+        hyperparameters=None if hp_sec is None else hp_sec.read(
+            Hyperparameters, batch_size=hp_sec.take("beta", int), proximal_mu=None
+        ),
     )
 
 
@@ -595,7 +541,6 @@ def parse_config(path: str) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(raw)
-
 
 # ---------------------------------------------------------------------------
 # Desk-scale presets: three data-size regimes crossed with IID / non-IID

@@ -277,9 +277,11 @@ class ClassAssignment:
         for i, classes in enumerate(self.per_learner_classes):
             cs = tuple(sorted(set(int(c) for c in classes)))
             if not cs:
-                raise ValueError(f"learner {i} has an empty class list")
+                raise ValueError(f"per_learner_classes[{i}]: learner {i} has an empty class list")
             if cs[0] < 0:
-                raise ValueError(f"learner {i} has a negative class index")
+                raise ValueError(
+                    f"per_learner_classes[{i}]: learner {i} has a negative class index"
+                )
             normalized.append(cs)
         object.__setattr__(self, "per_learner_classes", tuple(normalized))
 

@@ -165,6 +165,31 @@ def test_unbuildable_config_exit_code(tmp_path, capsys, overrides, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        (
+            {"kind": "preset", "name": "noniid-8x1-4x1-3x8"},
+            "class_assignment.name: 'noniid-8x1-4x1-3x8' defines 10 learners but num_learners=3",
+        ),
+        (
+            {"kind": "explicit", "per_learner_classes": [[0], [1]]},
+            "class_assignment.per_learner_classes: 2 lists for 3 learners",
+        ),
+        (
+            {"kind": "explicit", "per_learner_classes": [[0], [], [1]]},
+            "class_assignment.per_learner_classes[1]: learner 1 has an empty class list",
+        ),
+    ],
+    ids=["preset-of-10-for-3", "2-lists-for-3", "empty-list"],
+)
+def test_class_assignment_rejected_before_any_output(tmp_path, capsys, assignment, message):
+    bad = write_config(tmp_path, {"class_assignment": assignment})
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("num_classes", [0, 1, -3])
 def test_idx_num_classes_below_two_exit_code(tmp_path, capsys, num_classes):
     # Rejected at parse, before any of the (absent) IDX files is read.

@@ -136,6 +136,124 @@ def test_class_count_preset_lookup():
     assert counts == CLASS_COUNT_PRESETS["noniid-8x1-7x1-6x1-5x7"]
 
 
+@pytest.mark.parametrize(
+    "num_learners, assignment, message",
+    [
+        (
+            3,
+            {"kind": "preset", "name": "noniid-8x1-4x1-3x8"},
+            "class_assignment.name: 'noniid-8x1-4x1-3x8' defines 10 learners but num_learners=3",
+        ),
+        (
+            3,
+            {"kind": "explicit", "per_learner_classes": [[0], [1]]},
+            "class_assignment.per_learner_classes: 2 lists for 3 learners",
+        ),
+        (
+            3,
+            {"kind": "explicit", "per_learner_classes": [[0], [], [1]]},
+            "class_assignment.per_learner_classes[1]: learner 1 has an empty class list",
+        ),
+        (
+            3,
+            {"kind": "explicit", "per_learner_classes": [[0], [1], [2, -1]]},
+            "class_assignment.per_learner_classes[2]: learner 2 has a negative class index",
+        ),
+        (3, {"kind": "explicit"}, "class_assignment.per_learner_classes: missing required field"),
+        (3, {"kind": "noniid"}, "class_assignment.classes_per_learner: missing required field"),
+        (
+            3,
+            {"kind": "noniid", "classes_per_learner": 0},
+            "class_assignment.classes_per_learner: must be >= 1",
+        ),
+        (10, {"kind": "preset"}, "class_assignment.name: missing required field"),
+        (
+            10,
+            {"kind": "preset", "name": "noniid-1x10"},
+            "class_assignment.name: unknown preset 'noniid-1x10'; available: "
+            + str(sorted(CLASS_COUNT_PRESETS)),
+        ),
+        (
+            3,
+            {"kind": "iid", "name": "noniid-8x1-4x1-3x8"},
+            "class_assignment: unknown keys ['name']",
+        ),
+        (3, {"classes_per_learner": 2}, "class_assignment.kind: missing required field"),
+        (
+            3,
+            {"kind": "rotation"},
+            "class_assignment.kind: expected iid/noniid/preset/explicit, got 'rotation'",
+        ),
+    ],
+    ids=[
+        "preset-of-10-for-3",
+        "2-lists-for-3",
+        "empty-list",
+        "negative-class",
+        "explicit-without-lists",
+        "noniid-without-count",
+        "noniid-zero",
+        "preset-without-name",
+        "unknown-preset",
+        "iid-with-name",
+        "no-kind",
+        "unknown-kind",
+    ],
+)
+def test_class_assignment_checked_at_parse(num_learners, assignment, message):
+    raw = dict(MINIMAL, num_learners=num_learners, class_assignment=assignment)
+    with pytest.raises(ConfigError) as raised:
+        config_from_dict(raw)
+    assert str(raised.value) == message
+
+
+def test_class_assignment_checks_against_the_class_count_at_build():
+    # The dataset's class count is known only once it is built.
+    cfg = config_from_dict(
+        dict(MINIMAL, class_assignment={"kind": "noniid", "classes_per_learner": 3})
+    )
+    with pytest.raises(ValueError, match=r"^classes_per_learner must lie in \[1, num_classes\]$"):
+        cfg.class_assignment.resolve(10, 2)
+
+
+@pytest.mark.parametrize(
+    "with_null, without",
+    [
+        ({"model": None}, {}),
+        ({"trigger": None}, {}),
+        ({"hyperparameters": None}, {}),
+        ({"fedasync": None}, {}),
+        ({"size_distribution": None}, {}),
+        ({"class_assignment": None}, {}),
+        ({"speed_profiles": None}, {}),
+        ({"speed_profiles": {"num_fast": 4, "fast": None}}, {"speed_profiles": {"num_fast": 4}}),
+        (
+            {"scheme": "async_dvw", "trigger": {"kind": "adaptive", "vc_loss": None}},
+            {"scheme": "async_dvw", "trigger": {"kind": "adaptive"}},
+        ),
+    ],
+    ids=[
+        "model",
+        "trigger",
+        "hyperparameters",
+        "fedasync",
+        "size_distribution",
+        "class_assignment",
+        "speed_profiles",
+        "speed_profiles.fast",
+        "trigger.vc_loss",
+    ],
+)
+def test_null_section_means_unset(with_null, without):
+    unset = config_from_dict(dict(MINIMAL, **without))
+    assert config_from_dict(dict(MINIMAL, **with_null)) == unset
+
+
+def test_null_dataset_is_missing():
+    with pytest.raises(ConfigError, match="^dataset: missing required field$"):
+        config_from_dict(dict(MINIMAL, dataset=None))
+
+
 def test_adaptive_trigger_requires_async_dvw():
     trig = {"kind": "adaptive", "vc_loss": 0.5, "vc_tomb": 1}
     with pytest.raises(ConfigError, match="async_dvw"):
@@ -438,6 +556,13 @@ def valid_configs(draw):
         }
     )
     classes = st.lists(st.integers(0, 9), min_size=1, max_size=4)
+    # Only a preset that defines n learners parses (each defines 10).
+    presets = [name for name, counts in CLASS_COUNT_PRESETS.items() if len(counts) == n]
+    preset = (
+        st.fixed_dictionaries({"kind": st.just("preset"), "name": st.sampled_from(presets)})
+        if presets
+        else st.nothing()
+    )
     schemes = draw(st.none() | st.lists(st.sampled_from(SCHEMES), min_size=1, unique=True))
     scheme = draw(st.sampled_from(SCHEMES))
     triggers = [
@@ -492,9 +617,7 @@ def valid_configs(draw):
             | st.fixed_dictionaries(
                 {"kind": st.just("noniid"), "classes_per_learner": st.integers(1, 5)}
             )
-            | st.fixed_dictionaries(
-                {"kind": st.just("preset"), "name": st.sampled_from(sorted(CLASS_COUNT_PRESETS))}
-            )
+            | preset
             | st.fixed_dictionaries(
                 {
                     "kind": st.just("explicit"),
@@ -544,6 +667,7 @@ def test_to_dict_round_trip_property(raw):
     again = config_from_dict(d)
     assert again == cfg
     assert again.to_dict() == d
+    assert json.dumps(again.to_dict()) == json.dumps(d)  # manifest.json keeps the key order
     assert all(p.steps_per_second > 0 and p.eval_samples_per_second > 0 for p in cfg.profiles)
     for scheme in cfg.schemes or ():
         assert cfg.with_scheme(scheme).scheme == scheme
