@@ -245,8 +245,9 @@ class ClassAssignmentSpec:
     """Each learner's classes: all of them (iid), a rotation of
     ``classes_per_learner`` (noniid), the named per-rank class counts of
     ``CLASS_COUNT_PRESETS`` (preset) or ``per_learner_classes`` (explicit).
-    ``ExperimentConfig`` checks the learner count; checks against the
-    dataset's class count run when ``resolve`` builds the assignment."""
+    ``ExperimentConfig`` checks the learner count; ``resolve`` checks the
+    assignment against the dataset's class count, at parse when the config
+    declares that count and otherwise when the federation is built."""
 
     kind: str
     classes_per_learner: int | None = None
@@ -280,6 +281,9 @@ class ClassAssignmentSpec:
             return rotation_assignment(num_learners, self.classes_per_learner, num_classes)
         if self.kind == "preset":
             return assignment_from_class_counts(CLASS_COUNT_PRESETS[self.name], num_classes)
+        for rank, classes in enumerate(self.per_learner_classes):
+            if max(classes) >= num_classes:
+                raise ValueError(f"rank {rank} references a class outside [0, {num_classes})")
         return ClassAssignment(self.per_learner_classes)
 
     def to_dict(self) -> dict:
@@ -324,8 +328,9 @@ class TriggerSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A resolved experiment. ``config_from_dict`` reads each field from the
-    JSON key of its name (``profiles`` from ``speed_profiles``); the root's
-    range checks run here, and fields left unset take their defaults."""
+    JSON key of its name (``profiles`` from ``speed_profiles``) and checks
+    ``num_learners`` before the sections sized by it; the root's other range
+    checks run here, and fields left unset take their defaults."""
 
     num_learners: int
     dataset: DatasetSpec
@@ -352,8 +357,6 @@ class ExperimentConfig:
             raise ValueError("seed: must be non-negative")
         if self.seed >= 2**128:  # the model's initial weights come from Philox(key=seed)
             raise ValueError("seed: must be < 2**128")
-        if self.num_learners < 1:
-            raise ValueError("num_learners: must be >= 1")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction: must lie strictly between 0 and 1")
         if self.scheme not in SCHEMES:
@@ -385,6 +388,13 @@ class ExperimentConfig:
                 f"class_assignment.per_learner_classes: "
                 f"{len(assignment.per_learner_classes)} lists for {n} learners"
             )
+        classes = self.dataset.num_classes  # None: an IDX file's, known once it is read
+        if classes is not None:
+            try:
+                assignment.resolve(n, classes)
+            except ValueError as exc:
+                key = _ASSIGNMENT_KEYS[assignment.kind]
+                raise ValueError(f"class_assignment.{key}: {exc}") from None
         # FedAsync brings its own divergence regularizer, rho; an explicit
         # proximal_mu wins.
         mu = self.proximal_mu or (self.fedasync.rho if self.scheme == "fedasync_poly" else 0.0)
@@ -514,6 +524,8 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     per field are read here."""
     root = _Section(raw, "")
     num_learners = root.take("num_learners", int, required=True)
+    if num_learners < 1:  # before speed_profiles and size_distribution, sized by it
+        raise ConfigError("num_learners: must be >= 1")
     size_sec = root.section("size_distribution")
     hp_sec = root.section("hyperparameters")
     return root.read(

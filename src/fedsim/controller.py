@@ -173,7 +173,7 @@ class FederationController(_Controller):
     def _require_layout(self, req: UpdateRequest) -> None:
         if req.params.layout != self._layout:
             raise ShapeError(
-                f"learner {req.learner_id}: parameter layout {req.params.shapes()} "
+                f"learner {req.learner_id}: parameter layout {req.params.layout.entries} "
                 f"differs from the federation's {self._layout.entries}"
             )
 

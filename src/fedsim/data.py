@@ -298,7 +298,7 @@ def rotation_assignment(num_learners: int, classes_per_learner: int, num_classes
     """Learner k holds classes {(k*x + j) mod C}; full coverage, deterministic."""
     x = classes_per_learner
     if not (1 <= x <= num_classes):
-        raise ValueError("classes_per_learner must lie in [1, num_classes]")
+        raise ValueError(f"{x} classes per learner outside [1, {num_classes}]")
     lists = tuple(
         tuple((k * x + j) % num_classes for j in range(x)) for k in range(num_learners)
     )
@@ -343,6 +343,8 @@ def assign_classes(
     ``learner_order[rank]`` maps ranks to learner ids (identity when absent).
     Samples are drawn per class without replacement, evenly across a
     learner's classes with the remainder going to its lowest class indices.
+    Every class in ``assignment`` lies below the dataset's class count, as
+    ``ClassAssignmentSpec.resolve`` has checked.
     """
     n = len(sizes)
     if len(assignment) != n:
@@ -361,8 +363,6 @@ def assign_classes(
     demand: Counter = Counter()
     for rank in range(n):
         classes = assignment.per_learner_classes[rank]
-        if any(c >= dataset.num_classes for c in classes):
-            raise ValueError(f"rank {rank} references a class outside [0, {dataset.num_classes})")
         size = int(sizes[rank])
         if size < len(classes):
             raise ValueError(

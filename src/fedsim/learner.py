@@ -2,11 +2,12 @@
 
 A learner trains epoch by epoch on its private data (momentum SGD, optional
 proximal pull toward the last community model) and decides when to request a
-community update. A federation's learners live in one ``LearnerBank``: their
-models and momenta are rows of two arrays, and their data are row ranges of
-pooled training and validation sets. Learners whose epochs end together train
-as one cohort, gathered from the bank along a leading member axis, with every
-member's arithmetic exactly as if it trained alone. The fixed policy triggers every ``uf`` epochs; the
+community update. A federation's learners live in one ``LearnerBank``, the
+only place a learner's model is writable: their models and momenta are rows of
+two arrays, and their data are row ranges of pooled training and validation
+sets. Learners whose epochs end together train as one cohort, gathered from
+the bank along a leading member axis, with every member's arithmetic exactly
+as if it trained alone. The fixed policy triggers every ``uf`` epochs; the
 adaptive policy watches the per-epoch change of the local validation loss
 (conditions C1/C2 with a tombstone allowance) and the learner's effective
 staleness against the median of its first ``warmup_cycles`` commits
@@ -30,7 +31,6 @@ from .controller import CommunityModel
 from .data import FederatedSplit
 from .nn import (
     Layout,
-    ParameterBuffer,
     ParameterSet,
     ShapeError,
     Workspace,
@@ -142,26 +142,27 @@ class ValidationCycle:
     last_loss: float | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class LearnerState:
     """A learner's model and bookkeeping.
 
-    ``params`` and ``momentum`` are buffers the learner owns and trains in
-    place (in a federation, views of its ``LearnerBank`` rows); they are
-    copied out only at the exchange boundary
-    (``params.snapshot()`` for an update request) and overwritten only by
+    ``params`` and ``momentum`` are the learner's rows of its ``LearnerBank``,
+    which it trains in place, and ``arrays`` holds the entry views of
+    ``params``. They are copied out only at the exchange boundary (an update
+    request's ``ParameterSet``) and overwritten only by
     ``adopt_community``. ``anchor`` is the community model adopted at the
     last fetch, the target of the proximal pull. ``warmup_staleness`` and
     ``c3_threshold`` are C3's state (adaptive only, filled by
     ``adopt_community``). The optimizer constants are the run's
     (``Hyperparameters``), not the learner's. ``shuffle_keys`` are the keys of
     its epoch shuffles from epoch ``shuffle_first`` on (``_shuffles``), derived
-    from ``data_seed`` and ``id``, which never change.
+    from ``data_seed`` and ``id``, which never change. States compare by
+    identity.
     """
 
     id: int
-    params: ParameterBuffer
-    momentum: ParameterBuffer
+    params: np.ndarray
+    momentum: np.ndarray
     policy: TriggerPolicy
     data_seed: int = 0
     S_k_local: int = 0
@@ -172,38 +173,16 @@ class LearnerState:
     current: ValidationCycle = field(default_factory=ValidationCycle)
     warmup_staleness: list[int] = field(default_factory=list)
     c3_threshold: float | None = None
-    shuffle_first: int = field(default=0, compare=False, repr=False)
-    shuffle_keys: np.ndarray | tuple = field(default=(), compare=False, repr=False)
-
-
-def new_learner(
-    learner_id: int,
-    community: CommunityModel,
-    policy: TriggerPolicy,
-    data_seed: int = 0,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
-) -> LearnerState:
-    """Create a learner that has just adopted the broadcast community model.
-    It trains in ``buffers``, its model and momentum rows of a
-    ``LearnerBank``, or else in zero vectors of its own."""
-    layout = community.params.layout
-    params, momentum = buffers or (None, None)
-    state = LearnerState(
-        id=learner_id,
-        params=ParameterBuffer(layout, params),
-        momentum=ParameterBuffer(layout, momentum),
-        policy=policy,
-        data_seed=data_seed,
-    )
-    adopt_community(state, community)
-    return state
+    shuffle_first: int = field(default=0, repr=False)
+    shuffle_keys: np.ndarray | tuple = field(default=(), repr=False)
+    arrays: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
 
 class LearnerBank:
     """A federation's learners with their models and data, one row each.
 
-    ``params`` and ``momentum`` are (N, layout.size) arrays, and the buffers
-    of learner ``states[r]`` are views of their row r. Row r trains on
+    ``params`` and ``momentum`` are (N, layout.size) arrays, and learner
+    ``states[r]`` trains in their row r. Row r trains on
     samples ``train_start[r]`` to ``train_start[r] + train_n[r]`` of the
     pooled ``split.train`` and is scored on its ``val_start``/``val_n``
     range of ``split.validation``, the sizes ``split.learner_sizes[r]``.
@@ -223,11 +202,13 @@ class LearnerBank:
     def add(
         self, learner_id: int, community: CommunityModel, policy: TriggerPolicy, data_seed: int = 0
     ) -> LearnerState:
-        """A learner at the next free row (``new_learner``)."""
-        row = len(self.states)
-        buffers = (self.params[row], self.momentum[row])
-        self.states.append(new_learner(learner_id, community, policy, data_seed, buffers))
-        return self.states[-1]
+        """A learner at the next free row that has just adopted the broadcast
+        community model."""
+        w, u = self.params[len(self.states)], self.momentum[len(self.states)]
+        state = LearnerState(learner_id, w, u, policy, data_seed, arrays=self.layout.views(w))
+        adopt_community(state, community)
+        self.states.append(state)
+        return state
 
 
 def _cohorts(ws: Workspace, sizes: np.ndarray, batch: int | None = None) -> list[np.ndarray]:
@@ -430,7 +411,7 @@ def _train_cohort(
     perms = _shuffles(ws, states, int(bank.train_n[members[0]]))
     perms += bank.train_start[members][:, None]
     if lone:
-        w, arrays, u = states[0].params.flat, states[0].params.arrays, states[0].momentum.flat
+        w, arrays, u = states[0].params, states[0].arrays, states[0].momentum
         start = ws.array("start", (2 * w.size,))
         np.concatenate((w, u), out=start)
         perms = perms[0]
@@ -644,7 +625,7 @@ def local_validation_loss(
         m, n = members.size, int(sizes[positions[0]])
         if m == 1:
             a = int(bank.val_start[members[0]])
-            arrays = bank.states[members[0]].params.arrays
+            arrays = bank.states[members[0]].arrays
             x, t = pooled.features[a : a + n], pooled.one_hot()[a : a + n]
         else:
             w = bank.params.take(members, axis=0, out=workspace.array("w", (m, layout.size)))
@@ -751,8 +732,8 @@ def adopt_community(state: LearnerState, community: CommunityModel) -> None:
             state.warmup_staleness.append(community.committed_steps - state.S_c_at_fetch)
             state.c3_threshold = staleness_threshold(state.warmup_staleness, policy.warmup_cycles)
     state.current = ValidationCycle()
-    state.params.load(community.params)
-    state.momentum.flat.fill(0.0)
+    np.copyto(state.params, community.params.flat)
+    state.momentum.fill(0.0)
     state.anchor = community.params
     state.S_k_local = 0
     state.S_c_at_fetch = community.committed_steps

@@ -5,8 +5,8 @@ architectures (softmax regression and a one-hidden-layer tanh MLP),
 cross-entropy loss, momentum SGD, and argmax prediction.
 
 A model is one contiguous float64 vector with named 2-D views, laid out by a
-``Layout``. ``ParameterSet`` is the read-only unit of exchange;
-``ParameterBuffer`` is the writable vector a learner trains in place. The
+``Layout``. ``ParameterSet`` is the read-only unit of exchange; a learner
+trains in place in its row of a learner bank, a plain vector. The
 step kernels run on a cohort of models stacked along a leading member axis
 (a cohort of one drops the axis) and write into a reusable ``Workspace``;
 every member's slice goes through the same floating-point operations in the
@@ -108,50 +108,10 @@ def model_layout(spec: ModelSpec) -> Layout:
     )
 
 
-class _FlatParameters:
-    """Read access shared by the immutable and the writable parameter vector."""
-
-    __slots__ = ("_layout", "_flat", "_arrays")
-
-    @property
-    def layout(self) -> Layout:
-        return self._layout
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self._flat
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._layout.names
-
-    @property
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return self._arrays
-
-    def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self.names, self._arrays))
-
-    def array(self, name: str) -> np.ndarray:
-        try:
-            return self._arrays[self.names.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
-
-    def shapes(self) -> tuple[tuple[str, int, int], ...]:
-        return self._layout.entries
-
-    def same_layout(self, other: "_FlatParameters") -> bool:
-        return self._layout == other._layout
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{n}{a.shape}" for n, a in self)
-        return f"{type(self).__name__}({inner})"
-
-
-class ParameterSet(_FlatParameters):
+class ParameterSet:
     """Ordered named float64 matrices in one read-only vector — the unit of
-    model exchange.
+    model exchange: ``flat``, laid out by ``layout``, with one view per entry
+    in ``arrays``.
 
     ``entries`` is an iterable of (name, matrix) pairs, copied into a fresh
     vector. With ``layout``, ``entries`` is instead a flat float64 vector of
@@ -161,7 +121,7 @@ class ParameterSet(_FlatParameters):
     the controller cache and the community model.
     """
 
-    __slots__ = ()
+    __slots__ = ("layout", "flat", "arrays")
 
     def __init__(
         self, entries: Iterable[tuple[str, np.ndarray]] | np.ndarray, layout: Layout | None = None
@@ -191,45 +151,34 @@ class ParameterSet(_FlatParameters):
             bad = next(n for n, a in views if not np.isfinite(a).all())
             raise ShapeError(f"entry {bad!r} contains non-finite values")
         flat.setflags(write=False)
-        self._layout = layout
-        self._flat = flat
-        self._arrays = layout.views(flat)
+        self.layout = layout
+        self.flat = flat
+        self.arrays = layout.views(flat)
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.layout.names
 
-class ParameterBuffer(_FlatParameters):
-    """A writable parameter vector owned by one mutator: ``flat``, a
-    C-contiguous float64 vector of ``layout.size`` values such as a row of a
-    learner bank, or a fresh zero vector.
+    def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
+        return iter(zip(self.names, self.arrays))
 
-    Learners train their model and momentum in place here; ``snapshot``
-    copies it out as a ``ParameterSet`` at the exchange boundary.
-    """
+    def array(self, name: str) -> np.ndarray:
+        try:
+            return self.arrays[self.names.index(name)]
+        except ValueError:
+            raise KeyError(name) from None
 
-    __slots__ = ()
-
-    def __init__(self, layout: Layout, flat: np.ndarray | None = None) -> None:
-        if flat is None:
-            flat = np.zeros(layout.size)
-        self._layout = layout
-        self._flat = flat
-        self._arrays = layout.views(flat)
-
-    def load(self, params: ParameterSet) -> None:
-        _require_same_layout(self, params, "load")
-        np.copyto(self._flat, params.flat)
-
-    def snapshot(self) -> ParameterSet:
-        return ParameterSet(self._flat.copy(), self._layout)
-
-
-def _require_same_layout(a: _FlatParameters, b: _FlatParameters, what: str) -> None:
-    if not a.same_layout(b):
-        raise ShapeError(f"{what}: parameter layouts differ ({a.shapes()} vs {b.shapes()})")
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}{a.shape}" for n, a in self)
+        return f"ParameterSet({inner})"
 
 
 def scale_add(dst: ParameterSet, src: ParameterSet, alpha: float) -> ParameterSet:
     """Entrywise dst + alpha * src; both inputs are left untouched."""
-    _require_same_layout(dst, src, "scale_add")
+    if dst.layout != src.layout:
+        raise ShapeError(
+            f"scale_add: parameter layouts differ ({dst.layout.entries} vs {src.layout.entries})"
+        )
     return ParameterSet(dst.flat + alpha * src.flat, dst.layout)
 
 
@@ -482,7 +431,7 @@ def momentum_update(
     w -= tmp
 
 
-def backward(params: _FlatParameters, x: np.ndarray, y: np.ndarray) -> ParameterSet:
+def backward(params: ParameterSet, x: np.ndarray, y: np.ndarray) -> ParameterSet:
     """Mean cross-entropy gradient of one model over the samples ``x`` (n x d)
     and labels ``y``, computed by ``Workspace.gradient`` in fresh buffers."""
     ws = Workspace(params.layout)
@@ -491,7 +440,7 @@ def backward(params: _FlatParameters, x: np.ndarray, y: np.ndarray) -> Parameter
     return ParameterSet(ws.gradient(params.arrays, s).copy(), params.layout)
 
 
-def predict(params: _FlatParameters, features: np.ndarray) -> np.ndarray:
+def predict(params: ParameterSet, features: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index. The
     caller has checked the features' width (``check_dataset``)."""
     x = np.asarray(features, dtype=np.float64)

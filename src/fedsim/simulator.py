@@ -286,11 +286,11 @@ class _Simulation:
     # -- shared helpers -------------------------------------------------
 
     def _update_request(self, learner_id: int) -> UpdateRequest:
-        """Snapshot the learner's model into a request."""
+        """Copy the learner's bank row into a request's read-only model."""
         state = self.bank.states[learner_id]
         return UpdateRequest(
             learner_id=learner_id,
-            params=state.params.snapshot(),
+            params=ParameterSet(state.params.copy(), self.bank.layout),
             local_steps=state.S_k_local,
             local_train_size=int(self.bank.train_n[learner_id]),
         )

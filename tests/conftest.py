@@ -16,7 +16,7 @@ from fedsim.simulator import run_simulation_detailed
 
 def params_equal(a, b) -> bool:
     """Bit-exact equality of two parameter vectors with the same layout."""
-    return a.same_layout(b) and np.array_equal(a.flat, b.flat)
+    return a.layout == b.layout and np.array_equal(a.flat, b.flat)
 
 
 def controller_from(initial: ParameterSet) -> FederationController:
@@ -64,7 +64,7 @@ def learner_bank(
 
 
 def params_allclose(a, b, rtol: float = 1e-9, atol: float = 0.0) -> bool:
-    return a.same_layout(b) and np.allclose(a.flat, b.flat, rtol=rtol, atol=atol)
+    return a.layout == b.layout and np.allclose(a.flat, b.flat, rtol=rtol, atol=atol)
 
 
 def zeros_like(params: ParameterSet) -> ParameterSet:

@@ -11,6 +11,7 @@ import numpy as np
 
 from fedsim.config import config_from_dict, get_preset, preset_names
 from fedsim.controller import CommunityModel, FederationController, UpdateRequest
+from fedsim.data import generate_blobs
 from fedsim.learner import (
     AdaptivePolicy,
     FixedPolicy,
@@ -18,7 +19,6 @@ from fedsim.learner import (
     adopt_community,
     check_adaptive_trigger,
     effective_staleness,
-    new_learner,
     run_epoch,
 )
 from fedsim.nn import ModelSpec, ParameterSet, Workspace, momentum_update
@@ -342,10 +342,9 @@ def test_criterion_06_staleness_bookkeeping():
     spec = ModelSpec("softmax-regression", input_dim=3, num_classes=2, init_seed=1990)
     ctrl = FederationController(spec)
     rng = np.random.default_rng(11)
-    learners = {
-        lid: new_learner(lid, ctrl.current_model(), FixedPolicy(4))
-        for lid in range(3)
-    }
+    tiny = generate_blobs(3, 2, n_per_class=2, spread=0.3, seed=1)
+    bank = learner_bank(ctrl.current_model(), [tiny] * 3, ids=[0, 1, 2], policy=FixedPolicy(4))
+    learners = dict(enumerate(bank.states))
 
     def commit(lid: int, steps: int) -> int:
         state = learners[lid]
@@ -376,7 +375,8 @@ def test_criterion_06_staleness_bookkeeping():
 def _adaptive_state(policy: AdaptivePolicy):
     spec = ModelSpec("softmax-regression", input_dim=3, num_classes=2, init_seed=0)
     ctrl = FederationController(spec)
-    return new_learner(0, ctrl.current_model(), policy)
+    tiny = generate_blobs(3, 2, n_per_class=2, spread=0.3, seed=1)
+    return learner_bank(ctrl.current_model(), [tiny], policy=policy).states[0]
 
 
 def test_criterion_07_trigger_semantics():
@@ -456,10 +456,11 @@ def test_criterion_08_convergence_sanity():
     bank = learner_bank(ctrl.current_model(), [union], policy=FixedPolicy(1))
     state = bank.states[0]
     hp = Hyperparameters(eta=0.05, gamma=0.75, batch_size=100)
-    ws = Workspace(state.params.layout)
+    ws = Workspace(bank.layout)
     for _ in range(200):
         run_epoch(bank, [0], hp, ws)
-    centralized = evaluate_test_accuracy(state.params, result.split.test)
+    trained = ParameterSet(state.params.copy(), bank.layout)
+    centralized = evaluate_test_accuracy(trained, result.split.test)
     elapsed = time.perf_counter() - start
     assert federated >= 0.95 * centralized, (
         f"federated {federated:.4f} below 95% of centralized {centralized:.4f}"

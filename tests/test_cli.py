@@ -180,8 +180,16 @@ def test_unbuildable_config_exit_code(tmp_path, capsys, overrides, message):
             {"kind": "explicit", "per_learner_classes": [[0], [], [1]]},
             "class_assignment.per_learner_classes[1]: learner 1 has an empty class list",
         ),
+        (
+            {"kind": "noniid", "classes_per_learner": 4},
+            "class_assignment.classes_per_learner: 4 classes per learner outside [1, 3]",
+        ),
+        (
+            {"kind": "explicit", "per_learner_classes": [[0], [1], [3]]},
+            "class_assignment.per_learner_classes: rank 2 references a class outside [0, 3)",
+        ),
     ],
-    ids=["preset-of-10-for-3", "2-lists-for-3", "empty-list"],
+    ids=["preset-of-10-for-3", "2-lists-for-3", "empty-list", "rotation-of-4", "class-3"],
 )
 def test_class_assignment_rejected_before_any_output(tmp_path, capsys, assignment, message):
     bad = write_config(tmp_path, {"class_assignment": assignment})

@@ -128,6 +128,7 @@ def test_class_count_preset_lookup():
     cfg = config_from_dict(
         dict(
             MINIMAL,
+            dataset=dict(MINIMAL["dataset"], num_classes=10),  # the preset takes 8 classes
             class_assignment={"kind": "preset", "name": "noniid-8x1-7x1-6x1-5x7"},
         )
     )
@@ -208,12 +209,69 @@ def test_class_assignment_checked_at_parse(num_learners, assignment, message):
 
 
 def test_class_assignment_checks_against_the_class_count_at_build():
-    # The dataset's class count is known only once it is built.
+    # An IDX dataset without num_classes has its class count only once it is read.
     cfg = config_from_dict(
-        dict(MINIMAL, class_assignment={"kind": "noniid", "classes_per_learner": 3})
+        dict(
+            MINIMAL,
+            dataset=IDX_DATASET,
+            class_assignment={"kind": "noniid", "classes_per_learner": 3},
+        )
     )
-    with pytest.raises(ValueError, match=r"^classes_per_learner must lie in \[1, num_classes\]$"):
+    with pytest.raises(ValueError, match=r"^3 classes per learner outside \[1, 2\]$"):
         cfg.class_assignment.resolve(10, 2)
+
+
+@pytest.mark.parametrize("dataset", [MINIMAL["dataset"], dict(IDX_DATASET, num_classes=4)])
+@pytest.mark.parametrize(
+    "num_learners, assignment, message",
+    [
+        (
+            3,
+            {"kind": "noniid", "classes_per_learner": 5},
+            "class_assignment.classes_per_learner: 5 classes per learner outside [1, 4]",
+        ),
+        (
+            10,
+            {"kind": "preset", "name": "noniid-8x1-4x1-3x8"},
+            "class_assignment.name: class count 8 outside [1, 4]",
+        ),
+        (
+            3,
+            {"kind": "explicit", "per_learner_classes": [[0], [1, 4], [2]]},
+            "class_assignment.per_learner_classes: rank 1 references a class outside [0, 4)",
+        ),
+    ],
+    ids=["rotation-of-5", "preset-of-8", "class-4"],
+)
+def test_class_assignment_checked_against_a_declared_class_count_at_parse(
+    dataset, num_learners, assignment, message
+):
+    raw = dict(MINIMAL, num_learners=num_learners, dataset=dataset, class_assignment=assignment)
+    with pytest.raises(ConfigError) as raised:
+        config_from_dict(raw)
+    assert str(raised.value) == message
+    # Without a declared class count the check waits for the IDX files.
+    undeclared = dict(raw, dataset=IDX_DATASET)
+    with pytest.raises(ValueError) as raised:
+        config_from_dict(undeclared).class_assignment.resolve(num_learners, 4)
+    assert message.endswith(str(raised.value))
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"speed_profiles": {"fast": {}}},
+        {"speed_profiles": {"num_fast": 0}},
+        {"speed_profiles": []},
+        {"size_distribution": {"kind": "uniform", "total": 100}},
+    ],
+    ids=["shorthand", "num-fast-0", "empty-list", "size-distribution"],
+)
+@pytest.mark.parametrize("num_learners", [-1, 0])
+def test_num_learners_is_reported_before_the_sections_it_sizes(num_learners, extra):
+    with pytest.raises(ConfigError) as raised:
+        config_from_dict(dict(MINIMAL, num_learners=num_learners, **extra))
+    assert str(raised.value) == "num_learners: must be >= 1"
 
 
 @pytest.mark.parametrize(
@@ -555,9 +613,21 @@ def valid_configs(draw):
             "eval_samples_per_second": POSITIVE,
         }
     )
-    classes = st.lists(st.integers(0, 9), min_size=1, max_size=4)
-    # Only a preset that defines n learners parses (each defines 10).
-    presets = [name for name, counts in CLASS_COUNT_PRESETS.items() if len(counts) == n]
+    dataset = draw(
+        st.sampled_from([MINIMAL["dataset"], IDX_DATASET, dict(IDX_DATASET, num_classes=3)])
+    )
+    # With a declared class count (blobs always) only classes below it parse;
+    # an IDX dataset without num_classes is checked when its files are read.
+    num_classes = dataset.get("num_classes")
+    top = 10 if num_classes is None else num_classes
+    classes = st.lists(st.integers(0, top - 1), min_size=1, max_size=4)
+    # Only a preset that defines n learners, with no count above a declared
+    # class count, parses (each defines 10).
+    presets = [
+        name
+        for name, counts in CLASS_COUNT_PRESETS.items()
+        if len(counts) == n and (num_classes is None or max(counts) <= num_classes)
+    ]
     preset = (
         st.fixed_dictionaries({"kind": st.just("preset"), "name": st.sampled_from(presets)})
         if presets
@@ -585,7 +655,7 @@ def valid_configs(draw):
     raw = {
         "num_learners": n,
         "seed": draw(st.integers(0, 2**31)),
-        "dataset": draw(st.sampled_from([MINIMAL["dataset"], IDX_DATASET])),
+        "dataset": dataset,
         "model": draw(
             st.none()
             | st.just({"kind": "softmax-regression"})
@@ -615,7 +685,10 @@ def valid_configs(draw):
             st.none()
             | st.just({"kind": "iid"})
             | st.fixed_dictionaries(
-                {"kind": st.just("noniid"), "classes_per_learner": st.integers(1, 5)}
+                {
+                    "kind": st.just("noniid"),
+                    "classes_per_learner": st.integers(1, min(5, top)),
+                }
             )
             | preset
             | st.fixed_dictionaries(

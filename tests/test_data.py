@@ -27,7 +27,7 @@ from fedsim.data import (
 )
 from fedsim.learner import FixedPolicy, Hyperparameters, LearnerBank, run_epoch
 from fedsim.controller import FederationController
-from fedsim.nn import ModelSpec, Workspace, model_layout, predict
+from fedsim.nn import ModelSpec, ParameterSet, Workspace, model_layout, predict
 from tests.conftest import learner_bank
 
 
@@ -189,10 +189,11 @@ def test_blobs_trainable_by_centralized_softmax():
     bank = learner_bank(controller.current_model(), [ds], policy=FixedPolicy(1))
     state = bank.states[0]
     hp = Hyperparameters(eta=0.5, gamma=0.5, batch_size=30)
-    ws, steps = Workspace(state.params.layout), 0
+    ws, steps = Workspace(bank.layout), 0
     while steps < 200:
         steps += run_epoch(bank, [0], hp, ws)
-    acc = float(np.mean(predict(state.params, ds.features) == ds.labels))
+    trained = ParameterSet(state.params.copy(), bank.layout)
+    acc = float(np.mean(predict(trained, ds.features) == ds.labels))
     assert acc >= 0.99
 
 

@@ -26,7 +26,6 @@ from fedsim.learner import (
     compute_vpct,
     effective_staleness,
     local_validation_loss,
-    new_learner,
     run_epoch,
     staleness_threshold,
     trigger_cause,
@@ -52,8 +51,18 @@ def controller():
     return FederationController(SPEC)
 
 
+# A training set for learners that never train.
+TINY = generate_blobs(4, 3, n_per_class=2, spread=0.3, seed=1)
+
+
 def fresh_learner(controller, policy=None):
-    return new_learner(0, controller.current_model(), policy or FixedPolicy(4))
+    """A bank's one learner, which has just adopted the community model."""
+    return learner_bank(controller.current_model(), [TINY], policy=policy).states[0]
+
+
+def frozen(state):
+    """The learner's model as an update request carries it: a read-only copy."""
+    return ParameterSet(state.params.copy(), state.anchor.layout)
 
 
 def solo(controller, train, policy=None, learner_id=0, data_seed=0):
@@ -82,7 +91,7 @@ def test_epoch_is_deterministic(train_set, controller):
     a, b = bank.states
     run_epoch(bank, [0], HP, WS)
     run_epoch(bank, [1], HP, WS)
-    assert params_equal(a.params, b.params)
+    assert np.array_equal(a.params, b.params)
 
 
 def test_zero_mu_matches_plain_trajectory(train_set, controller):
@@ -94,7 +103,7 @@ def test_zero_mu_matches_plain_trajectory(train_set, controller):
     for _ in range(3):
         run_epoch(bank, [0], hp, WS)
         run_epoch(bank, [1], hp, WS)
-    assert params_equal(plain.params, prox.params)
+    assert np.array_equal(plain.params, prox.params)
 
 
 def test_hp_gamma_is_what_trains(train_set, controller):
@@ -104,15 +113,15 @@ def test_hp_gamma_is_what_trains(train_set, controller):
     slow, fast = bank.states
     run_epoch(bank, [0], replace(HP, gamma=0.0), WS)
     run_epoch(bank, [1], replace(HP, gamma=0.9), WS)
-    assert not params_equal(slow.params, fast.params)
-    assert not np.array_equal(slow.momentum.flat, fast.momentum.flat)
+    assert not np.array_equal(slow.params, fast.params)
+    assert not np.array_equal(slow.momentum, fast.momentum)
 
 
 def test_zero_gamma_epoch_is_plain_sgd(controller):
     train = generate_blobs(4, 3, n_per_class=70, spread=0.3, seed=5)  # 210 -> 64,64,64,18
     bank = solo(controller, train)
     run_epoch(bank, [0], Hyperparameters(eta=0.1, gamma=0.75, batch_size=64), WS)
-    assert np.any(bank.states[0].momentum.flat != 0)  # momentum that gamma = 0 must ignore
+    assert np.any(bank.states[0].momentum != 0)  # momentum that gamma = 0 must ignore
     plain_sgd = Hyperparameters(eta=0.1, gamma=0.0, batch_size=64)
     assert_epoch_is_reference(bank, plain_sgd, WS)
 
@@ -125,14 +134,14 @@ def test_proximal_contracts_toward_anchor(controller):
     bank = solo(controller, zero_feats)
     state = bank.states[0]
     anchor = state.anchor
-    drifted = ParameterSet((n, a + 1.0) for n, a in state.params)
-    state.params.load(drifted)
+    state.params += 1.0
     # dataset with zero features still produces a data gradient on biases;
     # isolate the proximal term by checking the weight matrix only.
     hp = Hyperparameters(eta=0.01, gamma=0.0, batch_size=6, proximal_mu=10.0)
-    before_gap = np.abs(state.params.array("W") - anchor.array("W")).max()
+    w = state.arrays[0]  # the entry "W"
+    before_gap = np.abs(w - anchor.array("W")).max()
     run_epoch(bank, [0], hp, WS)
-    after_gap = np.abs(state.params.array("W") - anchor.array("W")).max()
+    after_gap = np.abs(w - anchor.array("W")).max()
     expected = (1 - hp.eta * hp.proximal_mu) * before_gap
     assert after_gap == pytest.approx(expected, rel=1e-9)
 
@@ -144,14 +153,14 @@ def test_large_mu_closed_form_single_step(controller):
     state = bank.states[0]
     # hand-run one proximal-only step on the weight entry
     drift = 0.5
-    state.params.load(ParameterSet((n, a + drift) for n, a in state.params))
+    state.params += drift
     # one step per epoch
     hp = Hyperparameters(eta=0.0005, gamma=0.0, batch_size=6, proximal_mu=1000.0)
-    w_before = state.params.array("W").copy()
+    w_before = state.arrays[0].copy()  # the entry "W"
     anchor_w = state.anchor.array("W")
     run_epoch(bank, [0], hp, WS)
     expected = w_before - hp.eta * 1000.0 * (w_before - anchor_w)
-    assert np.allclose(state.params.array("W"), expected, rtol=1e-12)
+    assert np.allclose(state.arrays[0], expected, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +197,7 @@ def test_vpct_from_zero_previous_is_a_failure():
 
 
 def make_adaptive_state(policy: AdaptivePolicy, epochs=2) -> LearnerState:
-    ctrl = FederationController(SPEC)
-    state = new_learner(0, ctrl.current_model(), policy)
+    state = fresh_learner(FederationController(SPEC), policy)
     state.current.epochs = epochs
     return state
 
@@ -345,7 +353,7 @@ def test_constant_size_state_decides_like_the_full_history(
     warmup_cycles, vc_tomb, vc_loss, max_epochs, ops
 ):
     policy = AdaptivePolicy(vc_loss, vc_tomb, warmup_cycles, max_epochs)
-    state = new_learner(0, FederationController(SPEC).current_model(), policy)
+    state = fresh_learner(FederationController(SPEC), policy)
     reference = FullHistoryTrigger(policy)
 
     def commit(staleness):
@@ -374,7 +382,7 @@ def test_constant_size_state_decides_like_the_full_history(
 
 def test_staleness_self_only():
     ctrl = FederationController(SPEC)
-    state = new_learner(0, ctrl.current_model(), FixedPolicy(4))
+    state = fresh_learner(ctrl)
     state.S_k_local = 12
     assert effective_staleness(ctrl.committed_steps(), state) == 12
 
@@ -393,13 +401,13 @@ def test_staleness_frozen_example():
 
 def test_staleness_zero_right_after_fetch():
     ctrl = FederationController(SPEC)
-    state = new_learner(0, ctrl.current_model(), FixedPolicy(4))
+    state = fresh_learner(ctrl)
     assert effective_staleness(ctrl.committed_steps(), state) == 0
 
 
 def test_staleness_counter_regression_rejected():
     ctrl = FederationController(SPEC)
-    state = new_learner(0, ctrl.current_model(), FixedPolicy(4))
+    state = fresh_learner(ctrl)
     state.S_c_at_fetch = 50
     with pytest.raises(RuntimeError):
         effective_staleness(10, state)
@@ -430,7 +438,7 @@ def test_adopt_twice_is_idempotent(controller):
     model = controller.current_model()
     adopt_community(state, model)
     adopt_community(state, model)
-    assert params_equal(state.params, model.params)
+    assert np.array_equal(state.params, model.params.flat)
     assert state.warmup_staleness == [] and state.c3_threshold is None
 
 
@@ -439,7 +447,7 @@ def test_adopt_keeps_one_staleness_sample_per_warmup_commit(train_set, controlle
     state = bank.states[0]
     for round_no in range(1, 6):
         run_epoch(bank, [0], HP, WS)
-        req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
+        req = UpdateRequest(0, frozen(state), state.S_k_local, train_set.n)
         model = controller.handle_async_update(req, lambda r: 1.0)
         adopt_community(state, model)
         assert state.warmup_staleness == [3] * min(round_no, 3)
@@ -451,7 +459,7 @@ def test_fixed_learner_keeps_no_staleness_samples(train_set, controller):
     bank = solo(controller, train_set)
     state = bank.states[0]
     run_epoch(bank, [0], HP, WS)
-    req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
+    req = UpdateRequest(0, frozen(state), state.S_k_local, train_set.n)
     adopt_community(state, controller.handle_async_update(req, lambda r: 1.0))
     assert state.warmup_staleness == [] and state.c3_threshold is None
 
@@ -460,28 +468,29 @@ def test_adopt_resets_counters_and_momentum(train_set, controller):
     bank = solo(controller, train_set)
     state = bank.states[0]
     run_epoch(bank, [0], HP, WS)
-    assert np.any(state.momentum.flat != 0)
-    req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n)
+    assert np.any(state.momentum != 0)
+    req = UpdateRequest(0, frozen(state), state.S_k_local, train_set.n)
     model = controller.handle_async_update(req, lambda r: 1.0)
     adopt_community(state, model)
     assert state.S_k_local == 0
     assert state.S_c_at_fetch == model.committed_steps
-    assert np.all(state.momentum.flat == 0)
-    assert params_equal(state.params, model.params)
+    assert np.all(state.momentum == 0)
+    assert np.array_equal(state.params, model.params.flat)
     assert effective_staleness(controller.committed_steps(), state) == 0
 
 
 def test_adopt_records_staleness_including_own_steps(train_set, controller):
-    bank = solo(controller, train_set, AdaptivePolicy())
-    state = bank.states[0]
-    other = new_learner(1, controller.current_model(), FixedPolicy(4))
+    bank = learner_bank(
+        controller.current_model(), [train_set, train_set], ids=[0, 1], policy=AdaptivePolicy()
+    )
+    state, other = bank.states
     run_epoch(bank, [0], HP, WS)  # 3 steps
     # another learner commits 7 steps in the meantime
     controller.handle_async_update(
-        UpdateRequest(1, other.params.snapshot(), 7, train_set.n), lambda r: 1.0
+        UpdateRequest(1, frozen(other), 7, train_set.n), lambda r: 1.0
     )
     model = controller.handle_async_update(
-        UpdateRequest(0, state.params.snapshot(), state.S_k_local, train_set.n), lambda r: 1.0
+        UpdateRequest(0, frozen(state), state.S_k_local, train_set.n), lambda r: 1.0
     )
     adopt_community(state, model)
     assert state.warmup_staleness == [7 + 3]
@@ -516,14 +525,14 @@ def test_training_after_commit_leaves_cache_untouched(epochs_after, mu, gamma, d
     bank = solo(ctrl, train, data_seed=data_seed)
     state = bank.states[0]
     run_epoch(bank, [0], hp, WS)
-    req = UpdateRequest(0, state.params.snapshot(), state.S_k_local, train.n)
+    req = UpdateRequest(0, frozen(state), state.S_k_local, train.n)
     committed = ctrl.handle_async_update(req, lambda r: 2.0)
     cached = req.params.flat.copy()
     audit = ctrl.audit_recompute().params
     adopt_community(state, committed)
     for _ in range(epochs_after):
         run_epoch(bank, [0], hp, WS)
-    assert not params_equal(state.params, committed.params)
+    assert not np.array_equal(state.params, committed.params.flat)
     assert np.array_equal(req.params.flat, cached)
     assert params_equal(ctrl.audit_recompute().params, audit)
     assert params_equal(ctrl.current_model().params, committed.params)
@@ -539,8 +548,8 @@ def test_update_request_rejects_a_training_buffer(controller):
 def reference_epoch(state, train, hp):
     """The allocating formulation of one epoch, from plain numpy expressions:
     the in-place loop must reproduce it bit for bit."""
-    w = [a.copy() for a in state.params.arrays]
-    u = [a.copy() for a in state.momentum.arrays]
+    w = [a.copy() for a in state.arrays]
+    u = [a.copy() for a in state.anchor.layout.views(state.momentum)]
     anchor = state.anchor.arrays
     seq = np.random.SeedSequence([state.data_seed, 5, state.id, state.epochs_total])
     perm = np.random.Generator(np.random.Philox(seq)).permutation(train.n)
@@ -578,8 +587,8 @@ def test_in_place_epoch_matches_reference(kind, mu):
     run_epoch(bank, [0], hp, ws)  # a nonzero momentum and a drift from the anchor
     want_w, want_u = reference_epoch(state, train, hp)
     run_epoch(bank, [0], hp, ws)
-    assert all(np.array_equal(a, b) for a, b in zip(state.params.arrays, want_w))
-    assert all(np.array_equal(a, b) for a, b in zip(state.momentum.arrays, want_u))
+    assert all(np.array_equal(a, b) for a, b in zip(state.arrays, want_w))
+    assert all(np.array_equal(a, b) for a, b in zip(bank.layout.views(state.momentum), want_u))
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +697,8 @@ def assert_epoch_is_reference(bank, hp, ws, row=0):
     state, train = bank.states[row], learner_train(bank, row)
     want_w, want_u = reference_epoch(state, train, hp)
     run_epoch(bank, [row], hp, ws)
-    assert np.array_equal(state.params.flat, np.concatenate([a.ravel() for a in want_w]))
-    assert np.array_equal(state.momentum.flat, np.concatenate([a.ravel() for a in want_u]))
+    assert np.array_equal(state.params, np.concatenate([a.ravel() for a in want_w]))
+    assert np.array_equal(state.momentum, np.concatenate([a.ravel() for a in want_u]))
 
 
 def test_shuffle_across_a_key_block_boundary(shuffle_case):
@@ -716,7 +725,7 @@ def test_shuffle_keys_are_per_data_seed_in_a_shared_workspace(shuffle_case):
     for _ in range(3):
         assert_epoch_is_reference(a, hp, ws)
         assert_epoch_is_reference(b, hp, ws)
-    assert not params_equal(a.states[0].params, b.states[0].params)
+    assert not np.array_equal(a.states[0].params, b.states[0].params)
 
 
 def test_shuffle_keys_follow_the_learner_across_workspaces(shuffle_case):
@@ -793,15 +802,15 @@ def cohort_members(kind, hp, sizes, seed, poison=None, dims=(4, 5)):
     ids = [3 * row + 1 for row in range(len(row_sizes))]
     bank = learner_bank(ctrl.current_model(), trains, validations, ids, data_seed=seed)
     for state in bank.states:
-        state.params.load(ParameterSet(rng.normal(size=layout.size), layout))
-        state.momentum.flat[:] = rng.normal(size=layout.size)
+        state.params[:] = rng.normal(size=layout.size)
+        state.momentum[:] = rng.normal(size=layout.size)
         state.anchor = ParameterSet(rng.normal(size=layout.size), layout)
         state.epochs_total = int(rng.integers(0, 5))
     for k, when in (poison or {}).items():
         state = bank.states[rows[k]]
         start = overflow_start(hp, int(when[-1]))
         big = np.finfo(np.float64).max
-        state.params.flat[-1], state.momentum.flat[-1] = start * big, -big
+        state.params[-1], state.momentum[-1] = start * big, -big
     return bank, rows
 
 
@@ -923,10 +932,10 @@ def test_divergence_at_the_last_step_is_found_by_the_epoch_scan(kind, members):
     assert str(raised.value) == (
         f"learner {last.id}: parameters became non-finite at step 3 of epoch {last.epochs_total}"
     )
-    assert not np.isfinite(last.params.flat).all()
+    assert not np.isfinite(last.params).all()
     for row, (want_w, want_u) in zip(rows, wants):
         state = bank.states[row]
-        got_w, got_u = state.params.flat, state.momentum.flat
+        got_w, got_u = state.params, state.momentum
         assert np.array_equal(got_w, np.concatenate([a.ravel() for a in want_w]), equal_nan=True)
         assert np.array_equal(got_u, np.concatenate([a.ravel() for a in want_u]), equal_nan=True)
         assert state.S_k_local == 0 and state.current.epochs == 0

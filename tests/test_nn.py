@@ -11,7 +11,6 @@ from fedsim.nn import (
     MLP_1HIDDEN,
     SOFTMAX_REGRESSION,
     ModelSpec,
-    ParameterBuffer,
     ParameterSet,
     ShapeError,
     Workspace,
@@ -51,7 +50,7 @@ def test_init_differs_across_seeds():
 def test_init_mlp_shapes():
     spec = ModelSpec(MLP_1HIDDEN, input_dim=4, num_classes=3, hidden_dim=16)
     params = init_parameters(spec)
-    assert params.shapes() == (
+    assert params.layout.entries == (
         ("W1", 4, 16),
         ("b1", 1, 16),
         ("W2", 16, 3),
@@ -431,14 +430,3 @@ def test_parameter_set_adopts_a_flat_vector_and_freezes_it(softmax_spec):
         ParameterSet(np.zeros(layout.size + 1), layout)
     with pytest.raises(ShapeError):
         ParameterSet(np.full(layout.size, np.inf), layout)
-
-
-def test_buffer_snapshot_does_not_alias(softmax_spec):
-    params = init_parameters(softmax_spec)
-    buf = ParameterBuffer(params.layout)
-    buf.load(params)
-    snap = buf.snapshot()
-    buf.flat[...] += 1.0
-    assert params_equal(snap, params)
-    with pytest.raises(ShapeError):
-        buf.load(init_parameters(ModelSpec(SOFTMAX_REGRESSION, 5, 3)))

@@ -205,8 +205,8 @@ def test_learner_sets_are_views_of_the_bank_pools(monkeypatch):
             assert start[-1] + n[-1] == pool.n
         # Each learner trains in place on its row of the bank.
         for row, state in enumerate(bank.states):
-            assert np.shares_memory(state.params.flat, bank.params[row])
-            assert np.shares_memory(state.momentum.flat, bank.momentum[row])
+            assert np.shares_memory(state.params, bank.params[row])
+            assert np.shares_memory(state.momentum, bank.momentum[row])
         scored.clear()
         sim.run()
         # DVW scores every commit on the pooled validation set itself.
@@ -558,6 +558,35 @@ def unstackable_config(**overrides):
     )
 
 
+@pytest.mark.parametrize(
+    "model",
+    [{"kind": "softmax-regression"}, {"kind": "mlp-1hidden", "hidden_dim": 5}],
+    ids=["softmax", "mlp"],
+)
+def test_a_learner_is_its_bank_row_and_a_request_copies_it(model):
+    sim = _Simulation(blob_config(model=model))
+    bank = sim.bank
+    for k, state in enumerate(bank.states):
+        assert np.shares_memory(state.params, bank.params[k])
+        assert np.shares_memory(state.momentum, bank.momentum[k])
+        assert len(state.arrays) == len(bank.layout.entries)
+        for view, (_, rows, cols) in zip(state.arrays, bank.layout.entries):
+            assert view.shape == (rows, cols)
+            assert np.shares_memory(view, bank.params[k])
+    run_epoch(bank, range(len(bank.states)), sim.hp, sim.workspace)
+    for k in range(len(bank.states)):
+        req = sim._update_request(k)
+        assert req.params.layout == bank.layout
+        assert np.array_equal(req.params.flat, bank.params[k])
+        assert not np.shares_memory(req.params.flat, bank.params)
+        assert not req.params.flat.flags.writeable
+        with pytest.raises(ValueError):
+            req.params.arrays[0][0, 0] = 1.0
+        before = req.params.flat.copy()
+        bank.params[k] += 1.0
+        assert np.array_equal(req.params.flat, before)
+
+
 def counting_pool_maps():
     """Count ``CohortPool.map`` calls, which each start work on a worker."""
     return mock.patch.object(
@@ -583,8 +612,8 @@ def poison(state, hp, step):
     away. The bias starts half of step ``step``'s rise below F."""
     big = np.finfo(np.float64).max
     rise = hp.eta * sum(hp.gamma**i for i in range(1, step))
-    state.params.flat[-1] = (1.0 - rise - hp.eta * hp.gamma**step / 2) * big
-    state.momentum.flat[-1] = -big
+    state.params[-1] = (1.0 - rise - hp.eta * hp.gamma**step / 2) * big
+    state.momentum[-1] = -big
 
 
 @pytest.mark.parametrize("unstackable, cpus", [(False, 1), (True, 2)])
