@@ -12,8 +12,9 @@ adaptive policy watches the per-epoch change of the local validation loss
 (conditions C1/C2 with a tombstone allowance) and the learner's effective
 staleness against the median of its first ``warmup_cycles`` commits
 (condition C3). A learner keeps only what its trigger (``trigger_cause``) reads.
-Cohorts of models too large to stack train side by side on worker threads
-(``CohortPool``), one share of the cohorts per thread.
+Cohorts of models too large to stack train side by side, one share of the
+cohorts per thread, on threads that start for one epoch and are joined before
+it ends (``_train_side_by_side``).
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import contextvars
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -37,9 +37,6 @@ from .nn import (
     backward,  # noqa: F401 - re-exported: benchmark tracing looks it up here
     momentum_update,
 )
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 CAUSE_C1 = "C1"
 CAUSE_C2 = "C2"
@@ -498,55 +495,31 @@ def _shares(
     return shares
 
 
-class CohortPool:
-    """Worker threads that train shares of one epoch's cohorts beside the
-    calling thread, each worker in its own scratch ``Workspace``.
+def _train_side_by_side(
+    bank: LearnerBank, rows: np.ndarray, hp: Hyperparameters, ws: Workspace, shares: list
+) -> list[tuple[int, int]]:
+    """``_train`` of every share at once, the first on this thread in ``ws``
+    and each other one on a thread started for this call, in a spare
+    workspace (``ws.spares``). Unstackable models' steps release the GIL, so
+    the shares run on separate cores. The threads run in a copy of this
+    thread's context, so numpy's error state carries over. Returns, or
+    raises the first share's error, once every thread has been joined."""
+    # Imported here: concurrent.futures pulls in logging (about 0.5 MB),
+    # which a run that never starts a thread does not need.
+    import concurrent.futures
 
-    ``run_epoch`` uses it only for models too large to stack, whose steps are
-    matmuls and ufunc loops that release the GIL, so the shares run on
-    separate cores. Each learner's arithmetic is the same on any thread. The
-    executor starts on first use, and a workspace is made the first time a
-    worker needs one; ``close`` joins the threads. One pool serves one
-    parameter layout.
-    """
-
-    def __init__(self) -> None:
-        self._executor: ThreadPoolExecutor | None = None
-        self._spaces: list[Workspace] = []
-
-    def map(self, fn: Callable, ws: Workspace, shares: list) -> list:
-        """``fn(space, share)`` for every share, results in share order: the
-        first share on this thread in ``ws``, every other one on a worker in
-        its own workspace. Workers run in a copy of this thread's context, so
-        numpy's error state carries over. Returns, or raises the first
-        share's error, once every share has finished."""
-        # Imported here: concurrent.futures pulls in logging, about 0.5 MB
-        # of memory that a run of small models, which never starts a thread,
-        # does not need.
-        import concurrent.futures
-
-        if self._executor is None:
-            # Threads start only as shares need them, up to one per CPU.
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                cpu_count(), thread_name_prefix="fedsim-cohort"
-            )
-        while len(self._spaces) < len(shares) - 1:
-            self._spaces.append(Workspace(ws.layout))
+    bank.split.train.one_hot()  # built once, before the threads read it
+    while len(ws.spares) < len(shares) - 1:
+        ws.spares.append(Workspace(ws.layout))
+    with concurrent.futures.ThreadPoolExecutor(len(shares) - 1, "fedsim-cohort") as executor:
         futures = [
-            self._executor.submit(contextvars.copy_context().run, fn, space, share)
-            for space, share in zip(self._spaces, shares[1:])
+            executor.submit(contextvars.copy_context().run, _train, bank, rows, hp, space, share)
+            for space, share in zip(ws.spares, shares[1:])
         ]
-        try:
-            first = fn(ws, shares[0])
-        finally:
-            concurrent.futures.wait(futures)
-        return [first] + [future.result() for future in futures]
-
-    def close(self) -> None:
-        """Join the worker threads; the pool starts again on its next use."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
+        failures = _train(bank, rows, hp, ws, shares[0])
+    for future in futures:
+        failures.extend(future.result())
+    return failures
 
 
 def run_epoch(
@@ -554,7 +527,6 @@ def run_epoch(
     rows: Sequence[int] | np.ndarray,
     hp: Hyperparameters,
     workspace: Workspace,
-    pool: CohortPool | None = None,
 ) -> int:
     """Train one epoch of the learners at bank ``rows``, each on its own
     training set; returns the steps taken by all of them.
@@ -570,8 +542,9 @@ def run_epoch(
     ``workspace`` holds the scratch; a federation passes one shared by all its
     learners, and has checked their datasets (``check_dataset``) once, when
     it was built. When the model is too large to stack (every cohort is cut
-    to one member, ``COHORT_SCRATCH_BYTES``), ``pool`` trains the cohorts in
-    ``worker_count`` shares side by side, the first on this thread in
+    to one member, ``COHORT_SCRATCH_BYTES``), the cohorts train in
+    ``worker_count`` shares side by side on threads joined before this returns
+    (``_train_side_by_side``), the first share on this thread in
     ``workspace``; every learner gets the same bits either way.
     Raises ``ShapeError`` for the first learner in ``rows`` that a step
     left with a non-finite parameter, naming that step.
@@ -580,13 +553,11 @@ def run_epoch(
     sizes = bank.train_n[rows]
     cohorts = _cohorts(workspace, sizes, hp.batch_size)
     workers = 1
-    if pool is not None and len(cohorts) > 1:
+    if len(cohorts) > 1:
         if workspace.member_bytes(min(hp.batch_size, int(sizes.min()))) > COHORT_SCRATCH_BYTES:
             workers = worker_count(len(cohorts))
     if workers > 1:
-        train = partial(_train, bank, rows, hp)
-        parts = pool.map(train, workspace, _shares(cohorts, sizes, workers))
-        failures = [failure for part in parts for failure in part]
+        failures = _train_side_by_side(bank, rows, hp, workspace, _shares(cohorts, sizes, workers))
     else:
         failures = _train(bank, rows, hp, workspace, cohorts)
     if failures:

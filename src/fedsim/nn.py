@@ -293,7 +293,8 @@ class Workspace:
     that the learners' epoch shuffles reseat with a key before each
     permutation: ``seat`` is the Philox state it is reseated with, a zero
     counter and empty output buffers, whose key alone each shuffle swaps.
-    The keys are the learners' own.
+    The keys are the learners' own. ``spares`` are the workspaces of threads
+    that train beside this one for an epoch, made on first need and reused.
     """
 
     def __init__(self, layout: Layout) -> None:
@@ -301,6 +302,7 @@ class Workspace:
         self.layout = layout
         self._store: dict[str, np.ndarray] = {}
         self._shapes: dict[tuple[int, int], _CohortScratch] = {}
+        self.spares: list[Workspace] = []
         self.shuffle = np.random.Generator(np.random.Philox(0))
         zeros = (0, 0, 0, 0)  # Python ints: Philox's state setter reads them fastest
         self.seat = {

@@ -42,7 +42,6 @@ from .data import (
 from .learner import (
     CAUSE_FIXED,
     AdaptivePolicy,
-    CohortPool,
     LearnerBank,
     LearnerState,
     adopt_community,
@@ -262,10 +261,7 @@ class _Simulation:
         ]
         self.pending_causes: list[str | None] = [None] * cfg.num_learners
         self.controller = controller
-        # The event loop's thread trains in this workspace; the pool's
-        # workers, which start only for models too large to stack, in theirs.
         self.workspace = Workspace(model_layout(model_spec))
-        self.pool = CohortPool()
         self._init_fanout()
         self.log = MetricsLog()
         self.requests = 0
@@ -382,7 +378,7 @@ class _Simulation:
             if t_end > cfg.time_budget:
                 break
             for _ in range(uf):
-                run_epoch(self.bank, rows, self.hp, self.workspace, self.pool)
+                run_epoch(self.bank, rows, self.hp, self.workspace)
             requests = [self._update_request(k) for k in rows]
             community = self.controller.handle_sync_round(requests, self._weight)
             self.clock = t_end
@@ -435,7 +431,7 @@ class _Simulation:
     def _on_epochs_done(self, rows: list[int], t: float) -> None:
         """Train the cohort one epoch, score the validation loss of the
         members whose adaptive trigger reads it, then check each trigger."""
-        run_epoch(self.bank, rows, self.hp, self.workspace, self.pool)
+        run_epoch(self.bank, rows, self.hp, self.workspace)
         states = self.bank.states
         losses: list[float | None] = [None] * len(rows)
         scored = [i for i, k in enumerate(rows) if isinstance(states[k].policy, AdaptivePolicy)]
@@ -476,13 +472,10 @@ class _Simulation:
         self._schedule(t + self.epoch_durations[learner_id], learner_id, EVENT_EPOCH_DONE)
 
     def run(self) -> SimulationResult:
-        try:
-            if self.scheme.startswith("sync_"):
-                self.run_sync()
-            else:
-                self.run_async()
-        finally:
-            self.pool.close()
+        if self.scheme.startswith("sync_"):
+            self.run_sync()
+        else:
+            self.run_async()
         return SimulationResult(
             log=self.log,
             bank=self.bank,

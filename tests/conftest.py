@@ -40,6 +40,14 @@ def pinned_cpus(cpus: int):
             yield
 
 
+def counting_side_by_side_epochs():
+    """Count ``learner._train_side_by_side`` calls: one per epoch whose
+    shares train on threads."""
+    return mock.patch.object(
+        learner_mod, "_train_side_by_side", wraps=learner_mod._train_side_by_side
+    )
+
+
 def learner_bank(
     community: CommunityModel, trains, validations=None, ids=None, policy=None, data_seed=0
 ) -> LearnerBank:

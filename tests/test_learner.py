@@ -17,7 +17,6 @@ from fedsim.learner import (
     BLAS_THREAD_VARS,
     COHORT_SCRATCH_BYTES,
     AdaptivePolicy,
-    CohortPool,
     FixedPolicy,
     Hyperparameters,
     LearnerState,
@@ -32,7 +31,7 @@ from fedsim.learner import (
     worker_count,
 )
 from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace, model_layout
-from tests.conftest import learner_bank, params_equal, pinned_cpus
+from tests.conftest import counting_side_by_side_epochs, learner_bank, params_equal, pinned_cpus
 
 SPEC = ModelSpec("softmax-regression", input_dim=4, num_classes=3, init_seed=1990)
 HP = Hyperparameters(eta=0.05, gamma=0.5, batch_size=100)
@@ -987,13 +986,9 @@ def test_unstackable_cohorts_train_alike_on_one_and_two_workers(sizes, mu, batch
         bank, rows = cohort_members("mlp-1hidden", hp, sizes, seed, dims=(64, 256))
         ws = Workspace(bank.layout)
         assert ws.member_bytes(1) > COHORT_SCRATCH_BYTES  # every cohort has one member
-        pool = CohortPool()
-        try:
-            with pinned_cpus(cpus), mock.patch.object(pool, "map", wraps=pool.map) as spy:
-                for _ in range(2):
-                    run_epoch(bank, rows, hp, ws, pool)
-        finally:
-            pool.close()
+        with pinned_cpus(cpus), counting_side_by_side_epochs() as spy:
+            for _ in range(2):
+                run_epoch(bank, rows, hp, ws)
         trained.append(bank)
         maps.append(spy.call_count)
     assert maps == [0, 2]
@@ -1010,16 +1005,115 @@ def test_unstackable_cohorts_on_more_threads_than_cpus_train_alike():
     sizes = [(9, 3), (20, 3), (33, 4), (20, 3), (9, 3), (33, 4)]
     serial, rows = cohort_members("mlp-1hidden", hp, sizes, 11, dims=(64, 256))
     threaded, _ = cohort_members("mlp-1hidden", hp, sizes, 11, dims=(64, 256))
-    ws, pool, interval = Workspace(serial.layout), CohortPool(), sys.getswitchinterval()
-    for _ in range(3):
-        run_epoch(serial, rows, hp, ws)
+    ws, interval = Workspace(serial.layout), sys.getswitchinterval()
+    with pinned_cpus(1):
+        for _ in range(3):
+            run_epoch(serial, rows, hp, ws)
     sys.setswitchinterval(1e-6)
     try:
         with pinned_cpus(6):
             for _ in range(3):
-                run_epoch(threaded, rows, hp, ws, pool)
+                run_epoch(threaded, rows, hp, ws)
     finally:
         sys.setswitchinterval(interval)
-        pool.close()
     assert np.array_equal(serial.params, threaded.params)
     assert np.array_equal(serial.momentum, threaded.momentum)
+
+
+@given(
+    cohorts=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 50)), min_size=1, max_size=12),
+    workers=st.integers(1, 12),
+    order=st.randoms(use_true_random=False),
+)
+def test_shares_deal_every_cohort_once_and_balance_the_loads(cohorts, workers, order):
+    # Cohort k has members[k] learners of size[k] samples each.
+    workers = min(workers, len(cohorts))
+    members, size = zip(*cohorts)
+    sizes = np.repeat(size, members)
+    ends = np.cumsum(members)
+    positions = [np.arange(end - m, end) for m, end in zip(members, ends)]
+
+    def deal(positions, sizes):  # the shares as lists of cohort indices
+        index = {id(c): k for k, c in enumerate(positions)}
+        shares = learner_mod._shares(positions, sizes, workers)
+        return [[index[id(c)] for c in share] for share in shares]
+
+    shares = deal(positions, sizes)
+    assert len(shares) == workers and all(shares)
+    assert sorted(k for share in shares for k in share) == list(range(len(cohorts)))
+    loads = [sum(members[k] * size[k] for k in share) for share in shares]
+    assert max(loads) - min(loads) <= max(m * n for m, n in cohorts)
+    # The same cohorts at other positions, with the same sizes, are dealt alike.
+    moved = list(range(sizes.size))
+    order.shuffle(moved)
+    moved_sizes = np.empty_like(sizes)
+    moved_sizes[moved] = sizes
+    assert deal([np.array([moved[i] for i in c]) for c in positions], moved_sizes) == shares
+
+
+def unstackable_shares(hp, sizes, workers):
+    """The shares ``run_epoch`` deals the members of ``cohort_members`` with
+    ``sizes`` into at ``workers`` threads, as lists of member positions."""
+    bank, _ = cohort_members("mlp-1hidden", hp, sizes, 0, dims=(64, 256))
+    ws, n = Workspace(bank.layout), np.array([t for t, _ in sizes])
+    shares = learner_mod._shares(learner_mod._cohorts(ws, n, hp.batch_size), n, workers)
+    return [[int(p) for cohort in share for p in cohort] for share in shares]
+
+
+UNSTACKABLE_SIZES = [(9, 3), (20, 3), (33, 4), (20, 3)]
+
+
+@pytest.mark.parametrize("share", [0, 1], ids=["calling-thread", "worker-thread"])
+def test_a_diverging_learner_on_any_thread_is_named_as_on_one_cpu(share):
+    hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=8)
+    member = unstackable_shares(hp, UNSTACKABLE_SIZES, 2)[share][0]
+    threads, messages, sides = threading.active_count(), [], []
+    for cpus in (1, 2):
+        bank, rows = cohort_members(
+            "mlp-1hidden", hp, UNSTACKABLE_SIZES, 5, poison={member: "step2"}, dims=(64, 256)
+        )
+        with pinned_cpus(cpus), counting_side_by_side_epochs() as spy:
+            with np.errstate(all="ignore"), pytest.raises(ShapeError) as raised:
+                run_epoch(bank, rows, hp, Workspace(bank.layout))
+        assert threading.active_count() == threads
+        messages.append(str(raised.value))
+        sides.append(spy.call_count)
+    assert sides == [0, 1]
+    state = bank.states[rows[member]]
+    assert messages == [
+        f"learner {state.id}: parameters became non-finite at step 2 of epoch {state.epochs_total}"
+    ] * 2
+
+
+@pytest.mark.parametrize("failing", [[1], [0, 1]], ids=["worker", "both"])
+def test_an_error_in_a_share_surfaces_after_every_thread_is_joined(failing):
+    # Only the first share's error is raised when both fail.
+    hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=8)
+    shares = unstackable_shares(hp, UNSTACKABLE_SIZES, 2)
+    bank, rows = cohort_members("mlp-1hidden", hp, UNSTACKABLE_SIZES, 5, dims=(64, 256))
+    bad = {int(rows[shares[k][-1]]): k for k in failing}
+    train_cohort = learner_mod._train_cohort
+
+    def failing_cohort(bank, members, hp, ws):
+        if int(members[0]) in bad:
+            raise RuntimeError(f"share {bad[int(members[0])]}")
+        return train_cohort(bank, members, hp, ws)
+
+    threads = threading.active_count()
+    with pinned_cpus(2), mock.patch.object(learner_mod, "_train_cohort", failing_cohort):
+        with pytest.raises(RuntimeError) as raised:
+            run_epoch(bank, rows, hp, Workspace(bank.layout))
+    assert str(raised.value) == f"share {failing[0]}"
+    assert threading.active_count() == threads
+
+
+def test_side_by_side_epochs_reuse_their_spare_workspaces():
+    hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=8)
+    bank, rows = cohort_members("mlp-1hidden", hp, UNSTACKABLE_SIZES, 5, dims=(64, 256))
+    ws, spares = Workspace(bank.layout), []
+    with pinned_cpus(3):
+        for _ in range(2):
+            run_epoch(bank, rows, hp, ws)
+            spares.append(list(ws.spares))
+    assert [len(s) for s in spares] == [2, 2]
+    assert all(a is b for a, b in zip(*spares))

@@ -1,12 +1,10 @@
 import math
 import threading
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from fedsim import learner as learner_mod
 from fedsim import nn as nn_mod
 from fedsim import simulator as simulator_mod
 from fedsim.config import config_from_dict, get_preset
@@ -23,7 +21,7 @@ from fedsim.simulator import (
     run_simulation_detailed,
     staleness_report,
 )
-from tests.conftest import pinned_cpus
+from tests.conftest import counting_side_by_side_epochs, pinned_cpus
 from tests.test_data import write_idx_images, write_idx_labels
 
 
@@ -539,8 +537,8 @@ def test_zero_validation_loss_does_not_abort_the_run(monkeypatch):
 
 
 def unstackable_config(**overrides):
-    """A sync_fedavg run of a 64-256-3 MLP, larger than the cohort scratch
-    cap, over learners of mixed sizes."""
+    """A run (sync_fedavg unless overridden) of a 64-256-3 MLP, larger than
+    the cohort scratch cap, over learners of mixed sizes unless overridden."""
     dataset = {
         "kind": "blobs",
         "input_dim": 64,
@@ -549,13 +547,10 @@ def unstackable_config(**overrides):
         "test_samples_per_class": 20,
         "spread": 0.4,
     }
-    return blob_config(
-        dataset=dataset,
-        model={"kind": "mlp-1hidden", "hidden_dim": 256},
-        size_distribution={"kind": "powerlaw", "total": 150},
-        max_versions=3,
-        **overrides,
-    )
+    sizes = {"kind": "powerlaw", "total": 150}
+    overrides = {"size_distribution": sizes, "max_versions": 3, **overrides}
+    model = {"kind": "mlp-1hidden", "hidden_dim": 256}
+    return blob_config(dataset=dataset, model=model, **overrides)
 
 
 @pytest.mark.parametrize(
@@ -587,18 +582,25 @@ def test_a_learner_is_its_bank_row_and_a_request_copies_it(model):
         assert np.array_equal(req.params.flat, before)
 
 
-def counting_pool_maps():
-    """Count ``CohortPool.map`` calls, which each start work on a worker."""
-    return mock.patch.object(
-        learner_mod.CohortPool, "map", autospec=True, side_effect=learner_mod.CohortPool.map
-    )
+UNIFORM = {"size_distribution": {"kind": "uniform", "total": 160}, "max_versions": 16}
 
 
-def test_unstackable_sync_run_writes_the_same_csv_on_one_and_two_workers():
+@pytest.mark.parametrize(
+    "scheme, overrides",
+    [
+        pytest.param("sync_fedavg", {}, id="sync_fedavg-powerlaw"),
+        pytest.param("sync_fedavg", UNIFORM, id="sync_fedavg-uniform"),
+        pytest.param("async_dvw", UNIFORM, id="async_dvw-uniform"),
+        pytest.param("fedasync_poly", UNIFORM, id="fedasync_poly-uniform"),
+    ],
+)
+def test_unstackable_run_writes_the_same_csv_on_one_and_two_workers(scheme, overrides):
+    # Async learners of one speed and equal sizes end their epochs together.
+    cfg = unstackable_config(scheme=scheme, **overrides)
     csvs, maps = [], []
     for cpus in (1, 2):
-        with pinned_cpus(cpus), counting_pool_maps() as spy:
-            csvs.append(run_simulation(unstackable_config()).to_csv())
+        with pinned_cpus(cpus), counting_side_by_side_epochs() as spy:
+            csvs.append(run_simulation(cfg).to_csv())
         maps.append(spy.call_count)
     assert maps[0] == 0 and maps[1] > 0
     assert csvs[0] == csvs[1]
@@ -635,7 +637,7 @@ def test_sync_round_reports_the_earliest_diverging_epoch_first(unstackable, cpus
 
 def test_runs_leave_no_worker_thread_behind():
     threads = threading.active_count()
-    with pinned_cpus(2), counting_pool_maps() as spy:
+    with pinned_cpus(2), counting_side_by_side_epochs() as spy:
         run_simulation(unstackable_config())
         assert spy.call_count > 0
         assert threading.active_count() == threads
