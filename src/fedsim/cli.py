@@ -34,7 +34,6 @@ from .config import (
     get_preset,
     parse_config,
     preset_names,
-    PRESETS,
 )
 from .controller import DegenerateFederationError
 from .simulator import MetricsLog, SimulationResult, run_simulation_detailed
@@ -235,10 +234,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_presets(_args: argparse.Namespace) -> int:
     for name in preset_names():
-        preset = PRESETS[name]
-        schemes = preset.get("schemes")
-        scheme = ",".join(schemes) if schemes else preset.get("scheme", "sync_fedavg")
-        print(f"{name:28s} scheme={scheme}")
+        cfg = config_from_dict(get_preset(name))
+        print(f"{name:28s} scheme={','.join(cfg.schemes or (cfg.scheme,))}")
     return 0
 
 

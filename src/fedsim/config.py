@@ -1,10 +1,13 @@
 """Declarative experiment configuration: JSON schema, defaults, presets.
 
 A config file describes the federation topology, data distribution,
-weighting scheme, trigger policy and simulation profile. Parsing fills
-defaults, rejects unknown keys and reports errors with their field path.
-The resolved config serializes back to a canonical dict, which is what the
-run manifest stores so any run can be reproduced byte-for-byte.
+weighting scheme, trigger policy and simulation profile. Each section is a
+dataclass read field by field from the JSON key of its name. The dataset,
+the class assignment and the trigger name a ``kind``, and each kind is its
+own dataclass, so a key of another kind is rejected like any unknown key.
+Parsing fills defaults, rejects unknown keys and reports errors with their
+field path. The resolved config serializes back to a canonical dict, which
+is what the run manifest stores so any run can be reproduced byte-for-byte.
 """
 
 from __future__ import annotations
@@ -13,16 +16,10 @@ import functools
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import MISSING, asdict, dataclass, fields, replace
-from typing import Any, Union, get_args, get_origin, get_type_hints
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Any, ClassVar, Union, get_args, get_origin, get_type_hints
 
-from .data import (
-    ClassAssignment,
-    SizeDistribution,
-    assignment_from_class_counts,
-    iid_assignment,
-    rotation_assignment,
-)
+from .data import SizeDistribution
 from .learner import AdaptivePolicy, FixedPolicy, Hyperparameters, TriggerPolicy
 from .nn import MLP_1HIDDEN, MODEL_KINDS, SOFTMAX_REGRESSION
 from .weighting import SCHEMES, FedAsyncParams
@@ -48,16 +45,35 @@ class ConfigError(ValueError):
 
 def _typed(where: str, value: Any, types):
     """``value`` read as ``types``: a JSON type or a tuple of them, a
-    dataclass or ``_Section`` (read from an object), or ``[X]``, a list read
-    element by element as ``X`` into a tuple. An integer stands for a float.
-    Booleans are not integers, and floats must be finite: Python's JSON
-    reader accepts ``NaN`` and ``Infinity``, which pass every range check."""
+    dataclass or ``_Section`` (read from an object), ``[X]``, a list read
+    element by element as ``X`` into a tuple, a ``Union`` of dataclasses,
+    read as the one whose ``kind`` the object names, or ``dict[str, X]``, an
+    object of one ``X`` per speed group or one ``X`` for both. An integer
+    stands for a float. Booleans are not integers, and floats must be finite:
+    Python's JSON reader accepts ``NaN`` and ``Infinity``, which pass every
+    range check."""
     if isinstance(types, list):
         items = _typed(where, value, list)
         return tuple(_typed(f"{where}[{i}]", v, types[0]) for i, v in enumerate(items))
     if types is _Section or hasattr(types, "__dataclass_fields__"):
         sec = _Section(value, where)
         return sec if types is _Section else sec.read(types)
+    origin = get_origin(types)
+    if origin is Union:
+        sec = _Section(value, where)
+        kinds = {cls.kind: cls for cls in get_args(types)}
+        kind = sec.take("kind", str, required=True)
+        if kind not in kinds:
+            raise ConfigError(f"{where}.kind: expected {'/'.join(kinds)}, got {kind!r}")
+        return sec.read(kinds[kind])
+    if origin is dict:
+        item = get_args(types)[1]
+        if not isinstance(value, Mapping):
+            return dict.fromkeys(SPEED_GROUPS, _typed(where, value, item))
+        sec = _Section(value, where)
+        per_group = {group: sec.take(group, item, required=True) for group in SPEED_GROUPS}
+        sec.finish()
+        return per_group
     if types is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if types is int and isinstance(value, bool):
@@ -84,10 +100,26 @@ def _json_type(hint):
 @functools.cache
 def _schema(cls) -> tuple[tuple[str, Any, bool], ...]:
     """(name, type read, required) of each field of dataclass ``cls``, in
-    field order (``_json_type``); a field without a default is required.
-    Cached: type hints are costly to resolve."""
+    field order (``_json_type``); a field without a default or a default
+    factory is required. Cached: type hints are costly to resolve."""
     hints = get_type_hints(cls)
-    return tuple((f.name, _json_type(hints[f.name]), f.default is MISSING) for f in fields(cls))
+    return tuple(
+        (f.name, _json_type(hints[f.name]), f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
+
+
+def _plain(value):
+    """``value`` as JSON: a dataclass as an object of its ``kind`` and then
+    its fields, in order; a tuple as a list."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if not hasattr(value, "__dataclass_fields__"):
+        return value
+    head = {"kind": value.kind} if hasattr(value, "kind") else {}
+    return head | {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
 
 
 class _Section:
@@ -121,12 +153,12 @@ class _Section:
             where = self.path or "config"
             raise ConfigError(f"{where}: unknown keys {unknown}")
 
-    def build(self, cls, key: str = "", /, **values):
+    def build(self, cls, /, **values):
         """Finish the section and construct ``cls`` from the values the JSON
         set; ``cls`` supplies the defaults and the range checks. Its
-        ``ValueError`` is reported at this section's path (or at ``key``),
-        or at a field of ``cls`` that the message starts with
-        (``"name: ..."``, ``"per_learner_classes[1]: ..."``)."""
+        ``ValueError`` is reported at this section's path, or at a field of
+        ``cls`` that the message starts with (``"name: ..."``,
+        ``"per_learner_classes[1]: ..."``)."""
         self.finish()
         try:
             return cls(**{name: v for name, v in values.items() if v is not None})
@@ -135,22 +167,20 @@ class _Section:
             head = message.partition(":")[0].partition("[")[0]
             if any(head == name for name, _, _ in _schema(cls)):
                 raise ConfigError(self.where(message)) from exc
-            where = self.where(key) if key else self.path
-            raise ConfigError(f"{where}: {message}" if where else message) from exc
+            raise ConfigError(f"{self.path}: {message}" if self.path else message) from exc
 
-    def read(self, cls, key: str = "", /, **values):
+    def read(self, cls, /, **values):
         """``build`` ``cls`` with each field that ``values`` does not set
-        read under its own name as its annotated type (``_schema``). A class
-        of one field may be read under ``key``, where its errors are then
-        reported."""
+        read under its own name as its annotated type (``_schema``)."""
         for name, types, required in _schema(cls):
             if name not in values:
-                values[name] = self.take(key or name, types, required=required)
-        return self.build(cls, key, **values)
+                values[name] = self.take(name, types, required=required)
+        return self.build(cls, **values)
 
 
 @dataclass(frozen=True)
 class BlobsSpec:
+    kind: ClassVar[str] = "blobs"
     input_dim: int
     num_classes: int
     train_samples_per_class: int
@@ -169,12 +199,10 @@ class BlobsSpec:
         if self.spread < 0:
             raise ValueError("spread must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {"kind": "blobs", **asdict(self)}
-
 
 @dataclass(frozen=True)
 class IdxSpec:
+    kind: ClassVar[str] = "idx"
     train_images: str
     train_labels: str
     test_images: str
@@ -184,9 +212,6 @@ class IdxSpec:
     def __post_init__(self) -> None:
         if self.num_classes is not None and self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-
-    def to_dict(self) -> dict:
-        return {"kind": "idx", **asdict(self)}
 
 
 DatasetSpec = Union[BlobsSpec, IdxSpec]
@@ -231,98 +256,128 @@ def _size_distribution_dict(dist: SizeDistribution) -> dict:
     return d
 
 
-# The key each class-assignment kind reads besides "kind".
-_ASSIGNMENT_KEYS = {
-    "iid": None,
-    "noniid": "classes_per_learner",
-    "preset": "name",
-    "explicit": "per_learner_classes",
-}
+# The class assignment names each learner's data classes, one dataclass per
+# kind. ``ExperimentConfig`` checks the learner count; ``resolve`` returns each
+# rank's sorted classes and checks them against the dataset's class count, at
+# parse when the config declares that count and otherwise at build.
 
 
 @dataclass(frozen=True)
-class ClassAssignmentSpec:
-    """Each learner's classes: all of them (iid), a rotation of
-    ``classes_per_learner`` (noniid), the named per-rank class counts of
-    ``CLASS_COUNT_PRESETS`` (preset) or ``per_learner_classes`` (explicit).
-    ``ExperimentConfig`` checks the learner count; ``resolve`` checks the
-    assignment against the dataset's class count, at parse when the config
-    declares that count and otherwise when the federation is built."""
+class IidClasses:
+    """Every learner holds every class."""
 
-    kind: str
-    classes_per_learner: int | None = None
-    name: str | None = None
-    per_learner_classes: tuple[tuple[int, ...], ...] | None = None
+    kind: ClassVar[str] = "iid"
+
+    def resolve(self, num_learners: int, num_classes: int) -> tuple[tuple[int, ...], ...]:
+        return (tuple(range(num_classes)),) * num_learners
+
+
+@dataclass(frozen=True)
+class RotationClasses:
+    """Learner k holds classes {(k*x + j) mod C}, x = ``classes_per_learner``:
+    full coverage, deterministic."""
+
+    kind: ClassVar[str] = "noniid"
+    classes_per_learner: int
 
     def __post_init__(self) -> None:
-        if self.kind not in _ASSIGNMENT_KEYS:
-            raise ValueError(f"kind: expected iid/noniid/preset/explicit, got {self.kind!r}")
-        key = _ASSIGNMENT_KEYS[self.kind]
-        if key and getattr(self, key) is None:
-            raise ValueError(f"{key}: missing required field")
-        unread = [
-            k for k in _ASSIGNMENT_KEYS.values() if k and k != key and getattr(self, k) is not None
-        ]
-        if unread:
-            raise ValueError(f"unknown keys {sorted(unread)}")
-        if self.kind == "noniid" and self.classes_per_learner < 1:
+        if self.classes_per_learner < 1:
             raise ValueError("classes_per_learner: must be >= 1")
-        if self.kind == "preset" and self.name not in CLASS_COUNT_PRESETS:
+
+    def resolve(self, num_learners: int, num_classes: int) -> tuple[tuple[int, ...], ...]:
+        x = self.classes_per_learner
+        if x > num_classes:
+            raise ValueError(f"{x} classes per learner outside [1, {num_classes}]")
+        return tuple(
+            tuple(sorted((k * x + j) % num_classes for j in range(x))) for k in range(num_learners)
+        )
+
+
+@dataclass(frozen=True)
+class PresetClasses:
+    """The per-rank class counts named in ``CLASS_COUNT_PRESETS``; each rank
+    takes its count of classes round-robin, after the previous rank's."""
+
+    kind: ClassVar[str] = "preset"
+    name: str
+
+    def __post_init__(self) -> None:
+        if self.name not in CLASS_COUNT_PRESETS:
             raise ValueError(
                 f"name: unknown preset {self.name!r}; available: {sorted(CLASS_COUNT_PRESETS)}"
             )
-        if self.kind == "explicit":
-            ClassAssignment(self.per_learner_classes)  # no empty list, no negative class
 
-    def resolve(self, num_learners: int, num_classes: int) -> ClassAssignment:
-        if self.kind == "iid":
-            return iid_assignment(num_learners, num_classes)
-        if self.kind == "noniid":
-            return rotation_assignment(num_learners, self.classes_per_learner, num_classes)
-        if self.kind == "preset":
-            return assignment_from_class_counts(CLASS_COUNT_PRESETS[self.name], num_classes)
-        for rank, classes in enumerate(self.per_learner_classes):
-            if max(classes) >= num_classes:
-                raise ValueError(f"rank {rank} references a class outside [0, {num_classes})")
-        return ClassAssignment(self.per_learner_classes)
-
-    def to_dict(self) -> dict:
-        key = _ASSIGNMENT_KEYS[self.kind]
-        if key is None:
-            return {"kind": self.kind}
-        value = getattr(self, key)
-        if self.kind == "explicit":
-            value = [list(c) for c in value]
-        return {"kind": self.kind, key: value}
+    def resolve(self, num_learners: int, num_classes: int) -> tuple[tuple[int, ...], ...]:
+        lists, start = [], 0
+        for count in CLASS_COUNT_PRESETS[self.name]:
+            if count > num_classes:
+                raise ValueError(f"class count {count} outside [1, {num_classes}]")
+            lists.append(tuple(sorted((start + j) % num_classes for j in range(count))))
+            start = (start + count) % num_classes
+        return tuple(lists)
 
 
 @dataclass(frozen=True)
-class TriggerSpec:
-    """Config-level trigger: the fixed policy (``uf``, or ``fixed_uf`` for the
-    non-adaptive cells of a grid) and, when adaptive, one policy per speed
-    group. ``policy_for`` picks each learner's policy at build time."""
+class ExplicitClasses:
+    """Each rank's classes as listed; the written lists are kept as written."""
 
-    kind: str  # fixed | adaptive
-    fixed: FixedPolicy
-    adaptive: Mapping[str, AdaptivePolicy] | None = None
+    kind: ClassVar[str] = "explicit"
+    per_learner_classes: tuple[tuple[int, ...], ...]
 
-    def policy_for(self, scheme: str, group: str) -> TriggerPolicy:
-        if self.kind == "adaptive" and scheme == "async_dvw":
-            return self.adaptive[group]
-        return self.fixed
+    def __post_init__(self) -> None:
+        for i, classes in enumerate(self.per_learner_classes):
+            if not classes:
+                raise ValueError(f"per_learner_classes[{i}]: learner {i} has an empty class list")
+            if min(classes) < 0:
+                raise ValueError(
+                    f"per_learner_classes[{i}]: learner {i} has a negative class index"
+                )
 
-    def to_dict(self) -> dict:
-        if self.kind == "fixed":
-            return {"kind": "fixed", "uf": self.fixed.uf}
-        shared = self.adaptive["fast"]
-        return {
-            "kind": "adaptive",
-            "vc_loss": {g: p.vc_loss for g, p in self.adaptive.items()},
-            "vc_tomb": {g: p.vc_tomb for g, p in self.adaptive.items()},
-            "warmup_cycles": shared.warmup_cycles,
-            "max_epochs_per_cycle": shared.max_epochs_per_cycle,
-            "fixed_uf": self.fixed.uf,
+    def resolve(self, num_learners: int, num_classes: int) -> tuple[tuple[int, ...], ...]:
+        for rank, classes in enumerate(self.per_learner_classes):
+            if max(classes) >= num_classes:
+                raise ValueError(f"rank {rank} references a class outside [0, {num_classes})")
+        return tuple(tuple(sorted(set(classes))) for classes in self.per_learner_classes)
+
+
+ClassesSpec = Union[IidClasses, RotationClasses, PresetClasses, ExplicitClasses]
+
+
+def _per_group(value) -> Any:
+    return field(default_factory=lambda: dict.fromkeys(SPEED_GROUPS, value))
+
+
+@dataclass(frozen=True)
+class AdaptiveTrigger:
+    """The adaptive trigger as written: validation-loss and tombstone
+    thresholds per speed group, a shared warm-up and cap, and the fixed
+    ``uf`` of a grid's other schemes. It builds each group's policy once
+    (``policies``), and the fixed one (``fixed``)."""
+
+    kind: ClassVar[str] = "adaptive"
+    vc_loss: dict[str, float] = _per_group(AdaptivePolicy.vc_loss)
+    vc_tomb: dict[str, int] = _per_group(AdaptivePolicy.vc_tomb)
+    warmup_cycles: int = AdaptivePolicy.warmup_cycles
+    max_epochs_per_cycle: int = AdaptivePolicy.max_epochs_per_cycle
+    fixed_uf: int = FixedPolicy.uf
+
+    def __post_init__(self) -> None:
+        try:
+            fixed = FixedPolicy(self.fixed_uf)
+        except ValueError as exc:
+            raise ValueError(f"fixed_uf: {exc}") from None
+        policies = {
+            group: AdaptivePolicy(
+                self.vc_loss[group], self.vc_tomb[group], self.warmup_cycles,
+                self.max_epochs_per_cycle,
+            )
+            for group in SPEED_GROUPS
         }
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "policies", policies)
+
+
+Trigger = Union[FixedPolicy, AdaptiveTrigger]
 
 
 @dataclass(frozen=True)
@@ -339,11 +394,11 @@ class ExperimentConfig:
     model: ModelConfig = ModelConfig()
     profiles: tuple[SpeedProfile, ...] | None = None  # unset: all fast, default rates
     size_distribution: SizeDistribution | None = None  # unset: uniform
-    class_assignment: ClassAssignmentSpec = ClassAssignmentSpec("iid")
+    class_assignment: ClassesSpec = IidClasses()
     validation_fraction: float = 0.05
     scheme: str = "sync_fedavg"
     schemes: tuple[str, ...] | None = None
-    trigger: TriggerSpec = TriggerSpec("fixed", FixedPolicy())
+    trigger: Trigger = FixedPolicy()
     hyperparameters: Hyperparameters = Hyperparameters()
     fedasync: FedAsyncParams = FedAsyncParams()
     proximal_mu: float = 0.0  # as written; hyperparameters.proximal_mu is what trains
@@ -392,9 +447,8 @@ class ExperimentConfig:
         if classes is not None:
             try:
                 assignment.resolve(n, classes)
-            except ValueError as exc:
-                key = _ASSIGNMENT_KEYS[assignment.kind]
-                raise ValueError(f"class_assignment.{key}: {exc}") from None
+            except ValueError as exc:  # every kind that can fail reads one field
+                raise ValueError(f"class_assignment.{fields(assignment)[0].name}: {exc}") from None
         # FedAsync brings its own divergence regularizer, rho; an explicit
         # proximal_mu wins.
         mu = self.proximal_mu or (self.fedasync.rho if self.scheme == "fedasync_poly" else 0.0)
@@ -408,12 +462,20 @@ class ExperimentConfig:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
+    def policy_for(self, group: str) -> TriggerPolicy:
+        """The trigger policy of a learner in speed ``group``: its group's
+        adaptive policy under async_dvw, otherwise the fixed one."""
+        trigger = self.trigger
+        if trigger.kind == "fixed":
+            return trigger
+        return trigger.policies[group] if self.scheme == "async_dvw" else trigger.fixed
+
     def with_scheme(self, scheme: str) -> "ExperimentConfig":
         d = self.to_dict()
         d["scheme"] = scheme
         d.pop("schemes", None)
         if self.trigger.kind == "adaptive" and scheme != "async_dvw":
-            d["trigger"] = {"kind": "fixed", "uf": self.trigger.fixed.uf}
+            d["trigger"] = {"kind": "fixed", "uf": self.trigger.fixed_uf}
         return config_from_dict(d)
 
     def to_dict(self) -> dict:
@@ -421,36 +483,29 @@ class ExperimentConfig:
             "name": self.name,
             "seed": self.seed,
             "num_learners": self.num_learners,
-            "dataset": self.dataset.to_dict(),
-            "model": asdict(self.model),
-            "speed_profiles": [asdict(p) for p in self.profiles],
+            "dataset": _plain(self.dataset),
+            "model": _plain(self.model),
+            "speed_profiles": _plain(self.profiles),
             "size_distribution": _size_distribution_dict(self.size_distribution),
-            "class_assignment": self.class_assignment.to_dict(),
+            "class_assignment": _plain(self.class_assignment),
             "validation_fraction": self.validation_fraction,
             "scheme": self.scheme,
-            "trigger": self.trigger.to_dict(),
+            "trigger": _plain(self.trigger),
             "hyperparameters": {
                 "eta": self.hyperparameters.eta,
                 "gamma": self.hyperparameters.gamma,
                 "beta": self.hyperparameters.batch_size,
             },
-            "fedasync": asdict(self.fedasync),
+            "fedasync": _plain(self.fedasync),
             "proximal_mu": self.proximal_mu,
             "time_budget": self.time_budget,
             "max_versions": self.max_versions,
-            "summary_times": list(self.summary_times),
-            "summary_rounds": list(self.summary_rounds),
+            "summary_times": _plain(self.summary_times),
+            "summary_rounds": _plain(self.summary_rounds),
         }
         if self.schemes is not None:
             d["schemes"] = list(self.schemes)
         return d
-
-
-def _parse_dataset(sec: _Section) -> DatasetSpec:
-    kind = sec.take("kind", str, required=True)
-    if kind in ("blobs", "idx"):
-        return sec.read(BlobsSpec if kind == "blobs" else IdxSpec)
-    raise ConfigError(f"dataset.kind: expected 'blobs' or 'idx', got {kind!r}")
 
 
 def _parse_profiles(raw: Any, num_learners: int) -> tuple[SpeedProfile, ...] | None:
@@ -482,46 +537,11 @@ def _group_profile(sec: _Section | None, group: str) -> SpeedProfile:
     return sec.build(SpeedProfile, group=group, **rates)
 
 
-def _parse_group_value(sec: _Section, key: str, types) -> dict[str, Any]:
-    """A per-group threshold: a fast/slow object, or one value for both."""
-    value = sec.take(key, (dict, float, int))
-    per_group = value if isinstance(value, dict) else {group: value for group in SPEED_GROUPS}
-    child = _Section(per_group, f"{sec.path}.{key}")
-    values = {group: child.take(group, types, required=value is not None) for group in SPEED_GROUPS}
-    child.finish()
-    return values
-
-
-def _parse_trigger(sec: _Section | None) -> TriggerSpec | None:
-    if sec is None:
-        return None
-    kind = sec.take("kind", str, required=True)
-    if kind == "fixed":
-        return TriggerSpec("fixed", sec.read(FixedPolicy))
-    if kind != "adaptive":
-        raise ConfigError(f"trigger.kind: expected 'fixed' or 'adaptive', got {kind!r}")
-    vc_loss = _parse_group_value(sec, "vc_loss", float)
-    vc_tomb = _parse_group_value(sec, "vc_tomb", int)
-    warmup = sec.take("warmup_cycles", int)
-    cap = sec.take("max_epochs_per_cycle", int)
-    fixed = sec.read(FixedPolicy, "fixed_uf")
-    adaptive = {
-        group: sec.build(
-            AdaptivePolicy,
-            vc_loss=vc_loss[group],
-            vc_tomb=vc_tomb[group],
-            warmup_cycles=warmup,
-            max_epochs_per_cycle=cap,
-        )
-        for group in SPEED_GROUPS
-    }
-    return TriggerSpec("adaptive", fixed, adaptive)
-
-
 def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     """Read a JSON config into ``ExperimentConfig``. Each field is read under
-    its own key (``_Section.read``); only the sections that are not one key
-    per field are read here."""
+    its own key (``_Section.read``), a sectioned one by its ``kind``
+    (``_typed``); only the sections that are not one key per field are read
+    here."""
     root = _Section(raw, "")
     num_learners = root.take("num_learners", int, required=True)
     if num_learners < 1:  # before speed_profiles and size_distribution, sized by it
@@ -531,12 +551,10 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     return root.read(
         ExperimentConfig,
         num_learners=num_learners,
-        dataset=_parse_dataset(root.section("dataset", required=True)),
         profiles=_parse_profiles(root.take("speed_profiles", (dict, list)), num_learners),
         size_distribution=None if size_sec is None else size_sec.read(
             SizeDistribution, num_learners=num_learners
         ),
-        trigger=_parse_trigger(root.section("trigger")),
         hyperparameters=None if hp_sec is None else hp_sec.read(
             Hyperparameters, batch_size=hp_sec.take("beta", int), proximal_mu=None
         ),

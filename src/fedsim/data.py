@@ -1,9 +1,9 @@
 """Dataset ingestion and federated partitioning.
 
 IDX binary loading, synthetic Gaussian-blob generation, data-size
-distributions (uniform / skewed / power law), per-learner class assignment,
-and stratified local train/validation splits. All operations are pure
-functions of their inputs and an explicit seed.
+distributions (uniform / skewed / power law), each learner's pool drawn
+from its classes, and stratified local train/validation splits. All
+operations are pure functions of their inputs and an explicit seed.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ class Dataset:
             raise ValueError("labels must be one per feature row")
         if f.shape[0] < 1:
             raise ValueError("dataset must hold at least one sample")
-        _check_labels(y, self.num_classes)
+        if self.num_classes < 1:
+            raise ValueError("num_classes must be >= 1")
+        if y.min() < 0 or y.max() >= self.num_classes:
+            raise ValueError(f"labels must lie in [0, {self.num_classes})")
         y.setflags(write=False)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", y)
@@ -77,13 +80,6 @@ class Dataset:
             rows = self.__dict__["_one_hot"] = np.eye(self.num_classes)[self.labels]
             rows.setflags(write=False)
         return rows
-
-
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    if num_classes < 1:
-        raise ValueError("num_classes must be >= 1")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"labels must lie in [0, {num_classes})")
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,12 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     labels = np.frombuffer(lbl_data, dtype=np.uint8, offset=8).astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
-    _check_labels(labels, num_classes)
+    elif labels.max() >= num_classes:
+        raise IdxFormatError(
+            f"labels: file {labels_path!r} holds class {labels.max()}, outside dataset.num_classes="
+            f"{num_classes} (as declared, or the training labels' largest + 1): labels must lie "
+            f"in [0, {num_classes})"
+        )
     return IdxPixels(pixels, labels, num_classes)
 
 
@@ -266,57 +267,6 @@ def compute_sizes(dist: SizeDistribution, total: int) -> list[int]:
     return result
 
 
-@dataclass(frozen=True)
-class ClassAssignment:
-    """Per-learner class lists, indexed by descending-size rank."""
-
-    per_learner_classes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        normalized = []
-        for i, classes in enumerate(self.per_learner_classes):
-            cs = tuple(sorted(set(int(c) for c in classes)))
-            if not cs:
-                raise ValueError(f"per_learner_classes[{i}]: learner {i} has an empty class list")
-            if cs[0] < 0:
-                raise ValueError(
-                    f"per_learner_classes[{i}]: learner {i} has a negative class index"
-                )
-            normalized.append(cs)
-        object.__setattr__(self, "per_learner_classes", tuple(normalized))
-
-    def __len__(self) -> int:
-        return len(self.per_learner_classes)
-
-
-def iid_assignment(num_learners: int, num_classes: int) -> ClassAssignment:
-    every = tuple(range(num_classes))
-    return ClassAssignment(tuple(every for _ in range(num_learners)))
-
-
-def rotation_assignment(num_learners: int, classes_per_learner: int, num_classes: int) -> ClassAssignment:
-    """Learner k holds classes {(k*x + j) mod C}; full coverage, deterministic."""
-    x = classes_per_learner
-    if not (1 <= x <= num_classes):
-        raise ValueError(f"{x} classes per learner outside [1, {num_classes}]")
-    lists = tuple(
-        tuple((k * x + j) % num_classes for j in range(x)) for k in range(num_learners)
-    )
-    return ClassAssignment(lists)
-
-
-def assignment_from_class_counts(counts: Sequence[int], num_classes: int) -> ClassAssignment:
-    """Expand a per-rank class-count list by taking classes round-robin."""
-    lists = []
-    ptr = 0
-    for count in counts:
-        if not (1 <= count <= num_classes):
-            raise ValueError(f"class count {count} outside [1, {num_classes}]")
-        lists.append(tuple((ptr + j) % num_classes for j in range(count)))
-        ptr = (ptr + count) % num_classes
-    return ClassAssignment(tuple(lists))
-
-
 def alternating_order(groups: Sequence[str]) -> list[int]:
     """Learner ids ordered fast, slow, fast, ... for descending-size ranks."""
     fast = [i for i, g in enumerate(groups) if g == "fast"]
@@ -331,7 +281,7 @@ def alternating_order(groups: Sequence[str]) -> list[int]:
 
 def assign_classes(
     sizes: Sequence[int],
-    assignment: ClassAssignment,
+    assignment: Sequence[tuple[int, ...]],
     dataset: Dataset | IdxPixels,
     seed,
     learner_order: Sequence[int] | None = None,
@@ -339,12 +289,12 @@ def assign_classes(
     """Draw each learner's local training pool from the source dataset, as
     sorted row indices into it.
 
-    ``sizes`` and ``assignment`` are indexed by descending-size rank;
-    ``learner_order[rank]`` maps ranks to learner ids (identity when absent).
-    Samples are drawn per class without replacement, evenly across a
-    learner's classes with the remainder going to its lowest class indices.
-    Every class in ``assignment`` lies below the dataset's class count, as
-    ``ClassAssignmentSpec.resolve`` has checked.
+    ``sizes`` and ``assignment`` (each rank's sorted classes) are indexed by
+    descending-size rank; ``learner_order[rank]`` maps ranks to learner ids
+    (identity when absent). Samples are drawn per class without replacement,
+    evenly across a learner's classes with the remainder going to its lowest
+    class indices. Every class in ``assignment`` lies below the dataset's
+    class count, as the config's class assignment has checked (``resolve``).
     """
     n = len(sizes)
     if len(assignment) != n:
@@ -362,7 +312,7 @@ def assign_classes(
     takes_per_rank: list[dict[int, int]] = []
     demand: Counter = Counter()
     for rank in range(n):
-        classes = assignment.per_learner_classes[rank]
+        classes = assignment[rank]
         size = int(sizes[rank])
         if size < len(classes):
             raise ValueError(
@@ -435,7 +385,7 @@ class FederatedSplit:
 def build_federated_split(
     source: Dataset | IdxPixels,
     sizes: Sequence[int],
-    assignment: ClassAssignment,
+    assignment: Sequence[tuple[int, ...]],
     validation_fraction: float,
     seed: int,
     test: Dataset,

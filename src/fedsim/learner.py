@@ -23,7 +23,7 @@ import contextvars
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -93,6 +93,7 @@ class Hyperparameters:
 class FixedPolicy:
     """Request a community update after exactly ``uf`` local epochs."""
 
+    kind: ClassVar[str] = "fixed"
     uf: int = 4
 
     def __post_init__(self) -> None:

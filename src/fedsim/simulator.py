@@ -239,7 +239,7 @@ def build_federation(cfg: config_mod.ExperimentConfig):
     community = controller.current_model()
     bank = LearnerBank(layout, split)
     for lid in range(cfg.num_learners):
-        bank.add(lid, community, cfg.trigger.policy_for(cfg.scheme, groups[lid]), cfg.seed)
+        bank.add(lid, community, cfg.policy_for(groups[lid]), cfg.seed)
     return model_spec, split, sizes, bank, controller
 
 
@@ -361,7 +361,7 @@ class _Simulation:
         earliest such epoch, naming the lowest learner id in it."""
         cfg = self.cfg
         n = cfg.num_learners
-        uf = cfg.trigger.fixed.uf  # every learner's policy in a sync scheme
+        uf = cfg.policy_for("fast").uf  # every learner's policy in a sync scheme
         train_phase = uf * max(self.epoch_durations)
         eval_phase = 0.0
         if self.is_dvw and n > 1:
@@ -488,12 +488,8 @@ class _Simulation:
 
 
 def run_simulation_detailed(cfg: config_mod.ExperimentConfig) -> SimulationResult:
-    return _Simulation(cfg).run()
-
-
-def run_simulation(cfg: config_mod.ExperimentConfig) -> MetricsLog:
     """Run one experiment under the deterministic event loop."""
-    return run_simulation_detailed(cfg).log
+    return _Simulation(cfg).run()
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from fedsim.learner import (
     run_epoch,
 )
 from fedsim.nn import ModelSpec, ParameterSet, Workspace, momentum_update
-from fedsim.simulator import evaluate_test_accuracy, run_simulation, run_simulation_detailed
+from fedsim.simulator import evaluate_test_accuracy, run_simulation_detailed
 from fedsim.weighting import dvw_weight
 from tests.conftest import (
     controller_from,
@@ -565,7 +565,7 @@ def test_criterion_11_preset_determinism(simulated):
         )
         for cell in cells:
             first = simulated(cell).to_csv()  # may be a run another check made
-            second = run_simulation(cell).to_csv()  # always a fresh replay
+            second = run_simulation_detailed(cell).log.to_csv()  # always a fresh replay
             assert first == second, f"preset {name}/{cell.scheme} replay diverged"
             checked += 1
     elapsed = time.perf_counter() - start

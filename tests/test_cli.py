@@ -62,17 +62,36 @@ def test_run_twice_is_byte_identical(tmp_path):
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
 
-def test_manifest_reproduces_run(tmp_path):
-    cfg_path = write_config(tmp_path)
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"class_assignment": {"kind": "explicit", "per_learner_classes": [[2, 0], [1, 2], [1, 0]]}},
+        {
+            "num_learners": 10,
+            "dataset": dict(SMALL_CONFIG["dataset"], num_classes=8),
+            "class_assignment": {"kind": "preset", "name": "noniid-8x1-4x1-3x8"},
+        },
+        {
+            "scheme": "async_dvw",
+            "speed_profiles": {"num_fast": 1},
+            "trigger": {"kind": "adaptive", "vc_loss": 0.5, "vc_tomb": 1, "warmup_cycles": 2},
+        },
+    ],
+    ids=["fixed", "explicit", "preset", "scalar-thresholds"],
+)
+def test_manifest_reproduces_run(tmp_path, overrides):
+    cfg_path = write_config(tmp_path, overrides)
     out1 = tmp_path / "a"
-    main(["run", "--config", str(cfg_path), "--out", str(out1)])
+    assert main(["run", "--config", str(cfg_path), "--out", str(out1)]) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     # re-running from the manifest's resolved config snapshot is exact
     replay_cfg = tmp_path / "replay.json"
     replay_cfg.write_text(json.dumps(manifest["config"]))
     out2 = tmp_path / "b"
-    main(["run", "--config", str(replay_cfg), "--out", str(out2)])
+    assert main(["run", "--config", str(replay_cfg), "--out", str(out2)]) == 0
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+    assert json.loads((out2 / "manifest.json").read_text())["config"] == manifest["config"]
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -248,6 +267,33 @@ def test_idx_empty_training_file_exit_code(tmp_path, capsys, num_classes):
     assert "zero-size array" not in err
 
 
+@pytest.mark.parametrize(
+    "num_classes, train_classes, named",
+    [(3, 4, "train_labels"), (None, 3, "test_labels")],
+    ids=["declared", "from-the-training-labels"],
+)
+def test_idx_label_outside_the_classes_exit_code(
+    tmp_path, capsys, num_classes, train_classes, named
+):
+    # A label 3 against 3 classes, declared or taken from the training
+    # labels (0-2): the build names the labels file that holds it.
+    files = {}
+    for part, classes in (("train", train_classes), ("test", 4)):
+        files[f"{part}_images"] = str(tmp_path / f"{part}-images.idx")
+        files[f"{part}_labels"] = str(tmp_path / f"{part}-labels.idx")
+        write_idx_images(files[f"{part}_images"], np.zeros((40, 2, 2)))
+        write_idx_labels(files[f"{part}_labels"], np.arange(40) % classes)
+    dataset = {"kind": "idx", "num_classes": num_classes, **files}
+    cfg = write_config(tmp_path, {"dataset": dataset, "size_distribution": {"kind": "uniform"}})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    message = (
+        f"error: labels: file {files[named]!r} holds class 3, outside "
+        "dataset.num_classes=3 (as declared, or the training labels' largest + 1): "
+        "labels must lie in [0, 3)"
+    )
+    assert message in capsys.readouterr().err
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -263,6 +309,14 @@ def test_presets_listing(capsys):
     out = capsys.readouterr().out
     assert "blobs-powerlaw-noniid" in out
     assert "blobs-uniform-iid" in out
+    assert out == (
+        "blobs-powerlaw-iid           scheme=fedasync_poly\n"
+        "blobs-powerlaw-noniid        scheme=sync_fedavg,async_fedavg,sync_dvw,async_dvw,"
+        "fedasync_poly\n"
+        "blobs-skewed-iid             scheme=async_fedavg\n"
+        "blobs-uniform-iid            scheme=sync_fedavg\n"
+        "blobs-uniform-noniid2        scheme=sync_dvw\n"
+    )
 
 
 def test_grid_run_produces_cells_and_comparison(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,7 @@ def test_minimal_config_defaults():
     assert cfg.seed == 1990
     assert cfg.scheme == "sync_fedavg"
     assert cfg.trigger.kind == "fixed"
-    assert cfg.trigger.fixed.uf == 4
+    assert cfg.trigger.uf == 4
     assert cfg.num_learners == 10
     assert len(cfg.profiles) == 10
     assert all(p.group == "fast" for p in cfg.profiles)
@@ -117,9 +118,9 @@ def test_noniid_rotation_expansion():
         dict(MINIMAL, class_assignment={"kind": "noniid", "classes_per_learner": 3})
     )
     assignment = cfg.class_assignment.resolve(10, 10)
-    assert all(len(c) == 3 for c in assignment.per_learner_classes)
+    assert all(len(c) == 3 for c in assignment)
     covered = set()
-    for classes in assignment.per_learner_classes:
+    for classes in assignment:
         covered.update(classes)
     assert covered == set(range(10))
 
@@ -133,7 +134,7 @@ def test_class_count_preset_lookup():
         )
     )
     assignment = cfg.class_assignment.resolve(10, 10)
-    counts = [len(c) for c in assignment.per_learner_classes]
+    counts = [len(c) for c in assignment]
     assert counts == CLASS_COUNT_PRESETS["noniid-8x1-7x1-6x1-5x7"]
 
 
@@ -206,6 +207,106 @@ def test_class_assignment_checked_at_parse(num_learners, assignment, message):
     with pytest.raises(ConfigError) as raised:
         config_from_dict(raw)
     assert str(raised.value) == message
+
+
+def adaptive(**keys) -> dict:
+    """Overrides that set an adaptive trigger of ``keys`` under async_dvw."""
+    return {"scheme": "async_dvw", "trigger": {"kind": "adaptive", **keys}}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"trigger": {"kind": "fixed", "vc_loss": 1}}, "trigger: unknown keys ['vc_loss']"),
+        (adaptive(uf=2), "trigger: unknown keys ['uf']"),
+        (
+            {"dataset": dict(MINIMAL["dataset"], train_images="train-images.idx")},
+            "dataset: unknown keys ['train_images']",
+        ),
+        ({"dataset": dict(IDX_DATASET, spread=0.3)}, "dataset: unknown keys ['spread']"),
+        (
+            {"dataset": dict(MINIMAL["dataset"], kind="csv")},
+            "dataset.kind: expected blobs/idx, got 'csv'",
+        ),
+        ({"trigger": {"kind": "random"}}, "trigger.kind: expected fixed/adaptive, got 'random'"),
+        ({"dataset": {"input_dim": 8}}, "dataset.kind: missing required field"),
+        ({"trigger": {"uf": 2}}, "trigger.kind: missing required field"),
+        ({"trigger": {"kind": 1}}, "trigger.kind: expected str, got int"),
+        (adaptive(vc_loss=-1), "trigger: vc_loss must be >= 0"),
+        (adaptive(vc_loss="high"), "trigger.vc_loss: expected float, got str"),
+        (adaptive(vc_tomb=True), "trigger.vc_tomb: expected an integer, got a boolean"),
+        (adaptive(vc_tomb={"fast": 1}), "trigger.vc_tomb.slow: missing required field"),
+        (
+            adaptive(vc_tomb={"fast": 1, "slow": 1.5}),
+            "trigger.vc_tomb.slow: expected int, got float",
+        ),
+        (
+            adaptive(vc_loss={"fast": 1, "slow": 1, "medium": 1}),
+            "trigger.vc_loss: unknown keys ['medium']",
+        ),
+    ],
+    ids=[
+        "fixed-with-vc_loss",
+        "adaptive-with-uf",
+        "blobs-with-train_images",
+        "idx-with-spread",
+        "unknown-dataset-kind",
+        "unknown-trigger-kind",
+        "dataset-without-kind",
+        "trigger-without-kind",
+        "kind-not-a-string",
+        "negative-vc_loss",
+        "string-vc_loss",
+        "boolean-vc_tomb",
+        "vc_tomb-without-slow",
+        "float-vc_tomb-for-slow",
+        "vc_loss-for-a-third-group",
+    ],
+)
+def test_sections_read_by_kind(overrides, message):
+    with pytest.raises(ConfigError) as raised:
+        config_from_dict(dict(MINIMAL, **overrides))
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "num_learners, num_classes, assignment, expected",
+    [
+        (2, 3, {"kind": "iid"}, ((0, 1, 2), (0, 1, 2))),
+        (
+            4,
+            4,
+            {"kind": "noniid", "classes_per_learner": 3},
+            ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+        ),
+        (
+            10,
+            8,
+            {"kind": "preset", "name": "noniid-8x1-4x1-3x8"},
+            (
+                (0, 1, 2, 3, 4, 5, 6, 7),
+                (0, 1, 2, 3),
+                (4, 5, 6),
+                (0, 1, 7),
+                (2, 3, 4),
+                (5, 6, 7),
+                (0, 1, 2),
+                (3, 4, 5),
+                (0, 6, 7),
+                (1, 2, 3),
+            ),
+        ),
+        (2, 3, {"kind": "explicit", "per_learner_classes": [[2, 0, 0], [1]]}, ((0, 2), (1,))),
+    ],
+    ids=["iid", "rotation-wrapping", "preset-wrapping", "explicit-unsorted"],
+)
+def test_class_assignment_resolves_to_each_ranks_sorted_classes(
+    num_learners, num_classes, assignment, expected
+):
+    # The order matters: a rank's remainder samples go to its first classes.
+    raw = dict(MINIMAL, num_learners=num_learners, dataset=IDX_DATASET)
+    cfg = config_from_dict(dict(raw, class_assignment=assignment))
+    assert cfg.class_assignment.resolve(num_learners, num_classes) == expected
 
 
 def test_class_assignment_checks_against_the_class_count_at_build():
@@ -338,13 +439,14 @@ def test_trigger_group_thresholds_resolve_per_learner():
             },
         )
     )
-    fast_policy = cfg.trigger.policy_for("async_dvw", "fast")
-    slow_policy = cfg.trigger.policy_for("async_dvw", "slow")
+    fast_policy = cfg.policy_for("fast")
+    slow_policy = cfg.policy_for("slow")
     assert isinstance(fast_policy, AdaptivePolicy)
     assert fast_policy.vc_tomb == 4 and fast_policy.vc_loss == 0.0
     assert slow_policy.vc_tomb == 1 and slow_policy.vc_loss == 1.0
     # non-adaptive schemes in a grid downgrade to the fixed fallback
-    assert cfg.trigger.policy_for("sync_fedavg", "fast") == FixedPolicy(uf=4)
+    grid = replace(cfg, scheme="sync_fedavg", schemes=("sync_fedavg", "async_dvw"))
+    assert grid.policy_for("fast") == FixedPolicy(uf=4)
 
 
 @pytest.mark.parametrize("source", ["file", "env"])
@@ -428,6 +530,191 @@ def test_parse_config_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config(str(path))
+
+
+SMALL_BLOBS = {"kind": "blobs", "input_dim": 4, "num_classes": 3, "train_samples_per_class": 50}
+BLOBS_WRITTEN = dict(SMALL_BLOBS, test_samples_per_class=200, spread=0.35)
+FAST_WRITTEN = {"group": "fast", "steps_per_second": 100.0, "eval_samples_per_second": 2000.0}
+SLOW_10_WRITTEN = {"group": "slow", "steps_per_second": 10.0, "eval_samples_per_second": 400.0}
+
+
+def written(**keys) -> dict:
+    """A config's ``to_dict()``: every default in the written key order, with
+    ``keys`` set (``schemes``, when set, comes last)."""
+    defaults = {
+        "name": "experiment",
+        "seed": 1990,
+        "num_learners": None,
+        "dataset": None,
+        "model": {"kind": "softmax-regression", "hidden_dim": 0},
+        "speed_profiles": None,
+        "size_distribution": {"kind": "uniform", "total": None},
+        "class_assignment": {"kind": "iid"},
+        "validation_fraction": 0.05,
+        "scheme": "sync_fedavg",
+        "trigger": {"kind": "fixed", "uf": 4},
+        "hyperparameters": {"eta": 0.05, "gamma": 0.75, "beta": 100},
+        "fedasync": {"alpha": 0.5, "a": 0.5, "rho": 0.005},
+        "proximal_mu": 0.0,
+        "time_budget": 60.0,
+        "max_versions": None,
+        "summary_times": [60.0],
+        "summary_rounds": [],
+    }
+    return dict(defaults, **keys)
+
+
+# One raw config per row and the exact dict that the manifest stores for it.
+# Together the rows write every dataset, class-assignment, trigger,
+# speed-profile and size kind.
+WRITTEN_CONFIGS = [
+    pytest.param(
+        {
+            "num_learners": 3,
+            "dataset": SMALL_BLOBS,
+            "class_assignment": {"kind": "iid"},
+            "trigger": {"kind": "fixed", "uf": 2},
+            "size_distribution": {"kind": "uniform", "total": 90},
+        },
+        written(
+            num_learners=3,
+            dataset=BLOBS_WRITTEN,
+            speed_profiles=[FAST_WRITTEN] * 3,
+            size_distribution={"kind": "uniform", "total": 90},
+            trigger={"kind": "fixed", "uf": 2},
+        ),
+        id="blobs-iid-fixed-uniform",
+    ),
+    pytest.param(
+        {
+            "num_learners": 4,
+            "dataset": IDX_DATASET,
+            "class_assignment": {"kind": "noniid", "classes_per_learner": 2},
+            "speed_profiles": {"num_fast": 1, "slow": {"steps_per_second": 10}},
+            "size_distribution": {"kind": "skewed", "decay": 0.5},
+            "scheme": "async_fedavg",
+        },
+        written(
+            num_learners=4,
+            dataset=dict(IDX_DATASET, num_classes=None),
+            speed_profiles=[FAST_WRITTEN] + [SLOW_10_WRITTEN] * 3,
+            size_distribution={"kind": "skewed", "total": None, "decay": 0.5},
+            class_assignment={"kind": "noniid", "classes_per_learner": 2},
+            scheme="async_fedavg",
+        ),
+        id="idx-noniid-shorthand-skewed",
+    ),
+    pytest.param(
+        {
+            "num_learners": 10,
+            "dataset": dict(IDX_DATASET, num_classes=8),
+            "class_assignment": {"kind": "preset", "name": "noniid-8x1-4x1-3x8"},
+            "size_distribution": {"kind": "powerlaw", "total": 500, "exponent": 2},
+        },
+        written(
+            num_learners=10,
+            dataset=dict(IDX_DATASET, num_classes=8),
+            speed_profiles=[FAST_WRITTEN] * 10,
+            size_distribution={"kind": "powerlaw", "total": 500, "exponent": 2.0},
+            class_assignment={"kind": "preset", "name": "noniid-8x1-4x1-3x8"},
+        ),
+        id="idx-declared-preset-powerlaw",
+    ),
+    pytest.param(
+        {
+            "num_learners": 3,
+            "dataset": SMALL_BLOBS,
+            "class_assignment": {
+                "kind": "explicit",
+                "per_learner_classes": [[2, 0, 0], [1], [0, 2]],
+            },
+            "speed_profiles": [
+                {"group": "fast", "steps_per_second": 100, "eval_samples_per_second": 2000},
+                {"group": "slow", "steps_per_second": 20, "eval_samples_per_second": 400},
+                {"group": "slow", "steps_per_second": 25.5, "eval_samples_per_second": 500},
+            ],
+            "scheme": "async_dvw",
+            "trigger": {"kind": "adaptive", "vc_loss": 1, "vc_tomb": 2, "warmup_cycles": 5},
+        },
+        written(
+            num_learners=3,
+            dataset=BLOBS_WRITTEN,
+            speed_profiles=[
+                FAST_WRITTEN,
+                {"group": "slow", "steps_per_second": 20.0, "eval_samples_per_second": 400.0},
+                {"group": "slow", "steps_per_second": 25.5, "eval_samples_per_second": 500.0},
+            ],
+            class_assignment={
+                "kind": "explicit",
+                "per_learner_classes": [[2, 0, 0], [1], [0, 2]],  # as written
+            },
+            scheme="async_dvw",
+            trigger={
+                "kind": "adaptive",
+                "vc_loss": {"fast": 1.0, "slow": 1.0},
+                "vc_tomb": {"fast": 2, "slow": 2},
+                "warmup_cycles": 5,
+                "max_epochs_per_cycle": 32,
+                "fixed_uf": 4,
+            },
+        ),
+        id="explicit-list-profiles-scalar-thresholds",
+    ),
+    pytest.param(
+        {
+            "name": "grid",
+            "seed": 7,
+            "num_learners": 2,
+            "dataset": SMALL_BLOBS,
+            "model": {"kind": "mlp-1hidden", "hidden_dim": 8},
+            "schemes": ["sync_fedavg", "async_dvw"],
+            "trigger": {
+                "kind": "adaptive",
+                "vc_loss": {"fast": 0, "slow": 0.5},
+                "vc_tomb": {"fast": 3, "slow": 1},
+                "max_epochs_per_cycle": 16,
+                "fixed_uf": 3,
+            },
+            "hyperparameters": {"eta": 0.1, "beta": 20},
+            "fedasync": {"rho": 0.01},
+            "proximal_mu": 0.2,
+            "max_versions": 40,
+            "summary_times": [1, 2],
+            "summary_rounds": [5],
+        },
+        written(
+            name="grid",
+            seed=7,
+            num_learners=2,
+            dataset=BLOBS_WRITTEN,
+            model={"kind": "mlp-1hidden", "hidden_dim": 8},
+            speed_profiles=[FAST_WRITTEN] * 2,
+            trigger={
+                "kind": "adaptive",
+                "vc_loss": {"fast": 0.0, "slow": 0.5},
+                "vc_tomb": {"fast": 3, "slow": 1},
+                "warmup_cycles": 20,
+                "max_epochs_per_cycle": 16,
+                "fixed_uf": 3,
+            },
+            hyperparameters={"eta": 0.1, "gamma": 0.75, "beta": 20},
+            fedasync={"alpha": 0.5, "a": 0.5, "rho": 0.01},
+            proximal_mu=0.2,
+            max_versions=40,
+            summary_times=[1.0, 2.0],
+            summary_rounds=[5],
+            schemes=["sync_fedavg", "async_dvw"],
+        ),
+        id="grid-per-group-thresholds",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, expected", WRITTEN_CONFIGS)
+def test_each_kind_writes_its_recorded_dict(raw, expected):
+    d = config_from_dict(raw).to_dict()
+    assert d == expected
+    assert json.dumps(d) == json.dumps(expected)  # the same key order, and no int for a float
 
 
 def test_round_trip_dict():

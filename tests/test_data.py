@@ -16,15 +16,13 @@ from fedsim.data import (
     SizeDistribution,
     alternating_order,
     assign_classes,
-    assignment_from_class_counts,
     build_federated_split,
     compute_sizes,
     generate_blobs,
-    iid_assignment,
     load_idx,
-    rotation_assignment,
     validation_mask,
 )
+from fedsim.config import IidClasses, PresetClasses, RotationClasses
 from fedsim.learner import FixedPolicy, Hyperparameters, LearnerBank, run_epoch
 from fedsim.controller import FederationController
 from fedsim.nn import ModelSpec, ParameterSet, Workspace, model_layout, predict
@@ -256,18 +254,18 @@ def test_sizes_sum_and_order(kind, n, total):
 
 
 def test_rotation_covers_all_classes():
-    assignment = rotation_assignment(10, 3, 10)
-    assert all(len(c) == 3 for c in assignment.per_learner_classes)
+    assignment = RotationClasses(3).resolve(10, 10)
+    assert all(len(c) == 3 for c in assignment)
     covered = set()
-    for classes in assignment.per_learner_classes:
+    for classes in assignment:
         covered.update(classes)
     assert covered == set(range(10))
 
 
 def test_class_count_preset_expansion():
     counts = [8, 7, 6, 5, 5, 5, 5, 5, 5, 5]
-    assignment = assignment_from_class_counts(counts, 10)
-    assert [len(c) for c in assignment.per_learner_classes] == counts
+    assignment = PresetClasses("noniid-8x1-7x1-6x1-5x7").resolve(10, 10)
+    assert [len(c) for c in assignment] == counts
 
 
 def test_alternating_order_interleaves():
@@ -299,7 +297,7 @@ def stratified_split(local, fraction, seed):
 def test_assign_iid_uniform_flat_histogram():
     source = _balanced_source()
     sizes = [40] * 4
-    parts = assigned(sizes, iid_assignment(4, 4), source, seed=9)
+    parts = assigned(sizes, IidClasses().resolve(4, 4), source, seed=9)
     for part in parts:
         hist = part.class_histogram()
         assert part.n == 40
@@ -309,9 +307,9 @@ def test_assign_iid_uniform_flat_histogram():
 def test_assign_noniid_exact_classes():
     source = _balanced_source()
     sizes = [30] * 4
-    assignment = rotation_assignment(4, 2, 4)
+    assignment = RotationClasses(2).resolve(4, 4)
     parts = assigned(sizes, assignment, source, seed=9)
-    for part, classes in zip(parts, assignment.per_learner_classes):
+    for part, classes in zip(parts, assignment):
         present = set(np.unique(part.labels))
         assert present == set(classes)
 
@@ -319,7 +317,7 @@ def test_assign_noniid_exact_classes():
 def test_assign_no_sample_reuse():
     source = _balanced_source()
     sizes = [50, 40, 30, 20]
-    parts = assigned(sizes, iid_assignment(4, 4), source, seed=11)
+    parts = assigned(sizes, IidClasses().resolve(4, 4), source, seed=11)
     seen = []
     for part in parts:
         seen.extend(map(tuple, part.features))
@@ -330,14 +328,14 @@ def test_assign_capacity_error_names_class():
     source = _balanced_source(n_per_class=10)
     sizes = [30, 30, 30, 30]  # demands 30 per class, only 10 exist
     with pytest.raises(CapacityError, match="class 0"):
-        assigned(sizes, rotation_assignment(4, 1, 4), source, seed=3)
+        assigned(sizes, RotationClasses(1).resolve(4, 4), source, seed=3)
 
 
 def test_assign_respects_learner_order():
     source = _balanced_source()
     sizes = [60, 30, 20, 10]
     order = [2, 0, 3, 1]  # rank 0 (60 samples) goes to learner 2
-    parts = assigned(sizes, iid_assignment(4, 4), source, seed=1, learner_order=order)
+    parts = assigned(sizes, IidClasses().resolve(4, 4), source, seed=1, learner_order=order)
     assert [p.n for p in parts] == [30, 10, 60, 20]
 
 
@@ -431,7 +429,7 @@ def test_federated_split_partition_totality():
     source = _balanced_source(n_per_class=200)
     test = _balanced_source(n_per_class=20, seed=6)
     sizes = compute_sizes(SizeDistribution("powerlaw", num_learners=5), 500)
-    assignment = iid_assignment(5, 4)
+    assignment = IidClasses().resolve(5, 4)
     split = build_federated_split(source, sizes, assignment, 0.05, 123, test)
     bank = LearnerBank(model_layout(ModelSpec("softmax-regression", 3, 4)), split)
     drawn = sum(n + v for n, v in split.learner_sizes)

@@ -17,7 +17,6 @@ from fedsim.simulator import (
     _Simulation,
     build_federation,
     evaluate_test_accuracy,
-    run_simulation,
     run_simulation_detailed,
     staleness_report,
 )
@@ -233,13 +232,13 @@ def test_learner_sets_are_views_of_the_bank_pools(monkeypatch):
 )
 def test_replay_is_bit_identical(scheme, trigger):
     cfg = blob_config(scheme=scheme, trigger=trigger, time_budget=3.0)
-    a = run_simulation(cfg)
-    b = run_simulation(cfg)
+    a = run_simulation_detailed(cfg).log
+    b = run_simulation_detailed(cfg).log
     assert a.to_csv() == b.to_csv()
 
 
 def test_log_starts_with_initial_model_row():
-    log = run_simulation(blob_config(time_budget=2.0))
+    log = run_simulation_detailed(blob_config(time_budget=2.0)).log
     first = log.rows[0]
     assert first.version == 0
     assert first.virtual_time == 0.0
@@ -248,7 +247,7 @@ def test_log_starts_with_initial_model_row():
 
 def test_counters_and_time_monotone():
     cfg = blob_config(scheme="async_fedavg", speed_profiles=HETERO_PROFILES)
-    log = run_simulation(cfg)
+    log = run_simulation_detailed(cfg).log
     rows = log.rows
     for a, b in zip(rows, rows[1:]):
         assert b.virtual_time >= a.virtual_time
@@ -259,27 +258,27 @@ def test_counters_and_time_monotone():
 
 def test_async_requests_equal_commit_rows():
     cfg = blob_config(scheme="async_fedavg", time_budget=4.0)
-    log = run_simulation(cfg)
+    log = run_simulation_detailed(cfg).log
     commits = [r for r in log if r.version >= 1]
     assert log.rows[-1].update_requests_cum == len(commits)
 
 
 def test_exchange_accounting_non_dvw():
     for scheme in ("async_fedavg", "fedasync_poly"):
-        log = run_simulation(blob_config(scheme=scheme, time_budget=3.0))
+        log = run_simulation_detailed(blob_config(scheme=scheme, time_budget=3.0)).log
         last = log.rows[-1]
         assert last.models_exchanged_cum == 2 * last.update_requests_cum
 
 
 def test_exchange_accounting_dvw_n_plus_one():
     # N=4: one upload + 3 evaluator ships + one pull = 5 per request
-    log = run_simulation(blob_config(scheme="async_dvw", time_budget=3.0))
+    log = run_simulation_detailed(blob_config(scheme="async_dvw", time_budget=3.0)).log
     last = log.rows[-1]
     assert last.models_exchanged_cum == 5 * last.update_requests_cum
 
 
 def test_sync_round_requests_count_all_learners():
-    log = run_simulation(blob_config(max_versions=5))
+    log = run_simulation_detailed(blob_config(max_versions=5)).log
     last = log.rows[-1]
     assert last.version == 5
     assert last.update_requests_cum == 5 * 4
@@ -287,13 +286,14 @@ def test_sync_round_requests_count_all_learners():
 
 
 def test_max_versions_stops_run():
-    log = run_simulation(blob_config(scheme="async_fedavg", max_versions=7, time_budget=100.0))
+    cfg = blob_config(scheme="async_fedavg", max_versions=7, time_budget=100.0)
+    log = run_simulation_detailed(cfg).log
     assert log.rows[-1].version == 7
 
 
 def test_time_budget_stops_run():
     cfg = blob_config(scheme="async_fedavg", time_budget=1.5)
-    log = run_simulation(cfg)
+    log = run_simulation_detailed(cfg).log
     assert all(r.virtual_time <= 1.5 for r in log)
 
 
@@ -318,7 +318,7 @@ def test_fast_learners_commit_proportionally_more():
         speed_profiles=HETERO_PROFILES,
         time_budget=20.0,
     )
-    log = run_simulation(cfg)
+    log = run_simulation_detailed(cfg).log
     per_learner = {}
     for row in log:
         if row.committing_learner >= 0:
@@ -352,7 +352,7 @@ def test_mlp_model_runs_end_to_end():
         scheme="async_dvw",
         time_budget=2.0,
     )
-    log = run_simulation(cfg)
+    log = run_simulation_detailed(cfg).log
     assert len(log) > 1
     assert all(0.0 <= r.test_top1 <= 1.0 for r in log)
 
@@ -498,7 +498,7 @@ def test_staleness_report_homogeneous_groups_similar():
 
 
 def test_csv_round_trip(tmp_path):
-    log = run_simulation(blob_config(time_budget=2.0))
+    log = run_simulation_detailed(blob_config(time_budget=2.0)).log
     path = tmp_path / "metrics.csv"
     log.write_csv(path)
     loaded = MetricsLog.from_csv(path)
@@ -600,7 +600,7 @@ def test_unstackable_run_writes_the_same_csv_on_one_and_two_workers(scheme, over
     csvs, maps = [], []
     for cpus in (1, 2):
         with pinned_cpus(cpus), counting_side_by_side_epochs() as spy:
-            csvs.append(run_simulation(cfg).to_csv())
+            csvs.append(run_simulation_detailed(cfg).log.to_csv())
         maps.append(spy.call_count)
     assert maps[0] == 0 and maps[1] > 0
     assert csvs[0] == csvs[1]
@@ -638,7 +638,7 @@ def test_sync_round_reports_the_earliest_diverging_epoch_first(unstackable, cpus
 def test_runs_leave_no_worker_thread_behind():
     threads = threading.active_count()
     with pinned_cpus(2), counting_side_by_side_epochs() as spy:
-        run_simulation(unstackable_config())
+        run_simulation_detailed(unstackable_config()).log
         assert spy.call_count > 0
         assert threading.active_count() == threads
         sim = _Simulation(unstackable_config())
