@@ -471,12 +471,12 @@ class ExperimentConfig:
         return trigger.policies[group] if self.scheme == "async_dvw" else trigger.fixed
 
     def with_scheme(self, scheme: str) -> "ExperimentConfig":
-        d = self.to_dict()
-        d["scheme"] = scheme
-        d.pop("schemes", None)
-        if self.trigger.kind == "adaptive" and scheme != "async_dvw":
-            d["trigger"] = {"kind": "fixed", "uf": self.trigger.fixed_uf}
-        return config_from_dict(d)
+        """The grid cell of ``scheme``, with the fixed trigger unless it is
+        async_dvw; ``__post_init__`` derives the cell's proximal mu again."""
+        trigger = self.trigger
+        if trigger.kind == "adaptive" and scheme != "async_dvw":
+            trigger = trigger.fixed
+        return replace(self, scheme=scheme, schemes=None, trigger=trigger)
 
     def to_dict(self) -> dict:
         d = {

@@ -21,6 +21,9 @@ IDX_LABELS_MAGIC = 0x00000801
 
 SIZE_KINDS = ("uniform", "skewed", "powerlaw")
 
+_WORD = 0xFFFFFFFF
+_POOL = 4  # SeedSequence's pool size in uint32 words
+
 
 class IdxFormatError(ValueError):
     """An IDX file is malformed; the message names the offending field."""
@@ -34,9 +37,10 @@ class CapacityError(ValueError):
 class Dataset:
     """Feature matrix (n x d), integer labels and the global class count.
 
-    The labels are a read-only copy, range-checked against ``num_classes``
-    here, so that check holds for the dataset's lifetime. The features are
-    not copied.
+    The features are float64, or an IDX file's uint8 pixels, each standing
+    for ``pixel / 255.0`` (``as_float64``), and are not copied. The labels are
+    a read-only copy, range-checked against ``num_classes`` here, so that
+    check holds for the dataset's lifetime.
     """
 
     features: np.ndarray
@@ -44,7 +48,8 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.features, dtype=np.float64)
+        f = np.asarray(self.features)
+        f = f if f.dtype == np.uint8 else f.astype(np.float64, copy=False)
         y = np.array(self.labels, dtype=np.int64)
         if f.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
@@ -82,11 +87,17 @@ class Dataset:
         return rows
 
 
+def as_float64(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``rows`` as float64: uint8 pixels divided by 255.0 (into ``out``, if
+    given), which is elementwise, so it commutes with gathering rows."""
+    return np.divide(rows, 255.0, out=out) if rows.dtype == np.uint8 else rows
+
+
 @dataclass(frozen=True)
 class IdxPixels:
     """An IDX file pair as read: uint8 pixel rows (n x rows*cols), labels and
-    the class count. ``subset`` scales only the rows it gathers to [0, 1], bit
-    for bit as scaling the whole file would; ``features`` scales every row."""
+    the class count. ``subset`` gathers rows into a ``Dataset`` that keeps
+    them uint8; ``features`` scales every row to [0, 1] in float64."""
 
     pixels: np.ndarray
     labels: np.ndarray
@@ -101,7 +112,7 @@ class IdxPixels:
         return self.pixels / 255.0
 
     def subset(self, indices: np.ndarray) -> Dataset:
-        return Dataset(self.pixels[indices] / 255.0, self.labels[indices], self.num_classes)
+        return Dataset(self.pixels[indices], self.labels[indices], self.num_classes)
 
 
 def _read_idx_header(data: bytes, path: str, field: str, magic: int, ndims: int) -> tuple[int, ...]:
@@ -341,20 +352,75 @@ def assign_classes(
     return out  # type: ignore[return-value]
 
 
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``values`` (uint32, last axis of k) with
+    the k + 1 successive hash constants ``consts``."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    values ^= values >> 16
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of pool words ``x`` with hashed words ``y``."""
+    x = x * np.uint32(0xCA01F9DD)
+    x -= y * np.uint32(0x4973F715)
+    x ^= x >> 16
+    return x
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``init`` and the next ``count`` hash constants, each ``mult`` times the last."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _WORD)
+    return np.array(consts, np.uint32)
+
+
+def philox_keys(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The key ``Philox(SeedSequence(words))`` takes for each row of uint32
+    ``entropy`` whose first ``lengths[r]`` words are in use, as an (R, 2)
+    uint64 array: SeedSequence's entropy mixing into its 4-word pool (a row
+    of fewer words holds zeros up to it), then ``generate_state(2, uint64)``,
+    run across rows. The hash constants depend only on the word position."""
+    width = entropy.shape[1]
+    consts = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL * width)
+    pool = _hashmix(entropy[:, :_POOL], consts[: _POOL + 1])
+    k = _POOL
+    for src in range(_POOL):  # every pool word into every other one
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src : src + 1], consts[k : k + _POOL]))
+        k += _POOL - 1
+    for src in range(_POOL, width):  # words beyond the pool into every pool word
+        mixed = _mix(pool, _hashmix(entropy[:, src : src + 1], consts[k : k + _POOL + 1]))
+        pool = np.where((src < lengths)[:, None], mixed, pool)
+        k += _POOL
+    words = _hashmix(pool, _hash_consts(0x8B51F9DD, 0x58F38DED, _POOL)).astype(np.uint64)
+    return words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+
+
+def seed_words(value: int) -> list[int]:
+    """``value`` as little-endian uint32 words, the way SeedSequence splits it."""
+    words = [value & _WORD]
+    while value > _WORD:
+        value >>= 32
+        words.append(value & _WORD)
+    return words
+
+
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def validation_mask(labels: np.ndarray, fraction: float, seed) -> np.ndarray:
+def validation_mask(labels: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
     """The samples of a local dataset with ``labels`` that its
-    class-stratified validation slice reserves, as a boolean mask.
+    class-stratified validation slice reserves, as a boolean mask (``rng``).
 
     Per class with n_c samples the validation side takes round(fraction*n_c)
     clamped to [1, n_c - 1]; singleton classes contribute nothing.
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must lie strictly between 0 and 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     val_mask = np.zeros(labels.size, dtype=bool)
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
@@ -392,12 +458,20 @@ def build_federated_split(
     learner_order: Sequence[int] | None = None,
 ) -> FederatedSplit:
     """Assign local pools and carve out each learner's validation slice.
-    Each pool is gathered from the source in one copy (from an IDX source's
-    uint8 pixels, then scaled), so no sample is held twice beside it."""
+    Each pool is gathered from the source in one copy (an IDX source's stays
+    uint8). Learner k's slice is drawn by ``Philox(SeedSequence([seed, 2,
+    k]))``: all keys are derived in one pass, and one Philox is reseated."""
     trains, validations = [], []
     picks = assign_classes(sizes, assignment, source, [seed, 1], learner_order)
-    for lid, idx in enumerate(picks):
-        val_mask = validation_mask(source.labels[idx], validation_fraction, [seed, 2, lid])
+    # [seed, 2, k] as words, then zeros: at least the 4 that SeedSequence pads to.
+    entropy = np.array([seed_words(seed) + [2, k, 0, 0] for k in range(len(picks))], np.uint32)
+    keys = philox_keys(entropy, np.full(len(picks), entropy.shape[1] - 2))
+    rng = np.random.Generator(np.random.Philox(0))
+    fresh = rng.bit_generator.state  # a zero counter and empty buffers
+    for idx, key in zip(picks, keys):
+        fresh["state"]["key"] = key
+        rng.bit_generator.state = fresh
+        val_mask = validation_mask(source.labels[idx], validation_fraction, rng)
         trains.append(idx[~val_mask])
         validations.append(idx[val_mask])
     return FederatedSplit(

@@ -28,7 +28,7 @@ from typing import ClassVar, Sequence, Union
 import numpy as np
 
 from .controller import CommunityModel
-from .data import FederatedSplit
+from .data import FederatedSplit, as_float64, philox_keys, seed_words
 from .nn import (
     Layout,
     ParameterSet,
@@ -64,7 +64,6 @@ SHUFFLE_KEY_BLOCK_MAX = 256
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 _WORD = 0xFFFFFFFF
-_POOL = 4  # SeedSequence's pool size in uint32 words
 
 
 @dataclass(frozen=True)
@@ -229,68 +228,12 @@ def _cohorts(ws: Workspace, sizes: np.ndarray, batch: int | None = None) -> list
     return out
 
 
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of ``values`` (uint32, last axis of k) with
-    the k + 1 successive hash constants ``consts``."""
-    values = values ^ consts[:-1]
-    values *= consts[1:]
-    values ^= values >> 16
-    return values
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``mix`` of pool words ``x`` with hashed words ``y``."""
-    x = x * np.uint32(0xCA01F9DD)
-    x -= y * np.uint32(0x4973F715)
-    x ^= x >> 16
-    return x
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """``init`` and the next ``count`` hash constants, each ``mult`` times the last."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _WORD)
-    return np.array(consts, np.uint32)
-
-
-def _philox_keys(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The key ``Philox(SeedSequence(words))`` takes for each row of uint32
-    ``entropy`` whose first ``lengths[r]`` (at least 4) words are in use, as
-    an (R, 2) uint64 array: SeedSequence's entropy mixing into its 4-word
-    pool, then ``generate_state(2, uint64)``, run across rows. The hash
-    constants depend only on the word position, never on the data."""
-    width = entropy.shape[1]
-    consts = _hash_consts(0x43B0D7E5, 0x931E8875, _POOL * width)
-    pool = _hashmix(entropy[:, :_POOL], consts[: _POOL + 1])
-    k = _POOL
-    for src in range(_POOL):  # every pool word into every other one
-        dst = [d for d in range(_POOL) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src : src + 1], consts[k : k + _POOL]))
-        k += _POOL - 1
-    for src in range(_POOL, width):  # words beyond the pool into every pool word
-        mixed = _mix(pool, _hashmix(entropy[:, src : src + 1], consts[k : k + _POOL + 1]))
-        pool = np.where((src < lengths)[:, None], mixed, pool)
-        k += _POOL
-    words = _hashmix(pool, _hash_consts(0x8B51F9DD, 0x58F38DED, _POOL)).astype(np.uint64)
-    return words[:, 0::2] | words[:, 1::2] << np.uint64(32)
-
-
-def _words(value: int) -> list[int]:
-    """``value`` as little-endian uint32 words, the way SeedSequence splits it."""
-    words = [value & _WORD]
-    while value > _WORD:
-        value >>= 32
-        words.append(value & _WORD)
-    return words
-
-
 def _key_blocks(states: list[LearnerState], counts: list[int]) -> list[np.ndarray]:
     """The shuffle keys of each learner's next ``counts[k]`` epochs, its
     current one first, derived in one pass: a (counts[k], 2) uint64 array per
     learner whose row e is the key of
     ``SeedSequence([data_seed, 5, id, epochs_total + e])``."""
-    prefixes = [_words(st.data_seed) + [5] + _words(st.id) for st in states]
+    prefixes = [seed_words(st.data_seed) + [5] + seed_words(st.id) for st in states]
     width = max(map(len, prefixes))
     sizes = np.array(counts)
     ends = np.cumsum(sizes)
@@ -305,7 +248,7 @@ def _key_blocks(states: list[LearnerState], counts: list[int]) -> list[np.ndarra
     entropy[rows, used] = (epochs & np.uint64(_WORD)).astype(np.uint32)
     entropy[rows, used + 1] = (epochs >> np.uint64(32)).astype(np.uint32)
     lengths = used + 1 + (epochs > _WORD)
-    keys = _philox_keys(entropy[:, : lengths.max()], lengths)
+    keys = philox_keys(entropy[:, : lengths.max()], lengths)
     # Copies, so that no block keeps the whole pass's array alive.
     return [block.copy() for block in np.split(keys, ends[:-1])]
 
@@ -356,14 +299,17 @@ def _steps(
     ``features`` and one-hot ``targets`` in the order of ``perms[k]`` (a
     lone learner passes ``perms`` and ``w`` without the member axis), so
     each step gathers the whole cohort's batch in two ``take`` calls.
-    With a ``bad`` dict, ``w`` is checked after every step, and each member's
-    first step that left it non-finite is recorded there."""
+    uint8 ``features`` are gathered as uint8 and then scaled into the
+    float64 batch (``as_float64``). With a ``bad`` dict, ``w`` is
+    checked after every step, and each member's first step that left it
+    non-finite is recorded there."""
     n, beta = perms.shape[-1], hp.batch_size
     members = perms.shape[0] if perms.ndim == 2 else 1
     # The full batch first: a smaller one then fits in its buffers.
     head = ws.batch(members, min(beta, n))
     tail = ws.batch(members, n % beta) if n > beta and n % beta else head
     gradient, mu, gamma, eta = ws.gradient, hp.proximal_mu, hp.gamma, hp.eta
+    raw = features.dtype == np.uint8
     step = 0
     for start in range(0, n, beta):
         stop = start + beta
@@ -371,7 +317,9 @@ def _steps(
         chunk = perms[..., start:stop]
         # mode="clip" skips the bounds pass that buffers the gather; every
         # index lies within the member's own rows.
-        features.take(chunk, axis=0, out=s.x, mode="clip")
+        features.take(chunk, axis=0, out=s.pixels if raw else s.x, mode="clip")
+        if raw:
+            as_float64(s.pixels, out=s.x)
         targets.take(chunk, axis=0, out=s.t, mode="clip")
         g = gradient(arrays, s)
         if anchor is not None:
@@ -586,11 +534,13 @@ def local_validation_loss(
     sets. Learners whose sets have equal sizes are scored as one stacked
     cohort in ``workspace``, their models and samples gathered from the bank
     with one ``take`` each; a lone learner is scored on its own row and a
-    slice of the pool. The sets are checked as ``run_epoch``'s are: once, by
-    the federation that owns the workspace."""
+    slice of the pool; uint8 rows are then scaled into the workspace
+    (``as_float64``). The sets are checked as ``run_epoch``'s are: once,
+    by the federation that owns the workspace."""
     rows = np.asarray(rows, dtype=np.intp)
     sizes = bank.val_n[rows]
     pooled, layout = bank.split.validation, workspace.layout
+    raw = pooled.features.dtype == np.uint8
     losses = [0.0] * rows.size
     for positions in _cohorts(workspace, sizes):
         members = rows[positions]
@@ -605,8 +555,10 @@ def local_validation_loss(
             index = workspace.array("index", (m, n), np.intp)
             np.add(bank.val_start[members][:, None], np.arange(n), out=index)
             s = workspace.batch(m, n)
-            x = pooled.features.take(index, axis=0, out=s.x, mode="clip")
+            x = pooled.features.take(index, axis=0, out=s.pixels if raw else s.x, mode="clip")
             t = pooled.one_hot().take(index, axis=0, out=s.t, mode="clip")
+        if raw:
+            x = as_float64(x, out=workspace.batch(m, n).x)
         for i, loss in zip(positions.tolist(), workspace.loss(arrays, x, t).tolist()):
             losses[i] = loss
     return losses

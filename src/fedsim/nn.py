@@ -287,9 +287,10 @@ class Workspace:
     """Scratch buffers for cohort steps of one parameter layout.
 
     Each named buffer grows to the largest cohort seen and is then reused, so
-    a training step allocates no batch- or model-sized array. The cohorts of
-    one thread train one at a time, so one workspace serves all of a
-    federation's training on that thread. ``shuffle`` is the one generator
+    a training step allocates no batch- or model-sized array (a cohort
+    shape's uint8 batch is made once, ``_CohortScratch.pixels``). The
+    cohorts of one thread train one at a time, so one workspace serves all
+    of a federation's training on that thread. ``shuffle`` is the one generator
     that the learners' epoch shuffles reseat with a key before each
     permutation: ``seat`` is the Philox state it is reseated with, a zero
     counter and empty output buffers, whose key alone each shuffle swaps.
@@ -395,7 +396,9 @@ class _CohortScratch:
     forward and backward intermediates, the gradient and a free array of the
     same shape (``tmp``). Every array has a leading member axis, except for a
     cohort of one. ``columns`` holds the logits' column views when the row
-    max is taken column by column, else it is empty."""
+    max is taken column by column, else it is empty. uint8 rows are gathered
+    into ``pixels``, an array of ``x``'s shape made on first use, and then
+    scaled into ``x``."""
 
     def __init__(self, ws: Workspace, members: int, rows: int) -> None:
         entries = ws.layout.entries
@@ -421,6 +424,10 @@ class _CohortScratch:
         self.grad = ws.array("grad", (*lead, ws.layout.size))
         self.grad_views = ws.layout.views(self.grad)
         self.tmp = ws.array("tmp", (*lead, ws.layout.size))
+
+    @cached_property
+    def pixels(self) -> np.ndarray:
+        return np.empty(self.x.shape, np.uint8)
 
 
 def momentum_update(

@@ -202,7 +202,7 @@ def build_datasets(cfg: config_mod.ExperimentConfig) -> tuple[Dataset | IdxPixel
         return source, test
     source = load_idx(ds.train_images, ds.train_labels, ds.num_classes)
     test = load_idx(ds.test_images, ds.test_labels, source.num_classes)
-    return source, Dataset(test.features, test.labels, test.num_classes)
+    return source, Dataset(test.pixels, test.labels, test.num_classes)
 
 
 def build_federation(cfg: config_mod.ExperimentConfig):

@@ -1019,6 +1019,39 @@ def valid_configs(draw):
     return {key: value for key, value in raw.items() if value is not None}
 
 
+def reparsed_cell(cfg, scheme):
+    """A grid cell as a re-parse of the config's dict builds it."""
+    d = cfg.to_dict()
+    d["scheme"] = scheme
+    d.pop("schemes", None)
+    if cfg.trigger.kind == "adaptive" and scheme != "async_dvw":
+        d["trigger"] = {"kind": "fixed", "uf": cfg.trigger.fixed_uf}
+    return config_from_dict(d)
+
+
+def assert_cell_is_reparsed(cfg, scheme):
+    cell = cfg.with_scheme(scheme)
+    want = reparsed_cell(cfg, scheme)
+    assert cell == want
+    assert cell.hyperparameters == want.hyperparameters
+    assert json.dumps(cell.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_with_scheme_builds_every_preset_cell_as_a_reparse():
+    for name in preset_names():
+        cfg = config_from_dict(get_preset(name))
+        for scheme in cfg.schemes or (cfg.scheme,):
+            assert_cell_is_reparsed(cfg, scheme)
+
+
+@given(valid_configs())
+@settings(max_examples=100, deadline=None)
+def test_with_scheme_builds_every_cell_as_a_reparse(raw):
+    cfg = config_from_dict(raw)
+    for scheme in SCHEMES:
+        assert_cell_is_reparsed(cfg, scheme)
+
+
 @given(valid_configs())
 @settings(max_examples=200, deadline=None)
 def test_to_dict_round_trip_property(raw):

@@ -15,6 +15,7 @@ from fedsim.data import (
     IdxPixels,
     SizeDistribution,
     alternating_order,
+    as_float64,
     assign_classes,
     build_federated_split,
     compute_sizes,
@@ -143,10 +144,17 @@ def test_idx_subset_scales_the_gathered_pixels_like_the_whole_file(pixels, data)
         idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=50)))
     labels = np.arange(n) % 3
     pool = IdxPixels(pixels, labels, 3).subset(idx)
-    # The formula of scaling the whole file first, then gathering.
+    # The pool keeps the gathered bytes, and scaling them gives the bits of
+    # the formula of scaling the whole file first, then gathering.
+    assert pool.features.dtype == np.uint8
+    assert pool.features.tobytes() == pixels[idx].tobytes()
     reference = pixels.astype(np.float64)[idx] / 255.0
-    assert pool.features.dtype == np.float64
-    assert pool.features.tobytes() == reference.tobytes()
+    scaled = as_float64(pool.features)
+    assert scaled.dtype == np.float64
+    assert scaled.tobytes() == reference.tobytes()
+    out = np.empty_like(reference)
+    assert as_float64(pool.features, out=out) is out
+    assert out.tobytes() == reference.tobytes()
     assert pool.labels.tolist() == labels[idx].tolist()
     whole = IdxPixels(pixels, labels, 3).features
     assert whole.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
@@ -290,7 +298,8 @@ def assigned(sizes, assignment, source, seed, learner_order=None):
 
 def stratified_split(local, fraction, seed):
     """(train, validation) of a local dataset, as ``validation_mask`` splits it."""
-    mask = validation_mask(local.labels, fraction, seed)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    mask = validation_mask(local.labels, fraction, rng)
     return local.subset(np.flatnonzero(~mask)), local.subset(np.flatnonzero(mask))
 
 
@@ -423,6 +432,27 @@ def test_split_stratification_property(seed, num_classes, fraction):
 # ---------------------------------------------------------------------------
 # build_federated_split
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 123, 2**32 - 1, 2**32 + 5, 2**64 + 3, 2**128 - 1])
+def test_split_masks_are_numpys_seed_sequence_draws(seed):
+    # Learner k's validation slice is drawn by the generator numpy seeds from
+    # SeedSequence([seed, 2, k]); seeds of one to four entropy words.
+    source = _balanced_source(n_per_class=120)
+    sizes = compute_sizes(SizeDistribution("skewed", num_learners=12), 360)
+    assignment = IidClasses().resolve(12, 4)
+    split = build_federated_split(source, sizes, assignment, 0.1, seed, source)
+    trains, validations = [], []
+    for lid, idx in enumerate(assign_classes(sizes, assignment, source, [seed, 1])):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 2, lid])))
+        mask = validation_mask(source.labels[idx], 0.1, rng)
+        trains.append(idx[~mask])
+        validations.append(idx[mask])
+    for pool, picked in ((split.train, trains), (split.validation, validations)):
+        want = source.subset(np.concatenate(picked))
+        assert pool.features.tobytes() == want.features.tobytes()
+        assert pool.labels.tolist() == want.labels.tolist()
+    assert split.learner_sizes == tuple((t.size, v.size) for t, v in zip(trains, validations))
 
 
 def test_federated_split_partition_totality():

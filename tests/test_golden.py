@@ -18,7 +18,7 @@ The digests are pinned to the numpy and BLAS build they were recorded with
 products differently and move every row. Re-record only for a declared
 behaviour change or a new platform:
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python -m tests.test_golden --record
 """
 
 from __future__ import annotations
@@ -26,17 +26,21 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fedsim.cli import manifest
 from fedsim.config import config_from_dict, get_preset, preset_names
 from fedsim.simulator import run_simulation_detailed
+from tests.test_data import write_idx_images, write_idx_labels
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "metrics_sha256.json"
 MANIFEST_GOLDEN_PATH = GOLDEN_PATH.with_name("manifest_sha256.json")
 ROW_DIGEST_CHARS = 16
+IDX_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 def platform_key() -> str:
@@ -81,9 +85,73 @@ def cohort_cells():
             yield f"{name}/{scheme}", cfg.with_scheme(scheme)
 
 
-def golden_cells():
+def write_idx_pair(data_dir: Path) -> dict:
+    """1,000 training and 200 test 28 x 28 images of 10 classes as IDX files
+    in ``data_dir``, a function of nothing else: each image is its class's
+    random prototype plus clipped noise. Returns the config's four paths."""
+    rng = np.random.default_rng(2720)
+    prototypes = rng.integers(0, 256, (10, 28 * 28))
+    paths = {}
+    for part, n in (("train", 1000), ("test", 200)):
+        labels = rng.permutation(np.arange(n) % 10)
+        noisy = prototypes[labels] + rng.normal(0.0, 150.0, (n, 28 * 28))
+        images = np.rint(np.clip(noisy, 0, 255)).reshape(n, 28, 28)
+        paths[f"{part}_images"] = str(data_dir / f"{part}-images-idx3-ubyte")
+        paths[f"{part}_labels"] = str(data_dir / f"{part}-labels-idx1-ubyte")
+        write_idx_images(paths[f"{part}_images"], images)
+        write_idx_labels(paths[f"{part}_labels"], labels)
+    return paths
+
+
+def idx_cells(data_dir: Path):
+    """Cells of a 784-16-10 MLP and of softmax regression on ``write_idx_pair``'s
+    files: 10 learners of two speeds, two classes each. ``async_dvw`` runs the
+    adaptive trigger, so it reads every learner's validation loss."""
+    files = write_idx_pair(data_dir)
+    models = (
+        ("idx-mlp", {"kind": "mlp-1hidden", "hidden_dim": 16}),
+        ("idx-softmax", {"kind": "softmax-regression"}),
+    )
+    for name, model in models:
+        cfg = config_from_dict(
+            {
+                "name": name,
+                "num_learners": 10,
+                "dataset": {"kind": "idx", "num_classes": 10, **files},
+                "model": model,
+                "speed_profiles": {
+                    "num_fast": 5,
+                    "fast": {"steps_per_second": 100.0, "eval_samples_per_second": 2000.0},
+                    "slow": {"steps_per_second": 25.0, "eval_samples_per_second": 500.0},
+                },
+                "size_distribution": {"kind": "uniform"},
+                "class_assignment": {"kind": "noniid", "classes_per_learner": 2},
+                "schemes": ["sync_fedavg", "sync_dvw", "fedasync_poly", "async_dvw"],
+                "trigger": {
+                    "kind": "adaptive",
+                    "vc_loss": {"fast": 0.0, "slow": 1.0},
+                    "vc_tomb": {"fast": 2, "slow": 1},
+                    "warmup_cycles": 3,
+                    "max_epochs_per_cycle": 8,
+                    "fixed_uf": 2,
+                },
+                "hyperparameters": {"eta": 0.05, "gamma": 0.75, "beta": 32},
+                "time_budget": 1.5,
+            }
+        )
+        for scheme in cfg.schemes:
+            yield f"{name}/{scheme}", cfg.with_scheme(scheme)
+
+
+def golden_cells(data_dir: Path):
     yield from preset_cells()
     yield from cohort_cells()
+    yield from idx_cells(data_dir)
+
+
+@pytest.fixture(scope="module")
+def idx_dir(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("idx-golden")
 
 
 def digest(text: str) -> dict:
@@ -100,6 +168,9 @@ def manifest_digest(cfg, result) -> dict:
     """Digests of ``manifest.json`` as ``fedsim run`` writes it, without its
     wall-clock seconds, and of each of its fields."""
     fields = manifest(cfg, result)
+    dataset = fields["config"]["dataset"]
+    for key in IDX_PATH_KEYS if dataset["kind"] == "idx" else ():
+        dataset[key] = Path(dataset[key]).name
     return {
         "sha256": hashlib.sha256((json.dumps(fields, indent=2) + "\n").encode()).hexdigest(),
         "fields": {
@@ -116,9 +187,9 @@ def first_difference(got: dict, want: dict, text: str) -> str:
     return f"row count {len(got['rows'])} != expected {len(want['rows'])}"
 
 
-def test_preset_metrics_match_golden_digests(simulated):
+def test_preset_metrics_match_golden_digests(simulated, idx_dir):
     golden = json.loads(GOLDEN_PATH.read_text())
-    cells = dict(golden_cells())
+    cells = dict(golden_cells(idx_dir))
     assert sorted(cells) == sorted(golden["cells"]), "cells differ from the golden set"
     failures = []
     for key, cfg in cells.items():
@@ -132,9 +203,9 @@ def test_preset_metrics_match_golden_digests(simulated):
     )
 
 
-def test_manifests_match_golden_digests(simulated_result):
+def test_manifests_match_golden_digests(simulated_result, idx_dir):
     golden = json.loads(MANIFEST_GOLDEN_PATH.read_text())
-    cells = dict(golden_cells())
+    cells = dict(golden_cells(idx_dir))
     assert sorted(cells) == sorted(golden["cells"]), "cells differ from the golden set"
     failures = []
     for key, cfg in cells.items():
@@ -150,10 +221,11 @@ def test_manifests_match_golden_digests(simulated_result):
 
 def record() -> None:
     metrics, manifests = {}, {}
-    for key, cfg in golden_cells():
-        result = run_simulation_detailed(cfg)
-        metrics[key] = digest(result.log.to_csv())
-        manifests[key] = manifest_digest(cfg, result)
+    with tempfile.TemporaryDirectory() as data_dir:
+        for key, cfg in golden_cells(Path(data_dir)):
+            result = run_simulation_detailed(cfg)
+            metrics[key] = digest(result.log.to_csv())
+            manifests[key] = manifest_digest(cfg, result)
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     for path, cells in ((GOLDEN_PATH, metrics), (MANIFEST_GOLDEN_PATH, manifests)):
         golden = {"platform": platform_key(), "cells": cells}

@@ -1,8 +1,10 @@
+import hashlib
 import math
 import os
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fedsim import cli as cli_mod
 from fedsim import learner as learner_mod
 from fedsim.controller import CommunityModel, FederationController, UpdateRequest
-from fedsim.data import generate_blobs
+from fedsim.data import Dataset, generate_blobs
 from fedsim.learner import (
     BLAS_THREAD_VARS,
     COHORT_SCRATCH_BYTES,
@@ -31,6 +34,7 @@ from fedsim.learner import (
     worker_count,
 )
 from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace, model_layout
+from fedsim.weighting import accuracy, dvw_weight
 from tests.conftest import counting_side_by_side_epochs, learner_bank, params_equal, pinned_cpus
 
 SPEC = ModelSpec("softmax-regression", input_dim=4, num_classes=3, init_seed=1990)
@@ -1117,3 +1121,77 @@ def test_side_by_side_epochs_reuse_their_spare_workspaces():
             spares.append(list(ws.spares))
     assert [len(s) for s in spares] == [2, 2]
     assert all(a is b for a, b in zip(*spares))
+
+
+# ---------------------------------------------------------------------------
+# uint8 pools read like their float64 image
+# ---------------------------------------------------------------------------
+
+
+def pixel_banks(kind, sizes, seed, dim=6):
+    """Two banks alike but for their pools' rows: random uint8 pixels in one,
+    their float64 image ``pixels.astype(np.float64) / 255.0`` in the other.
+    Learner k holds (train n, validation n) ``sizes[k]``, and every learner
+    starts from the same random model and momentum in both."""
+    rng = np.random.default_rng(seed)
+    total = sum(n + v for n, v in sizes)
+    pixels = rng.integers(0, 256, (total, dim), dtype=np.uint8)
+    labels = rng.integers(0, 3, total)
+    spec = ModelSpec(kind, dim, 3, hidden_dim=5 if kind == "mlp-1hidden" else 0, init_seed=seed)
+    community = FederationController(spec).current_model()
+    ends = np.cumsum([n + v for n, v in sizes])
+    banks = []
+    for rows in (pixels, pixels.astype(np.float64) / 255.0):
+        data = Dataset(rows, labels, 3)
+        trains = [data.subset(np.arange(e - n - v, e - v)) for e, (n, v) in zip(ends, sizes)]
+        validations = [data.subset(np.arange(e - v, e)) for e, (n, v) in zip(ends, sizes)]
+        bank = learner_bank(community, trains, validations, list(range(len(sizes))), data_seed=seed)
+        start = np.random.default_rng([seed, 1])
+        bank.params[:] = start.normal(size=bank.params.shape)
+        bank.momentum[:] = start.normal(size=bank.momentum.shape)
+        banks.append(bank)
+    return banks
+
+
+@given(
+    kind=st.sampled_from(["softmax-regression", "mlp-1hidden"]),
+    path=st.sampled_from(["lone", "stacked", "side-by-side"]),
+    sizes=st.lists(st.sampled_from([(12, 3), (20, 3), (20, 4)]), min_size=2, max_size=5),
+    batch=st.sampled_from([8, 64]),
+    mu=st.sampled_from([0.0, 0.05]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_uint8_pools_read_like_their_float64_image(kind, path, sizes, batch, mu, seed):
+    # Training, the validation loss, DVW's accuracy and the test fingerprint
+    # give the same bytes on uint8 pixels as on their float64 image: along
+    # lone and stacked cohorts, and on two threads side by side (a scratch
+    # cap of one byte makes every cohort one unstackable member).
+    hp = Hyperparameters(eta=0.1, gamma=0.75, batch_size=batch, proximal_mu=mu)
+    cap = 1 if path == "side-by-side" else COHORT_SCRATCH_BYTES
+    got = []
+    for bank in pixel_banks(kind, sizes, seed):
+        ws, rows = Workspace(bank.layout), np.arange(len(sizes))
+        losses = []
+        with pinned_cpus(2), mock.patch.object(learner_mod, "COHORT_SCRATCH_BYTES", cap):
+            with counting_side_by_side_epochs() as spy:
+                for _ in range(2):
+                    if path == "lone":
+                        for row in rows:
+                            run_epoch(bank, [row], hp, ws)
+                            losses += local_validation_loss(bank, [row], ws)
+                    else:
+                        run_epoch(bank, rows, hp, ws)
+                        losses += local_validation_loss(bank, rows, ws)
+        assert spy.call_count == (2 if path == "side-by-side" else 0)
+        models = [ParameterSet(w.copy(), bank.layout) for w in bank.params]
+        scores = [dvw_weight(m, bank.split.validation) for m in models]
+        scores += [accuracy(m, bank.split.train) for m in models]
+        with mock.patch.object(cli_mod, "_FINGERPRINT_ROWS", 4):
+            fingerprint = cli_mod._dataset_fingerprint(SimpleNamespace(split=bank.split))
+        got.append((bank.params.tobytes(), bank.momentum.tobytes(), losses, scores, fingerprint))
+    pixels, image = got
+    assert pixels == image
+    # The float64 image hashes like the whole set did, in one piece.
+    test = bank.split.test
+    assert image[-1] == hashlib.sha256(test.features.tobytes() + test.labels.tobytes()).hexdigest()

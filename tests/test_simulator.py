@@ -359,8 +359,9 @@ def test_mlp_model_runs_end_to_end():
 
 def test_idx_federation_builds_no_float64_copy_of_the_source(tmp_path):
     # 2,000 MNIST-shaped training images and a 784-16-10 MLP. The pools are
-    # gathered from the uint8 pixels and scaled once, so set-up never holds
-    # a float64 copy of the whole training file beside them.
+    # gathered from the uint8 pixels and stay uint8, so set-up holds no
+    # float64 copy of the training file or of any pool. A float64 training
+    # pool (1,900 rows, 11.9 MB) would break the bound on its own.
     rng = np.random.default_rng(11)
     files = {}
     for part, n in (("train", 2000), ("test", 300)):
@@ -382,6 +383,7 @@ def test_idx_federation_builds_no_float64_copy_of_the_source(tmp_path):
     finally:
         tracemalloc.stop()
     sets = (split.train, split.validation, split.test)
+    assert [d.features.dtype for d in sets] == [np.uint8] * 3
     held = sum(d.features.nbytes + d.labels.nbytes for d in sets)
     held += bank.params.nbytes + bank.momentum.nbytes
     source_float64 = 2000 * 28 * 28 * 8
