@@ -151,12 +151,13 @@ def manifest(cfg: ExperimentConfig, result: SimulationResult) -> dict:
 
 
 def run_single(cfg: ExperimentConfig, out_dir: Path) -> tuple[MetricsLog, dict]:
-    """Execute one configuration cell and persist its artifacts."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Execute one configuration cell and persist its artifacts; a run that
+    fails leaves no directory behind."""
     wall_start = time.perf_counter()
     result = run_simulation_detailed(cfg)
     wall = time.perf_counter() - wall_start
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     result.log.write_csv(out_dir / "metrics.csv")
     with open(out_dir / "manifest.json", "w") as f:
         json.dump(dict(manifest(cfg, result), wall_duration_seconds=wall), f, indent=2)

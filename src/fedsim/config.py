@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, ClassVar, Union, get_args, get_origin, get_type_hints
 
-from .data import SizeDistribution
+from .data import SizeDistribution, compute_sizes
 from .learner import AdaptivePolicy, FixedPolicy, Hyperparameters, TriggerPolicy
 from .nn import MLP_1HIDDEN, MODEL_KINDS, SOFTMAX_REGRESSION
 from .weighting import SCHEMES, FedAsyncParams
@@ -449,14 +449,19 @@ class ExperimentConfig:
                 assignment.resolve(n, classes)
             except ValueError as exc:  # every kind that can fail reads one field
                 raise ValueError(f"class_assignment.{fields(assignment)[0].name}: {exc}") from None
+        dist = self.size_distribution or SizeDistribution("uniform", n)
+        if dist.total is None and self.dataset.kind == "blobs":  # an IDX pool is its file's
+            try:
+                compute_sizes(dist, self.dataset.num_classes * self.dataset.train_samples_per_class)
+            except ValueError as exc:
+                raise ValueError(f"size_distribution: {exc}") from None
         # FedAsync brings its own divergence regularizer, rho; an explicit
         # proximal_mu wins.
         mu = self.proximal_mu or (self.fedasync.rho if self.scheme == "fedasync_poly" else 0.0)
         derived = {"hyperparameters": replace(self.hyperparameters, proximal_mu=mu)}
+        derived["size_distribution"] = dist
         if self.profiles is None:
             derived["profiles"] = (SpeedProfile("fast", **DEFAULT_RATES["fast"]),) * n
-        if self.size_distribution is None:
-            derived["size_distribution"] = SizeDistribution("uniform", n)
         if self.summary_times is None:
             derived["summary_times"] = (self.time_budget,)
         for name, value in derived.items():

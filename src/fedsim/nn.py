@@ -4,8 +4,9 @@ Parameter containers, forward/backward passes for two small classifier
 architectures (softmax regression and a one-hidden-layer tanh MLP),
 cross-entropy loss, momentum SGD, and argmax prediction.
 
-A model is one contiguous float64 vector with named 2-D views, laid out by a
-``Layout``. ``ParameterSet`` is the read-only unit of exchange; a learner
+A model is one contiguous float64 vector with named 2-D views, laid out by
+its model's ``Layout`` (``model_layout``), which names the model kind.
+``ParameterSet(flat, layout)`` is the read-only unit of exchange; a learner
 trains in place in its row of a learner bank, a plain vector. The
 step kernels run on a cohort of models stacked along a leading member axis
 (a cohort of one drops the axis) and write into a reusable ``Workspace``;
@@ -18,15 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
 
 import numpy as np
 
 SOFTMAX_REGRESSION = "softmax-regression"
 MLP_1HIDDEN = "mlp-1hidden"
 MODEL_KINDS = (SOFTMAX_REGRESSION, MLP_1HIDDEN)
-
-_KIND_BY_NAMES = {("W", "b"): SOFTMAX_REGRESSION, ("W1", "b1", "W2", "b2"): MLP_1HIDDEN}
 
 
 class ShapeError(ValueError):
@@ -59,14 +57,11 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Layout:
-    """Names and shapes of the matrices stored back to back in a flat vector."""
+    """A model kind and the names and shapes of its matrices, stored back to
+    back in a flat vector. ``model_layout`` builds it from a ``ModelSpec``."""
 
+    kind: str
     entries: tuple[tuple[str, int, int], ...]
-
-    def __post_init__(self) -> None:
-        names = [name for name, _, _ in self.entries]
-        if len(set(names)) != len(names):
-            raise ValueError("parameter entry names must be unique")
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -75,11 +70,6 @@ class Layout:
     @cached_property
     def size(self) -> int:
         return sum(rows * cols for _, rows, cols in self.entries)
-
-    @cached_property
-    def kind(self) -> str | None:
-        """The model architecture these names describe, if any."""
-        return _KIND_BY_NAMES.get(self.names)
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """One view of ``flat`` per entry; writes go through to ``flat``.
@@ -96,56 +86,35 @@ class Layout:
 
 
 def model_layout(spec: ModelSpec) -> Layout:
+    """The layout of ``spec``'s model; the one place a ``Layout`` is built."""
+    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
     if spec.kind == SOFTMAX_REGRESSION:
-        return Layout((("W", spec.input_dim, spec.num_classes), ("b", 1, spec.num_classes)))
-    return Layout(
-        (
-            ("W1", spec.input_dim, spec.hidden_dim),
-            ("b1", 1, spec.hidden_dim),
-            ("W2", spec.hidden_dim, spec.num_classes),
-            ("b2", 1, spec.num_classes),
-        )
-    )
+        return Layout(spec.kind, (("W", d, c), ("b", 1, c)))
+    return Layout(spec.kind, (("W1", d, h), ("b1", 1, h), ("W2", h, c), ("b2", 1, c)))
 
 
 class ParameterSet:
-    """Ordered named float64 matrices in one read-only vector — the unit of
-    model exchange: ``flat``, laid out by ``layout``, with one view per entry
-    in ``arrays``.
+    """A model as one read-only float64 vector — the unit of model exchange:
+    ``flat``, laid out by ``layout``, with one view per entry in ``arrays``.
 
-    ``entries`` is an iterable of (name, matrix) pairs, copied into a fresh
-    vector. With ``layout``, ``entries`` is instead a flat float64 vector of
-    ``layout.size`` values that the set adopts without a copy; pass only a
-    vector nothing else will write to. Either way the values are checked
-    finite and frozen, so instances can be shared freely between learners,
-    the controller cache and the community model.
+    The set adopts ``flat``, a float64 vector of ``layout.size`` values,
+    without a copy; pass only a vector nothing else will write to. Its values
+    are checked finite and frozen, so instances can be shared freely between
+    learners, the controller cache and the community model.
     """
 
     __slots__ = ("layout", "flat", "arrays")
 
-    def __init__(
-        self, entries: Iterable[tuple[str, np.ndarray]] | np.ndarray, layout: Layout | None = None
-    ) -> None:
-        if layout is None:
-            pairs = [(str(name), np.asarray(values, dtype=np.float64)) for name, values in entries]
-            for name, arr in pairs:
-                if arr.ndim != 2:
-                    raise ShapeError(f"entry {name!r}: expected a 2-D matrix, got ndim={arr.ndim}")
-            layout = Layout(tuple((name, *arr.shape) for name, arr in pairs))
-            flat = np.empty(layout.size)
-            for view, (_, arr) in zip(layout.views(flat), pairs):
-                view[...] = arr
-        else:
-            flat = entries
-            if not (
-                isinstance(flat, np.ndarray)
-                and flat.dtype == np.float64
-                and flat.shape == (layout.size,)
-                and flat.flags.c_contiguous
-            ):
-                raise ShapeError(
-                    f"expected a contiguous float64 vector of {layout.size} values for {layout.names}"
-                )
+    def __init__(self, flat: np.ndarray, layout: Layout) -> None:
+        if not (
+            isinstance(flat, np.ndarray)
+            and flat.dtype == np.float64
+            and flat.shape == (layout.size,)
+            and flat.flags.c_contiguous
+        ):
+            raise ShapeError(
+                f"expected a contiguous float64 vector of {layout.size} values for {layout.names}"
+            )
         if not np.isfinite(flat).all():
             views = zip(layout.names, layout.views(flat))
             bad = next(n for n, a in views if not np.isfinite(a).all())
@@ -155,59 +124,32 @@ class ParameterSet:
         self.flat = flat
         self.arrays = layout.views(flat)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.layout.names
-
-    def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self.names, self.arrays))
-
-    def array(self, name: str) -> np.ndarray:
-        try:
-            return self.arrays[self.names.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
-
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}{a.shape}" for n, a in self)
+        inner = ", ".join(f"{n}{a.shape}" for n, a in zip(self.layout.names, self.arrays))
         return f"ParameterSet({inner})"
 
 
-def scale_add(dst: ParameterSet, src: ParameterSet, alpha: float) -> ParameterSet:
-    """Entrywise dst + alpha * src; both inputs are left untouched."""
-    if dst.layout != src.layout:
-        raise ShapeError(
-            f"scale_add: parameter layouts differ ({dst.layout.entries} vs {src.layout.entries})"
-        )
-    return ParameterSet(dst.flat + alpha * src.flat, dst.layout)
-
-
 def scale(params: ParameterSet, alpha: float) -> ParameterSet:
-    """Entrywise alpha * params."""
+    """Entrywise alpha * params. Nothing in fedsim calls it; the benchmark's
+    audit-gate test uses it to nudge a community model."""
     return ParameterSet(alpha * params.flat, params.layout)
 
 
 def init_parameters(spec: ModelSpec) -> ParameterSet:
     """Deterministic Glorot-uniform weight matrices, zero biases.
 
-    Uses a counter-based generator keyed on ``init_seed``: identical specs
-    yield bit-identical parameter sets on any platform.
+    Uses a counter-based generator keyed on ``init_seed``, drawn for the
+    weight matrices in entry order: identical specs yield bit-identical
+    parameter sets on any platform.
     """
     rng = np.random.Generator(np.random.Philox(key=spec.init_seed))
-    entries = []
-    for name, rows, cols in model_layout(spec).entries:
-        if name.startswith("b"):
-            entries.append((name, np.zeros((rows, cols))))
-        else:
+    layout = model_layout(spec)
+    flat = np.zeros(layout.size)
+    for (name, rows, cols), view in zip(layout.entries, layout.views(flat)):
+        if not name.startswith("b"):
             r = math.sqrt(6.0 / (rows + cols))
-            entries.append((name, rng.uniform(-r, r, size=(rows, cols))))
-    return ParameterSet(entries)
-
-
-def _model_kind(layout: Layout) -> str:
-    if layout.kind is None:
-        raise ShapeError(f"unrecognized parameter layout: {layout.names}")
-    return layout.kind
+            view[...] = rng.uniform(-r, r, size=(rows, cols))
+    return ParameterSet(flat, layout)
 
 
 def check_dataset(layout: Layout, data) -> None:
@@ -299,7 +241,6 @@ class Workspace:
     """
 
     def __init__(self, layout: Layout) -> None:
-        _model_kind(layout)
         self.layout = layout
         self._store: dict[str, np.ndarray] = {}
         self._shapes: dict[tuple[int, int], _CohortScratch] = {}
@@ -453,7 +394,7 @@ def predict(params: ParameterSet, features: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest class index. The
     caller has checked the features' width (``check_dataset``)."""
     x = np.asarray(features, dtype=np.float64)
-    kind = _model_kind(params.layout)
+    kind = params.layout.kind
     hidden = np.empty((len(x), params.arrays[0].shape[1])) if kind == MLP_1HIDDEN else None
     logits = np.empty((len(x), params.arrays[-1].shape[1]))
     _forward_into(kind, params.arrays, x, logits, hidden)

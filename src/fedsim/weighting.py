@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, as_float64
-from .nn import ParameterSet, predict, scale_add, scale
+from .nn import ParameterSet, ShapeError, predict
 
 SCHEMES = ("sync_fedavg", "async_fedavg", "sync_dvw", "async_dvw", "fedasync_poly")
 DVW_SCHEMES = ("sync_dvw", "async_dvw")
@@ -76,6 +76,11 @@ def fedasync_poly_mix(
     staleness: int,
     params: FedAsyncParams,
 ) -> ParameterSet:
-    """Convex combination (1 - alpha_t) * w_c + alpha_t * w_k."""
+    """Convex combination (1 - alpha_t) * w_c + alpha_t * w_k, as a new set."""
+    if w_c.layout != w_k.layout:
+        raise ShapeError(
+            f"fedasync_poly_mix: parameter layouts differ "
+            f"({w_c.layout.entries} vs {w_k.layout.entries})"
+        )
     alpha_t = fedasync_mix_factor(staleness, params)
-    return scale_add(scale(w_c, 1.0 - alpha_t), w_k, alpha_t)
+    return ParameterSet((1.0 - alpha_t) * w_c.flat + alpha_t * w_k.flat, w_c.layout)

@@ -10,7 +10,7 @@ from fedsim import learner as learner_mod
 from fedsim.controller import CommunityModel, FederationController
 from fedsim.data import Dataset, FederatedSplit
 from fedsim.learner import FixedPolicy, LearnerBank
-from fedsim.nn import MLP_1HIDDEN, SOFTMAX_REGRESSION, ModelSpec, ParameterSet
+from fedsim.nn import MODEL_KINDS, MLP_1HIDDEN, SOFTMAX_REGRESSION, ModelSpec, ParameterSet, model_layout
 from fedsim.simulator import run_simulation_detailed
 
 
@@ -81,21 +81,15 @@ def zeros_like(params: ParameterSet) -> ParameterSet:
 
 def random_params(spec_kind: str, rng: np.random.Generator, input_dim=5, num_classes=3, hidden=4) -> ParameterSet:
     """Random small parameter sets in the canonical layouts."""
-    if spec_kind == SOFTMAX_REGRESSION:
-        return ParameterSet(
-            [
-                ("W", rng.normal(size=(input_dim, num_classes))),
-                ("b", rng.normal(size=(1, num_classes))),
-            ]
-        )
-    return ParameterSet(
-        [
-            ("W1", rng.normal(size=(input_dim, hidden))),
-            ("b1", rng.normal(size=(1, hidden))),
-            ("W2", rng.normal(size=(hidden, num_classes))),
-            ("b2", rng.normal(size=(1, num_classes))),
-        ]
-    )
+    layout = model_layout(ModelSpec(spec_kind, input_dim, num_classes, hidden))
+    return ParameterSet(rng.normal(size=layout.size), layout)
+
+
+def literal_model(*arrays) -> ParameterSet:
+    """The model whose matrices are ``arrays``: (W, b) or (W1, b1, W2, b2)."""
+    w, b = np.shape(arrays[0]), np.shape(arrays[-1])
+    spec = ModelSpec(MODEL_KINDS[len(arrays) // 4], w[0], b[1], hidden_dim=w[1])
+    return ParameterSet(np.concatenate(arrays, axis=None, dtype=float), model_layout(spec))
 
 
 def random_batch(rng: np.random.Generator, n=6, input_dim=5, num_classes=3):
@@ -106,7 +100,7 @@ def random_batch(rng: np.random.Generator, n=6, input_dim=5, num_classes=3):
 def identity_model(num_classes: int) -> ParameterSet:
     """Softmax regression with W = I and b = 0: it predicts the hot column of
     a one-hot feature row."""
-    return ParameterSet([("W", np.eye(num_classes)), ("b", np.zeros((1, num_classes)))])
+    return literal_model(np.eye(num_classes), np.zeros((1, num_classes)))
 
 
 def one_hot_dataset(actual, predicted, num_classes: int) -> Dataset:

@@ -21,7 +21,7 @@ from fedsim.learner import (
     effective_staleness,
     run_epoch,
 )
-from fedsim.nn import ModelSpec, ParameterSet, Workspace, momentum_update
+from fedsim.nn import MLP_1HIDDEN, SOFTMAX_REGRESSION, ModelSpec, ParameterSet, Workspace, momentum_update
 from fedsim.simulator import evaluate_test_accuracy, run_simulation_detailed
 from fedsim.weighting import dvw_weight
 from tests.conftest import (
@@ -38,10 +38,8 @@ def report(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion:02d}: PASS - {message}", flush=True)
 
 
-def random_model(rng: np.random.Generator, num_matrices: int) -> ParameterSet:
-    return ParameterSet(
-        (f"m{i}", rng.normal(size=(4, 5))) for i in range(num_matrices)
-    )
+def random_model(rng: np.random.Generator, kind: str) -> ParameterSet:
+    return random_params(kind, rng, input_dim=4, num_classes=5, hidden=5)
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +49,15 @@ def random_model(rng: np.random.Generator, num_matrices: int) -> ParameterSet:
 
 def test_criterion_01_cache_correctness():
     start = time.perf_counter()
-    federations = [(3, 2), (5, 2), (10, 2), (3, 6), (10, 6)]
-    for fed_idx, (n_learners, m) in enumerate(federations):
+    federations = [(3, SOFTMAX_REGRESSION), (5, SOFTMAX_REGRESSION), (10, SOFTMAX_REGRESSION),
+                   (3, MLP_1HIDDEN), (10, MLP_1HIDDEN)]
+    for fed_idx, (n_learners, kind) in enumerate(federations):
         rng = np.random.default_rng(1990 + fed_idx)
-        initial = random_model(rng, m)
+        initial = random_model(rng, kind)
         ctrl = controller_from(initial)
         for _ in range(200):
             lid = int(rng.integers(0, n_learners))
-            w = random_model(rng, m)
+            w = random_model(rng, kind)
             p = float(rng.uniform(0.05, 4.0))
             got = ctrl.handle_async_update(
                 UpdateRequest(lid, w, local_steps=1, local_train_size=1),
@@ -90,13 +89,7 @@ def _median_latencies(n_learners: int, updates: int = 600) -> tuple[float, float
     import gc
 
     rng = np.random.default_rng(7)
-    models = [
-        ParameterSet(
-            [("W1", rng.normal(size=(64, 48))), ("b1", rng.normal(size=(1, 48))),
-             ("W2", rng.normal(size=(48, 8))), ("b2", rng.normal(size=(1, 8)))]
-        )
-        for _ in range(8)
-    ]
+    models = [random_params(MLP_1HIDDEN, rng, input_dim=64, num_classes=8, hidden=48) for _ in range(8)]
     ctrl = _controller_with_cache(n_learners, models)
     requests = [UpdateRequest(i % n_learners, models[i % 8], 1, 1) for i in range(updates)]
     weight_fn = lambda r: 1.0
@@ -168,7 +161,7 @@ def test_criterion_02_commit_reads_one_cache_entry():
     # reads only the committing learner's cache entry and never re-sums.
     n_learners = 1000
     rng = np.random.default_rng(7)
-    models = [ParameterSet([("W", rng.normal(size=(4, 3)))]) for _ in range(8)]
+    models = [random_params(SOFTMAX_REGRESSION, rng, input_dim=4, num_classes=3) for _ in range(8)]
     ctrl = _controller_with_cache(n_learners, models)
     cache = _CountingCache(ctrl._cache)
     ctrl._cache = cache

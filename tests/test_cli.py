@@ -174,8 +174,19 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
             {"dataset": dict(SMALL_CONFIG["dataset"], input_dim=1, num_classes=3)},
             "1-D features admit at most two",
         ),
+        (
+            {
+                "num_learners": 10,
+                "dataset": {
+                    "kind": "blobs", "input_dim": 2, "num_classes": 2, "train_samples_per_class": 10
+                },
+                "size_distribution": {"kind": "powerlaw"},
+            },
+            "config error: size_distribution: powerlaw distribution over 10 learners leaves a "
+            "learner empty at total=20",
+        ),
     ],
-    ids=["uniform-total-below-learners", "powerlaw-empty-learner", "1d-3-classes"],
+    ids=["uniform-total-below-learners", "powerlaw-empty-learner", "1d-3-classes", "powerlaw-pool-of-20"],
 )
 def test_unbuildable_config_exit_code(tmp_path, capsys, overrides, message):
     bad = write_config(tmp_path, overrides)
@@ -214,6 +225,49 @@ def test_class_assignment_rejected_before_any_output(tmp_path, capsys, assignmen
     bad = write_config(tmp_path, {"class_assignment": assignment})
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            {
+                "num_learners": 3,
+                "dataset": {
+                    "kind": "blobs", "input_dim": 2, "num_classes": 4, "train_samples_per_class": 200
+                },
+                "class_assignment": {"kind": "noniid", "classes_per_learner": 2},
+            },
+            "error: class 0: assignments need 267 samples but only 200 exist (short 67)",
+        ),
+        (
+            {
+                "num_learners": 1,
+                "seed": 900167,
+                "dataset": {
+                    "kind": "blobs", "input_dim": 1, "num_classes": 2,
+                    "train_samples_per_class": 46, "test_samples_per_class": 7,
+                },
+                "model": {"kind": "softmax-regression"},
+                "scheme": "async_dvw",
+                "hyperparameters": {"eta": 0.01, "gamma": 0.5, "beta": 4},
+                "time_budget": 3.0,
+                "max_versions": 60,
+                "size_distribution": {"kind": "uniform", "total": 7},
+                "class_assignment": {"kind": "iid"},
+                "trigger": {"kind": "fixed", "uf": 2},
+            },
+            "degenerate federation: normalizer would drop to 0.0 on commit from learner 0 (p=0.0)",
+        ),
+    ],
+    ids=["class-capacity", "async-normalizer-zero"],
+)
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

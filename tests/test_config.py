@@ -14,7 +14,7 @@ from fedsim.config import (
     parse_config,
     preset_names,
 )
-from fedsim.data import SIZE_KINDS, SizeDistribution
+from fedsim.data import SIZE_KINDS, SizeDistribution, compute_sizes
 from fedsim.learner import AdaptivePolicy, FixedPolicy
 from fedsim.weighting import SCHEMES
 
@@ -28,6 +28,7 @@ MINIMAL = {
         "train_samples_per_class": 500,
     },
 }
+TWENTY_BLOBS = {"kind": "blobs", "input_dim": 2, "num_classes": 2, "train_samples_per_class": 10}
 IDX_DATASET = {
     "kind": "idx",
     "train_images": "train-images.idx",
@@ -502,8 +503,37 @@ def test_parsing_ignores_the_seed_variable(monkeypatch, tmp_path):
             {"dataset": dict(MINIMAL["dataset"], input_dim=1, num_classes=3)},
             "dataset: 1-D features admit at most two distinct unit-norm class centers",
         ),
+        # Without a total, a blobs pool of num_classes x train_samples_per_class
+        # samples is spread, and checked at parse all the same.
+        (
+            {"dataset": TWENTY_BLOBS, "size_distribution": {"kind": "powerlaw"}},
+            "size_distribution: powerlaw distribution over 10 learners leaves a learner "
+            "empty at total=20",
+        ),
+        (
+            {"dataset": TWENTY_BLOBS, "size_distribution": {"kind": "skewed", "decay": 0.1}},
+            "size_distribution: skewed distribution over 10 learners leaves a learner "
+            "empty at total=20",
+        ),
+        (
+            {"num_learners": 21, "dataset": TWENTY_BLOBS, "size_distribution": {"kind": "uniform"}},
+            "size_distribution: cannot spread 20 samples across 21 learners",
+        ),
+        (
+            {"num_learners": 21, "dataset": TWENTY_BLOBS},
+            "size_distribution: cannot spread 20 samples across 21 learners",
+        ),
     ],
-    ids=["uniform-total-below-learners", "powerlaw-empty-learner", "skewed-empty-learner", "1d-3-classes"],
+    ids=[
+        "uniform-total-below-learners",
+        "powerlaw-empty-learner",
+        "skewed-empty-learner",
+        "1d-3-classes",
+        "powerlaw-pool-of-20",
+        "skewed-pool-of-20",
+        "uniform-pool-of-20",
+        "default-sizes-pool-of-20",
+    ],
 )
 def test_unbuildable_sizes_and_blobs_rejected_at_parse(overrides, message):
     with pytest.raises(ConfigError) as raised:
@@ -512,9 +542,10 @@ def test_unbuildable_sizes_and_blobs_rejected_at_parse(overrides, message):
 
 
 def test_sizes_from_the_whole_source_are_checked_at_build():
-    # Without a total the pool's size is known only once the source is
-    # loaded, so the parser accepts what the build may reject.
-    cfg = config_from_dict(dict(MINIMAL, num_learners=5, size_distribution={"kind": "uniform"}))
+    # Without a total an IDX pool's size is known only once its file is
+    # read, so the parser accepts what the build may reject.
+    raw = dict(MINIMAL, dataset=IDX_DATASET, size_distribution={"kind": "uniform"})
+    cfg = config_from_dict(dict(raw, num_learners=5000))
     assert cfg.size_distribution.total is None
     line = dict(MINIMAL["dataset"], input_dim=1, num_classes=2)  # two centers fit on a line
     assert config_from_dict(dict(MINIMAL, dataset=line)).dataset.input_dim == 1
@@ -879,11 +910,13 @@ def per_group(values):
     return values | st.fixed_dictionaries({"fast": values, "slow": values})
 
 
-def splits(dist: dict, num_learners: int) -> bool:
+def splits(dist: dict, num_learners: int, dataset: dict) -> bool:
     """Whether a size distribution gives every learner a sample, which the
-    schema requires of an explicit total."""
+    schema requires of an explicit total and, without one, of a blobs pool."""
     try:
-        SizeDistribution(num_learners=num_learners, **dist)
+        sizes = SizeDistribution(num_learners=num_learners, **dist)
+        if sizes.total is None and dataset["kind"] == "blobs":
+            compute_sizes(sizes, dataset["num_classes"] * dataset["train_samples_per_class"])
     except ValueError:
         return False
     return True
@@ -966,7 +999,7 @@ def valid_configs(draw):
                     "decay": st.floats(1e-3, 1.0),
                     "exponent": POSITIVE,
                 },
-            ).filter(lambda dist: splits(dist, n))
+            ).filter(lambda dist: splits(dist, n, dataset))
         ),
         "class_assignment": draw(
             st.none()

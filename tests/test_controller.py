@@ -9,13 +9,7 @@ from fedsim.controller import (
     FederationController,
     UpdateRequest,
 )
-from fedsim.nn import (
-    ModelSpec,
-    ParameterSet,
-    init_parameters,
-    scale,
-    scale_add,
-)
+from fedsim.nn import ModelSpec, ParameterSet, init_parameters
 from fedsim.weighting import FedAsyncParams, fedavg_weight
 from tests.conftest import cache_size, params_allclose, params_equal, random_params
 
@@ -32,8 +26,8 @@ def make_request(lid, params, steps=1, size=10):
 
 
 def constant_model(spec, value):
-    base = init_parameters(spec)
-    return ParameterSet((n, np.full_like(a, value)) for n, a in base)
+    layout = init_parameters(spec).layout
+    return ParameterSet(np.full(layout.size, value), layout)
 
 
 def recompute_from_latest(commits):
@@ -42,10 +36,8 @@ def recompute_from_latest(commits):
     for lid, p, w in commits:
         latest[lid] = (p, w)
     total = sum(p for p, _ in latest.values())
-    acc = None
-    for p, w in latest.values():
-        acc = scale_add(acc, w, p) if acc is not None else scale(w, p)
-    return scale(acc, 1.0 / total)
+    acc = sum(p * w.flat for p, w in latest.values())
+    return ParameterSet((1.0 / total) * acc, w.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +86,8 @@ def test_sync_round_weighted_sum_oracle(rng):
     sizes = [598, 212, 190]
     reqs = [make_request(i, m, size=s) for i, (m, s) in enumerate(zip(models, sizes))]
     got = ctrl.handle_sync_round(reqs, by_size).params
-    expected = ParameterSet(
-        (n, 0.598 * a + 0.212 * b + 0.190 * c)
-        for (n, a), (_, b), (_, c) in zip(*models)
-    )
+    a, b, c = (m.flat for m in models)
+    expected = ParameterSet(0.598 * a + 0.212 * b + 0.190 * c, models[0].layout)
     assert params_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 
@@ -320,7 +310,7 @@ def test_fedasync_zero_staleness_midpoint(rng):
     w0 = ctrl.current_model().params
     w = random_params("softmax-regression", rng, input_dim=3)
     model = ctrl.handle_update(make_request(0, w, steps=4), staleness=0)
-    expected = ParameterSet((n, 0.5 * (a + b)) for (n, a), (_, b) in zip(w0, w))
+    expected = ParameterSet(0.5 * (w0.flat + w.flat), w.layout)
     assert params_allclose(model.params, expected, rtol=0, atol=1e-15)
     assert model.version == 1
     assert model.committed_steps == 4

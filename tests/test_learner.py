@@ -101,7 +101,7 @@ def test_zero_mu_matches_plain_trajectory(train_set, controller):
     # With mu = 0 the anchor is never read: moving it changes nothing.
     bank = learner_bank(controller.current_model(), [train_set, train_set])
     plain, prox = bank.states
-    prox.anchor = ParameterSet((n, a + 100.0) for n, a in prox.anchor)
+    prox.anchor = ParameterSet(prox.anchor.flat + 100.0, prox.anchor.layout)
     hp = replace(HP, proximal_mu=0.0)
     for _ in range(3):
         run_epoch(bank, [0], hp, WS)
@@ -142,9 +142,9 @@ def test_proximal_contracts_toward_anchor(controller):
     # isolate the proximal term by checking the weight matrix only.
     hp = Hyperparameters(eta=0.01, gamma=0.0, batch_size=6, proximal_mu=10.0)
     w = state.arrays[0]  # the entry "W"
-    before_gap = np.abs(w - anchor.array("W")).max()
+    before_gap = np.abs(w - anchor.arrays[0]).max()
     run_epoch(bank, [0], hp, WS)
-    after_gap = np.abs(w - anchor.array("W")).max()
+    after_gap = np.abs(w - anchor.arrays[0]).max()
     expected = (1 - hp.eta * hp.proximal_mu) * before_gap
     assert after_gap == pytest.approx(expected, rel=1e-9)
 
@@ -160,7 +160,7 @@ def test_large_mu_closed_form_single_step(controller):
     # one step per epoch
     hp = Hyperparameters(eta=0.0005, gamma=0.0, batch_size=6, proximal_mu=1000.0)
     w_before = state.arrays[0].copy()  # the entry "W"
-    anchor_w = state.anchor.array("W")
+    anchor_w = state.anchor.arrays[0]
     run_epoch(bank, [0], hp, WS)
     expected = w_before - hp.eta * 1000.0 * (w_before - anchor_w)
     assert np.allclose(state.arrays[0], expected, rtol=1e-12)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,9 +21,10 @@ from fedsim.nn import (
     model_layout,
     momentum_update,
     predict,
-    scale_add,
 )
+from fedsim.weighting import FedAsyncParams, fedasync_mix_factor, fedasync_poly_mix
 from tests.conftest import (
+    literal_model,
     params_allclose,
     params_equal,
     random_batch,
@@ -56,13 +58,13 @@ def test_init_mlp_shapes():
         ("W2", 16, 3),
         ("b2", 1, 3),
     )
-    assert np.all(params.array("b1") == 0.0)
-    assert np.all(params.array("b2") == 0.0)
+    assert np.all(params.arrays[1] == 0.0)
+    assert np.all(params.arrays[3] == 0.0)
 
 
 def test_init_weights_within_glorot_bound():
     spec = ModelSpec(SOFTMAX_REGRESSION, input_dim=6, num_classes=4)
-    w = init_parameters(spec).array("W")
+    w = init_parameters(spec).arrays[0]
     r = math.sqrt(6.0 / (6 + 4))
     assert np.all(np.abs(w) <= r)
 
@@ -85,7 +87,7 @@ def loss_of(params, x, y) -> float:
 
 def test_uniform_logits_loss_is_log_c():
     # Zero weights and bias produce uniform logits over C=4 classes.
-    params = ParameterSet([("W", np.zeros((3, 4))), ("b", np.zeros((1, 4)))])
+    params = literal_model(np.zeros((3, 4)), np.zeros((1, 4)))
     ws = Workspace(params.layout)
     loss = ws.loss(params.arrays, np.ones((5, 3)), one_hot([0, 1, 2, 3, 0], 4))
     assert loss.shape == (1,)
@@ -96,7 +98,7 @@ def test_uniform_logits_loss_is_log_c():
 def test_loss_vanishes_with_growing_margin():
     losses = []
     for margin in (1.0, 10.0, 100.0):
-        params = ParameterSet([("W", np.array([[margin, 0.0]])), ("b", np.zeros((1, 2)))])
+        params = literal_model([[margin, 0.0]], np.zeros((1, 2)))
         losses.append(loss_of(params, np.ones((1, 1)), np.array([0])))
     assert losses[0] > losses[1] > losses[2]
     assert losses[2] < 1e-10
@@ -106,7 +108,7 @@ def test_loss_matches_scalar_evaluation():
     # Independent oracle: per-sample softmax + log computed with plain floats.
     w = np.array([[0.5, -1.0, 0.25], [2.0, 0.5, -0.5]])
     b = np.array([[0.1, -0.2, 0.3]])
-    params = ParameterSet([("W", w), ("b", b)])
+    params = literal_model(w, b)
     x = np.array([[1.0, -2.0], [0.5, 0.25]])
     y = [2, 0]
     expected = 0.0
@@ -182,10 +184,10 @@ def test_gradient_matches_central_difference(kind, rng):
 
 
 def test_zero_input_softmax_gradient():
-    params = ParameterSet([("W", np.array([[0.3, -0.1]])), ("b", np.array([[0.2, 0.4]]))])
+    params = literal_model([[0.3, -0.1]], [[0.2, 0.4]])
     grads = backward(params, np.zeros((4, 1)), np.array([0, 0, 1, 1]))
-    assert np.all(grads.array("W") == 0.0)
-    assert np.any(grads.array("b") != 0.0)
+    assert np.all(grads.arrays[0] == 0.0)
+    assert np.any(grads.arrays[1] != 0.0)
 
 
 def test_duplicated_sample_mean_invariance(rng):
@@ -270,7 +272,7 @@ def test_zero_gamma_is_vanilla_sgd(rng):
     grads = backward(params, *random_batch(rng))
     stepped, u = params.flat.copy(), np.zeros(params.layout.size)
     momentum_update(stepped, u, grads.flat, 0.0, 0.05, np.empty_like(stepped))
-    vanilla = ParameterSet((n, w - 0.05 * g) for (n, w), (_, g) in zip(params, grads))
+    vanilla = ParameterSet(params.flat - 0.05 * grads.flat, params.layout)
     assert np.array_equal(stepped, vanilla.flat)
 
 
@@ -295,7 +297,7 @@ def confusion_of(params, features, labels, num_classes):
 
 def test_perfect_classifier_diagonal():
     # One-feature model that cleanly separates two classes.
-    params = ParameterSet([("W", np.array([[-5.0, 5.0]])), ("b", np.zeros((1, 2)))])
+    params = literal_model([[-5.0, 5.0]], np.zeros((1, 2)))
     x = np.array([[-1.0]] * 5 + [[1.0]] * 5)
     y = np.array([0] * 5 + [1] * 5)
     cm = confusion_of(params, x, y, 2)
@@ -303,7 +305,7 @@ def test_perfect_classifier_diagonal():
 
 
 def test_constant_predictor_counts():
-    params = ParameterSet([("W", np.zeros((3, 2))), ("b", np.array([[1.0, 0.0]]))])
+    params = literal_model(np.zeros((3, 2)), [[1.0, 0.0]])
     x = np.zeros((10, 3))
     y = np.array([0] * 5 + [1] * 5)
     cm = confusion_of(params, x, y, 2)
@@ -327,7 +329,7 @@ def test_confusion_matches_per_sample_loop(rng):
 
 
 def test_argmax_ties_break_low():
-    params = ParameterSet([("W", np.zeros((2, 3))), ("b", np.zeros((1, 3)))])
+    params = literal_model(np.zeros((2, 3)), np.zeros((1, 3)))
     pred = predict(params, np.ones((4, 2)))
     assert np.all(pred == 0)
 
@@ -348,48 +350,52 @@ def test_confusion_mass_conservation(seed, num_classes, n):
 
 
 # ---------------------------------------------------------------------------
-# scale_add
+# Weighted sums of flat vectors
 # ---------------------------------------------------------------------------
-
-
-def test_scale_add_zero_alpha(rng):
-    a = random_params(SOFTMAX_REGRESSION, rng)
-    b = random_params(SOFTMAX_REGRESSION, rng)
-    assert params_equal(scale_add(a, b, 0.0), a)
-
-
-def test_scale_add_additive_inverse(rng):
-    z = random_params(SOFTMAX_REGRESSION, rng)
-    w = random_params(SOFTMAX_REGRESSION, rng)
-    back = scale_add(scale_add(z, w, 3.7), w, -3.7)
-    assert params_allclose(back, z, rtol=0.0, atol=1e-12)
-
-
-def test_scale_add_leaves_inputs_untouched(rng):
-    a = random_params(SOFTMAX_REGRESSION, rng)
-    b = random_params(SOFTMAX_REGRESSION, rng)
-    a_copy = [arr.copy() for arr in a.arrays]
-    scale_add(a, b, 2.5)
-    assert all(np.array_equal(x, y) for x, y in zip(a.arrays, a_copy))
 
 
 def test_three_model_weighted_sum(rng):
     models = [random_params(SOFTMAX_REGRESSION, rng) for _ in range(3)]
     weights = [0.598, 0.212, 0.190]
-    acc = zeros_like(models[0])
+    acc = zeros_like(models[0]).flat
     for m, p in zip(models, weights):
-        acc = scale_add(acc, m, p)
+        acc = acc + p * m.flat
+    acc = ParameterSet(acc, models[0].layout)
     # Oracle: direct sum over raw arrays.
-    for i, name in enumerate(acc.names):
+    for i in range(len(acc.arrays)):
         direct = sum(p * m.arrays[i] for m, p in zip(models, weights))
         assert np.allclose(acc.arrays[i], direct, rtol=0, atol=1e-12)
 
 
-def test_scale_add_shape_mismatch(rng):
-    a = random_params(SOFTMAX_REGRESSION, rng, input_dim=5)
-    b = random_params(SOFTMAX_REGRESSION, rng, input_dim=6)
-    with pytest.raises(ShapeError):
-        scale_add(a, b, 1.0)
+def two_step_mix(w_c, w_k, alpha_t) -> np.ndarray:
+    """FedAsync's mix as scale, then scale-and-add: (1 - a) * w_c, then + a * w_k."""
+    scaled = (1.0 - alpha_t) * w_c.flat
+    return scaled + alpha_t * w_k.flat
+
+
+@given(
+    kind=st.sampled_from([SOFTMAX_REGRESSION, MLP_1HIDDEN]),
+    staleness=st.integers(0, 10**6),
+    alpha=st.floats(1e-6, 1.0),
+    a=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_fedasync_mix_is_the_two_step_reference(kind, staleness, alpha, a, seed):
+    rng = np.random.default_rng(seed)
+    w_c, w_k = random_params(kind, rng), random_params(kind, rng)
+    before = w_c.flat.copy(), w_k.flat.copy()
+    params = FedAsyncParams(alpha=alpha, a=a)
+    mixed = fedasync_poly_mix(w_c, w_k, staleness, params)
+    alpha_t = fedasync_mix_factor(staleness, params)
+    assert mixed.layout == w_c.layout
+    assert mixed.flat.tobytes() == two_step_mix(w_c, w_k, alpha_t).tobytes()
+    assert w_c.flat.tobytes() == before[0].tobytes() and w_k.flat.tobytes() == before[1].tobytes()
+    assert not (w_c.flat.flags.writeable or w_k.flat.flags.writeable)
+    other = random_params(kind, rng, input_dim=6)
+    for pair in ((w_c, other), (other, w_k)):
+        with pytest.raises(ShapeError, match="parameter layouts differ"):
+            fedasync_poly_mix(*pair, staleness, params)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +403,50 @@ def test_scale_add_shape_mismatch(rng):
 # ---------------------------------------------------------------------------
 
 
+# sha256 of init_parameters(spec).flat, recorded before ParameterSet lost its
+# pairs constructor: the draws and their order must not move.
+INIT_DIGESTS = {
+    (SOFTMAX_REGRESSION, 1990): "8691f9c19c85379c250d6e54cd71eb6c9debebddbd1b4c6d09bfebed0bcc1de5",
+    (MLP_1HIDDEN, 1990): "5ff242649c6b1097417ead3a815e7536fdbbe08be3f783cdb716442fb992865f",
+    (SOFTMAX_REGRESSION, 2**64 + 3): "ce9e5b34f02714626147294c9f6e0d2a71f76f8d5bcaec45838003e9bf6bb4f4",
+    (MLP_1HIDDEN, 2**64 + 3): "5198b11cd0d54ce4103a99b2cbfe43e64e65a9fb57e5ab5d34b547cbd7dc0cb2",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(INIT_DIGESTS))
+def test_init_parameters_digest(kind, seed):
+    spec = ModelSpec(kind, input_dim=784, num_classes=10, hidden_dim=128, init_seed=seed)
+    flat = init_parameters(spec).flat
+    assert hashlib.sha256(flat.tobytes()).hexdigest() == INIT_DIGESTS[kind, seed]
+
+
+def test_parameter_set_rejection_messages():
+    layout = model_layout(ModelSpec(MLP_1HIDDEN, input_dim=4, num_classes=3, hidden_dim=5))
+    wrong = "expected a contiguous float64 vector of 43 values for ('W1', 'b1', 'W2', 'b2')"
+    for flat in (
+        np.zeros(layout.size, np.float32),
+        np.zeros(2 * layout.size)[::2],
+        np.zeros(layout.size + 1),
+    ):
+        with pytest.raises(ShapeError) as err:
+            ParameterSet(flat, layout)
+        assert str(err.value) == wrong
+    flat = np.zeros(layout.size)
+    flat[-2] = np.nan  # inside b2 only
+    with pytest.raises(ShapeError) as err:
+        ParameterSet(flat, layout)
+    assert str(err.value) == "entry 'b2' contains non-finite values"
+
+
 def test_parameter_set_rejects_non_finite():
     with pytest.raises(ShapeError):
-        ParameterSet([("W", np.array([[np.nan]]))])
-
-
-def test_parameter_set_rejects_duplicate_names():
-    with pytest.raises(ValueError):
-        ParameterSet([("W", np.zeros((1, 1))), ("W", np.zeros((1, 1)))])
+        literal_model([[np.nan, 0.0]], np.zeros((1, 2)))
 
 
 def test_parameter_arrays_are_read_only(rng):
     params = random_params(SOFTMAX_REGRESSION, rng)
     with pytest.raises(ValueError):
-        params.array("W")[0, 0] = 1.0
+        params.arrays[0][0, 0] = 1.0
 
 
 def test_parameter_set_is_one_flat_vector_in_layout_order(rng):
@@ -425,7 +461,7 @@ def test_parameter_set_adopts_a_flat_vector_and_freezes_it(softmax_spec):
     flat = np.arange(float(layout.size))
     params = ParameterSet(flat, layout)
     assert not flat.flags.writeable
-    assert params.array("b")[0, 0] == float(softmax_spec.input_dim * softmax_spec.num_classes)
+    assert params.arrays[1][0, 0] == float(softmax_spec.input_dim * softmax_spec.num_classes)
     with pytest.raises(ShapeError):
         ParameterSet(np.zeros(layout.size + 1), layout)
     with pytest.raises(ShapeError):

@@ -20,7 +20,7 @@ from fedsim.simulator import (
     run_simulation_detailed,
     staleness_report,
 )
-from tests.conftest import counting_side_by_side_epochs, pinned_cpus
+from tests.conftest import counting_side_by_side_epochs, literal_model, pinned_cpus
 from tests.test_data import write_idx_images, write_idx_labels
 
 
@@ -71,9 +71,7 @@ def test_accuracy_bounds_and_crosscheck(rng):
 def test_constant_predictor_accuracy_is_one_over_c():
     # zero model predicts class 0 everywhere; blobs are balanced
     test = generate_blobs(4, 4, 25, 0.0, seed=3)
-    from fedsim.nn import ParameterSet
-
-    params = ParameterSet([("W", np.zeros((4, 4))), ("b", np.zeros((1, 4)))])
+    params = literal_model(np.zeros((4, 4)), np.zeros((1, 4)))
     assert evaluate_test_accuracy(params, test) == 0.25
 
 

@@ -167,9 +167,7 @@ def test_mix_zero_staleness_is_midpoint(rng):
     w_c = random_params("softmax-regression", rng)
     w_k = random_params("softmax-regression", rng)
     mixed = fedasync_poly_mix(w_c, w_k, 0, FedAsyncParams(alpha=0.5, a=0.5))
-    midpoint = ParameterSet(
-        (n, 0.5 * (a + b)) for (n, a), (_, b) in zip(w_c, w_k)
-    )
+    midpoint = ParameterSet(0.5 * (w_c.flat + w_k.flat), w_c.layout)
     assert params_allclose(mixed, midpoint, rtol=0, atol=1e-15)
 
 
