@@ -51,7 +51,7 @@ def _dataset_fingerprint(result: SimulationResult) -> str:
     test = result.split.test
     digest = hashlib.sha256()
     for start in range(0, test.n, _FINGERPRINT_ROWS):
-        digest.update(as_float64(test.features[start : start + _FINGERPRINT_ROWS]).tobytes())
+        digest.update(as_float64(test.rows[start : start + _FINGERPRINT_ROWS]).tobytes())
     digest.update(test.labels.tobytes())
     return digest.hexdigest()
 

@@ -3,11 +3,12 @@
 A config file describes the federation topology, data distribution,
 weighting scheme, trigger policy and simulation profile. Each section is a
 dataclass read field by field from the JSON key of its name. The dataset,
-the class assignment and the trigger name a ``kind``, and each kind is its
-own dataclass, so a key of another kind is rejected like any unknown key.
-Parsing fills defaults, rejects unknown keys and reports errors with their
-field path. The resolved config serializes back to a canonical dict, which
-is what the run manifest stores so any run can be reproduced byte-for-byte.
+the size distribution, the class assignment and the trigger name a
+``kind``, and each kind is its own dataclass, so a key of another kind is
+rejected like any unknown key. Parsing fills defaults, rejects unknown keys
+and reports errors with their field path. The resolved config serializes
+back to a canonical dict, field by field, which is what the run manifest
+stores so any run can be reproduced byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any, ClassVar, Union, get_args, get_origin, get_type_hints
 
-from .data import SizeDistribution, compute_sizes
+from .data import SizeDistribution, UniformSizes, compute_sizes
 from .learner import AdaptivePolicy, FixedPolicy, Hyperparameters, TriggerPolicy
 from .nn import MLP_1HIDDEN, MODEL_KINDS, SOFTMAX_REGRESSION
 from .weighting import SCHEMES, FedAsyncParams
@@ -247,15 +248,6 @@ class SpeedProfile:
             )
 
 
-def _size_distribution_dict(dist: SizeDistribution) -> dict:
-    d = {"kind": dist.kind, "total": dist.total}
-    if dist.kind == "skewed":
-        d["decay"] = dist.decay
-    if dist.kind == "powerlaw":
-        d["exponent"] = dist.exponent
-    return d
-
-
 # The class assignment names each learner's data classes, one dataclass per
 # kind. ``ExperimentConfig`` checks the learner count; ``resolve`` returns each
 # rank's sorted classes and checks them against the dataset's class count, at
@@ -380,24 +372,24 @@ class AdaptiveTrigger:
 Trigger = Union[FixedPolicy, AdaptiveTrigger]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """A resolved experiment. ``config_from_dict`` reads each field from the
-    JSON key of its name (``profiles`` from ``speed_profiles``) and checks
-    ``num_learners`` before the sections sized by it; the root's other range
-    checks run here, and fields left unset take their defaults."""
+    """A resolved experiment, its fields in the manifest's order.
+    ``config_from_dict`` reads each field from the JSON key of its name and
+    checks ``num_learners`` before ``speed_profiles``, sized by it; the
+    root's other range checks run here, and fields left unset take their
+    defaults."""
 
-    num_learners: int
-    dataset: DatasetSpec
     name: str = "experiment"
     seed: int = 1990
+    num_learners: int
+    dataset: DatasetSpec
     model: ModelConfig = ModelConfig()
-    profiles: tuple[SpeedProfile, ...] | None = None  # unset: all fast, default rates
-    size_distribution: SizeDistribution | None = None  # unset: uniform
+    speed_profiles: tuple[SpeedProfile, ...] | None = None  # unset: all fast, default rates
+    size_distribution: SizeDistribution = UniformSizes()
     class_assignment: ClassesSpec = IidClasses()
     validation_fraction: float = 0.05
     scheme: str = "sync_fedavg"
-    schemes: tuple[str, ...] | None = None
     trigger: Trigger = FixedPolicy()
     hyperparameters: Hyperparameters = Hyperparameters()
     fedasync: FedAsyncParams = FedAsyncParams()
@@ -406,6 +398,7 @@ class ExperimentConfig:
     max_versions: int | None = None
     summary_times: tuple[float, ...] | None = None  # unset: (time_budget,)
     summary_rounds: tuple[int, ...] = ()
+    schemes: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -449,19 +442,20 @@ class ExperimentConfig:
                 assignment.resolve(n, classes)
             except ValueError as exc:  # every kind that can fail reads one field
                 raise ValueError(f"class_assignment.{fields(assignment)[0].name}: {exc}") from None
-        dist = self.size_distribution or SizeDistribution("uniform", n)
-        if dist.total is None and self.dataset.kind == "blobs":  # an IDX pool is its file's
+        total = self.size_distribution.total
+        if total is None and self.dataset.kind == "blobs":  # an IDX pool is its file's
+            total = self.dataset.num_classes * self.dataset.train_samples_per_class
+        if total is not None:
             try:
-                compute_sizes(dist, self.dataset.num_classes * self.dataset.train_samples_per_class)
+                compute_sizes(self.size_distribution, n, total)
             except ValueError as exc:
                 raise ValueError(f"size_distribution: {exc}") from None
         # FedAsync brings its own divergence regularizer, rho; an explicit
         # proximal_mu wins.
         mu = self.proximal_mu or (self.fedasync.rho if self.scheme == "fedasync_poly" else 0.0)
         derived = {"hyperparameters": replace(self.hyperparameters, proximal_mu=mu)}
-        derived["size_distribution"] = dist
-        if self.profiles is None:
-            derived["profiles"] = (SpeedProfile("fast", **DEFAULT_RATES["fast"]),) * n
+        if self.speed_profiles is None:
+            derived["speed_profiles"] = (SpeedProfile("fast", **DEFAULT_RATES["fast"]),) * n
         if self.summary_times is None:
             derived["summary_times"] = (self.time_budget,)
         for name, value in derived.items():
@@ -484,32 +478,13 @@ class ExperimentConfig:
         return replace(self, scheme=scheme, schemes=None, trigger=trigger)
 
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "seed": self.seed,
-            "num_learners": self.num_learners,
-            "dataset": _plain(self.dataset),
-            "model": _plain(self.model),
-            "speed_profiles": _plain(self.profiles),
-            "size_distribution": _size_distribution_dict(self.size_distribution),
-            "class_assignment": _plain(self.class_assignment),
-            "validation_fraction": self.validation_fraction,
-            "scheme": self.scheme,
-            "trigger": _plain(self.trigger),
-            "hyperparameters": {
-                "eta": self.hyperparameters.eta,
-                "gamma": self.hyperparameters.gamma,
-                "beta": self.hyperparameters.batch_size,
-            },
-            "fedasync": _plain(self.fedasync),
-            "proximal_mu": self.proximal_mu,
-            "time_budget": self.time_budget,
-            "max_versions": self.max_versions,
-            "summary_times": _plain(self.summary_times),
-            "summary_rounds": _plain(self.summary_rounds),
-        }
-        if self.schemes is not None:
-            d["schemes"] = list(self.schemes)
+        """Each field as JSON (``_plain``), in order. The hyperparameters are
+        written as read, {eta, gamma, beta}; unset ``schemes`` is omitted."""
+        d = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        hp = self.hyperparameters
+        d["hyperparameters"] = {"eta": hp.eta, "gamma": hp.gamma, "beta": hp.batch_size}
+        if self.schemes is None:
+            del d["schemes"]
         return d
 
 
@@ -549,17 +524,13 @@ def config_from_dict(raw: Mapping[str, Any]) -> ExperimentConfig:
     here."""
     root = _Section(raw, "")
     num_learners = root.take("num_learners", int, required=True)
-    if num_learners < 1:  # before speed_profiles and size_distribution, sized by it
+    if num_learners < 1:  # before speed_profiles, sized by it
         raise ConfigError("num_learners: must be >= 1")
-    size_sec = root.section("size_distribution")
     hp_sec = root.section("hyperparameters")
     return root.read(
         ExperimentConfig,
         num_learners=num_learners,
-        profiles=_parse_profiles(root.take("speed_profiles", (dict, list)), num_learners),
-        size_distribution=None if size_sec is None else size_sec.read(
-            SizeDistribution, num_learners=num_learners
-        ),
+        speed_profiles=_parse_profiles(root.take("speed_profiles", (dict, list)), num_learners),
         hyperparameters=None if hp_sec is None else hp_sec.read(
             Hyperparameters, batch_size=hp_sec.take("beta", int), proximal_mu=None
         ),

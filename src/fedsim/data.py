@@ -1,7 +1,8 @@
 """Dataset ingestion and federated partitioning.
 
-IDX binary loading, synthetic Gaussian-blob generation, data-size
-distributions (uniform / skewed / power law), each learner's pool drawn
+IDX binary loading (a ``Dataset`` of the file's uint8 pixel rows),
+synthetic Gaussian-blob generation, data-size distributions (uniform /
+skewed / power law, one dataclass per ``kind``), each learner's pool drawn
 from its classes, and stratified local train/validation splits. All
 operations are pure functions of their inputs and an explicit seed.
 """
@@ -12,14 +13,12 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-SIZE_KINDS = ("uniform", "skewed", "powerlaw")
 
 _WORD = 0xFFFFFFFF
 _POOL = 4  # SeedSequence's pool size in uint32 words
@@ -35,20 +34,20 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (n x d), integer labels and the global class count.
+    """Row matrix (n x d), integer labels and the global class count.
 
-    The features are float64, or an IDX file's uint8 pixels, each standing
-    for ``pixel / 255.0`` (``as_float64``), and are not copied. The labels are
-    a read-only copy, range-checked against ``num_classes`` here, so that
-    check holds for the dataset's lifetime.
+    The rows are stored as given, float64 or an IDX file's uint8 pixels,
+    and are not copied; ``features`` reads them as float64 (``as_float64``).
+    The labels are a read-only copy, range-checked against ``num_classes``
+    here, so that check holds for the dataset's lifetime.
     """
 
-    features: np.ndarray
+    rows: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.features)
+        f = np.asarray(self.rows)
         f = f if f.dtype == np.uint8 else f.astype(np.float64, copy=False)
         y = np.array(self.labels, dtype=np.int64)
         if f.ndim != 2:
@@ -62,16 +61,22 @@ class Dataset:
         if y.min() < 0 or y.max() >= self.num_classes:
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
         y.setflags(write=False)
-        object.__setattr__(self, "features", f)
+        object.__setattr__(self, "rows", f)
         object.__setattr__(self, "labels", y)
 
     @property
+    def features(self) -> np.ndarray:
+        """The rows as float64: the stored matrix itself, or uint8 rows
+        scaled into a new, writable matrix on every call."""
+        return as_float64(self.rows)
+
+    @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.rows.shape[0]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices)
-        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
+        return Dataset(self.rows[idx], self.labels[idx], self.num_classes)
 
     def class_histogram(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
@@ -93,28 +98,6 @@ def as_float64(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(rows, 255.0, out=out) if rows.dtype == np.uint8 else rows
 
 
-@dataclass(frozen=True)
-class IdxPixels:
-    """An IDX file pair as read: uint8 pixel rows (n x rows*cols), labels and
-    the class count. ``subset`` gathers rows into a ``Dataset`` that keeps
-    them uint8; ``features`` scales every row to [0, 1] in float64."""
-
-    pixels: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-
-    @property
-    def n(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def features(self) -> np.ndarray:
-        return self.pixels / 255.0
-
-    def subset(self, indices: np.ndarray) -> Dataset:
-        return Dataset(self.pixels[indices], self.labels[indices], self.num_classes)
-
-
 def _read_idx_header(data: bytes, path: str, field: str, magic: int, ndims: int) -> tuple[int, ...]:
     header_len = 4 * (1 + ndims)
     if len(data) < header_len:
@@ -127,8 +110,8 @@ def _read_idx_header(data: bytes, path: str, field: str, magic: int, ndims: int)
     return struct.unpack(">" + "I" * ndims, data[4:header_len])
 
 
-def load_idx(images_path: str, labels_path: str, num_classes: int | None = None) -> IdxPixels:
-    """Load an IDX image/label file pair; the pixel bytes stay uint8."""
+def load_idx(images_path: str, labels_path: str, num_classes: int | None = None) -> Dataset:
+    """Load an IDX image/label file pair; the pixel rows stay uint8."""
     with open(images_path, "rb") as f:
         img_data = f.read()
     n_img, rows, cols = _read_idx_header(img_data, images_path, "images", IDX_IMAGES_MAGIC, 3)
@@ -149,7 +132,7 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     if n_img != n_lbl:
         raise IdxFormatError(f"item count: {n_img} images but {n_lbl} labels")
     pixels = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(n_img, rows * cols)
-    labels = np.frombuffer(lbl_data, dtype=np.uint8, offset=8).astype(np.int64)
+    labels = np.frombuffer(lbl_data, dtype=np.uint8, offset=8)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     elif labels.max() >= num_classes:
@@ -158,7 +141,7 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
             f"{num_classes} (as declared, or the training labels' largest + 1): labels must lie "
             f"in [0, {num_classes})"
         )
-    return IdxPixels(pixels, labels, num_classes)
+    return Dataset(pixels, labels, num_classes)
 
 
 _CENTER_STREAM_TAG = 314159265
@@ -216,45 +199,56 @@ def generate_blobs(
     return Dataset(features, labels, num_classes)
 
 
-@dataclass(frozen=True)
-class SizeDistribution:
-    """How many training samples each learner receives; ``total`` is the
-    number to spread, or ``None`` for the whole source pool. An explicit
-    ``total`` must give every learner a sample (``compute_sizes``)."""
+# How many training samples each learner receives, one dataclass per kind:
+# ``total`` is the number to spread, or ``None`` for the whole source pool.
+# ``compute_sizes`` splits it; the config checks that every learner gets one.
 
-    kind: str
-    num_learners: int
-    decay: float = 0.8
-    exponent: float = 1.5
+
+@dataclass(frozen=True)
+class UniformSizes:
+    """Learner sizes equal, give or take one."""
+
+    kind: ClassVar[str] = "uniform"
     total: int | None = None
 
+
+@dataclass(frozen=True)
+class SkewedSizes:
+    """Learner sizes proportional to decay^k."""
+
+    kind: ClassVar[str] = "skewed"
+    total: int | None = None
+    decay: float = 0.8
+
     def __post_init__(self) -> None:
-        if self.kind not in SIZE_KINDS:
-            raise ValueError(f"unknown size distribution kind: {self.kind!r}")
-        if self.num_learners < 1:
-            raise ValueError("num_learners must be >= 1")
         if not (0.0 < self.decay <= 1.0):
             raise ValueError("skew decay must lie in (0, 1]")
+
+
+@dataclass(frozen=True)
+class PowerlawSizes:
+    """Learner sizes proportional to (k+1)^-exponent."""
+
+    kind: ClassVar[str] = "powerlaw"
+    total: int | None = None
+    exponent: float = 1.5
+
+    def __post_init__(self) -> None:
         if self.exponent <= 0.0:
             raise ValueError("power-law exponent must be positive")
-        # Each kind reads at most one shape parameter. The other is reset to
-        # its default, so distributions that split alike compare equal.
-        for name, kind in (("decay", "skewed"), ("exponent", "powerlaw")):
-            if self.kind != kind:
-                object.__setattr__(self, name, getattr(SizeDistribution, name))
-        if self.total is not None:
-            compute_sizes(self, self.total)
 
 
-def compute_sizes(dist: SizeDistribution, total: int) -> list[int]:
-    """Split ``total`` into per-learner counts, largest first.
+SizeDistribution = Union[UniformSizes, SkewedSizes, PowerlawSizes]
+
+
+def compute_sizes(dist: SizeDistribution, n: int, total: int) -> list[int]:
+    """Split ``total`` across ``n`` learners, largest first.
 
     Uniform gives floor(total/N) each with the remainder going to the
     lowest-index learners. Skewed and power-law sizes are proportional to
     decay^k and (k+1)^-exponent and rounded with a largest-remainder
     correction so they sum exactly to ``total``.
     """
-    n = dist.num_learners
     if total < n:
         raise ValueError(f"cannot spread {total} samples across {n} learners")
     if dist.kind == "uniform":
@@ -293,7 +287,7 @@ def alternating_order(groups: Sequence[str]) -> list[int]:
 def assign_classes(
     sizes: Sequence[int],
     assignment: Sequence[tuple[int, ...]],
-    dataset: Dataset | IdxPixels,
+    dataset: Dataset,
     seed,
     learner_order: Sequence[int] | None = None,
 ) -> list[np.ndarray]:
@@ -449,7 +443,7 @@ class FederatedSplit:
 
 
 def build_federated_split(
-    source: Dataset | IdxPixels,
+    source: Dataset,
     sizes: Sequence[int],
     assignment: Sequence[tuple[int, ...]],
     validation_fraction: float,

@@ -353,7 +353,7 @@ def _train_cohort(
     cohort, and a copy for a lone learner."""
     states = [bank.states[r] for r in members.tolist()]
     lone = len(states) == 1
-    features, targets = bank.split.train.features, bank.split.train.one_hot()
+    features, targets = bank.split.train.rows, bank.split.train.one_hot()
     perms = _shuffles(ws, states, int(bank.train_n[members[0]]))
     perms += bank.train_start[members][:, None]
     if lone:
@@ -540,7 +540,7 @@ def local_validation_loss(
     rows = np.asarray(rows, dtype=np.intp)
     sizes = bank.val_n[rows]
     pooled, layout = bank.split.validation, workspace.layout
-    raw = pooled.features.dtype == np.uint8
+    raw = pooled.rows.dtype == np.uint8
     losses = [0.0] * rows.size
     for positions in _cohorts(workspace, sizes):
         members = rows[positions]
@@ -548,14 +548,14 @@ def local_validation_loss(
         if m == 1:
             a = int(bank.val_start[members[0]])
             arrays = bank.states[members[0]].arrays
-            x, t = pooled.features[a : a + n], pooled.one_hot()[a : a + n]
+            x, t = pooled.rows[a : a + n], pooled.one_hot()[a : a + n]
         else:
             w = bank.params.take(members, axis=0, out=workspace.array("w", (m, layout.size)))
             arrays = layout.views(w)
             index = workspace.array("index", (m, n), np.intp)
             np.add(bank.val_start[members][:, None], np.arange(n), out=index)
             s = workspace.batch(m, n)
-            x = pooled.features.take(index, axis=0, out=s.pixels if raw else s.x, mode="clip")
+            x = pooled.rows.take(index, axis=0, out=s.pixels if raw else s.x, mode="clip")
             t = pooled.one_hot().take(index, axis=0, out=s.t, mode="clip")
         if raw:
             x = as_float64(x, out=workspace.batch(m, n).x)

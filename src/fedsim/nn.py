@@ -158,7 +158,7 @@ def check_dataset(layout: Layout, data) -> None:
     its read-only labels when it is built. A federation checks every dataset
     it reads once, when it is built; the kernels below trust their inputs."""
     dim, classes = layout.entries[0][1], layout.entries[-1][2]
-    width = data.features.shape[1]
+    width = data.rows.shape[1]
     if width != dim:
         raise ShapeError(f"feature dim {width} does not match input dim {dim}")
     if data.num_classes != classes:

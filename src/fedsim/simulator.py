@@ -32,7 +32,6 @@ from .controller import (
 from .data import (
     Dataset,
     FederatedSplit,
-    IdxPixels,
     alternating_order,
     build_federated_split,
     compute_sizes,
@@ -189,8 +188,8 @@ class SimulationResult:
         return self.bank.split
 
 
-def build_datasets(cfg: config_mod.ExperimentConfig) -> tuple[Dataset | IdxPixels, Dataset]:
-    """Materialize the training source (IDX: its uint8 pixels) and the test set."""
+def build_datasets(cfg: config_mod.ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """Materialize the training source and the test set (IDX: uint8 rows)."""
     ds = cfg.dataset
     if isinstance(ds, config_mod.BlobsSpec):
         source = generate_blobs(
@@ -201,8 +200,7 @@ def build_datasets(cfg: config_mod.ExperimentConfig) -> tuple[Dataset | IdxPixel
         )
         return source, test
     source = load_idx(ds.train_images, ds.train_labels, ds.num_classes)
-    test = load_idx(ds.test_images, ds.test_labels, source.num_classes)
-    return source, Dataset(test.pixels, test.labels, test.num_classes)
+    return source, load_idx(ds.test_images, ds.test_labels, source.num_classes)
 
 
 def build_federation(cfg: config_mod.ExperimentConfig):
@@ -210,17 +208,17 @@ def build_federation(cfg: config_mod.ExperimentConfig):
     (model spec, split, sizes, learner bank, controller); learner k is the
     bank's row k."""
     source, test = build_datasets(cfg)
-    rows = source.pixels if isinstance(source, IdxPixels) else source.features
     model_spec = ModelSpec(
         kind=cfg.model.kind,
-        input_dim=rows.shape[1],
+        input_dim=source.rows.shape[1],
         num_classes=source.num_classes,
         hidden_dim=cfg.model.hidden_dim,
         init_seed=cfg.seed,
     )
     dist = cfg.size_distribution
-    sizes = compute_sizes(dist, dist.total if dist.total is not None else source.n)
-    groups = [p.group for p in cfg.profiles]
+    total = source.n if dist.total is None else dist.total
+    sizes = compute_sizes(dist, cfg.num_learners, total)
+    groups = [p.group for p in cfg.speed_profiles]
     order = None if dist.kind == "uniform" else alternating_order(groups)
     assignment = cfg.class_assignment.resolve(cfg.num_learners, source.num_classes)
     split = build_federated_split(
@@ -253,11 +251,11 @@ class _Simulation:
         self.split = split
         self.sizes = sizes
         self.bank = bank
-        # Learner k is bank row k and runs at cfg.profiles[k]; only its epoch
+        # Learner k is bank row k and runs at cfg.speed_profiles[k]; only its epoch
         # duration and the cause of its pending commit are kept here.
         self.epoch_durations = [
             math.ceil(n / self.hp.batch_size) / profile.steps_per_second
-            for n, profile in zip(bank.train_n.tolist(), cfg.profiles)
+            for n, profile in zip(bank.train_n.tolist(), cfg.speed_profiles)
         ]
         self.pending_causes: list[str | None] = [None] * cfg.num_learners
         self.controller = controller
@@ -307,7 +305,7 @@ class _Simulation:
         committing learner holds the largest."""
         durations = [
             v / profile.eval_samples_per_second
-            for v, profile in zip(self.bank.val_n.tolist(), self.cfg.profiles)
+            for v, profile in zip(self.bank.val_n.tolist(), self.cfg.speed_profiles)
         ]
         self._fanout_top = max(range(len(durations)), key=durations.__getitem__)
         self._fanout_max = durations[self._fanout_top]
@@ -367,7 +365,7 @@ class _Simulation:
         if self.is_dvw and n > 1:
             eval_phase = max(
                 (n - 1) * v / profile.eval_samples_per_second
-                for v, profile in zip(self.bank.val_n.tolist(), cfg.profiles)
+                for v, profile in zip(self.bank.val_n.tolist(), cfg.speed_profiles)
             )
         round_duration = train_phase + eval_phase
         rows = range(n)
@@ -479,7 +477,7 @@ class _Simulation:
         return SimulationResult(
             log=self.log,
             bank=self.bank,
-            groups={k: profile.group for k, profile in enumerate(self.cfg.profiles)},
+            groups={k: profile.group for k, profile in enumerate(self.cfg.speed_profiles)},
             model_spec=self.model_spec,
             initial_accuracy=self.initial_accuracy,
             sizes=self.sizes,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, as_float64
+from .data import Dataset
 from .nn import ParameterSet, ShapeError, predict
 
 SCHEMES = ("sync_fedavg", "async_fedavg", "sync_dvw", "async_dvw", "fedasync_poly")
@@ -42,7 +42,7 @@ def accuracy(params: ParameterSet, data: Dataset) -> float:
     """Fraction of ``data``'s samples whose argmax prediction is their label:
     an integer hit count, divided once. The set is scaled and run whole: a
     matmul over row chunks may sum in another order and move the logits."""
-    hits = predict(params, as_float64(data.features)) == data.labels
+    hits = predict(params, data.features) == data.labels
     return int(np.count_nonzero(hits)) / data.n
 
 

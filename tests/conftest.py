@@ -58,7 +58,7 @@ def learner_bank(
     validations = validations or trains
     pools = [
         Dataset(
-            np.concatenate([d.features for d in sets]),
+            np.concatenate([d.rows for d in sets]),
             np.concatenate([d.labels for d in sets]),
             sets[0].num_classes,
         )

@@ -85,36 +85,42 @@ def _controller_with_cache(n_learners: int, models: list[ParameterSet]) -> Feder
     return ctrl
 
 
-def _median_latencies(n_learners: int, updates: int = 600) -> tuple[float, float]:
+def _median_latencies(sizes: tuple[int, ...], updates: int = 600, audits: int = 20):
+    """Median async-commit and audit-recompute seconds of a controller per
+    federation size in ``sizes``. Both controllers are built first, then
+    timed in turns, one commit (and every ``updates // audits`` commits one
+    audit) each, swapping which size goes first on every turn, so that load
+    on the host slows both sides alike."""
     import gc
 
     rng = np.random.default_rng(7)
     models = [random_params(MLP_1HIDDEN, rng, input_dim=64, num_classes=8, hidden=48) for _ in range(8)]
-    ctrl = _controller_with_cache(n_learners, models)
-    requests = [UpdateRequest(i % n_learners, models[i % 8], 1, 1) for i in range(updates)]
+    ctrls = [_controller_with_cache(n, models) for n in sizes]
+    update_lat = [[] for _ in sizes]
+    audit_lat = [[] for _ in sizes]
     weight_fn = lambda r: 1.0
     gc.collect()
     gc.disable()
     try:
-        update_lat = []
-        for req in requests:
-            t0 = time.perf_counter()
-            ctrl.handle_async_update(req, weight_fn)
-            update_lat.append(time.perf_counter() - t0)
-        audit_lat = []
-        for _ in range(20):
-            t0 = time.perf_counter()
-            ctrl.audit_recompute()
-            audit_lat.append(time.perf_counter() - t0)
+        for i in range(updates):
+            order = range(len(sizes)) if i % 2 == 0 else reversed(range(len(sizes)))
+            for k in order:
+                req = UpdateRequest(i % sizes[k], models[i % 8], 1, 1)
+                t0 = time.perf_counter()
+                ctrls[k].handle_async_update(req, weight_fn)
+                update_lat[k].append(time.perf_counter() - t0)
+                if i % (updates // audits) == 0:
+                    t0 = time.perf_counter()
+                    ctrls[k].audit_recompute()
+                    audit_lat[k].append(time.perf_counter() - t0)
     finally:
         gc.enable()
-    return float(np.median(update_lat)), float(np.median(audit_lat))
+    return [(float(np.median(u)), float(np.median(a))) for u, a in zip(update_lat, audit_lat)]
 
 
 def test_criterion_02_constant_time_cache():
     start = time.perf_counter()
-    update_small, audit_small = _median_latencies(10)
-    update_large, audit_large = _median_latencies(1000)
+    (update_small, audit_small), (update_large, audit_large) = _median_latencies((10, 1000))
     elapsed = time.perf_counter() - start
     assert update_large <= 1.5 * update_small, (
         f"cached update degraded with federation size: {update_small:.2e}s -> {update_large:.2e}s"

@@ -114,6 +114,13 @@ def test_empty_schemes_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_key_of_another_size_kind_exit_code(tmp_path, capsys):
+    bad = write_config(tmp_path, {"size_distribution": {"kind": "uniform", "decay": 0.5}})
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "size_distribution: unknown keys ['decay']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_shorthand_profile_zero_rate_exit_code(tmp_path, capsys):
     profiles = {"num_fast": 1, "slow": {"steps_per_second": 0}}
     bad = write_config(tmp_path, {"speed_profiles": profiles})

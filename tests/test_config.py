@@ -14,7 +14,7 @@ from fedsim.config import (
     parse_config,
     preset_names,
 )
-from fedsim.data import SIZE_KINDS, SizeDistribution, compute_sizes
+from fedsim.data import PowerlawSizes, SkewedSizes, UniformSizes, compute_sizes
 from fedsim.learner import AdaptivePolicy, FixedPolicy
 from fedsim.weighting import SCHEMES
 
@@ -46,8 +46,8 @@ def test_minimal_config_defaults():
     assert cfg.trigger.kind == "fixed"
     assert cfg.trigger.uf == 4
     assert cfg.num_learners == 10
-    assert len(cfg.profiles) == 10
-    assert all(p.group == "fast" for p in cfg.profiles)
+    assert len(cfg.speed_profiles) == 10
+    assert all(p.group == "fast" for p in cfg.speed_profiles)
 
 
 def test_unknown_keys_rejected():
@@ -230,6 +230,22 @@ def adaptive(**keys) -> dict:
             "dataset.kind: expected blobs/idx, got 'csv'",
         ),
         ({"trigger": {"kind": "random"}}, "trigger.kind: expected fixed/adaptive, got 'random'"),
+        (
+            {"size_distribution": {"kind": "uniform", "decay": 0.5}},
+            "size_distribution: unknown keys ['decay']",
+        ),
+        (
+            {"size_distribution": {"kind": "powerlaw", "decay": 0.5}},
+            "size_distribution: unknown keys ['decay']",
+        ),
+        (
+            {"size_distribution": {"kind": "skewed", "exponent": 2}},
+            "size_distribution: unknown keys ['exponent']",
+        ),
+        (
+            {"size_distribution": {"kind": "x"}},
+            "size_distribution.kind: expected uniform/skewed/powerlaw, got 'x'",
+        ),
         ({"dataset": {"input_dim": 8}}, "dataset.kind: missing required field"),
         ({"trigger": {"uf": 2}}, "trigger.kind: missing required field"),
         ({"trigger": {"kind": 1}}, "trigger.kind: expected str, got int"),
@@ -253,6 +269,10 @@ def adaptive(**keys) -> dict:
         "idx-with-spread",
         "unknown-dataset-kind",
         "unknown-trigger-kind",
+        "uniform-with-decay",
+        "powerlaw-with-decay",
+        "skewed-with-exponent",
+        "unknown-size-kind",
         "dataset-without-kind",
         "trigger-without-kind",
         "kind-not-a-string",
@@ -910,13 +930,25 @@ def per_group(values):
     return values | st.fixed_dictionaries({"fast": values, "slow": values})
 
 
+SIZE_CLASSES = {cls.kind: cls for cls in (UniformSizes, SkewedSizes, PowerlawSizes)}
+# Each size kind's own shape parameter, drawn in its range.
+SIZE_PARAMS = {
+    "uniform": {},
+    "skewed": {"decay": st.floats(1e-3, 1.0)},
+    "powerlaw": {"exponent": POSITIVE},
+}
+
+
 def splits(dist: dict, num_learners: int, dataset: dict) -> bool:
     """Whether a size distribution gives every learner a sample, which the
     schema requires of an explicit total and, without one, of a blobs pool."""
+    sizes = SIZE_CLASSES[dist["kind"]](**{k: v for k, v in dist.items() if k != "kind"})
+    total = sizes.total
+    if total is None and dataset["kind"] == "blobs":
+        total = dataset["num_classes"] * dataset["train_samples_per_class"]
     try:
-        sizes = SizeDistribution(num_learners=num_learners, **dist)
-        if sizes.total is None and dataset["kind"] == "blobs":
-            compute_sizes(sizes, dataset["num_classes"] * dataset["train_samples_per_class"])
+        if total is not None:
+            compute_sizes(sizes, num_learners, total)
     except ValueError:
         return False
     return True
@@ -992,13 +1024,11 @@ def valid_configs(draw):
         ),
         "size_distribution": draw(
             st.none()
-            | st.fixed_dictionaries(
-                {"kind": st.sampled_from(SIZE_KINDS)},
-                optional={
-                    "total": st.integers(1, 10**6),
-                    "decay": st.floats(1e-3, 1.0),
-                    "exponent": POSITIVE,
-                },
+            | st.one_of(
+                st.fixed_dictionaries(
+                    {"kind": st.just(kind)}, optional={"total": st.integers(1, 10**6), **params}
+                )
+                for kind, params in SIZE_PARAMS.items()
             ).filter(lambda dist: splits(dist, n, dataset))
         ),
         "class_assignment": draw(
@@ -1094,6 +1124,7 @@ def test_to_dict_round_trip_property(raw):
     assert again == cfg
     assert again.to_dict() == d
     assert json.dumps(again.to_dict()) == json.dumps(d)  # manifest.json keeps the key order
-    assert all(p.steps_per_second > 0 and p.eval_samples_per_second > 0 for p in cfg.profiles)
+    profiles = cfg.speed_profiles
+    assert all(p.steps_per_second > 0 and p.eval_samples_per_second > 0 for p in profiles)
     for scheme in cfg.schemes or ():
         assert cfg.with_scheme(scheme).scheme == scheme

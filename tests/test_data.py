@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import struct
@@ -12,8 +13,9 @@ from fedsim.data import (
     CapacityError,
     Dataset,
     IdxFormatError,
-    IdxPixels,
-    SizeDistribution,
+    PowerlawSizes,
+    SkewedSizes,
+    UniformSizes,
     alternating_order,
     as_float64,
     assign_classes,
@@ -119,15 +121,22 @@ def test_load_idx_rejects_labels_outside_the_declared_classes(tmp_path):
 
 
 def test_load_idx_keeps_the_pixel_bytes(tmp_path):
-    images = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
+    images = np.arange(256, dtype=np.uint8).reshape(16, 4, 4)  # every byte value
     img_path, lbl_path = tmp_path / "img.idx", tmp_path / "lbl.idx"
     write_idx_images(img_path, images)
-    write_idx_labels(lbl_path, np.array([1, 0]))
+    write_idx_labels(lbl_path, np.arange(16) % 2)
     ds = load_idx(str(img_path), str(lbl_path))
-    assert ds.pixels.dtype == np.uint8
-    assert np.array_equal(ds.pixels, images.reshape(2, 12))
-    # features scales the whole file into a new, writable matrix each time
-    assert ds.features is not ds.features and ds.features.flags.writeable
+    assert ds.rows.dtype == np.uint8
+    assert ds.rows.tobytes() == images.tobytes()
+    # features scales the whole file into a new, writable matrix each time,
+    # which a caller may rescale in place without touching the rows
+    features = ds.features
+    assert features is not ds.features and features.flags.writeable
+    assert features.tobytes() == (ds.rows.astype(np.float64) / 255.0).tobytes()
+    assert not np.shares_memory(features, ds.rows)
+    # float64 rows are their own features
+    rows = np.linspace(0.0, 1.0, 6).reshape(3, 2)
+    assert Dataset(rows, [0, 1, 0], 2).features is rows
 
 
 @given(
@@ -143,20 +152,20 @@ def test_idx_subset_scales_the_gathered_pixels_like_the_whole_file(pixels, data)
     else:
         idx = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=50)))
     labels = np.arange(n) % 3
-    pool = IdxPixels(pixels, labels, 3).subset(idx)
+    pool = Dataset(pixels, labels, 3).subset(idx)
     # The pool keeps the gathered bytes, and scaling them gives the bits of
     # the formula of scaling the whole file first, then gathering.
-    assert pool.features.dtype == np.uint8
-    assert pool.features.tobytes() == pixels[idx].tobytes()
+    assert pool.rows.dtype == np.uint8
+    assert pool.rows.tobytes() == pixels[idx].tobytes()
     reference = pixels.astype(np.float64)[idx] / 255.0
-    scaled = as_float64(pool.features)
+    scaled = as_float64(pool.rows)
     assert scaled.dtype == np.float64
     assert scaled.tobytes() == reference.tobytes()
     out = np.empty_like(reference)
-    assert as_float64(pool.features, out=out) is out
+    assert as_float64(pool.rows, out=out) is out
     assert out.tobytes() == reference.tobytes()
     assert pool.labels.tolist() == labels[idx].tolist()
-    whole = IdxPixels(pixels, labels, 3).features
+    whole = Dataset(pixels, labels, 3).features
     assert whole.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
 
 
@@ -209,46 +218,62 @@ def test_blobs_trainable_by_centralized_softmax():
 
 
 def test_sizes_uniform_exact():
-    dist = SizeDistribution("uniform", num_learners=10)
-    assert compute_sizes(dist, 1000) == [100] * 10
+    assert compute_sizes(UniformSizes(), 10, 1000) == [100] * 10
 
 
 def test_sizes_uniform_remainder_to_low_indices():
-    dist = SizeDistribution("uniform", num_learners=4)
-    assert compute_sizes(dist, 1003) == [251, 251, 251, 250]
+    assert compute_sizes(UniformSizes(), 4, 1003) == [251, 251, 251, 250]
 
 
 def test_sizes_powerlaw_frozen_example():
     # shares 1 : 2^-1.5 : 3^-1.5 : 4^-1.5 of 1000, largest-remainder rounding
-    dist = SizeDistribution("powerlaw", num_learners=4, exponent=1.5)
-    assert compute_sizes(dist, 1000) == [598, 212, 115, 75]
+    assert compute_sizes(PowerlawSizes(exponent=1.5), 4, 1000) == [598, 212, 115, 75]
 
 
 def test_sizes_powerlaw_strictly_decreasing():
-    dist = SizeDistribution("powerlaw", num_learners=10, exponent=1.5)
-    sizes = compute_sizes(dist, 1000)
+    sizes = compute_sizes(PowerlawSizes(exponent=1.5), 10, 1000)
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_sizes_infeasible_total():
     with pytest.raises(ValueError):
-        compute_sizes(SizeDistribution("uniform", num_learners=10), 5)
+        compute_sizes(UniformSizes(), 10, 5)
+
+
+# Every kind's split (or its exact error) over N = 1..12 and a spread of
+# totals, as recorded before the distributions became one dataclass per kind.
+SIZES_TABLE_SHA256 = "380205347b1af56ecc9ddd7b44ee56ebb9d470a5bb1e8a7959552f776fed7411"
+
+
+def test_sizes_table_is_pinned():
+    dists = [("uniform", {}, UniformSizes())]
+    dists += [("skewed", {"decay": d}, SkewedSizes(decay=d)) for d in (0.1, 0.5, 0.8, 1.0)]
+    dists += [("powerlaw", {"exponent": e}, PowerlawSizes(exponent=e)) for e in (0.5, 1.5, 3.0)]
+    lines = []
+    for kind, params, dist in dists:
+        for n in range(1, 13):
+            for total in (n - 1, n, n + 1, 2 * n - 1, 97, 1000, 4000):
+                try:
+                    out = compute_sizes(dist, n, total)
+                except ValueError as exc:
+                    out = str(exc)
+                lines.append(f"{kind} {params} n={n} total={total}: {out}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SIZES_TABLE_SHA256
 
 
 @given(
-    st.sampled_from(["uniform", "skewed", "powerlaw"]),
+    st.sampled_from([UniformSizes(), SkewedSizes(), PowerlawSizes()]),
     st.integers(1, 12),
     st.integers(1, 5000),
 )
 @settings(max_examples=80, deadline=None)
-def test_sizes_sum_and_order(kind, n, total):
-    dist = SizeDistribution(kind, num_learners=n)
+def test_sizes_sum_and_order(dist, n, total):
     if total < n:
         with pytest.raises(ValueError):
-            compute_sizes(dist, total)
+            compute_sizes(dist, n, total)
         return
     try:
-        sizes = compute_sizes(dist, total)
+        sizes = compute_sizes(dist, n, total)
     except ValueError:
         return  # a learner would end up empty; rejection is the contract
     assert sum(sizes) == total
@@ -439,7 +464,7 @@ def test_split_masks_are_numpys_seed_sequence_draws(seed):
     # Learner k's validation slice is drawn by the generator numpy seeds from
     # SeedSequence([seed, 2, k]); seeds of one to four entropy words.
     source = _balanced_source(n_per_class=120)
-    sizes = compute_sizes(SizeDistribution("skewed", num_learners=12), 360)
+    sizes = compute_sizes(SkewedSizes(), 12, 360)
     assignment = IidClasses().resolve(12, 4)
     split = build_federated_split(source, sizes, assignment, 0.1, seed, source)
     trains, validations = [], []
@@ -458,7 +483,7 @@ def test_split_masks_are_numpys_seed_sequence_draws(seed):
 def test_federated_split_partition_totality():
     source = _balanced_source(n_per_class=200)
     test = _balanced_source(n_per_class=20, seed=6)
-    sizes = compute_sizes(SizeDistribution("powerlaw", num_learners=5), 500)
+    sizes = compute_sizes(PowerlawSizes(), 5, 500)
     assignment = IidClasses().resolve(5, 4)
     split = build_federated_split(source, sizes, assignment, 0.05, 123, test)
     bank = LearnerBank(model_layout(ModelSpec("softmax-regression", 3, 4)), split)

@@ -223,7 +223,7 @@ def test_kernels_match_the_reference_formulation(kind, members, classes, rows, d
     pool = Dataset(rng.normal(size=(total, dim)), rng.integers(0, classes, total), classes)
     chunk = np.stack([rng.permutation(n)[:rows] for n in sizes]) + (np.cumsum(sizes) - sizes)[:, None]
     chunk = chunk if lead else chunk[0]
-    pool.features.take(chunk, axis=0, out=s.x, mode="clip")
+    pool.rows.take(chunk, axis=0, out=s.x, mode="clip")
     pool.one_hot().take(chunk, axis=0, out=s.t, mode="clip")
     x, t, y = s.x.copy(), s.t.copy(), s.t.argmax(axis=-1)
     assert np.array_equal(ws.gradient(arrays, s), reference_gradient(arrays, x, y))

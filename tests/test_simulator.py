@@ -144,7 +144,7 @@ def test_eval_fanout_duration_is_the_slowest_other_evaluator(eval_rates, sizes):
         brute = max(
             (
                 n / profile.eval_samples_per_second
-                for k, (n, profile) in enumerate(zip(val_n, cfg.profiles))
+                for k, (n, profile) in enumerate(zip(val_n, cfg.speed_profiles))
                 if k != committing
             ),
             default=0.0,
@@ -381,8 +381,8 @@ def test_idx_federation_builds_no_float64_copy_of_the_source(tmp_path):
     finally:
         tracemalloc.stop()
     sets = (split.train, split.validation, split.test)
-    assert [d.features.dtype for d in sets] == [np.uint8] * 3
-    held = sum(d.features.nbytes + d.labels.nbytes for d in sets)
+    assert [d.rows.dtype for d in sets] == [np.uint8] * 3
+    held = sum(d.rows.nbytes + d.labels.nbytes for d in sets)
     held += bank.params.nbytes + bank.momentum.nbytes
     source_float64 = 2000 * 28 * 28 * 8
     assert split.train.n + split.validation.n == 2000
