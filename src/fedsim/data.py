@@ -152,7 +152,8 @@ def _class_centers(input_dim: int, num_classes: int) -> np.ndarray:
 
     Rejection-samples random directions against a minimum distance that
     relaxes geometrically when the sphere gets crowded, so the construction
-    terminates for any feasible (dim, classes) and stays deterministic.
+    terminates for any feasible (dim, classes) and stays deterministic on
+    any CPU: each norm is an ``fsum`` of squares, which no BLAS kernel sums.
     """
     if input_dim == 1 and num_classes > 2:
         raise ValueError("1-D features admit at most two distinct unit-norm class centers")
@@ -164,11 +165,11 @@ def _class_centers(input_dim: int, num_classes: int) -> np.ndarray:
         failures = 0
         while True:
             v = rng.standard_normal(input_dim)
-            norm = np.linalg.norm(v)
+            norm = math.sqrt(math.fsum(v * v))
             if norm < 1e-12:
                 continue
             v = v / norm
-            if all(np.linalg.norm(v - u) >= min_dist for u in centers):
+            if all(math.sqrt(math.fsum((v - u) ** 2)) >= min_dist for u in centers):
                 break
             failures += 1
             if failures % 200 == 0:

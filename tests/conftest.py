@@ -1,6 +1,9 @@
 import contextlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +15,28 @@ from fedsim.data import Dataset, FederatedSplit
 from fedsim.learner import FixedPolicy, LearnerBank
 from fedsim.nn import MODEL_KINDS, MLP_1HIDDEN, SOFTMAX_REGRESSION, ModelSpec, ParameterSet, model_layout
 from fedsim.simulator import run_simulation_detailed
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# OpenBLAS's Prescott kernels and numpy's baseline SIMD level: code run under
+# these variables computes the same bits on any x86-64 CPU.
+PORTABLE_KERNELS = {
+    "OPENBLAS_CORETYPE": "Prescott",
+    "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+}
+
+
+def run_with_portable_kernels(code: str) -> str:
+    """Run Python ``code`` in a child process under ``PORTABLE_KERNELS``,
+    with ``src`` and the repository root importable; return its stdout."""
+    paths = [str(REPO / "src"), str(REPO), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **PORTABLE_KERNELS)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, cwd=REPO
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def params_equal(a, b) -> bool:

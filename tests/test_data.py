@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 import struct
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from fedsim.data import (
     CapacityError,
+    _class_centers,
     Dataset,
     IdxFormatError,
     PowerlawSizes,
@@ -29,7 +31,7 @@ from fedsim.config import IidClasses, PresetClasses, RotationClasses
 from fedsim.learner import FixedPolicy, Hyperparameters, LearnerBank, run_epoch
 from fedsim.controller import FederationController
 from fedsim.nn import ModelSpec, ParameterSet, Workspace, model_layout, predict
-from tests.conftest import learner_bank
+from tests.conftest import learner_bank, run_with_portable_kernels
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -186,6 +188,37 @@ def test_blobs_zero_spread_centroid_accuracy():
     for c, mu in centers.items():
         assert np.allclose(np.linalg.norm(mu), 1.0)
         assert np.all(ds.features[ds.labels == c] == mu)
+
+
+# sha256 of _class_centers(input_dim, num_classes); every preset's blobs are
+# 8-dimensional with 4 classes.
+CLASS_CENTER_DIGESTS = (
+    ((8, 4), "d2e873d48998cfc9b3e432e5986a92a529de87a3b6e1f119f3dcebb59e91db57"),
+    ((2, 4), "d9911a6caa1e2603bd35ff6191fe0adcf172212ab2d434e3af3c24c846b0c942"),
+    ((2, 5), "420402f1a178dd2ebac7ccbba0ed6ecf1995fb2b9bf282e6dfddfa472f776b8c"),
+    ((3, 2), "64c61f112579d61f2deca341bc2948e2531501dcb0610f043349883f764caf9c"),
+    ((4, 3), "28beb5e291b64132fc978376068593d82a926f628fd32df10d23f3860807c8bf"),
+    ((5, 10), "f3f93109968a7b26bf52a4985184470894933deb05c4cbb07beea120bf6b2706"),
+    ((784, 10), "e3937c3586d5c45d90f84d372f20855cfd32ec2125391768eb85055308ca86fc"),
+)
+
+
+@pytest.mark.parametrize("shape, want", CLASS_CENTER_DIGESTS)
+def test_class_centers_are_pinned(shape, want):
+    assert hashlib.sha256(_class_centers(*shape).tobytes()).hexdigest() == want
+
+
+def test_class_centers_hold_on_portable_kernels():
+    # The same table under other BLAS kernels and numpy's baseline SIMD level.
+    code = (
+        "import hashlib, json\n"
+        "from fedsim.data import _class_centers\n"
+        "from tests.test_data import CLASS_CENTER_DIGESTS\n"
+        "print(json.dumps([hashlib.sha256(_class_centers(*shape).tobytes()).hexdigest()"
+        " for shape, _ in CLASS_CENTER_DIGESTS]))"
+    )
+    got = json.loads(run_with_portable_kernels(code))
+    assert got == [want for _, want in CLASS_CENTER_DIGESTS]
 
 
 def test_blobs_deterministic_in_seed():

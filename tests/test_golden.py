@@ -23,6 +23,7 @@ behaviour change or a new platform:
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -43,9 +44,32 @@ ROW_DIGEST_CHARS = 16
 IDX_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
+def openblas_core() -> str:
+    """The kernel set the bundled OpenBLAS chose (``OPENBLAS_CORETYPE``)."""
+    libs = sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*"))
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+        fn = getattr(ctypes.CDLL(str(libs[0])), name, None) if libs else None
+        if fn is not None:
+            fn.restype = ctypes.c_char_p
+            return fn().decode()
+    return "unknown core"
+
+
+def simd_level() -> str:
+    """The highest SIMD target numpy dispatches to (``NPY_DISABLE_CPU_FEATURES``)."""
+    umath = np._core._multiarray_umath
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (enabled or umath.__cpu_baseline__ or ["none"])[-1]
+
+
 def platform_key() -> str:
+    """The build and kernels a digest was recorded on. A note for a reader of
+    a failure: the comparison runs on any platform."""
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    return f"numpy {np.__version__}; {blas.get('name')} {blas.get('version')}"
+    return (
+        f"numpy {np.__version__}; {blas.get('name')} {blas.get('version')}; "
+        f"OpenBLAS core {openblas_core()}; SIMD {simd_level()}"
+    )
 
 
 def preset_cells():
