@@ -7,6 +7,13 @@ byte. This test carries that proof across code changes: every golden cell's
 ``tests/golden/metrics_sha256.json``. The file also keeps one short digest per
 CSV line, so a mismatch names the cell and the first row that differs.
 
+``tests/golden/models_sha256.json`` pins what ``metrics.csv`` cannot show,
+since no parameter reaches it except through an argmax: the sha256 of each
+golden cell's final learner bank (``params`` and ``momentum``) and of its last
+community model. A child process records and checks these under
+``PORTABLE_KERNELS`` (OpenBLAS's Prescott kernels and numpy's baseline SIMD
+level), so they hold on any x86-64 CPU.
+
 ``tests/golden/manifest_sha256.json`` pins each golden cell's
 ``manifest.json`` the same way, without its wall-clock seconds: the resolved
 config, the test-set fingerprint, the sizes and every learner's sizes and
@@ -35,11 +42,13 @@ import pytest
 
 from fedsim.cli import manifest
 from fedsim.config import config_from_dict, get_preset, preset_names
-from fedsim.simulator import run_simulation_detailed
+from fedsim.simulator import _Simulation, run_simulation_detailed
+from tests.conftest import run_with_portable_kernels
 from tests.test_data import write_idx_images, write_idx_labels
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "metrics_sha256.json"
 MANIFEST_GOLDEN_PATH = GOLDEN_PATH.with_name("manifest_sha256.json")
+MODEL_GOLDEN_PATH = GOLDEN_PATH.with_name("models_sha256.json")
 ROW_DIGEST_CHARS = 16
 IDX_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
@@ -204,6 +213,31 @@ def manifest_digest(cfg, result) -> dict:
     }
 
 
+def model_digests() -> dict:
+    """Every golden cell's final models as sha256 digests: the bank's
+    ``params`` and ``momentum`` and the controller's last community model,
+    with this process's kernels."""
+    sha = lambda array: hashlib.sha256(array.tobytes()).hexdigest()
+    digests = {}
+    with tempfile.TemporaryDirectory() as data_dir:
+        for key, cfg in golden_cells(Path(data_dir)):
+            sim = _Simulation(cfg)
+            bank = sim.run().bank
+            community = sim.controller.current_model().params.flat
+            digests[key] = {
+                "params": sha(bank.params),
+                "momentum": sha(bank.momentum),
+                "community": sha(community),
+            }
+    return {"platform": platform_key(), "cells": digests}
+
+
+def portable_model_digests() -> dict:
+    """``model_digests`` from a child process under ``PORTABLE_KERNELS``."""
+    code = "import json; from tests.test_golden import model_digests; print(json.dumps(model_digests()))"
+    return json.loads(run_with_portable_kernels(code))
+
+
 def first_difference(got: dict, want: dict, text: str) -> str:
     for row, (g, w) in enumerate(zip(got["rows"], want["rows"])):
         if g != w:
@@ -243,6 +277,21 @@ def test_manifests_match_golden_digests(simulated_result, idx_dir):
     )
 
 
+def test_models_match_golden_digests():
+    golden = json.loads(MODEL_GOLDEN_PATH.read_text())
+    got = portable_model_digests()
+    assert sorted(got["cells"]) == sorted(golden["cells"]), "cells differ from the golden set"
+    failures = [
+        f"{key}: {[name for name in want if got['cells'][key][name] != want[name]]} differ"
+        for key, want in golden["cells"].items()
+        if got["cells"][key] != want
+    ]
+    assert not failures, (
+        f"final model digests moved (recorded on {golden['platform']!r}, "
+        f"running on {got['platform']!r}):\n" + "\n".join(failures)
+    )
+
+
 def record() -> None:
     metrics, manifests = {}, {}
     with tempfile.TemporaryDirectory() as data_dir:
@@ -255,6 +304,9 @@ def record() -> None:
         golden = {"platform": platform_key(), "cells": cells}
         path.write_text(json.dumps(golden, indent=1) + "\n")
         print(f"recorded {len(cells)} cells to {path}")
+    models = portable_model_digests()
+    MODEL_GOLDEN_PATH.write_text(json.dumps(models, indent=1) + "\n")
+    print(f"recorded {len(models['cells'])} cells to {MODEL_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
