@@ -36,23 +36,16 @@ from .config import (
     preset_names,
 )
 from .controller import DegenerateFederationError
-from .data import as_float64
+from .data import Dataset
 from .simulator import MetricsLog, SimulationResult, run_simulation_detailed
 
 # Re-seeds every run of ``fedsim run``, overriding the config's seed.
 SEED_ENV_VAR = "FEDSIM_SEED"
 
-# Test-set rows the fingerprint scales and hashes at a time; the digest is
-# the one of the whole float64 set.
-_FINGERPRINT_ROWS = 1024
 
-
-def _dataset_fingerprint(result: SimulationResult) -> str:
-    test = result.split.test
-    digest = hashlib.sha256()
-    for start in range(0, test.n, _FINGERPRINT_ROWS):
-        digest.update(as_float64(test.rows[start : start + _FINGERPRINT_ROWS]).tobytes())
-    digest.update(test.labels.tobytes())
+def _dataset_fingerprint(test: Dataset) -> str:
+    digest = hashlib.sha256(test.features)
+    digest.update(test.labels)
     return digest.hexdigest()
 
 
@@ -129,13 +122,13 @@ def manifest(cfg: ExperimentConfig, result: SimulationResult) -> dict:
     return {
         "package_version": __version__,
         "config": cfg.to_dict(),
-        "test_fingerprint": _dataset_fingerprint(result),
-        "initial_test_top1": result.initial_accuracy,
-        "sizes": list(result.sizes),
+        "test_fingerprint": _dataset_fingerprint(bank.split.test),
+        "initial_test_top1": result.log.rows[0].test_top1,
+        "sizes": sorted((bank.train_n + bank.val_n).tolist(), reverse=True),
         "per_learner": [
             {
                 "id": state.id,
-                "group": result.groups[state.id],
+                "group": cfg.speed_profiles[state.id].group,
                 "train_size": n,
                 "validation_size": v,
                 "class_histogram": np.bincount(

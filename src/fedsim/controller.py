@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .nn import ModelSpec, ParameterSet, ShapeError, init_parameters
-from .weighting import FedAsyncParams, fedasync_poly_mix
+from .weighting import fedasync_poly_mix
 
 
 class DegenerateFederationError(RuntimeError):
@@ -65,8 +65,8 @@ class _Controller:
     """The community model, its version and the committed-step count, which
     every commit advances together through ``_publish``."""
 
-    def __init__(self, initial: ParameterSet) -> None:
-        self._community = initial
+    def __init__(self, spec: ModelSpec) -> None:
+        self._community = init_parameters(spec)
         self._version = 0
         self._committed_steps = 0
 
@@ -94,7 +94,7 @@ class FederationController(_Controller):
     mean of each learner's latest cached model."""
 
     def __init__(self, spec: ModelSpec) -> None:
-        super().__init__(init_parameters(spec))
+        super().__init__(spec)
         self._layout = self._community.layout
         # Running sum of p * params over the cache, updated in place.
         self._weighted_sum = np.zeros(self._layout.size)
@@ -193,10 +193,7 @@ class FedAsyncController(_Controller):
     """Mixing-based baseline controller: no cache, the community model is a
     staleness-discounted convex combination of itself and each commit."""
 
-    def __init__(self, spec: ModelSpec, params: FedAsyncParams) -> None:
-        super().__init__(init_parameters(spec))
-        self._params = params
-
-    def handle_update(self, req: UpdateRequest, staleness: int) -> CommunityModel:
-        mixed = fedasync_poly_mix(self._community, req.params, staleness, self._params)
+    def handle_update(self, req: UpdateRequest, alpha_t: float) -> CommunityModel:
+        """Mix in one commit at its ``fedasync_mix_factor`` ``alpha_t``."""
+        mixed = fedasync_poly_mix(self._community, req.params, alpha_t)
         return self._publish(mixed, req.local_steps)

@@ -78,9 +78,6 @@ class Dataset:
         idx = np.asarray(indices)
         return Dataset(self.rows[idx], self.labels[idx], self.num_classes)
 
-    def class_histogram(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
-
     def one_hot(self) -> np.ndarray:
         """The labels as read-only float64 rows of ``num_classes`` columns,
         1.0 in the label's column and 0.0 elsewhere; built on first use and
@@ -117,6 +114,8 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     n_img, rows, cols = _read_idx_header(img_data, images_path, "images", IDX_IMAGES_MAGIC, 3)
     if n_img == 0:
         raise IdxFormatError(f"images item count: file {images_path!r} holds no images")
+    if rows * cols == 0:
+        raise IdxFormatError(f"images shape: {rows} x {cols} pixels per image in {images_path!r}")
     expected = 16 + n_img * rows * cols
     if len(img_data) != expected:
         raise IdxFormatError(
@@ -135,6 +134,10 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     labels = np.frombuffer(lbl_data, dtype=np.uint8, offset=8)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
+        if num_classes < 2:
+            raise IdxFormatError(
+                f"labels: file {labels_path!r} holds class 0 only; dataset.num_classes must be >= 2"
+            )
     elif labels.max() >= num_classes:
         raise IdxFormatError(
             f"labels: file {labels_path!r} holds class {labels.max()}, outside dataset.num_classes="
@@ -155,8 +158,6 @@ def _class_centers(input_dim: int, num_classes: int) -> np.ndarray:
     terminates for any feasible (dim, classes) and stays deterministic on
     any CPU: each norm is an ``fsum`` of squares, which no BLAS kernel sums.
     """
-    if input_dim == 1 and num_classes > 2:
-        raise ValueError("1-D features admit at most two distinct unit-norm class centers")
     seq = np.random.SeedSequence([_CENTER_STREAM_TAG, input_dim, num_classes])
     rng = np.random.Generator(np.random.Philox(seq))
     centers: list[np.ndarray] = []
@@ -185,13 +186,8 @@ def generate_blobs(
     spread: float,
     seed,
 ) -> Dataset:
-    """Balanced Gaussian blobs around deterministic unit-norm class centers."""
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    if spread < 0:
-        raise ValueError("spread must be non-negative")
+    """Balanced Gaussian blobs around deterministic unit-norm class centers.
+    The arguments have passed ``BlobsSpec``'s checks."""
     centers = _class_centers(input_dim, num_classes)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     noise = rng.standard_normal((num_classes * n_per_class, input_dim)) * spread
@@ -299,12 +295,10 @@ def assign_classes(
     descending-size rank; ``learner_order[rank]`` maps ranks to learner ids
     (identity when absent). Samples are drawn per class without replacement,
     evenly across a learner's classes with the remainder going to its lowest
-    class indices. Every class in ``assignment`` lies below the dataset's
-    class count, as the config's class assignment has checked (``resolve``).
+    class indices. The config has checked that ``assignment`` holds one class
+    list per learner, each below the dataset's class count (``resolve``).
     """
     n = len(sizes)
-    if len(assignment) != n:
-        raise ValueError("sizes and class assignment must cover the same learners")
     order = list(learner_order) if learner_order is not None else list(range(n))
     if sorted(order) != list(range(n)):
         raise ValueError("learner_order must be a permutation of learner ids")
@@ -413,9 +407,7 @@ def validation_mask(labels: np.ndarray, fraction: float, rng: np.random.Generato
 
     Per class with n_c samples the validation side takes round(fraction*n_c)
     clamped to [1, n_c - 1]; singleton classes contribute nothing.
-    """
-    if not (0.0 < fraction < 1.0):
-        raise ValueError("fraction must lie strictly between 0 and 1")
+    ``ExperimentConfig`` has checked that 0 < ``fraction`` < 1."""
     val_mask = np.zeros(labels.size, dtype=bool)
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)

@@ -34,25 +34,15 @@ class ShapeError(ValueError):
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture descriptor; with ``init_seed`` it fully determines the
-    initial parameters, so every learner can start from the same model."""
+    initial parameters, so every learner can start from the same model. It
+    checks nothing: its fields have passed ``ModelConfig``, ``BlobsSpec`` or
+    ``IdxSpec`` and ``load_idx``, and ``ExperimentConfig`` (the seed)."""
 
     kind: str
     input_dim: int
     num_classes: int
     hidden_dim: int = 0
     init_seed: int = 1990
-
-    def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind: {self.kind!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.kind == MLP_1HIDDEN and self.hidden_dim < 1:
-            raise ValueError("mlp-1hidden needs hidden_dim >= 1")
-        if self.init_seed < 0:
-            raise ValueError("init_seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .controller import (
 )
 from .data import (
     Dataset,
-    FederatedSplit,
     alternating_order,
     build_federated_split,
     compute_sizes,
@@ -171,21 +170,16 @@ def evaluate_test_accuracy(params: ParameterSet, test: Dataset) -> float:
 
 @dataclass
 class SimulationResult:
+    """What a run leaves that nothing else holds: the log's ``init`` row has the
+    initial accuracy, the bank the split and sizes, the config the groups."""
+
     log: MetricsLog
     bank: LearnerBank
-    groups: dict[int, str]
-    model_spec: ModelSpec
-    initial_accuracy: float
-    sizes: list[int]
     virtual_duration: float
 
     @property
     def learners(self) -> list[LearnerState]:
         return self.bank.states
-
-    @property
-    def split(self) -> FederatedSplit:
-        return self.bank.split
 
 
 def build_datasets(cfg: config_mod.ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -231,7 +225,7 @@ def build_federation(cfg: config_mod.ExperimentConfig):
         check_dataset(layout, data)
 
     if cfg.scheme == "fedasync_poly":
-        controller = FedAsyncController(model_spec, cfg.fedasync)
+        controller = FedAsyncController(model_spec)
     else:
         controller = FederationController(model_spec)
     community = controller.current_model()
@@ -246,10 +240,8 @@ class _Simulation:
         self.cfg = cfg
         self.scheme = cfg.scheme
         self.hp = cfg.hyperparameters
-        model_spec, split, sizes, bank, controller = build_federation(cfg)
-        self.model_spec = model_spec
+        _, split, _, bank, controller = build_federation(cfg)
         self.split = split
-        self.sizes = sizes
         self.bank = bank
         # Learner k is bank row k and runs at cfg.speed_profiles[k]; only its epoch
         # duration and the cause of its pending commit are kept here.
@@ -259,7 +251,7 @@ class _Simulation:
         ]
         self.pending_causes: list[str | None] = [None] * cfg.num_learners
         self.controller = controller
-        self.workspace = Workspace(model_layout(model_spec))
+        self.workspace = Workspace(bank.layout)
         self._init_fanout()
         self.log = MetricsLog()
         self.requests = 0
@@ -271,11 +263,8 @@ class _Simulation:
         # 1 upload + 1 community pull, plus one evaluator ship per other
         # learner when the commit is validation-weighted.
         self.models_per_request = cfg.num_learners + 1 if self.is_dvw else 2
-        initial = controller.current_model()
-        self.initial_accuracy = evaluate_test_accuracy(initial.params, split.test)
-        self.log.append(
-            MetricsRow(0.0, 0, self.scheme, self.initial_accuracy, -1, 0.0, 0, "init", 0, 0)
-        )
+        acc = evaluate_test_accuracy(controller.current_model().params, split.test)
+        self.log.append(MetricsRow(0.0, 0, self.scheme, acc, -1, 0.0, 0, "init", 0, 0))
 
     # -- shared helpers -------------------------------------------------
 
@@ -461,8 +450,8 @@ class _Simulation:
         staleness = effective_staleness(self.controller.committed_steps(), state)
         if self.scheme == "fedasync_poly":
             version_staleness = self.controller.version - state.version_at_fetch
-            community = self.controller.handle_update(req, version_staleness)
             p = fedasync_mix_factor(version_staleness, self.cfg.fedasync)
+            community = self.controller.handle_update(req, p)
         else:
             p = self._weight(req)
             community = self.controller.handle_async_update(req, lambda _r: p)
@@ -474,15 +463,7 @@ class _Simulation:
             self.run_sync()
         else:
             self.run_async()
-        return SimulationResult(
-            log=self.log,
-            bank=self.bank,
-            groups={k: profile.group for k, profile in enumerate(self.cfg.speed_profiles)},
-            model_spec=self.model_spec,
-            initial_accuracy=self.initial_accuracy,
-            sizes=self.sizes,
-            virtual_duration=self.clock,
-        )
+        return SimulationResult(self.log, self.bank, self.clock)
 
 
 def run_simulation_detailed(cfg: config_mod.ExperimentConfig) -> SimulationResult:

@@ -19,9 +19,7 @@ DVW_SCHEMES = ("sync_dvw", "async_dvw")
 
 
 def fedavg_weight(train_size: int) -> float:
-    """Static contribution: the learner's local training-set size."""
-    if train_size < 1:
-        raise ValueError("train_size must be >= 1")
+    """Static contribution: the local training-set size, >= 1 (``UpdateRequest``)."""
     return float(train_size)
 
 
@@ -70,17 +68,11 @@ def fedasync_mix_factor(staleness: int, params: FedAsyncParams) -> float:
     return params.alpha * (staleness + 1.0) ** -params.a
 
 
-def fedasync_poly_mix(
-    w_c: ParameterSet,
-    w_k: ParameterSet,
-    staleness: int,
-    params: FedAsyncParams,
-) -> ParameterSet:
+def fedasync_poly_mix(w_c: ParameterSet, w_k: ParameterSet, alpha_t: float) -> ParameterSet:
     """Convex combination (1 - alpha_t) * w_c + alpha_t * w_k, as a new set."""
     if w_c.layout != w_k.layout:
         raise ShapeError(
             f"fedasync_poly_mix: parameter layouts differ "
             f"({w_c.layout.entries} vs {w_k.layout.entries})"
         )
-    alpha_t = fedasync_mix_factor(staleness, params)
     return ParameterSet((1.0 - alpha_t) * w_c.flat + alpha_t * w_k.flat, w_c.layout)

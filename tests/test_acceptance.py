@@ -450,8 +450,10 @@ def test_criterion_08_convergence_sanity():
     federated = result.log.rows[-1].test_top1
 
     # centralized oracle: same architecture trained on the pooled train data
-    union = result.split.train
-    ctrl = FederationController(result.model_spec)
+    union = result.bank.split.train
+    ds, model = cfg.dataset, cfg.model
+    spec = ModelSpec(model.kind, ds.input_dim, ds.num_classes, model.hidden_dim, cfg.seed)
+    ctrl = FederationController(spec)
     bank = learner_bank(ctrl.current_model(), [union], policy=FixedPolicy(1))
     state = bank.states[0]
     hp = Hyperparameters(eta=0.05, gamma=0.75, batch_size=100)
@@ -459,7 +461,7 @@ def test_criterion_08_convergence_sanity():
     for _ in range(200):
         run_epoch(bank, [0], hp, ws)
     trained = ParameterSet(state.params.copy(), bank.layout)
-    centralized = evaluate_test_accuracy(trained, result.split.test)
+    centralized = evaluate_test_accuracy(trained, result.bank.split.test)
     elapsed = time.perf_counter() - start
     assert federated >= 0.95 * centralized, (
         f"federated {federated:.4f} below 95% of centralized {centralized:.4f}"

@@ -355,6 +355,35 @@ def test_idx_label_outside_the_classes_exit_code(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["zero-pixel-images", "one-class-labels"])
+def test_idx_file_without_pixels_or_classes_exit_code(tmp_path, capsys, case):
+    # Training images of 0 x 2 pixels, or training labels all 0 with the class
+    # count undeclared: the build names the file, and no output is made.
+    files = {}
+    for part in ("train", "test"):
+        files[f"{part}_images"] = str(tmp_path / f"{part}-images.idx")
+        files[f"{part}_labels"] = str(tmp_path / f"{part}-labels.idx")
+        rows = 0 if case == "zero-pixel-images" and part == "train" else 2
+        write_idx_images(files[f"{part}_images"], np.zeros((40, rows, 2)))
+        labels = np.zeros(40) if case == "one-class-labels" else np.arange(40) % 3
+        write_idx_labels(files[f"{part}_labels"], labels)
+    cfg = write_config(
+        tmp_path, {"dataset": {"kind": "idx", **files}, "size_distribution": {"kind": "uniform"}}
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    message = {
+        "zero-pixel-images": (
+            f"error: images shape: 0 x 2 pixels per image in {files['train_images']!r}\n"
+        ),
+        "one-class-labels": (
+            f"error: labels: file {files['train_labels']!r} holds class 0 only; "
+            "dataset.num_classes must be >= 2\n"
+        ),
+    }[case]
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

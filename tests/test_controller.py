@@ -10,7 +10,7 @@ from fedsim.controller import (
     UpdateRequest,
 )
 from fedsim.nn import ModelSpec, ParameterSet, init_parameters
-from fedsim.weighting import FedAsyncParams, fedavg_weight
+from fedsim.weighting import FedAsyncParams, fedasync_mix_factor, fedavg_weight
 from tests.conftest import cache_size, params_allclose, params_equal, random_params
 
 
@@ -262,14 +262,15 @@ def _commit_to_federation(ctrl, reqs, rng):
 
 
 def _commit_to_fedasync(ctrl, reqs, rng):
-    return ctrl.handle_update(reqs[0], staleness=int(rng.integers(0, 6)))
+    alpha_t = fedasync_mix_factor(int(rng.integers(0, 6)), FedAsyncParams())
+    return ctrl.handle_update(reqs[0], alpha_t)
 
 
 @pytest.mark.parametrize(
     "make, commit, round_size",
     [
         (lambda: FederationController(SPEC), _commit_to_federation, 4),
-        (lambda: FedAsyncController(SPEC, FedAsyncParams()), _commit_to_fedasync, 1),
+        (lambda: FedAsyncController(SPEC), _commit_to_fedasync, 1),
     ],
     ids=["federation", "fedasync"],
 )
@@ -306,10 +307,11 @@ def test_each_commit_publishes_one_version(make, commit, round_size, seed):
 
 
 def test_fedasync_zero_staleness_midpoint(rng):
-    ctrl = FedAsyncController(SPEC, FedAsyncParams(alpha=0.5, a=0.5))
+    ctrl = FedAsyncController(SPEC)
     w0 = ctrl.current_model().params
     w = random_params("softmax-regression", rng, input_dim=3)
-    model = ctrl.handle_update(make_request(0, w, steps=4), staleness=0)
+    alpha_t = fedasync_mix_factor(0, FedAsyncParams(alpha=0.5, a=0.5))
+    model = ctrl.handle_update(make_request(0, w, steps=4), alpha_t)
     expected = ParameterSet(0.5 * (w0.flat + w.flat), w.layout)
     assert params_allclose(model.params, expected, rtol=0, atol=1e-15)
     assert model.version == 1

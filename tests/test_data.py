@@ -114,6 +114,32 @@ def test_load_idx_rejects_an_empty_images_file(tmp_path, num_classes):
         load_idx(str(img_path), str(lbl_path), num_classes)
 
 
+@pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0)])
+def test_load_idx_rejects_images_without_pixels(tmp_path, shape):
+    # Only the file can give a model no input: the error names it.
+    img_path, lbl_path = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    write_idx_images(img_path, np.zeros(shape, dtype=np.uint8))
+    write_idx_labels(lbl_path, np.arange(3) % 2)
+    message = f"images shape: {shape[1]} x {shape[2]} pixels per image in {str(img_path)!r}"
+    with pytest.raises(IdxFormatError, match=re.escape(message)):
+        load_idx(str(img_path), str(lbl_path))
+
+
+def test_load_idx_rejects_a_single_derived_class(tmp_path):
+    # Undeclared, the class count is the largest label + 1; labels all 0 give
+    # one class, too few for a classifier, and the error names the file.
+    img_path, lbl_path = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    write_idx_images(img_path, np.zeros((3, 2, 2), dtype=np.uint8))
+    write_idx_labels(lbl_path, np.zeros(3))
+    message = (
+        f"labels: file {str(lbl_path)!r} holds class 0 only; dataset.num_classes must be >= 2"
+    )
+    with pytest.raises(IdxFormatError, match=re.escape(message)):
+        load_idx(str(img_path), str(lbl_path))
+    # Declared, the same files load: a pool may hold only some of the classes.
+    assert load_idx(str(img_path), str(lbl_path), 2).num_classes == 2
+
+
 def test_load_idx_rejects_labels_outside_the_declared_classes(tmp_path):
     img_path, lbl_path = tmp_path / "img.idx", tmp_path / "lbl.idx"
     write_idx_images(img_path, np.zeros((3, 2, 2), dtype=np.uint8))
@@ -366,7 +392,7 @@ def test_assign_iid_uniform_flat_histogram():
     sizes = [40] * 4
     parts = assigned(sizes, IidClasses().resolve(4, 4), source, seed=9)
     for part in parts:
-        hist = part.class_histogram()
+        hist = np.bincount(part.labels, minlength=4)
         assert part.n == 40
         assert hist.max() - hist.min() <= 1
 
@@ -433,7 +459,7 @@ def test_split_exact_five_percent():
     ds = Dataset(feats + np.arange(200)[:, None], labels, 2)
     train, val = stratified_split(ds, 0.05, seed=4)
     assert val.n == 10
-    assert val.class_histogram().tolist() == [5, 5]
+    assert np.bincount(val.labels, minlength=2).tolist() == [5, 5]
     assert train.n == 190
 
 
@@ -449,8 +475,8 @@ def test_split_rounding_frozen_example():
     labels = np.array([0] * 37 + [1] * 13)
     ds = Dataset(np.arange(50)[:, None].astype(float), labels, 2)
     train, val = stratified_split(ds, 0.05, seed=8)
-    assert val.class_histogram().tolist() == [2, 1]
-    assert train.class_histogram().tolist() == [35, 12]
+    assert np.bincount(val.labels, minlength=2).tolist() == [2, 1]
+    assert np.bincount(train.labels, minlength=2).tolist() == [35, 12]
 
 
 def test_split_disjoint_and_deterministic():
@@ -483,8 +509,9 @@ def test_split_stratification_property(seed, num_classes, fraction):
         0 if n_c == 1 else min(max(math.floor(fraction * n_c + 0.5), 1), n_c - 1)
         for n_c in counts
     ]
-    assert val.class_histogram().tolist() == want
-    assert (train.class_histogram() + val.class_histogram()).tolist() == counts.tolist()
+    val_hist = np.bincount(val.labels, minlength=num_classes)
+    assert val_hist.tolist() == want
+    assert (np.bincount(train.labels, minlength=num_classes) + val_hist).tolist() == counts.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,20 @@ byte. This test carries that proof across code changes: every golden cell's
 ``tests/golden/metrics_sha256.json``. The file also keeps one short digest per
 CSV line, so a mismatch names the cell and the first row that differs.
 
-``tests/golden/models_sha256.json`` pins what ``metrics.csv`` cannot show,
-since no parameter reaches it except through an argmax: the sha256 of each
-golden cell's final learner bank (``params`` and ``momentum``) and of its last
-community model. A child process records and checks these under
-``PORTABLE_KERNELS`` (OpenBLAS's Prescott kernels and numpy's baseline SIMD
-level), so they hold on any x86-64 CPU.
-
 ``tests/golden/manifest_sha256.json`` pins each golden cell's
 ``manifest.json`` the same way, without its wall-clock seconds: the resolved
 config, the test-set fingerprint, the sizes and every learner's sizes and
 class histogram. It keeps one short digest per field, so a mismatch names the
 field. Both checks read the same simulated runs.
+
+``tests/golden/models_sha256.json`` pins what ``metrics.csv`` cannot show,
+since no parameter reaches it except through an argmax: the sha256 of each
+golden cell's final learner bank (``params`` and ``momentum``) and of its last
+community model. A child process records and checks these under
+``PORTABLE_KERNELS`` (OpenBLAS's Prescott kernels and numpy's baseline SIMD
+level), so they hold on any x86-64 CPU. That rests on those kernels running
+the same instructions on every CPU that has them, which was checked on one
+machine only.
 
 The digests are pinned to the numpy and BLAS build they were recorded with
 (the ``platform`` field of the JSON files): a different BLAS may round matrix

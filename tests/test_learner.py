@@ -4,7 +4,6 @@ import os
 import sys
 import threading
 from dataclasses import replace
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -1187,8 +1186,7 @@ def test_uint8_pools_read_like_their_float64_image(kind, path, sizes, batch, mu,
         models = [ParameterSet(w.copy(), bank.layout) for w in bank.params]
         scores = [dvw_weight(m, bank.split.validation) for m in models]
         scores += [accuracy(m, bank.split.train) for m in models]
-        with mock.patch.object(cli_mod, "_FINGERPRINT_ROWS", 4):
-            fingerprint = cli_mod._dataset_fingerprint(SimpleNamespace(split=bank.split))
+        fingerprint = cli_mod._dataset_fingerprint(bank.split.test)
         got.append((bank.params.tobytes(), bank.momentum.tobytes(), losses, scores, fingerprint))
     pixels, image = got
     assert pixels == image

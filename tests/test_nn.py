@@ -386,8 +386,8 @@ def test_fedasync_mix_is_the_two_step_reference(kind, staleness, alpha, a, seed)
     w_c, w_k = random_params(kind, rng), random_params(kind, rng)
     before = w_c.flat.copy(), w_k.flat.copy()
     params = FedAsyncParams(alpha=alpha, a=a)
-    mixed = fedasync_poly_mix(w_c, w_k, staleness, params)
     alpha_t = fedasync_mix_factor(staleness, params)
+    mixed = fedasync_poly_mix(w_c, w_k, alpha_t)
     assert mixed.layout == w_c.layout
     assert mixed.flat.tobytes() == two_step_mix(w_c, w_k, alpha_t).tobytes()
     assert w_c.flat.tobytes() == before[0].tobytes() and w_k.flat.tobytes() == before[1].tobytes()
@@ -395,7 +395,7 @@ def test_fedasync_mix_is_the_two_step_reference(kind, staleness, alpha, a, seed)
     other = random_params(kind, rng, input_dim=6)
     for pair in ((w_c, other), (other, w_k)):
         with pytest.raises(ShapeError, match="parameter layouts differ"):
-            fedasync_poly_mix(*pair, staleness, params)
+            fedasync_poly_mix(*pair, alpha_t)
 
 
 # ---------------------------------------------------------------------------

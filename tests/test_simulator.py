@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedsim import controller as controller_mod
 from fedsim import nn as nn_mod
 from fedsim import simulator as simulator_mod
+from fedsim import weighting as weighting_mod
 from fedsim.config import config_from_dict, get_preset
 from fedsim.data import generate_blobs
 from fedsim.learner import AdaptivePolicy, run_epoch
@@ -54,6 +56,11 @@ HETERO_PROFILES = {
 }
 
 
+def groups_of(cfg) -> dict[int, str]:
+    """Each learner's speed group, from the config."""
+    return {k: profile.group for k, profile in enumerate(cfg.speed_profiles)}
+
+
 # ---------------------------------------------------------------------------
 # evaluate_test_accuracy
 # ---------------------------------------------------------------------------
@@ -94,7 +101,7 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
         class_assignment={"kind": "noniid", "classes_per_learner": 2},
     )
     sim = _Simulation(cfg)
-    num_classes = sim.model_spec.num_classes
+    num_classes = sim.bank.layout.entries[-1][2]
     bank, val = sim.bank, sim.split.validation
     for learner_id in range(num_learners):
         run_epoch(bank, [learner_id], sim.hp, sim.workspace)
@@ -434,6 +441,29 @@ def test_adaptive_run_scores_each_epoch_once_and_keeps_warmup_samples(monkeypatc
         assert state.c3_threshold is not None
 
 
+def test_fedasync_mix_factor_runs_once_per_commit(monkeypatch):
+    # Each commit's alpha_t is computed once, logged as p_k and handed to the
+    # controller, which mixes at it.
+    factors, mixed_at = [], []
+    factor, mix = weighting_mod.fedasync_mix_factor, controller_mod.fedasync_poly_mix
+
+    def counting(staleness, params):
+        factors.append(factor(staleness, params))
+        return factors[-1]
+
+    def recording(w_c, w_k, alpha_t):
+        mixed_at.append(alpha_t)
+        return mix(w_c, w_k, alpha_t)
+
+    for module in (simulator_mod, weighting_mod):
+        monkeypatch.setattr(module, "fedasync_mix_factor", counting)
+    monkeypatch.setattr(controller_mod, "fedasync_poly_mix", recording)
+    res = run_simulation_detailed(blob_config(scheme="fedasync_poly"))
+    commits = res.log.rows[1:]
+    assert len(commits) > 4
+    assert factors == mixed_at == [row.p_k for row in commits]
+
+
 @pytest.mark.parametrize("scheme", ["sync_dvw", "async_dvw"])
 def test_federation_checks_each_dataset_once(monkeypatch, scheme):
     checked = []
@@ -455,7 +485,7 @@ def test_federation_checks_each_dataset_once(monkeypatch, scheme):
     assert len(res.log) > 2  # commits, each scored (DVW) and tested
     # The two pools, which hold every learner's slices, and the test set,
     # checked when the federation is built and never again: 3 checks.
-    sets = [res.split.train, res.split.validation, res.split.test]
+    sets = [res.bank.split.train, res.bank.split.validation, res.bank.split.test]
     assert len(checked) == 3
     assert all(a is b for a, b in zip(checked, sets))
 
@@ -470,7 +500,7 @@ def test_staleness_report_shape_and_groups():
         scheme="async_fedavg", speed_profiles=HETERO_PROFILES, time_budget=20.0
     )
     res = run_simulation_detailed(cfg)
-    report = staleness_report(res.log, res.groups)
+    report = staleness_report(res.log, groups_of(cfg))
     assert len(report["groups"]) == 2
     assert len(report["learners"]) == 4
     labels = {s.label for s in report["groups"]}
@@ -487,7 +517,7 @@ def test_staleness_report_homogeneous_groups_similar():
     }
     cfg = blob_config(scheme="async_fedavg", speed_profiles=profiles, time_budget=20.0)
     res = run_simulation_detailed(cfg)
-    report = staleness_report(res.log, res.groups)
+    report = staleness_report(res.log, groups_of(cfg))
     medians = [s.median for s in report["learners"]]
     assert max(medians) <= 1.2 * max(min(medians), 1)
 
