@@ -58,10 +58,11 @@ IDX_PATH_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 def openblas_core() -> str:
     """The kernel set the bundled OpenBLAS chose (``OPENBLAS_CORETYPE``)."""
     libs = sorted(Path(np.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*"))
+    lib = ctypes.CDLL(str(libs[0])) if libs else None
     for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
-        fn = getattr(ctypes.CDLL(str(libs[0])), name, None) if libs else None
+        fn = getattr(lib, name, None)
         if fn is not None:
-            fn.restype = ctypes.c_char_p
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
             return fn().decode()
     return "unknown core"
 
