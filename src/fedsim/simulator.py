@@ -240,8 +240,7 @@ class _Simulation:
         self.cfg = cfg
         self.scheme = cfg.scheme
         self.hp = cfg.hyperparameters
-        _, split, _, bank, controller = build_federation(cfg)
-        self.split = split
+        *_, bank, controller = build_federation(cfg)
         self.bank = bank
         # Learner k is bank row k and runs at cfg.speed_profiles[k]; only its epoch
         # duration and the cause of its pending commit are kept here.
@@ -263,7 +262,7 @@ class _Simulation:
         # 1 upload + 1 community pull, plus one evaluator ship per other
         # learner when the commit is validation-weighted.
         self.models_per_request = cfg.num_learners + 1 if self.is_dvw else 2
-        acc = evaluate_test_accuracy(controller.current_model().params, split.test)
+        acc = evaluate_test_accuracy(controller.current_model().params, bank.split.test)
         self.log.append(MetricsRow(0.0, 0, self.scheme, acc, -1, 0.0, 0, "init", 0, 0))
 
     # -- shared helpers -------------------------------------------------
@@ -285,7 +284,7 @@ class _Simulation:
         virtual clock still charges each evaluator's own pass
         (``_eval_fanout_duration``). Otherwise: its training-set size."""
         if self.is_dvw:
-            return dvw_weight(req.params, self.split.validation)
+            return dvw_weight(req.params, self.bank.split.validation)
         return fedavg_weight(req.local_train_size)
 
     def _init_fanout(self) -> None:
@@ -321,7 +320,7 @@ class _Simulation:
         hand the new community model to every committer."""
         self.requests += len(committers)
         self.exchanged += len(committers) * self.models_per_request
-        acc = evaluate_test_accuracy(community.params, self.split.test)
+        acc = evaluate_test_accuracy(community.params, self.bank.split.test)
         self.log.append(
             MetricsRow(
                 t,

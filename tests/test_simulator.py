@@ -102,7 +102,7 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
     )
     sim = _Simulation(cfg)
     num_classes = sim.bank.layout.entries[-1][2]
-    bank, val = sim.bank, sim.split.validation
+    bank, val = sim.bank, sim.bank.split.validation
     for learner_id in range(num_learners):
         run_epoch(bank, [learner_id], sim.hp, sim.workspace)
         req = sim._update_request(learner_id)
@@ -194,8 +194,8 @@ def test_learner_sets_are_views_of_the_bank_pools(monkeypatch):
     for scheme in ("sync_fedavg", "async_fedavg", "fedasync_poly", "sync_dvw", "async_dvw"):
         cfg = blob_config(scheme=scheme, size_distribution={"kind": "powerlaw", "total": 400})
         sim = _Simulation(cfg)
-        bank, split = sim.bank, sim.split
-        assert bank.split is split
+        bank = sim.bank
+        split = bank.split
         # The bank's offsets tile both pools in id order, at the split's sizes.
         assert split.learner_sizes == tuple(zip(bank.train_n.tolist(), bank.val_n.tolist()))
         for pool, start, n in (
