@@ -242,6 +242,46 @@ def test_replay_is_bit_identical(scheme, trigger):
     assert a.to_csv() == b.to_csv()
 
 
+def test_each_commit_logs_the_cause_of_its_own_trigger(monkeypatch):
+    # Fast and slow adaptive learners: one learner's DVW fan-out is still
+    # running when another's trigger fires for a different cause.
+    cfg = blob_config(
+        scheme="async_dvw",
+        speed_profiles=HETERO_PROFILES,
+        trigger={
+            "kind": "adaptive",
+            "vc_loss": {"fast": 0.0, "slow": 1.0},
+            "vc_tomb": {"fast": 2, "slow": 0},
+            "warmup_cycles": 3,
+            "max_epochs_per_cycle": 6,
+        },
+        time_budget=6.0,
+    )
+    sim = _Simulation(cfg)
+    fired = []
+    cause_of = simulator_mod.trigger_cause
+
+    def recording(state, loss, staleness_now):
+        cause = cause_of(state, loss, staleness_now)
+        if cause is not None:
+            fired.append((sim.clock, state.id, cause))
+        return cause
+
+    monkeypatch.setattr(simulator_mod, "trigger_cause", recording)
+    commits = [row for row in sim.run().log if row.version >= 1]
+    fan_outs = []
+    for k in range(cfg.num_learners):
+        firings = [(t, cause) for t, lid, cause in fired if lid == k]
+        rows = [row for row in commits if row.committing_learner == k]
+        # At most the last firing is still waiting when the budget ends.
+        assert len(firings) - len(rows) in (0, 1)
+        assert [row.cause for row in rows] == [cause for _, cause in firings[: len(rows)]]
+        fan_outs += [(t, row.virtual_time, k, cause) for (t, cause), row in zip(firings, rows)]
+    assert any(
+        a[2] != b[2] and a[3] != b[3] and a[0] < b[0] < a[1] for a in fan_outs for b in fan_outs
+    )
+
+
 def test_log_starts_with_initial_model_row():
     log = run_simulation_detailed(blob_config(time_budget=2.0)).log
     first = log.rows[0]
