@@ -130,15 +130,6 @@ class AdaptivePolicy:
 TriggerPolicy = Union[FixedPolicy, AdaptivePolicy]
 
 
-@dataclass
-class ValidationCycle:
-    """Trigger state since the last community update (``last_loss``: adaptive only)."""
-
-    epochs: int = 0
-    tombstones_used: int = 0
-    last_loss: float | None = None
-
-
 @dataclass(eq=False)
 class LearnerState:
     """A learner's model and bookkeeping.
@@ -148,7 +139,9 @@ class LearnerState:
     ``params``. They are copied out only at the exchange boundary (an update
     request's ``ParameterSet``) and overwritten only by
     ``adopt_community``. ``anchor`` is the community model adopted at the
-    last fetch, the target of the proximal pull. ``warmup_staleness`` and
+    last fetch, the target of the proximal pull. ``cycle_epochs``,
+    ``tombstones_used`` and ``last_loss`` (the last two adaptive only) are
+    the trigger's state since that fetch. ``warmup_staleness`` and
     ``c3_threshold`` are C3's state (adaptive only, filled by
     ``adopt_community``). The optimizer constants are the run's
     (``Hyperparameters``), not the learner's. ``shuffle_keys`` are the keys of
@@ -167,7 +160,9 @@ class LearnerState:
     version_at_fetch: int = 0
     anchor: ParameterSet | None = None
     epochs_total: int = 0
-    current: ValidationCycle = field(default_factory=ValidationCycle)
+    cycle_epochs: int = 0
+    tombstones_used: int = 0
+    last_loss: float | None = None
     warmup_staleness: list[int] = field(default_factory=list)
     c3_threshold: float | None = None
     shuffle_first: int = field(default=0, repr=False)
@@ -522,7 +517,7 @@ def run_epoch(
         state = bank.states[row]
         state.S_k_local += steps
         state.epochs_total += 1
-        state.current.epochs += 1
+        state.cycle_epochs += 1
         total += steps
     return total
 
@@ -591,7 +586,6 @@ def check_adaptive_trigger(
     policy = state.policy
     if not isinstance(policy, AdaptivePolicy):
         raise TypeError("check_adaptive_trigger needs an adaptive policy")
-    cycle = state.current
     if vpct is not None:
         failure = None
         if vpct >= 0.0:
@@ -599,13 +593,13 @@ def check_adaptive_trigger(
         elif abs(vpct) <= policy.vc_loss:
             failure = CAUSE_C2
         if failure is not None:
-            cycle.tombstones_used += 1
-            if cycle.tombstones_used > policy.vc_tomb:
+            state.tombstones_used += 1
+            if state.tombstones_used > policy.vc_tomb:
                 return failure
     threshold = state.c3_threshold
     if threshold is not None and staleness_now > threshold:
         return CAUSE_C3
-    if cycle.epochs >= policy.max_epochs_per_cycle:
+    if state.cycle_epochs >= policy.max_epochs_per_cycle:
         return CAUSE_FIXED
     return None
 
@@ -634,11 +628,10 @@ def trigger_cause(state: LearnerState, loss: float | None, staleness_now: int) -
     one needs ``loss``, this epoch's validation loss (``check_adaptive_trigger``).
     """
     policy = state.policy
-    cycle = state.current
     if isinstance(policy, FixedPolicy):
-        return CAUSE_FIXED if cycle.epochs >= policy.uf else None
-    vpct = None if cycle.last_loss is None else compute_vpct(loss, cycle.last_loss)
-    cycle.last_loss = loss
+        return CAUSE_FIXED if state.cycle_epochs >= policy.uf else None
+    vpct = None if state.last_loss is None else compute_vpct(loss, state.last_loss)
+    state.last_loss = loss
     return check_adaptive_trigger(state, vpct, staleness_now)
 
 
@@ -652,10 +645,11 @@ def adopt_community(state: LearnerState, community: CommunityModel) -> None:
     """
     policy = state.policy
     if isinstance(policy, AdaptivePolicy) and state.c3_threshold is None:
-        if state.current.epochs >= 1:
+        if state.cycle_epochs >= 1:
             state.warmup_staleness.append(community.committed_steps - state.S_c_at_fetch)
             state.c3_threshold = staleness_threshold(state.warmup_staleness, policy.warmup_cycles)
-    state.current = ValidationCycle()
+    state.cycle_epochs = state.tombstones_used = 0
+    state.last_loss = None
     np.copyto(state.params, community.params.flat)
     state.momentum.fill(0.0)
     state.anchor = community.params

@@ -3,11 +3,13 @@
 A virtual clock advances through a (time, seq) ordered event queue; ties
 execute in enqueue order, so replays with the same config and seed are
 bit-identical. Learners whose epochs end at the same virtual instant train as
-one stacked cohort; the trigger checks then run per learner in event order.
+one stacked cohort; the trigger checks then run per learner in event order,
+and a trigger that fires queues its learner's commit with the cause.
 Heterogeneity comes from per-learner speed profiles: an epoch
 costs steps/steps_per_second virtual seconds, and a distributed-validation
 fan-out costs the slowest evaluator's validation pass (evaluators run in
-parallel and keep training undisturbed; the committing learner waits).
+parallel and keep training undisturbed; the committing learner waits); both
+are fixed per learner for the run (``epoch_durations``, ``fanout_durations``).
 
 Synchronous schemes run as lockstep rounds whose length is the straggler's
 training time (plus the evaluation phase for validation-weighted schemes);
@@ -59,12 +61,14 @@ EVENT_EVAL_DONE = "eval_done"
 EVENT_UPDATE_COMMIT = "update_commit"
 
 class Event(NamedTuple):
-    """A queued event; the heap orders events by (time, seq), which is unique."""
+    """A queued event; the heap orders events by (time, seq), which is unique,
+    so ``cause``, the trigger cause a queued commit carries, is never compared."""
 
     time: float
     seq: int
     learner_id: int
     kind: str
+    cause: str | None = None
 
 
 @dataclass(frozen=True)
@@ -238,32 +242,34 @@ def build_federation(cfg: config_mod.ExperimentConfig):
 class _Simulation:
     def __init__(self, cfg: config_mod.ExperimentConfig) -> None:
         self.cfg = cfg
-        self.scheme = cfg.scheme
-        self.hp = cfg.hyperparameters
         *_, bank, controller = build_federation(cfg)
         self.bank = bank
-        # Learner k is bank row k and runs at cfg.speed_profiles[k]; only its epoch
-        # duration and the cause of its pending commit are kept here.
+        # Learner k is bank row k and runs at cfg.speed_profiles[k]. Kept here:
+        # the virtual length of its epoch, and of the DVW fan-out its commit
+        # waits for, the slowest validation pass among the other learners (the
+        # largest pass, or the runner-up for the learner that holds it; 0.0 for
+        # a federation of one).
+        profiles = cfg.speed_profiles
         self.epoch_durations = [
-            math.ceil(n / self.hp.batch_size) / profile.steps_per_second
-            for n, profile in zip(bank.train_n.tolist(), cfg.speed_profiles)
+            math.ceil(n / cfg.hyperparameters.batch_size) / profile.steps_per_second
+            for n, profile in zip(bank.train_n.tolist(), profiles)
         ]
-        self.pending_causes: list[str | None] = [None] * cfg.num_learners
+        passes = [v / p.eval_samples_per_second for v, p in zip(bank.val_n.tolist(), profiles)]
+        top = max(range(len(passes)), key=passes.__getitem__)
+        runner_up = max((d for k, d in enumerate(passes) if k != top), default=0.0)
+        self.fanout_durations = [runner_up if k == top else passes[top] for k in range(len(passes))]
         self.controller = controller
         self.workspace = Workspace(bank.layout)
-        self._init_fanout()
         self.log = MetricsLog()
-        self.requests = 0
-        self.exchanged = 0
         self.clock = 0.0
         self._heap: list[Event] = []
         self._seq = 0
-        self.is_dvw = self.scheme in DVW_SCHEMES
+        self.is_dvw = cfg.scheme in DVW_SCHEMES
         # 1 upload + 1 community pull, plus one evaluator ship per other
         # learner when the commit is validation-weighted.
         self.models_per_request = cfg.num_learners + 1 if self.is_dvw else 2
         acc = evaluate_test_accuracy(controller.current_model().params, bank.split.test)
-        self.log.append(MetricsRow(0.0, 0, self.scheme, acc, -1, 0.0, 0, "init", 0, 0))
+        self.log.append(MetricsRow(0.0, 0, cfg.scheme, acc, -1, 0.0, 0, "init", 0, 0))
 
     # -- shared helpers -------------------------------------------------
 
@@ -282,29 +288,10 @@ class _Simulation:
         every learner's validation slice, its own included, in one pass over
         the split's pooled validation set, which holds the slices. The
         virtual clock still charges each evaluator's own pass
-        (``_eval_fanout_duration``). Otherwise: its training-set size."""
+        (``fanout_durations``). Otherwise: its training-set size."""
         if self.is_dvw:
             return dvw_weight(req.params, self.bank.split.validation)
         return fedavg_weight(req.local_train_size)
-
-    def _init_fanout(self) -> None:
-        """Each learner's validation-pass duration is fixed for the run, so a
-        fan-out's length is the largest of them, or the runner-up when the
-        committing learner holds the largest."""
-        durations = [
-            v / profile.eval_samples_per_second
-            for v, profile in zip(self.bank.val_n.tolist(), self.cfg.speed_profiles)
-        ]
-        self._fanout_top = max(range(len(durations)), key=durations.__getitem__)
-        self._fanout_max = durations[self._fanout_top]
-        self._fanout_runner_up = max(
-            (d for k, d in enumerate(durations) if k != self._fanout_top), default=0.0
-        )
-
-    def _eval_fanout_duration(self, committing: int) -> float:
-        """The slowest validation pass among the learners other than
-        ``committing``; 0.0 for a federation of one."""
-        return self._fanout_runner_up if committing == self._fanout_top else self._fanout_max
 
     def _record(
         self,
@@ -316,23 +303,22 @@ class _Simulation:
         staleness: int,
         cause: str,
     ) -> None:
-        """Count the commit's requests and exchanged models, log its row, and
+        """Log the commit's row, counting on from the last row's totals, and
         hand the new community model to every committer."""
-        self.requests += len(committers)
-        self.exchanged += len(committers) * self.models_per_request
+        last = self.log.rows[-1]
         acc = evaluate_test_accuracy(community.params, self.bank.split.test)
         self.log.append(
             MetricsRow(
                 t,
                 community.version,
-                self.scheme,
+                self.cfg.scheme,
                 acc,
                 learner_id,
                 p,
                 staleness,
                 cause,
-                self.exchanged,
-                self.requests,
+                last.models_exchanged_cum + len(committers) * self.models_per_request,
+                last.update_requests_cum + len(committers),
             )
         )
         for k in committers:
@@ -364,7 +350,7 @@ class _Simulation:
             if t_end > cfg.time_budget:
                 break
             for _ in range(uf):
-                run_epoch(self.bank, rows, self.hp, self.workspace)
+                run_epoch(self.bank, rows, cfg.hyperparameters, self.workspace)
             requests = [self._update_request(k) for k in rows]
             community = self.controller.handle_sync_round(requests, self._weight)
             self.clock = t_end
@@ -372,10 +358,10 @@ class _Simulation:
 
     # -- asynchronous event loop ------------------------------------------
 
-    def _schedule(self, t: float, learner_id: int, kind: str) -> None:
+    def _schedule(self, t: float, learner_id: int, kind: str, cause: str | None = None) -> None:
         if t < self.clock:
             raise RuntimeError("cannot schedule an event in the past")
-        heapq.heappush(self._heap, Event(t, self._seq, learner_id, kind))
+        heapq.heappush(self._heap, Event(t, self._seq, learner_id, kind, cause))
         self._seq += 1
 
     def run_async(self) -> None:
@@ -389,76 +375,67 @@ class _Simulation:
                 break
             self.clock = t
             if ev.kind == EVENT_EPOCH_DONE:
-                self._on_epochs_done(self._epoch_run(ev), t)
+                self._on_epochs_done(ev)
             elif ev.kind == EVENT_EVAL_DONE:
-                self._schedule(t, ev.learner_id, EVENT_UPDATE_COMMIT)
+                self._schedule(t, ev.learner_id, EVENT_UPDATE_COMMIT, ev.cause)
             elif ev.kind == EVENT_UPDATE_COMMIT:
-                self._on_commit(ev.learner_id, t)
+                self._on_commit(ev)
                 if cfg.max_versions is not None and self.controller.version >= cfg.max_versions:
                     break
             else:  # pragma: no cover - exhaustive kinds
                 raise RuntimeError(f"unknown event kind {ev.kind!r}")
 
-    def _epoch_run(self, first: Event) -> list[int]:
-        """``first`` and the EPOCH_DONE events queued right behind it at the
-        same virtual time, popped.
+    def _on_epochs_done(self, first: Event) -> None:
+        """Pop the EPOCH_DONE events queued right behind ``first`` at the same
+        virtual time, train the cohort one epoch, score the validation loss of
+        the members whose adaptive trigger reads it, then check each trigger
+        in event order: queue the next epoch, or the commit with its cause
+        (under DVW, behind the fan-out).
 
         Training them as one cohort is exact: a learner with a pending
         EPOCH_DONE has no other pending event, so its epoch reads only its own
-        state, and everything the run's trigger checks schedule lands after
-        the run (later in time, or at the same time with a larger seq).
+        state, and everything the trigger checks schedule lands after the
+        cohort (later in time, or at the same time with a larger seq). No
+        commit runs in here, so the committed steps are read once.
         """
-        run = [first.learner_id]
-        heap = self._heap
-        while heap and heap[0].time == first.time and heap[0].kind == EVENT_EPOCH_DONE:
-            run.append(heapq.heappop(heap).learner_id)
-        return run
-
-    def _on_epochs_done(self, rows: list[int], t: float) -> None:
-        """Train the cohort one epoch, score the validation loss of the
-        members whose adaptive trigger reads it, then check each trigger."""
-        run_epoch(self.bank, rows, self.hp, self.workspace)
+        t, heap = first.time, self._heap
+        rows = [first.learner_id]
+        while heap and heap[0].time == t and heap[0].kind == EVENT_EPOCH_DONE:
+            rows.append(heapq.heappop(heap).learner_id)
+        run_epoch(self.bank, rows, self.cfg.hyperparameters, self.workspace)
         states = self.bank.states
-        losses: list[float | None] = [None] * len(rows)
-        scored = [i for i, k in enumerate(rows) if isinstance(states[k].policy, AdaptivePolicy)]
+        scored = [k for k in rows if isinstance(states[k].policy, AdaptivePolicy)]
+        losses = {}
         if scored:
-            values = local_validation_loss(self.bank, [rows[i] for i in scored], self.workspace)
-            for i, loss in zip(scored, values):
-                losses[i] = loss
-        for learner_id, loss in zip(rows, losses):
-            self._check_trigger(learner_id, t, loss)
+            losses = dict(zip(scored, local_validation_loss(self.bank, scored, self.workspace)))
+        committed = self.controller.committed_steps()
+        for k in rows:
+            state = states[k]
+            cause = trigger_cause(state, losses.get(k), effective_staleness(committed, state))
+            if cause is None:
+                self._schedule(t + self.epoch_durations[k], k, EVENT_EPOCH_DONE)
+            elif self.is_dvw:
+                self._schedule(t + self.fanout_durations[k], k, EVENT_EVAL_DONE, cause)
+            else:
+                self._schedule(t, k, EVENT_UPDATE_COMMIT, cause)
 
-    def _check_trigger(self, learner_id: int, t: float, loss: float | None) -> None:
+    def _on_commit(self, ev: Event) -> None:
+        t, learner_id = ev.time, ev.learner_id
         state = self.bank.states[learner_id]
-        staleness_now = effective_staleness(self.controller.committed_steps(), state)
-        cause = trigger_cause(state, loss, staleness_now)
-        if cause is None:
-            self._schedule(t + self.epoch_durations[learner_id], learner_id, EVENT_EPOCH_DONE)
-            return
-        self.pending_causes[learner_id] = cause
-        if self.is_dvw:
-            self._schedule(t + self._eval_fanout_duration(learner_id), learner_id, EVENT_EVAL_DONE)
-        else:
-            self._schedule(t, learner_id, EVENT_UPDATE_COMMIT)
-
-    def _on_commit(self, learner_id: int, t: float) -> None:
-        state = self.bank.states[learner_id]
-        cause = self.pending_causes[learner_id]
-        self.pending_causes[learner_id] = None
         req = self._update_request(learner_id)
         staleness = effective_staleness(self.controller.committed_steps(), state)
-        if self.scheme == "fedasync_poly":
+        if self.cfg.scheme == "fedasync_poly":
             version_staleness = self.controller.version - state.version_at_fetch
             p = fedasync_mix_factor(version_staleness, self.cfg.fedasync)
             community = self.controller.handle_update(req, p)
         else:
             p = self._weight(req)
             community = self.controller.handle_async_update(req, lambda _r: p)
-        self._record(t, community, [learner_id], learner_id, p, staleness, cause)
+        self._record(t, community, [learner_id], learner_id, p, staleness, ev.cause)
         self._schedule(t + self.epoch_durations[learner_id], learner_id, EVENT_EPOCH_DONE)
 
     def run(self) -> SimulationResult:
-        if self.scheme.startswith("sync_"):
+        if self.cfg.scheme.startswith("sync_"):
             self.run_sync()
         else:
             self.run_async()

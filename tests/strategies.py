@@ -1,10 +1,9 @@
 """Hypothesis strategies shared by the whole-run property tests.
 
 ``small_blobs_configs`` draws raw JSON configs (dicts, as ``config_from_dict``
-reads them) that run to completion in tens of milliseconds: two to six
+reads them) that run to completion in a few milliseconds: two to six
 learners of two speed groups, at most 240 training samples, a short virtual
-budget and a cap on commits. Every rate and budget is a power-of-two multiple
-away from another float exactly, so a test may rescale time without rounding.
+budget and a cap on commits.
 """
 
 from hypothesis import strategies as st
@@ -22,18 +21,19 @@ def _group_rates(steps, evals):
     )
 
 
+def _per_group(values):
+    return st.fixed_dictionaries({group: st.sampled_from(values) for group in ("fast", "slow")})
+
+
 def _trigger(scheme: str):
     fixed = st.builds(lambda uf: {"kind": "fixed", "uf": uf}, st.integers(1, 3))
     if scheme != "async_dvw":
         return fixed
-    per_group = lambda values: st.fixed_dictionaries(  # noqa: E731
-        {"fast": st.sampled_from(values), "slow": st.sampled_from(values)}
-    )
     adaptive = st.fixed_dictionaries(
         {
             "kind": st.just("adaptive"),
-            "vc_loss": per_group([0.0, 0.5, 2.0]),
-            "vc_tomb": per_group([0, 1, 2]),
+            "vc_loss": _per_group([0.0, 0.5, 2.0]),
+            "vc_tomb": _per_group([0, 1, 2]),
             "warmup_cycles": st.integers(1, 3),
             "max_epochs_per_cycle": st.integers(2, 6),
         }
@@ -69,8 +69,8 @@ def small_blobs_configs(draw) -> dict:
             "fast": draw(_group_rates([100.0, 160.0, 200.0], [1000.0, 2000.0])),
             "slow": draw(_group_rates([20.0, 25.0, 40.0], [250.0, 400.0])),
         },
-        # Slices of several samples: a model that scores 0 on every slice
-        # ends a DVW run (exit 3), which none of these properties is about.
+        # Validation slices of several samples make it rare for a model to
+        # score 0 on every slice, which ends a DVW run (exit 3).
         "validation_fraction": 0.25,
         "scheme": scheme,
         "trigger": draw(_trigger(scheme)),

@@ -381,29 +381,29 @@ def _adaptive_state(policy: AdaptivePolicy):
 def test_criterion_07_trigger_semantics():
     # vc_loss=0, vc_tomb=4: exactly 4 non-improving epochs tolerated
     state = _adaptive_state(AdaptivePolicy(vc_loss=0.0, vc_tomb=4))
-    state.current.epochs = 1
+    state.cycle_epochs = 1
     outcomes = []
     for epoch in range(2, 8):
-        state.current.epochs = epoch
+        state.cycle_epochs = epoch
         outcomes.append(check_adaptive_trigger(state, vpct=1.0, staleness_now=0))
     assert outcomes == [None, None, None, None, "C1", "C1"][: len(outcomes)]
     assert outcomes[4] == "C1" and all(o is None for o in outcomes[:4])
 
     # vc_loss=1, vc_tomb=1: the second failure fires
     state = _adaptive_state(AdaptivePolicy(vc_loss=1.0, vc_tomb=1))
-    state.current.epochs = 2
+    state.cycle_epochs = 2
     assert check_adaptive_trigger(state, vpct=-0.5, staleness_now=0) is None
-    state.current.epochs = 3
+    state.cycle_epochs = 3
     assert check_adaptive_trigger(state, vpct=-0.8, staleness_now=0) == "C2"
 
     # C3 arms only after 20 completed cycles and fires on strict excess
     state = _adaptive_state(AdaptivePolicy(vc_loss=0.0, vc_tomb=99, warmup_cycles=20))
 
     def commit(staleness: int) -> None:
-        state.current.epochs = 1
+        state.cycle_epochs = 1
         steps = state.S_c_at_fetch + staleness
         adopt_community(state, CommunityModel(state.anchor, 0, steps))
-        state.current.epochs = 2
+        state.cycle_epochs = 2
 
     for s in [4] * 10 + [6] * 9:
         commit(s)

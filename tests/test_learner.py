@@ -85,7 +85,7 @@ def test_epoch_step_count_is_ceil(train_set, controller):
     steps = run_epoch(bank, [0], HP, WS)
     assert steps == 3
     assert state.S_k_local == 3
-    assert state.current.epochs == 1
+    assert state.cycle_epochs == 1
 
 
 def test_epoch_is_deterministic(train_set, controller):
@@ -200,14 +200,14 @@ def test_vpct_from_zero_previous_is_a_failure():
 
 def make_adaptive_state(policy: AdaptivePolicy, epochs=2) -> LearnerState:
     state = fresh_learner(FederationController(SPEC), policy)
-    state.current.epochs = epochs
+    state.cycle_epochs = epochs
     return state
 
 
 def test_zero_tombstones_triggers_immediately():
     state = make_adaptive_state(AdaptivePolicy(vc_loss=0.0, vc_tomb=0))
     assert check_adaptive_trigger(state, vpct=2.0, staleness_now=0) == "C1"
-    assert state.current.tombstones_used == 1
+    assert state.tombstones_used == 1
 
 
 def test_four_tombstones_fire_on_fifth_failure():
@@ -215,20 +215,20 @@ def test_four_tombstones_fire_on_fifth_failure():
     for i in range(4):
         assert check_adaptive_trigger(state, vpct=1.0, staleness_now=0) is None
     assert check_adaptive_trigger(state, vpct=0.0, staleness_now=0) == "C1"
-    assert state.current.tombstones_used == 5
+    assert state.tombstones_used == 5
 
 
 def test_c2_consumes_tombstone_within_threshold():
     state = make_adaptive_state(AdaptivePolicy(vc_loss=1.0, vc_tomb=1))
     assert check_adaptive_trigger(state, vpct=-0.5, staleness_now=0) is None
-    assert state.current.tombstones_used == 1
+    assert state.tombstones_used == 1
     assert check_adaptive_trigger(state, vpct=-0.9, staleness_now=0) == "C2"
 
 
 def test_big_improvement_is_not_a_failure():
     state = make_adaptive_state(AdaptivePolicy(vc_loss=1.0, vc_tomb=0))
     assert check_adaptive_trigger(state, vpct=-5.0, staleness_now=0) is None
-    assert state.current.tombstones_used == 0
+    assert state.tombstones_used == 0
 
 
 def test_first_epoch_never_triggers_on_loss():
@@ -238,7 +238,7 @@ def test_first_epoch_never_triggers_on_loss():
 
 def commit_with_staleness(state: LearnerState, staleness: int) -> None:
     """End a one-epoch cycle with a commit whose effective staleness is ``staleness``."""
-    state.current.epochs = 1
+    state.cycle_epochs = 1
     adopt_community(state, CommunityModel(state.anchor, 0, state.S_c_at_fetch + staleness))
 
 
@@ -246,7 +246,7 @@ def test_c3_disabled_before_warmup():
     state = make_adaptive_state(AdaptivePolicy(vc_tomb=99, warmup_cycles=20))
     for s in range(19):
         commit_with_staleness(state, s)
-    state.current.epochs = 2
+    state.cycle_epochs = 2
     assert state.c3_threshold is None
     assert check_adaptive_trigger(state, vpct=-50.0, staleness_now=10**6) is None
 
@@ -256,7 +256,7 @@ def test_c3_fires_after_warmup_on_strict_excess():
     samples = [3, 7, 5, 9, 4, 6, 8, 2, 10, 1, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20]
     for s in samples:
         commit_with_staleness(state, s)
-    state.current.epochs = 2
+    state.cycle_epochs = 2
     threshold = state.c3_threshold
     # sorted samples are 1..20; the lower-middle element (rank 10) is 10
     assert threshold == 10.0
@@ -278,7 +278,7 @@ def test_raising_vc_loss_never_lengthens_cycle():
         state = make_adaptive_state(AdaptivePolicy(vc_loss=vc_loss, vc_tomb=1), epochs=1)
         prev = losses[0]
         for i, loss in enumerate(losses[1:], start=2):
-            state.current.epochs = i
+            state.cycle_epochs = i
             cause = check_adaptive_trigger(state, compute_vpct(loss, prev), 0)
             if cause:
                 return i
@@ -298,10 +298,10 @@ def test_fixed_trigger_reads_only_the_epoch_count(controller):
     state = fresh_learner(controller, FixedPolicy(3))
     causes = []
     for epoch in range(1, 4):
-        state.current.epochs = epoch
+        state.cycle_epochs = epoch
         causes.append(trigger_cause(state, None, staleness_now=10**9))
     assert causes == [None, None, "fixed"]
-    assert state.current.last_loss is None
+    assert state.last_loss is None
 
 
 class FullHistoryTrigger:
@@ -365,7 +365,7 @@ def test_constant_size_state_decides_like_the_full_history(
     for op in ops:
         if op[0] == "epoch":
             _, loss, staleness_now = op
-            state.current.epochs += 1  # what run_epoch does to the cycle
+            state.cycle_epochs += 1  # what run_epoch does to the cycle
             cause = trigger_cause(state, loss, staleness_now)
             assert cause == reference.epoch(loss, staleness_now)
             if cause is not None:
@@ -454,7 +454,7 @@ def test_adopt_keeps_one_staleness_sample_per_warmup_commit(train_set, controlle
         adopt_community(state, model)
         assert state.warmup_staleness == [3] * min(round_no, 3)
         assert state.c3_threshold == (3.0 if round_no >= 3 else None)
-        assert state.current.epochs == 0 and state.current.last_loss is None
+        assert state.cycle_epochs == 0 and state.last_loss is None
 
 
 def test_fixed_learner_keeps_no_staleness_samples(train_set, controller):
@@ -504,7 +504,7 @@ def test_validation_loss_recorded(train_set, controller):
     run_epoch(bank, [0], HP, WS)
     loss = local_validation_loss(bank, [0], WS)[0]
     assert trigger_cause(state, loss, staleness_now=0) is None
-    assert state.current.last_loss == loss
+    assert state.last_loss == loss
     assert loss > 0
 
 
@@ -817,7 +817,7 @@ def cohort_members(kind, hp, sizes, seed, poison=None, dims=(4, 5)):
 
 
 def counters(bank):
-    return [(s.S_k_local, s.epochs_total, s.current.epochs) for s in bank.states]
+    return [(s.S_k_local, s.epochs_total, s.cycle_epochs) for s in bank.states]
 
 
 cohort_cases = dict(
@@ -940,7 +940,7 @@ def test_divergence_at_the_last_step_is_found_by_the_epoch_scan(kind, members):
         got_w, got_u = state.params, state.momentum
         assert np.array_equal(got_w, np.concatenate([a.ravel() for a in want_w]), equal_nan=True)
         assert np.array_equal(got_u, np.concatenate([a.ravel() for a in want_u]), equal_nan=True)
-        assert state.S_k_local == 0 and state.current.epochs == 0
+        assert state.S_k_local == 0 and state.cycle_epochs == 0
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_dvw_weight_is_micro_f1_over_every_slice(scheme, num_learners, seed, mod
     num_classes = sim.bank.layout.entries[-1][2]
     bank, val = sim.bank, sim.bank.split.validation
     for learner_id in range(num_learners):
-        run_epoch(bank, [learner_id], sim.hp, sim.workspace)
+        run_epoch(bank, [learner_id], sim.cfg.hyperparameters, sim.workspace)
         req = sim._update_request(learner_id)
         # One confusion matrix per learner, counted sample by sample; the
         # committing learner's own slice is one of them, once.
@@ -156,7 +156,7 @@ def test_eval_fanout_duration_is_the_slowest_other_evaluator(eval_rates, sizes):
             ),
             default=0.0,
         )
-        assert sim._eval_fanout_duration(committing) == brute
+        assert sim.fanout_durations[committing] == brute
 
 
 @pytest.mark.parametrize("scheme", ["sync_fedavg", "async_fedavg", "sync_dvw", "async_dvw"])
@@ -442,8 +442,8 @@ def test_fixed_policy_cycles_have_exact_uf_epochs():
     for state in res.learners:
         commits = sum(row.committing_learner == state.id for row in res.log)
         assert commits, "every learner should have completed cycles"
-        assert state.epochs_total == 3 * commits + state.current.epochs
-        assert state.current.epochs < 3
+        assert state.epochs_total == 3 * commits + state.cycle_epochs
+        assert state.cycle_epochs < 3
 
 
 def record_validation_losses(monkeypatch) -> list[list[float]]:
@@ -638,7 +638,7 @@ def test_a_learner_is_its_bank_row_and_a_request_copies_it(model):
         for view, (_, rows, cols) in zip(state.arrays, bank.layout.entries):
             assert view.shape == (rows, cols)
             assert np.shares_memory(view, bank.params[k])
-    run_epoch(bank, range(len(bank.states)), sim.hp, sim.workspace)
+    run_epoch(bank, range(len(bank.states)), sim.cfg.hyperparameters, sim.workspace)
     for k in range(len(bank.states)):
         req = sim._update_request(k)
         assert req.params.layout == bank.layout
@@ -712,7 +712,7 @@ def test_runs_leave_no_worker_thread_behind():
         assert spy.call_count > 0
         assert threading.active_count() == threads
         sim = _Simulation(unstackable_config())
-        poison(sim.bank.states[1], sim.hp, 1)
+        poison(sim.bank.states[1], sim.cfg.hyperparameters, 1)
         calls = spy.call_count
         with np.errstate(all="ignore"), pytest.raises(ShapeError):
             sim.run()
