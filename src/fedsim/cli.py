@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -49,25 +50,28 @@ def _dataset_fingerprint(test: Dataset) -> str:
     return digest.hexdigest()
 
 
+def _top1_at(log: MetricsLog, column: str, cutoff: float) -> float | None:
+    """Test accuracy at the last row whose ``column`` is at most ``cutoff``, or None."""
+    row = log.last_at_or_before(column, cutoff)
+    return row.test_top1 if row is not None else None
+
+
+def _cutoff_column(t: float) -> str:
+    """``acc@<t>s``: ``t`` as ``:g`` writes it if that reads back exactly, else its repr."""
+    return f"acc@{t:g}s" if float(f"{t:g}") == t else f"acc@{float(t)!r}s"
+
+
 def summarize(log: MetricsLog, summary_times, summary_rounds) -> dict:
     """Accuracy cutoffs and final counters, derivable from the CSV alone."""
     final = log.rows[-1]
-    acc_at_time = {}
-    for t in summary_times:
-        row = log.last_at_or_before_time(t)
-        acc_at_time[repr(float(t))] = row.test_top1 if row is not None else None
-    acc_at_rounds = {}
-    for r in summary_rounds:
-        row = log.last_at_or_before_version(r)
-        acc_at_rounds[str(int(r))] = row.test_top1 if row is not None else None
     return {
         "scheme": final.scheme,
         "final_top1": final.test_top1,
         "versions": final.version,
         "update_requests": final.update_requests_cum,
         "models_exchanged": final.models_exchanged_cum,
-        "acc_at_time": acc_at_time,
-        "acc_at_rounds": acc_at_rounds,
+        "acc_at_time": {repr(float(t)): _top1_at(log, "virtual_time", t) for t in summary_times},
+        "acc_at_rounds": {str(int(r)): _top1_at(log, "version", r) for r in summary_rounds},
     }
 
 
@@ -90,8 +94,7 @@ def compare_logs(named_logs: list[tuple[str, MetricsLog]], at_times) -> list[dic
             "dvw_eval_models": exchanged - 2 * requests,
         }
         for t in at_times:
-            at = log.last_at_or_before_time(t)
-            row[f"acc@{t:g}s"] = at.test_top1 if at is not None else None
+            row[_cutoff_column(t)] = _top1_at(log, "virtual_time", t)
         rows.append(row)
     return rows
 
@@ -212,6 +215,9 @@ def _run_names(paths: list[Path]) -> list[str]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if any(math.isnan(t) for t in args.at or []):
+        print("compare: --at must be a number, not nan", file=sys.stderr)
+        return 2
     named_logs = []
     fingerprints = set()  # one per run: runs in different directories may share a name
     paths = [Path(path) for path in args.csv]

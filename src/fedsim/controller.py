@@ -55,12 +55,6 @@ class UpdateRequest:
 WeightFn = Callable[[UpdateRequest], float]
 
 
-@dataclass(frozen=True)
-class _CacheEntry:
-    p: float
-    params: ParameterSet
-
-
 class _Controller:
     """The community model, its version and the committed-step count, which
     every commit advances together through ``_publish``."""
@@ -99,7 +93,8 @@ class FederationController(_Controller):
         # Running sum of p * params over the cache, updated in place.
         self._weighted_sum = np.zeros(self._layout.size)
         self._normalizer = 0.0
-        self._cache: dict[int, _CacheEntry] = {}
+        # learner id -> (p, the read-only ``flat`` of its committed model)
+        self._cache: dict[int, tuple[float, np.ndarray]] = {}
 
     @property
     def normalizer(self) -> float:
@@ -115,8 +110,7 @@ class FederationController(_Controller):
         if p < 0.0:
             raise ValueError("contribution values must be non-negative")
         self._require_layout(req)
-        prev = self._cache.get(req.learner_id)
-        p_prev = prev.p if prev is not None else 0.0
+        p_prev, w_prev = self._cache.get(req.learner_id, (0.0, None))
         new_normalizer = self._normalizer + p - p_prev
         if new_normalizer <= 0.0:
             raise DegenerateFederationError(
@@ -124,10 +118,10 @@ class FederationController(_Controller):
                 f"{req.learner_id} (p={p})"
             )
         self._weighted_sum += p * req.params.flat
-        if prev is not None:
-            self._weighted_sum += (-p_prev) * prev.params.flat
+        if w_prev is not None:
+            self._weighted_sum += (-p_prev) * w_prev
         self._normalizer = new_normalizer
-        self._cache[req.learner_id] = _CacheEntry(p, req.params)
+        self._cache[req.learner_id] = (p, req.params.flat)
         return self._publish(self._mean(), req.local_steps)
 
     def handle_sync_round(
@@ -152,9 +146,7 @@ class FederationController(_Controller):
             raise DegenerateFederationError("all contribution values are zero this round")
         for req in requests:
             self._require_layout(req)
-        self._cache = {
-            req.learner_id: _CacheEntry(p, req.params) for req, p in zip(requests, weights)
-        }
+        self._cache = {req.learner_id: (p, req.params.flat) for req, p in zip(requests, weights)}
         self._weighted_sum = self._sum_cache()
         self._normalizer = round_normalizer
         return self._publish(self._mean(), sum(r.local_steps for r in requests))
@@ -164,7 +156,7 @@ class FederationController(_Controller):
         the incremental path."""
         if not self._cache:
             raise DegenerateFederationError("cannot audit an empty cache")
-        total = sum(entry.p for entry in self._cache.values())
+        total = sum(p for p, _ in self._cache.values())
         if total <= 0.0:
             raise DegenerateFederationError("cached contributions sum to zero")
         params = ParameterSet((1.0 / total) * self._sum_cache(), self._layout)
@@ -180,8 +172,8 @@ class FederationController(_Controller):
     def _sum_cache(self) -> np.ndarray:
         """Fresh sum of p * params over the cache, in insertion order."""
         weighted = np.zeros(self._layout.size)
-        for entry in self._cache.values():
-            weighted += entry.p * entry.params.flat
+        for p, w in self._cache.values():
+            weighted += p * w
         return weighted
 
     def _mean(self) -> ParameterSet:

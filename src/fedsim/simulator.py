@@ -18,11 +18,13 @@ each epoch of a round trains the whole federation in cohorts.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import statistics
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, NamedTuple, Sequence, get_type_hints
+from operator import attrgetter
+from typing import Mapping, NamedTuple, Sequence, get_type_hints
 
 from . import config as config_mod
 from .controller import (
@@ -96,16 +98,19 @@ CSV_PARSERS = tuple(get_type_hints(MetricsRow)[name] for name in CSV_COLUMNS)
 
 
 class MetricsLog:
-    """Append-only list of per-commit rows with a stable CSV encoding."""
+    """Per-commit rows with a stable CSV encoding. ``append``, the only way in, keeps
+    ``virtual_time`` and ``version`` from going down, so a cutoff is one ``bisect``."""
 
     columns = CSV_COLUMNS
 
-    def __init__(self, rows: Iterable[MetricsRow] = ()) -> None:
-        self.rows: list[MetricsRow] = list(rows)
+    def __init__(self) -> None:
+        self.rows: list[MetricsRow] = []
 
     def append(self, row: MetricsRow) -> None:
-        if self.rows and row.virtual_time < self.rows[-1].virtual_time:
-            raise ValueError("virtual time must be non-decreasing")
+        last = self.rows[-1] if self.rows else row
+        # ``not >=`` also refuses a NaN virtual_time, which no order admits.
+        if not row.virtual_time >= last.virtual_time or row.version < last.version:
+            raise ValueError("virtual_time or version goes back from the row before, or is NaN")
         self.rows.append(row)
 
     def __len__(self) -> int:
@@ -126,8 +131,8 @@ class MetricsLog:
 
     @classmethod
     def from_csv(cls, path) -> "MetricsLog":
-        """Read a ``metrics.csv``; a file without rows, or with a short, long or
-        non-numeric row, raises ``ValueError`` naming the file (and the line)."""
+        """Read a ``metrics.csv``; a file without rows, or with a malformed or
+        out-of-order row, raises ``ValueError`` naming the file (and the line)."""
         with open(path, "r") as f:
             lines = [(number, ln.rstrip("\n")) for number, ln in enumerate(f, 1) if ln.strip()]
         if not lines:
@@ -137,7 +142,7 @@ class MetricsLog:
             raise ValueError(f"unexpected CSV header in {path!r}: {header}")
         if len(lines) == 1:
             raise ValueError(f"{path}: no rows after the header")
-        rows = []
+        log = cls()
         for number, ln in lines[1:]:
             fields = ln.split(",")
             if len(fields) != len(cls.columns):
@@ -145,26 +150,15 @@ class MetricsLog:
                     f"{path}, line {number}: expected {len(cls.columns)} fields, got {len(fields)}"
                 )
             try:
-                rows.append(MetricsRow(*(parse(v) for parse, v in zip(CSV_PARSERS, fields))))
+                log.append(MetricsRow(*(parse(v) for parse, v in zip(CSV_PARSERS, fields))))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {number}: {exc}") from exc
-        return cls(rows)
+        return log
 
-    def last_at_or_before_time(self, t: float) -> MetricsRow | None:
-        best = None
-        for row in self.rows:
-            if row.virtual_time <= t:
-                best = row
-            else:
-                break
-        return best
-
-    def last_at_or_before_version(self, version: int) -> MetricsRow | None:
-        best = None
-        for row in self.rows:
-            if row.version <= version:
-                best = row
-        return best
+    def last_at_or_before(self, column: str, value: float) -> MetricsRow | None:
+        """The last row whose ``column`` is at most ``value``; None if there is none."""
+        k = bisect.bisect_right(self.rows, value, key=attrgetter(column))
+        return self.rows[k - 1] if k else None
 
 
 def evaluate_test_accuracy(params: ParameterSet, test: Dataset) -> float:

@@ -417,6 +417,7 @@ def test_grid_run_produces_cells_and_comparison(tmp_path, capsys):
             "scheme": "sync_fedavg",
             "time_budget": 1.0,
             "max_versions": 4,
+            "summary_times": [1.0, 0.1 + 0.2],
         },
     )
     out = tmp_path / "grid"
@@ -424,7 +425,11 @@ def test_grid_run_produces_cells_and_comparison(tmp_path, capsys):
     assert (out / "sync_fedavg" / "metrics.csv").exists()
     assert (out / "async_dvw" / "metrics.csv").exists()
     comparison = (out / "comparison.csv").read_text().splitlines()
-    assert comparison[0].startswith("run,scheme,final_top1")
+    # a cutoff that :g does not write exactly is named by its repr
+    assert comparison[0] == (
+        "run,scheme,final_top1,update_requests,models_exchanged,dvw_eval_models,"
+        "acc@1s,acc@0.30000000000000004s"
+    )
     assert len(comparison) == 3
 
 
@@ -451,6 +456,22 @@ def test_compare_command(tmp_path, capsys):
     assert "sync_fedavg" in out_text and "async_fedavg" in out_text
     assert table_csv.exists()
     assert [line.split(",")[0] for line in table_csv.read_text().splitlines()] == ["run", "a", "b"]
+
+    # distinct cutoffs never share a column; :g names those it writes exactly
+    at = ["1234567", "1234568", "10", "0.5", "1e-07", "inf", "-inf"]
+    csvs = [str(out1 / "metrics.csv"), str(out2 / "metrics.csv")]
+    assert main(["compare", *csvs, *(f"--at={t}" for t in at), "--out", str(table_csv)]) == 0
+    header, *rows = [line.split(",") for line in table_csv.read_text().splitlines()]
+    assert header[6:] == [
+        "acc@1234567.0s", "acc@1234568.0s", "acc@10s", "acc@0.5s", "acc@1e-07s", "acc@infs",
+        "acc@-infs",
+    ]
+    for row in rows:  # inf reads the last row, -inf no row
+        assert row[-2:] == [row[2], ""]
+    # a NaN cutoff is refused like a bad source of fedsim run
+    capsys.readouterr()
+    assert main(["compare", *csvs, "--at=nan"]) == 2
+    assert capsys.readouterr().err == "compare: --at must be a number, not nan\n"
 
     # grid-style runs whose directories share one name are told apart by
     # the shortest trailing part of their paths that is unique
@@ -495,8 +516,26 @@ def test_compare_rejects_mismatched_test_sets(tmp_path, capsys):
             ",".join(MetricsLog.columns) + "\n0.0,x,sync_fedavg,0.5,-1,0.0,0,init,0,0\n",
             "line 2: invalid literal for int() with base 10: 'x'",
         ),
+        (
+            ",".join(MetricsLog.columns) + "\n0.0,0,sync_fedavg,0.5,-1,0.0,0,init,0,0\n"
+            "2.0,2,sync_fedavg,0.75,-1,1.0,0,fixed,6,3\n1.0,1,sync_fedavg,0.25,-1,1.0,0,fixed,3,3\n",
+            "line 4: virtual_time or version goes back from the row before",
+        ),
+        (
+            ",".join(MetricsLog.columns) + "\n0.0,0,sync_fedavg,0.5,-1,0.0,0,init,0,0\n"
+            "1.0,2,sync_fedavg,0.75,-1,1.0,0,fixed,6,3\n1.0,1,sync_fedavg,0.25,-1,1.0,0,fixed,3,3\n",
+            "line 4: virtual_time or version goes back from the row before",
+        ),
+        (
+            ",".join(MetricsLog.columns) + "\n0.0,0,sync_fedavg,0.5,-1,0.0,0,init,0,0\n"
+            "nan,1,sync_fedavg,0.75,-1,1.0,0,fixed,3,3\n1.0,2,sync_fedavg,0.25,-1,1.0,0,fixed,6,6\n",
+            "line 3: virtual_time or version goes back from the row before, or is NaN",
+        ),
     ],
-    ids=["empty", "header-only", "missing-field", "non-numeric"],
+    ids=[
+        "empty", "header-only", "missing-field", "non-numeric", "time-goes-back",
+        "version-goes-back", "nan-time",
+    ],
 )
 def test_compare_rejects_malformed_csv(tmp_path, capsys, text, message):
     path = tmp_path / "metrics.csv"

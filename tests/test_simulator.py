@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -582,11 +583,25 @@ def test_log_cutoff_helpers():
         MetricsRow(1.0, 1, "s", 0.5, 0, 1.0, 0, "fixed", 2, 1),
         MetricsRow(2.0, 2, "s", 0.7, 1, 1.0, 0, "fixed", 4, 2),
     ]
-    log = MetricsLog(rows)
-    assert log.last_at_or_before_time(0.5).test_top1 == 0.3
-    assert log.last_at_or_before_time(1.5).test_top1 == 0.5
-    assert log.last_at_or_before_time(9.0).test_top1 == 0.7
-    assert log.last_at_or_before_version(1).test_top1 == 0.5
+    log = MetricsLog()
+    for row in rows:
+        log.append(row)
+    assert log.last_at_or_before("virtual_time", 0.5).test_top1 == 0.3
+    assert log.last_at_or_before("virtual_time", 1.5).test_top1 == 0.5
+    assert log.last_at_or_before("virtual_time", 9.0).test_top1 == 0.7
+    assert log.last_at_or_before("version", 1).test_top1 == 0.5
+    assert log.last_at_or_before("virtual_time", math.inf).test_top1 == 0.7
+    assert log.last_at_or_before("virtual_time", -math.inf) is None
+    assert log.last_at_or_before("version", -1) is None
+    # a row may not go back in virtual_time or in version, nor have a NaN time
+    for back in (
+        replace(rows[2], virtual_time=1.5, version=3),
+        replace(rows[2], version=1),
+        replace(rows[2], virtual_time=math.nan, version=3),
+    ):
+        with pytest.raises(ValueError, match="goes back"):
+            log.append(back)
+    assert len(log) == 3
 
 
 def test_zero_validation_loss_does_not_abort_the_run(monkeypatch):
