@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare metrics CSVs from prior runs")
     p_cmp.add_argument("csv", nargs="+", help="metrics.csv paths")
     p_cmp.add_argument("--at", type=float, action="append",
-                       help="virtual-time cutoff for Acc@T (repeatable)")
+                       help="Acc@T cutoff in virtual time (repeatable; as --at=-1e3 if negative)")
     p_cmp.add_argument("--out", help="write the comparison table as CSV")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -1,19 +1,20 @@
 """Deterministic discrete-event harness for federation experiments.
 
-A virtual clock advances through a (time, seq) ordered event queue; ties
-execute in enqueue order, so replays with the same config and seed are
-bit-identical. Learners whose epochs end at the same virtual instant train as
-one stacked cohort; the trigger checks then run per learner in event order,
-and a trigger that fires queues its learner's commit with the cause.
-Heterogeneity comes from per-learner speed profiles: an epoch
+A virtual clock advances through a (time, seq) ordered queue of events, each
+carrying its handler; ties execute in enqueue order, so replays with the same
+config and seed are bit-identical. Learners whose epochs end at the same
+virtual instant train as one stacked cohort; the trigger checks then run per
+learner in event order, and a trigger that fires queues its learner's commit
+with the cause. Heterogeneity comes from per-learner speed profiles: an epoch
 costs steps/steps_per_second virtual seconds, and a distributed-validation
 fan-out costs the slowest evaluator's validation pass (evaluators run in
 parallel and keep training undisturbed; the committing learner waits); both
 are fixed per learner for the run (``epoch_durations``, ``fanout_durations``).
 
-Synchronous schemes run as lockstep rounds whose length is the straggler's
-training time (plus the evaluation phase for validation-weighted schemes);
-each epoch of a round trains the whole federation in cohorts.
+Synchronous schemes run as lockstep rounds, one event each on the same queue,
+whose length is the straggler's training time (plus the evaluation phase for
+validation-weighted schemes); each epoch of a round trains the whole
+federation in cohorts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import statistics
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence, get_type_hints
+from typing import Callable, Mapping, NamedTuple, Sequence, get_type_hints
 
 from . import config as config_mod
 from .controller import (
@@ -55,21 +56,16 @@ from .learner import (
 from .nn import ModelSpec, ParameterSet, Workspace, check_dataset, model_layout
 from .weighting import DVW_SCHEMES, accuracy, dvw_weight, fedasync_mix_factor, fedavg_weight
 
-EVENT_EPOCH_DONE = "epoch_done"
-# The end of a DVW fan-out. Handling it only re-queues the commit at the same
-# virtual time, behind events already queued for that time; scheduling the
-# commit directly would reorder such ties and change the metrics of runs.
-EVENT_EVAL_DONE = "eval_done"
-EVENT_UPDATE_COMMIT = "update_commit"
 
 class Event(NamedTuple):
-    """A queued event; the heap orders events by (time, seq), which is unique,
-    so ``cause``, the trigger cause a queued commit carries, is never compared."""
+    """A queued event, run by ``handle(event)``. The heap orders events by
+    (time, seq), which is unique, so ``handle`` and ``cause``, the trigger
+    cause a queued commit carries, are never compared."""
 
     time: float
     seq: int
     learner_id: int
-    kind: str
+    handle: Callable[[Event], None]
     cause: str | None = None
 
 
@@ -98,8 +94,8 @@ CSV_PARSERS = tuple(get_type_hints(MetricsRow)[name] for name in CSV_COLUMNS)
 
 
 class MetricsLog:
-    """Per-commit rows with a stable CSV encoding. ``append``, the only way in, keeps
-    ``virtual_time`` and ``version`` from going down, so a cutoff is one ``bisect``."""
+    """Per-commit rows with a stable CSV encoding. ``append``, the only way in, refuses rows
+    that go back in time or version or whose counters cannot occur; a cutoff is one ``bisect``."""
 
     columns = CSV_COLUMNS
 
@@ -111,6 +107,11 @@ class MetricsLog:
         # ``not >=`` also refuses a NaN virtual_time, which no order admits.
         if not row.virtual_time >= last.virtual_time or row.version < last.version:
             raise ValueError("virtual_time or version goes back from the row before, or is NaN")
+        # Each update request uploads one model and pulls one; both counters start at 0.
+        before = (last.update_requests_cum, last.models_exchanged_cum) if self.rows else (0, 0)
+        requests = row.update_requests_cum - before[0]
+        if requests < 0 or row.models_exchanged_cum - before[1] < 2 * requests:
+            raise ValueError("update_requests_cum goes back, or fewer than 2 models per request")
         self.rows.append(row)
 
     def __len__(self) -> int:
@@ -262,6 +263,18 @@ class _Simulation:
         # 1 upload + 1 community pull, plus one evaluator ship per other
         # learner when the commit is validation-weighted.
         self.models_per_request = cfg.num_learners + 1 if self.is_dvw else 2
+        if cfg.scheme.startswith("sync_"):
+            # A round lasts the straggler's uf epochs (every learner has the fixed
+            # policy), plus under DVW the slowest evaluation of the others' models.
+            self.uf = cfg.policy_for("fast").uf
+            eval_phase = 0.0
+            if self.is_dvw:
+                eval_phase = max(
+                    (cfg.num_learners - 1) * v / profile.eval_samples_per_second
+                    for v, profile in zip(bank.val_n.tolist(), profiles)
+                )
+            self.round_duration = self.uf * max(self.epoch_durations) + eval_phase
+        self._stopped = False
         acc = evaluate_test_accuracy(controller.current_model().params, bank.split.test)
         self.log.append(MetricsRow(0.0, 0, cfg.scheme, acc, -1, 0.0, 0, "init", 0, 0))
 
@@ -297,8 +310,8 @@ class _Simulation:
         staleness: int,
         cause: str,
     ) -> None:
-        """Log the commit's row, counting on from the last row's totals, and
-        hand the new community model to every committer."""
+        """Log the commit's row, counting on from the last row's totals, hand the
+        new community model to every committer, and stop at ``max_versions``."""
         last = self.log.rows[-1]
         acc = evaluate_test_accuracy(community.params, self.bank.split.test)
         self.log.append(
@@ -317,84 +330,63 @@ class _Simulation:
         )
         for k in committers:
             adopt_community(self.bank.states[k], community)
+        self._stopped = community.version >= (self.cfg.max_versions or math.inf)
 
-    # -- synchronous rounds ---------------------------------------------
+    # -- the event loop -------------------------------------------------
 
-    def run_sync(self) -> None:
-        """Lockstep rounds: every learner trains ``uf`` epochs, one
-        ``run_epoch`` over the whole federation per epoch, then all commit.
-        A learner whose parameters turn non-finite ends the run at the
-        earliest such epoch, naming the lowest learner id in it."""
-        cfg = self.cfg
-        n = cfg.num_learners
-        uf = cfg.policy_for("fast").uf  # every learner's policy in a sync scheme
-        train_phase = uf * max(self.epoch_durations)
-        eval_phase = 0.0
-        if self.is_dvw and n > 1:
-            eval_phase = max(
-                (n - 1) * v / profile.eval_samples_per_second
-                for v, profile in zip(self.bank.val_n.tolist(), cfg.speed_profiles)
-            )
-        round_duration = train_phase + eval_phase
-        rows = range(n)
-        while True:
-            if cfg.max_versions is not None and self.controller.version >= cfg.max_versions:
-                break
-            t_end = self.clock + round_duration
-            if t_end > cfg.time_budget:
-                break
-            for _ in range(uf):
-                run_epoch(self.bank, rows, cfg.hyperparameters, self.workspace)
-            requests = [self._update_request(k) for k in rows]
-            community = self.controller.handle_sync_round(requests, self._weight)
-            self.clock = t_end
-            self._record(t_end, community, rows, -1, self.controller.normalizer, 0, CAUSE_FIXED)
-
-    # -- asynchronous event loop ------------------------------------------
-
-    def _schedule(self, t: float, learner_id: int, kind: str, cause: str | None = None) -> None:
+    def _schedule(self, t: float, learner_id: int, handle: Callable, cause: str | None = None):
         if t < self.clock:
             raise RuntimeError("cannot schedule an event in the past")
-        heapq.heappush(self._heap, Event(t, self._seq, learner_id, kind, cause))
+        heapq.heappush(self._heap, Event(t, self._seq, learner_id, handle, cause))
         self._seq += 1
 
-    def run_async(self) -> None:
-        cfg = self.cfg
-        for learner_id, duration in enumerate(self.epoch_durations):
-            self._schedule(duration, learner_id, EVENT_EPOCH_DONE)
-        while self._heap:
+    def run(self) -> SimulationResult:
+        """Queue the first synchronous round, or every learner's first epoch,
+        then run the events in order until the queue empties, the next event
+        lies past the time budget, or a commit has reached ``max_versions``."""
+        if self.cfg.scheme.startswith("sync_"):
+            self._schedule(self.round_duration, -1, self._on_round)
+        else:
+            for learner_id, duration in enumerate(self.epoch_durations):
+                self._schedule(duration, learner_id, self._on_epochs_done)
+        while self._heap and not self._stopped:
             ev = heapq.heappop(self._heap)
-            t = ev.time
-            if t > cfg.time_budget:
+            if ev.time > self.cfg.time_budget:
                 break
-            self.clock = t
-            if ev.kind == EVENT_EPOCH_DONE:
-                self._on_epochs_done(ev)
-            elif ev.kind == EVENT_EVAL_DONE:
-                self._schedule(t, ev.learner_id, EVENT_UPDATE_COMMIT, ev.cause)
-            elif ev.kind == EVENT_UPDATE_COMMIT:
-                self._on_commit(ev)
-                if cfg.max_versions is not None and self.controller.version >= cfg.max_versions:
-                    break
-            else:  # pragma: no cover - exhaustive kinds
-                raise RuntimeError(f"unknown event kind {ev.kind!r}")
+            self.clock = ev.time
+            ev.handle(ev)
+        self._heap.clear()  # its events' handlers would keep this simulation alive
+        return SimulationResult(self.log, self.bank, self.clock)
+
+    def _on_round(self, ev: Event) -> None:
+        """A lockstep round: every learner trains ``uf`` epochs, one ``run_epoch``
+        over the whole federation per epoch, then all commit and the next round
+        is queued. A learner whose parameters turn non-finite ends the run at
+        the earliest such epoch, naming the lowest learner id in it."""
+        rows = range(self.cfg.num_learners)
+        for _ in range(self.uf):
+            run_epoch(self.bank, rows, self.cfg.hyperparameters, self.workspace)
+        requests = [self._update_request(k) for k in rows]
+        community = self.controller.handle_sync_round(requests, self._weight)
+        self._record(ev.time, community, rows, -1, self.controller.normalizer, 0, CAUSE_FIXED)
+        self._schedule(ev.time + self.round_duration, -1, self._on_round)
 
     def _on_epochs_done(self, first: Event) -> None:
-        """Pop the EPOCH_DONE events queued right behind ``first`` at the same
+        """Pop the epoch ends queued right behind ``first`` at the same
         virtual time, train the cohort one epoch, score the validation loss of
         the members whose adaptive trigger reads it, then check each trigger
         in event order: queue the next epoch, or the commit with its cause
         (under DVW, behind the fan-out).
 
-        Training them as one cohort is exact: a learner with a pending
-        EPOCH_DONE has no other pending event, so its epoch reads only its own
+        Training them as one cohort is exact: a learner with a pending epoch
+        end has no other pending event, so its epoch reads only its own
         state, and everything the trigger checks schedule lands after the
         cohort (later in time, or at the same time with a larger seq). No
         commit runs in here, so the committed steps are read once.
         """
         t, heap = first.time, self._heap
         rows = [first.learner_id]
-        while heap and heap[0].time == t and heap[0].kind == EVENT_EPOCH_DONE:
+        while heap and heap[0].time == t and heap[0].handle == first.handle:
             rows.append(heapq.heappop(heap).learner_id)
         run_epoch(self.bank, rows, self.cfg.hyperparameters, self.workspace)
         states = self.bank.states
@@ -407,11 +399,17 @@ class _Simulation:
             state = states[k]
             cause = trigger_cause(state, losses.get(k), effective_staleness(committed, state))
             if cause is None:
-                self._schedule(t + self.epoch_durations[k], k, EVENT_EPOCH_DONE)
+                self._schedule(t + self.epoch_durations[k], k, self._on_epochs_done)
             elif self.is_dvw:
-                self._schedule(t + self.fanout_durations[k], k, EVENT_EVAL_DONE, cause)
+                self._schedule(t + self.fanout_durations[k], k, self._on_eval_done, cause)
             else:
-                self._schedule(t, k, EVENT_UPDATE_COMMIT, cause)
+                self._schedule(t, k, self._on_commit, cause)
+
+    def _on_eval_done(self, ev: Event) -> None:
+        """The end of a DVW fan-out: queue the commit at the same virtual time,
+        behind events already queued for that time. Scheduling the commit
+        directly would reorder such ties and change the metrics of runs."""
+        self._schedule(ev.time, ev.learner_id, self._on_commit, ev.cause)
 
     def _on_commit(self, ev: Event) -> None:
         t, learner_id = ev.time, ev.learner_id
@@ -426,14 +424,7 @@ class _Simulation:
             p = self._weight(req)
             community = self.controller.handle_async_update(req, lambda _r: p)
         self._record(t, community, [learner_id], learner_id, p, staleness, ev.cause)
-        self._schedule(t + self.epoch_durations[learner_id], learner_id, EVENT_EPOCH_DONE)
-
-    def run(self) -> SimulationResult:
-        if self.cfg.scheme.startswith("sync_"):
-            self.run_sync()
-        else:
-            self.run_async()
-        return SimulationResult(self.log, self.bank, self.clock)
+        self._schedule(t + self.epoch_durations[learner_id], learner_id, self._on_epochs_done)
 
 
 def run_simulation_detailed(cfg: config_mod.ExperimentConfig) -> SimulationResult:

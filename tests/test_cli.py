@@ -531,10 +531,20 @@ def test_compare_rejects_mismatched_test_sets(tmp_path, capsys):
             "nan,1,sync_fedavg,0.75,-1,1.0,0,fixed,3,3\n1.0,2,sync_fedavg,0.25,-1,1.0,0,fixed,6,6\n",
             "line 3: virtual_time or version goes back from the row before, or is NaN",
         ),
+        (
+            ",".join(MetricsLog.columns) + "\n0.0,0,sync_fedavg,0.5,-1,0.0,0,init,0,0\n"
+            "1.0,1,sync_fedavg,0.75,-1,1.0,0,fixed,6,3\n2.0,2,sync_fedavg,0.25,-1,1.0,0,fixed,4,7\n",
+            "line 4: update_requests_cum goes back, or fewer than 2 models per request",
+        ),
+        (
+            ",".join(MetricsLog.columns) + "\n0.0,0,sync_fedavg,0.5,-1,0.0,0,init,0,0\n"
+            "1.0,1,sync_fedavg,0.75,-1,1.0,0,fixed,6,6\n",
+            "line 3: update_requests_cum goes back, or fewer than 2 models per request",
+        ),
     ],
     ids=[
         "empty", "header-only", "missing-field", "non-numeric", "time-goes-back",
-        "version-goes-back", "nan-time",
+        "version-goes-back", "nan-time", "exchanged-goes-back", "one-model-per-request",
     ],
 )
 def test_compare_rejects_malformed_csv(tmp_path, capsys, text, message):

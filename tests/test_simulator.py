@@ -602,6 +602,19 @@ def test_log_cutoff_helpers():
         with pytest.raises(ValueError, match="goes back"):
             log.append(back)
     assert len(log) == 3
+    # nor may update_requests_cum go back, nor a request exchange fewer than
+    # 2 models; both counters count from 0 before the first row
+    later = replace(rows[2], virtual_time=3.0, version=3)
+    for bad in (
+        replace(later, update_requests_cum=1),
+        replace(later, models_exchanged_cum=5, update_requests_cum=3),
+    ):
+        with pytest.raises(ValueError, match="fewer than 2 models per request"):
+            log.append(bad)
+    with pytest.raises(ValueError, match="fewer than 2 models per request"):
+        MetricsLog().append(replace(rows[0], models_exchanged_cum=6, update_requests_cum=6))
+    log.append(replace(later, models_exchanged_cum=6, update_requests_cum=3))
+    assert len(log) == 4
 
 
 def test_zero_validation_loss_does_not_abort_the_run(monkeypatch):
