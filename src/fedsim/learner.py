@@ -11,7 +11,7 @@ as if it trained alone. The fixed policy triggers every ``uf`` epochs; the
 adaptive policy watches the per-epoch change of the local validation loss
 (conditions C1/C2 with a tombstone allowance) and the learner's effective
 staleness against the median of its first ``warmup_cycles`` commits
-(condition C3). A learner keeps only what its trigger (``trigger_cause``) reads.
+(condition C3). A learner keeps only what its policy's trigger (``cause``) reads.
 Cohorts of models too large to stack train side by side, one share of the
 cohorts per thread, on threads that start for one epoch and are joined before
 it ends (``_train_side_by_side``).
@@ -93,11 +93,16 @@ class FixedPolicy:
     """Request a community update after exactly ``uf`` local epochs."""
 
     kind: ClassVar[str] = "fixed"
+    reads_loss: ClassVar[bool] = False
     uf: int = 4
 
     def __post_init__(self) -> None:
         if self.uf < 1:
             raise ValueError("update frequency uf must be >= 1")
+
+    def cause(self, state: LearnerState, loss: float | None, staleness_now: int) -> str | None:
+        """The cause of the learner's update request after an epoch, or None to keep training."""
+        return CAUSE_FIXED if state.cycle_epochs >= self.uf else None
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,7 @@ class AdaptivePolicy:
     cycles. ``max_epochs_per_cycle`` is a safety cap.
     """
 
+    reads_loss: ClassVar[bool] = True
     vc_loss: float = 0.0
     vc_tomb: int = 0
     warmup_cycles: int = 20
@@ -125,6 +131,12 @@ class AdaptivePolicy:
             raise ValueError("warmup_cycles must be >= 1")
         if self.max_epochs_per_cycle < 1:
             raise ValueError("max_epochs_per_cycle must be >= 1")
+
+    def cause(self, state: LearnerState, loss: float | None, staleness_now: int) -> str | None:
+        """As ``FixedPolicy.cause``; ``loss`` is this epoch's validation loss."""
+        vpct = None if state.last_loss is None else compute_vpct(loss, state.last_loss)
+        state.last_loss = loss
+        return check_adaptive_trigger(state, vpct, staleness_now)
 
 
 TriggerPolicy = Union[FixedPolicy, AdaptivePolicy]
@@ -584,8 +596,6 @@ def check_adaptive_trigger(
     difference exists yet.
     """
     policy = state.policy
-    if not isinstance(policy, AdaptivePolicy):
-        raise TypeError("check_adaptive_trigger needs an adaptive policy")
     if vpct is not None:
         failure = None
         if vpct >= 0.0:
@@ -620,19 +630,6 @@ def staleness_threshold(samples: Sequence[int], warmup_cycles: int) -> float | N
         return None
     window = sorted(samples[:warmup_cycles])
     return float(window[(warmup_cycles - 1) // 2])
-
-
-def trigger_cause(state: LearnerState, loss: float | None, staleness_now: int) -> str | None:
-    """The cause for which the learner requests an update after an epoch, or
-    None to keep training. A fixed policy reads neither argument; an adaptive
-    one needs ``loss``, this epoch's validation loss (``check_adaptive_trigger``).
-    """
-    policy = state.policy
-    if isinstance(policy, FixedPolicy):
-        return CAUSE_FIXED if state.cycle_epochs >= policy.uf else None
-    vpct = None if state.last_loss is None else compute_vpct(loss, state.last_loss)
-    state.last_loss = loss
-    return check_adaptive_trigger(state, vpct, staleness_now)
 
 
 def adopt_community(state: LearnerState, community: CommunityModel) -> None:

@@ -44,14 +44,12 @@ from .data import (
 )
 from .learner import (
     CAUSE_FIXED,
-    AdaptivePolicy,
     LearnerBank,
     LearnerState,
     adopt_community,
     effective_staleness,
     local_validation_loss,
     run_epoch,
-    trigger_cause,
 )
 from .nn import ModelSpec, ParameterSet, Workspace, check_dataset, model_layout
 from .weighting import DVW_SCHEMES, accuracy, dvw_weight, fedasync_mix_factor, fedavg_weight
@@ -94,8 +92,8 @@ CSV_PARSERS = tuple(get_type_hints(MetricsRow)[name] for name in CSV_COLUMNS)
 
 
 class MetricsLog:
-    """Per-commit rows with a stable CSV encoding. ``append``, the only way in, refuses rows
-    that go back in time or version or whose counters cannot occur; a cutoff is one ``bisect``."""
+    """Per-commit rows with a stable CSV encoding. ``append``, the only way in, refuses rows that go
+    back in time or version or whose counters or accuracy cannot occur; a cutoff is one ``bisect``."""
 
     columns = CSV_COLUMNS
 
@@ -112,6 +110,8 @@ class MetricsLog:
         requests = row.update_requests_cum - before[0]
         if requests < 0 or row.models_exchanged_cum - before[1] < 2 * requests:
             raise ValueError("update_requests_cum goes back, or fewer than 2 models per request")
+        if not 0.0 <= row.test_top1 <= 1.0:  # a hit count over the test-set size; refuses NaN too
+            raise ValueError(f"test_top1 {row.test_top1!r} is not an accuracy in [0, 1]")
         self.rows.append(row)
 
     def __len__(self) -> int:
@@ -374,7 +374,7 @@ class _Simulation:
     def _on_epochs_done(self, first: Event) -> None:
         """Pop the epoch ends queued right behind ``first`` at the same
         virtual time, train the cohort one epoch, score the validation loss of
-        the members whose adaptive trigger reads it, then check each trigger
+        the members whose trigger reads it, then check each trigger
         in event order: queue the next epoch, or the commit with its cause
         (under DVW, behind the fan-out).
 
@@ -390,14 +390,14 @@ class _Simulation:
             rows.append(heapq.heappop(heap).learner_id)
         run_epoch(self.bank, rows, self.cfg.hyperparameters, self.workspace)
         states = self.bank.states
-        scored = [k for k in rows if isinstance(states[k].policy, AdaptivePolicy)]
+        scored = [k for k in rows if states[k].policy.reads_loss]
         losses = {}
         if scored:
             losses = dict(zip(scored, local_validation_loss(self.bank, scored, self.workspace)))
         committed = self.controller.committed_steps()
         for k in rows:
             state = states[k]
-            cause = trigger_cause(state, losses.get(k), effective_staleness(committed, state))
+            cause = state.policy.cause(state, losses.get(k), effective_staleness(committed, state))
             if cause is None:
                 self._schedule(t + self.epoch_durations[k], k, self._on_epochs_done)
             elif self.is_dvw:

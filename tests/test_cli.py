@@ -541,10 +541,21 @@ def test_compare_rejects_mismatched_test_sets(tmp_path, capsys):
             "1.0,1,sync_fedavg,0.75,-1,1.0,0,fixed,6,6\n",
             "line 3: update_requests_cum goes back, or fewer than 2 models per request",
         ),
+        (
+            ",".join(MetricsLog.columns) + "\n0.0,0,sync_fedavg,0.5,-1,0.0,0,init,0,0\n"
+            "1.0,1,sync_fedavg,7.5,-1,1.0,0,fixed,6,3\n2.0,2,sync_fedavg,nan,-1,1.0,0,fixed,12,6\n",
+            "line 3: test_top1 7.5 is not an accuracy in [0, 1]",
+        ),
+        (
+            ",".join(MetricsLog.columns) + "\n0.0,0,sync_fedavg,0.5,-1,0.0,0,init,0,0\n"
+            "1.0,1,sync_fedavg,0.75,-1,1.0,0,fixed,6,3\n2.0,2,sync_fedavg,nan,-1,1.0,0,fixed,12,6\n",
+            "line 4: test_top1 nan is not an accuracy in [0, 1]",
+        ),
     ],
     ids=[
         "empty", "header-only", "missing-field", "non-numeric", "time-goes-back",
         "version-goes-back", "nan-time", "exchanged-goes-back", "one-model-per-request",
+        "top1-above-one", "top1-nan",
     ],
 )
 def test_compare_rejects_malformed_csv(tmp_path, capsys, text, message):

@@ -29,7 +29,6 @@ from fedsim.learner import (
     local_validation_loss,
     run_epoch,
     staleness_threshold,
-    trigger_cause,
     worker_count,
 )
 from fedsim.nn import ModelSpec, ParameterSet, ShapeError, Workspace, model_layout
@@ -290,7 +289,7 @@ def test_raising_vc_loss_never_lengthens_cycle():
 
 
 # ---------------------------------------------------------------------------
-# trigger_cause and the state it keeps
+# each policy's cause and the state it keeps
 # ---------------------------------------------------------------------------
 
 
@@ -299,7 +298,7 @@ def test_fixed_trigger_reads_only_the_epoch_count(controller):
     causes = []
     for epoch in range(1, 4):
         state.cycle_epochs = epoch
-        causes.append(trigger_cause(state, None, staleness_now=10**9))
+        causes.append(state.policy.cause(state, None, staleness_now=10**9))
     assert causes == [None, None, "fixed"]
     assert state.last_loss is None
 
@@ -366,7 +365,7 @@ def test_constant_size_state_decides_like_the_full_history(
         if op[0] == "epoch":
             _, loss, staleness_now = op
             state.cycle_epochs += 1  # what run_epoch does to the cycle
-            cause = trigger_cause(state, loss, staleness_now)
+            cause = state.policy.cause(state, loss, staleness_now)
             assert cause == reference.epoch(loss, staleness_now)
             if cause is not None:
                 commit(staleness_now)
@@ -503,7 +502,7 @@ def test_validation_loss_recorded(train_set, controller):
     state = bank.states[0]
     run_epoch(bank, [0], HP, WS)
     loss = local_validation_loss(bank, [0], WS)[0]
-    assert trigger_cause(state, loss, staleness_now=0) is None
+    assert state.policy.cause(state, loss, staleness_now=0) is None
     assert state.last_loss == loss
     assert loss > 0
 

@@ -12,7 +12,7 @@ from fedsim import simulator as simulator_mod
 from fedsim import weighting as weighting_mod
 from fedsim.config import config_from_dict, get_preset
 from fedsim.data import generate_blobs
-from fedsim.learner import AdaptivePolicy, run_epoch
+from fedsim.learner import AdaptivePolicy, FixedPolicy, run_epoch
 from fedsim.nn import ModelSpec, ShapeError, init_parameters, predict
 from fedsim.simulator import (
     MetricsLog,
@@ -260,15 +260,18 @@ def test_each_commit_logs_the_cause_of_its_own_trigger(monkeypatch):
     )
     sim = _Simulation(cfg)
     fired = []
-    cause_of = simulator_mod.trigger_cause
 
-    def recording(state, loss, staleness_now):
-        cause = cause_of(state, loss, staleness_now)
-        if cause is not None:
-            fired.append((sim.clock, state.id, cause))
-        return cause
+    def recording(cause_of):
+        def cause_recorded(policy, state, loss, staleness_now):
+            cause = cause_of(policy, state, loss, staleness_now)
+            if cause is not None:
+                fired.append((sim.clock, state.id, cause))
+            return cause
 
-    monkeypatch.setattr(simulator_mod, "trigger_cause", recording)
+        return cause_recorded
+
+    for policy_class in (FixedPolicy, AdaptivePolicy):
+        monkeypatch.setattr(policy_class, "cause", recording(policy_class.cause))
     commits = [row for row in sim.run().log if row.version >= 1]
     fan_outs = []
     for k in range(cfg.num_learners):
@@ -615,6 +618,13 @@ def test_log_cutoff_helpers():
         MetricsLog().append(replace(rows[0], models_exchanged_cum=6, update_requests_cum=6))
     log.append(replace(later, models_exchanged_cum=6, update_requests_cum=3))
     assert len(log) == 4
+    # test_top1 is an accuracy: 0 and 1 are its bounds, and NaN is none
+    for top1 in (7.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match=r"is not an accuracy in \[0, 1\]"):
+            log.append(replace(log.rows[-1], test_top1=top1))
+    for top1 in (0.0, 1.0):
+        log.append(replace(log.rows[-1], test_top1=top1))
+    assert [row.test_top1 for row in log.rows[3:]] == [0.7, 0.0, 1.0]
 
 
 def test_zero_validation_loss_does_not_abort_the_run(monkeypatch):
