@@ -18,7 +18,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Any, ClassVar, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, ClassVar, Union, get_args, get_origin, get_type_hints
 
 from .data import SizeDistribution, UniformSizes, compute_sizes
 from .learner import AdaptivePolicy, FixedPolicy, Hyperparameters, TriggerPolicy
@@ -378,14 +378,16 @@ class ExperimentConfig:
     ``config_from_dict`` reads each field from the JSON key of its name and
     checks ``num_learners`` before ``speed_profiles``, sized by it; the
     root's other range checks run here, and fields left unset take their
-    defaults."""
+    defaults. The learner count is checked against a pool of known size
+    before anything is built per learner."""
 
     name: str = "experiment"
     seed: int = 1990
     num_learners: int
     dataset: DatasetSpec
     model: ModelConfig = ModelConfig()
-    speed_profiles: tuple[SpeedProfile, ...] | None = None  # unset: all fast, default rates
+    # unset: all fast, default rates; the shorthand, read as a function of the learner count
+    speed_profiles: tuple[SpeedProfile, ...] | Callable[[int], tuple] | None = None
     size_distribution: SizeDistribution = UniformSizes()
     class_assignment: ClassesSpec = IidClasses()
     validation_fraction: float = 0.05
@@ -426,6 +428,14 @@ class ExperimentConfig:
         if self.max_versions is not None and self.max_versions < 1:
             raise ValueError("max_versions: must be >= 1")
         assignment, n = self.class_assignment, self.num_learners
+        total = self.size_distribution.total
+        if total is None and self.dataset.kind == "blobs":  # an IDX pool is its file's
+            total = self.dataset.num_classes * self.dataset.train_samples_per_class
+        if total is not None:
+            try:
+                compute_sizes(self.size_distribution, n, total)
+            except ValueError as exc:
+                raise ValueError(f"size_distribution: {exc}") from None
         if assignment.kind == "preset" and len(CLASS_COUNT_PRESETS[assignment.name]) != n:
             raise ValueError(
                 f"class_assignment.name: {assignment.name!r} defines "
@@ -442,20 +452,14 @@ class ExperimentConfig:
                 assignment.resolve(n, classes)
             except ValueError as exc:  # every kind that can fail reads one field
                 raise ValueError(f"class_assignment.{fields(assignment)[0].name}: {exc}") from None
-        total = self.size_distribution.total
-        if total is None and self.dataset.kind == "blobs":  # an IDX pool is its file's
-            total = self.dataset.num_classes * self.dataset.train_samples_per_class
-        if total is not None:
-            try:
-                compute_sizes(self.size_distribution, n, total)
-            except ValueError as exc:
-                raise ValueError(f"size_distribution: {exc}") from None
         # FedAsync brings its own divergence regularizer, rho; an explicit
         # proximal_mu wins.
         mu = self.proximal_mu or (self.fedasync.rho if self.scheme == "fedasync_poly" else 0.0)
         derived = {"hyperparameters": replace(self.hyperparameters, proximal_mu=mu)}
         if self.speed_profiles is None:
             derived["speed_profiles"] = (SpeedProfile("fast", **DEFAULT_RATES["fast"]),) * n
+        elif callable(self.speed_profiles):  # expanded only once n has passed its checks
+            derived["speed_profiles"] = self.speed_profiles(n)
         if self.summary_times is None:
             derived["summary_times"] = (self.time_budget,)
         for name, value in derived.items():
@@ -488,7 +492,7 @@ class ExperimentConfig:
         return d
 
 
-def _parse_profiles(raw: Any, num_learners: int) -> tuple[SpeedProfile, ...] | None:
+def _parse_profiles(raw: Any, num_learners: int):
     path = "speed_profiles"
     if isinstance(raw, list):
         if len(raw) != num_learners:
@@ -505,7 +509,7 @@ def _parse_profiles(raw: Any, num_learners: int) -> tuple[SpeedProfile, ...] | N
     fast, slow = (
         _group_profile(group_secs[group], group) for group in SPEED_GROUPS
     )
-    return tuple(fast if i < num_fast else slow for i in range(num_learners))
+    return lambda n: (fast,) * num_fast + (slow,) * (n - num_fast)
 
 
 def _group_profile(sec: _Section | None, group: str) -> SpeedProfile:

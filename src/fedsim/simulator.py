@@ -22,10 +22,9 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-import statistics
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, Mapping, NamedTuple, Sequence, get_type_hints
+from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 from . import config as config_mod
 from .controller import (
@@ -431,38 +430,3 @@ def run_simulation_detailed(cfg: config_mod.ExperimentConfig) -> SimulationResul
     """Run one experiment under the deterministic event loop."""
     return _Simulation(cfg).run()
 
-
-@dataclass(frozen=True)
-class StalenessStats:
-    label: str
-    count: int
-    median: float
-    mean: float
-    stdev: float
-
-
-def _stats(label: str, values: Sequence[int]) -> StalenessStats:
-    ordered = sorted(values)
-    median = float(ordered[(len(ordered) - 1) // 2])
-    mean = float(statistics.fmean(ordered))
-    stdev = float(statistics.pstdev(ordered)) if len(ordered) > 1 else 0.0
-    return StalenessStats(label, len(ordered), median, mean, stdev)
-
-
-def staleness_report(
-    log: MetricsLog, groups: Mapping[int, str]
-) -> dict[str, list[StalenessStats]]:
-    """Per-learner and per-group staleness statistics from the commit log."""
-    per_learner: dict[int, list[int]] = {}
-    for row in log:
-        if row.committing_learner < 0:
-            continue
-        per_learner.setdefault(row.committing_learner, []).append(row.staleness)
-    learner_stats = [
-        _stats(f"learner-{lid}", vals) for lid, vals in sorted(per_learner.items())
-    ]
-    by_group: dict[str, list[int]] = {}
-    for lid, vals in per_learner.items():
-        by_group.setdefault(groups.get(lid, "unknown"), []).extend(vals)
-    group_stats = [_stats(group, vals) for group, vals in sorted(by_group.items())]
-    return {"learners": learner_stats, "groups": group_stats}

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -17,6 +21,7 @@ from fedsim.config import (
 from fedsim.data import PowerlawSizes, SkewedSizes, UniformSizes, compute_sizes
 from fedsim.learner import AdaptivePolicy, FixedPolicy
 from fedsim.weighting import SCHEMES
+from tests.conftest import REPO
 
 
 MINIMAL = {
@@ -543,6 +548,15 @@ def test_parsing_ignores_the_seed_variable(monkeypatch, tmp_path):
             {"num_learners": 21, "dataset": TWENTY_BLOBS},
             "size_distribution: cannot spread 20 samples across 21 learners",
         ),
+        # A rotation of five classes over two fails as well; the size error is named.
+        (
+            {
+                "num_learners": 3,
+                "dataset": dict(TWENTY_BLOBS, train_samples_per_class=1),
+                "class_assignment": {"kind": "noniid", "classes_per_learner": 5},
+            },
+            "size_distribution: cannot spread 2 samples across 3 learners",
+        ),
     ],
     ids=[
         "uniform-total-below-learners",
@@ -553,6 +567,7 @@ def test_parsing_ignores_the_seed_variable(monkeypatch, tmp_path):
         "skewed-pool-of-20",
         "uniform-pool-of-20",
         "default-sizes-pool-of-20",
+        "size-before-classes",
     ],
 )
 def test_unbuildable_sizes_and_blobs_rejected_at_parse(overrides, message):
@@ -569,6 +584,50 @@ def test_sizes_from_the_whole_source_are_checked_at_build():
     assert cfg.size_distribution.total is None
     line = dict(MINIMAL["dataset"], input_dim=1, num_classes=2)  # two centers fit on a line
     assert config_from_dict(dict(MINIMAL, dataset=line)).dataset.input_dim == 1
+
+
+# A blobs pool of 40 samples and 10**12 learners. Checked after the class
+# lists or the speed profiles are built, parse would allocate one tuple per
+# learner, so these configs are parsed only in a child capped at 1 GiB.
+FORTY_BLOBS = dict(TWENTY_BLOBS, train_samples_per_class=20)
+HUGE_N = 10**12
+
+
+def run_capped(tmp_path, raw: dict) -> subprocess.CompletedProcess:
+    """``fedsim run --config`` on ``raw``, writing to ``tmp_path / "o"``, in a
+    child process whose address space is capped at 1 GiB, within 60 s."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), OPENBLAS_NUM_THREADS="1")
+    command = ["run", "--config", str(path), "--out", str(tmp_path / "o")]
+    cap = 1 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "fedsim.cli", *command],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {},
+        {"class_assignment": {"kind": "noniid", "classes_per_learner": 1}},
+        {"speed_profiles": {"num_fast": 1}},
+        {"size_distribution": {"kind": "uniform", "total": 40}},
+    ],
+    ids=["default-profiles", "noniid", "shorthand-profiles", "total-40"],
+)
+def test_learner_count_checked_against_the_pool_before_per_learner_work(tmp_path, extra):
+    done = run_capped(tmp_path, dict(num_learners=HUGE_N, dataset=FORTY_BLOBS, **extra))
+    assert done.returncode == 2, done.stderr
+    message = f"config error: size_distribution: cannot spread 40 samples across {HUGE_N} learners"
+    assert message in done.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_config_missing_file():
